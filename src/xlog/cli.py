@@ -131,7 +131,7 @@ def cmd_ingest(args) -> int:
     vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
                                + list(eventlog.STATIC_CATEGORICAL))
     seq = encode.encode_sequences(clean, vocab, window, split)
-    flat = encode.encode_flat(clean, vocab, window, split)
+    flat = encode.flatten_sequences(seq)
     out = cfg["out"]
     seq.save(run.path(out, "sequences.xlg"), meta=run.meta)
     run.written += [run.path(out, "sequences.xlg"), run.path(out, "sequences.xlg.json")]
@@ -186,13 +186,12 @@ def _train_forest(run, data_dir, out, grid_spec, cv_k, min_leaf):
     train_idx = np.asarray(sp["train"], dtype=np.int64)
     test_idx = np.asarray(sp["test"], dtype=np.int64)
     tr, te = flat.take(train_idx), flat.take(test_idx)
+    folds = _kfold_indices(tr.Y, cv_k, run.seed)
+    fits = [np.setdiff1d(np.arange(len(tr.Y)), va) for va in folds]
     rows = []
     for n_est, max_feat in _parse_forest_grid(grid_spec):
-        folds = _kfold_indices(tr.Y, cv_k, run.seed)
         accs = []
-        for f in range(cv_k):
-            va = folds[f]
-            fit = np.setdiff1d(np.arange(len(tr.Y)), va)
+        for va, fit in zip(folds, fits):
             model = forest.fit_forest(tr.X[fit], tr.Y[fit], n_est, max_feat,
                                       seed=run.seed, min_leaf=min_leaf)
             accs.append(float(np.mean(forest.predict(model, tr.X[va]) == tr.Y[va])))

@@ -326,15 +326,21 @@ def encode_flat(log: EventLog, vocab: Vocabulary, L: int,
     """
     if L < 1:
         raise ValueError("window length L must be >= 1")
-    seq = encode_sequences(log, vocab, L, split)
-    n_dyn = len(DYNAMIC_FEATURES)
+    return flatten_sequences(encode_sequences(log, vocab, L, split), feature_labels)
+
+
+def flatten_sequences(seq: SequenceDataset,
+                      feature_labels: dict[str, str] | None = None) -> FlatDataset:
+    """The flat encoding of an already encoded tensor (see ``encode_flat``);
+    its window is ``seq.T``."""
+    L, n_dyn = seq.T, len(DYNAMIC_FEATURES)
     labels = feature_labels or {}
     names = []
     for t in range(L):
         for feat in DYNAMIC_FEATURES:
             names.append(f"{labels.get(feat, feat)}_{t}")
     names += [labels.get(f, f) for f in STATIC_FEATURES]
-    dyn = seq.X[:, :, :n_dyn].reshape(len(log.cases), L * n_dyn)
+    dyn = seq.X[:, :, :n_dyn].reshape(len(seq.X), L * n_dyn)
     statics = seq.X[:, 0, n_dyn:]
     X = np.concatenate([dyn, statics], axis=1)
     cat_flags = [f in DYNAMIC_CATEGORICAL for f in DYNAMIC_FEATURES] * L

@@ -58,9 +58,6 @@ class Case:
     combination_id: str = ""
     years_in_treatment: float = 0.0
 
-    def activity_multiset(self) -> Counter:
-        return Counter(e.activity for e in self.events)
-
 
 @dataclass
 class EventLog:
@@ -142,47 +139,47 @@ def parse_log(path, schema: dict) -> EventLog:
 
     statics = ("age", "diagnosis_code", "treatment_code", "combination_id")
     event_fields = ("department", "activity_code", "producer_code", "section")
+    case_col = _columns(schema["case_id"])[0]
+    activity_col = _columns(schema["activity"])[0]
+    timestamp_col = _columns(schema["timestamp"])[0]
+    event_cols = {f: _columns(schema[f])[0] for f in event_fields if f in schema}
+    exec_col = _columns(schema["num_executions"])[0] if "num_executions" in schema else None
+    static_cols = {f: _columns(schema[f]) for f in statics if f in schema}
     cases: dict[str, dict] = {}
     bad_rows = 0
     bad_timestamps = 0
-    spread: set[str] = set()
+    # a static field read from several columns is spread whenever any row parses
+    spread: set[str] = {f for f, cols in static_cols.items() if len(cols) > 1}
 
     for row in rows:
-        case_id = (row.get(_columns(schema["case_id"])[0]) or "").strip()
-        activity = (row.get(_columns(schema["activity"])[0]) or "").strip()
+        case_id = (row.get(case_col) or "").strip()
+        activity = (row.get(activity_col) or "").strip()
         if not case_id or not activity:
             bad_rows += 1
             continue
         try:
-            ts = _parse_timestamp(row[_columns(schema["timestamp"])[0]])
+            ts = _parse_timestamp(row[timestamp_col])
         except (ValueError, KeyError, TypeError):
             bad_timestamps += 1
             continue
         slot = cases.setdefault(case_id, {"events": [], "static": {}})
-        kwargs = {}
-        for f in event_fields:
-            if f in schema:
-                kwargs[f] = (row.get(_columns(schema[f])[0]) or "").strip()
+        kwargs = {f: (row.get(col) or "").strip() for f, col in event_cols.items()}
         n_exec = 1
-        if "num_executions" in schema:
+        if exec_col is not None:
             try:
-                n_exec = max(1, int(float(row[_columns(schema["num_executions"])[0]])))
+                n_exec = max(1, int(float(row[exec_col])))
             except (ValueError, TypeError, KeyError):
                 n_exec = 1
         slot["events"].append(Event(activity=activity, timestamp=ts,
                                     num_executions=n_exec, **kwargs))
-        for f in statics:
-            if f not in schema:
-                continue
-            for col in _columns(schema[f]):
+        for f, cols in static_cols.items():
+            for col in cols:
                 val = (row.get(col) or "").strip()
                 if val:
                     prev = slot["static"].get(f)
                     if prev is not None and prev != val:
                         spread.add(f)
                     slot["static"][f] = val
-            if len(_columns(schema[f])) > 1:
-                spread.add(f)
 
     if not cases:
         raise EmptyLogError(f"{path}: no parseable event rows")
@@ -214,63 +211,116 @@ def parse_log(path, schema: dict) -> EventLog:
     return EventLog(cases=out, spread_features=sorted(spread), issues=issues)
 
 
-def _jaccard(a: Counter, b: Counter) -> float:
-    """Multiset Jaccard: sum of min counts over sum of max counts."""
-    keys = set(a) | set(b)
-    inter = sum(min(a[k], b[k]) for k in keys)
-    union = sum(max(a[k], b[k]) for k in keys)
-    return inter / union if union else 0.0
-
-
 def _derive_years(case: Case) -> Case:
     span = case.events[-1].timestamp - case.events[0].timestamp
     return replace(case, years_in_treatment=span / SECONDS_PER_YEAR)
 
 
+#: unlabelled cases scored together during label imputation; peak memory is a
+#: few (IMPUTE_BLOCK x labelled cases) arrays
+IMPUTE_BLOCK = 128
+
+
+def _signature(case: Case) -> list:
+    """Activities plus a ``("treatment", code)`` token; the tuple keeps an
+    activity literally named "treatment" a separate token."""
+    tokens: list = [e.activity for e in case.events]
+    if case.treatment_code:
+        tokens.append(("treatment", case.treatment_code))
+    return tokens
+
+
+def _count_matrix(signatures: list[list], columns: dict) -> np.ndarray:
+    """int64 (signatures x columns) token counts; tokens without a column are
+    left out."""
+    rows, cols = [], []
+    for i, sig in enumerate(signatures):
+        for tok in sig:
+            j = columns.get(tok)
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+    V = len(columns)
+    flat = np.asarray(rows, dtype=np.int64) * V + np.asarray(cols, dtype=np.int64)
+    counts = np.bincount(flat, minlength=len(signatures) * V)
+    return counts.astype(np.int64, copy=False).reshape(len(signatures), V)
+
+
+def _impute_labels(labeled: list[Case], unlabeled: list[Case]) -> list[str | None]:
+    """Label of the most similar labelled case for each unlabelled case, or
+    None when every similarity is 0 (see ``clean_log``)."""
+    if not unlabeled:
+        return []
+    label_counts = Counter(c.diagnosis_code for c in labeled)
+    classes = sorted(label_counts, key=lambda lab: (-label_counts[lab], lab))
+    rank = {lab: k for k, lab in enumerate(classes)}
+    # labelled cases grouped by class in tie-break order, so that each class
+    # is one contiguous run of similarity columns
+    labeled = sorted(labeled, key=lambda c: rank[c.diagnosis_code])
+    starts = np.cumsum([0] + [label_counts[lab] for lab in classes[:-1]])
+    a_sigs = [_signature(c) for c in labeled]
+    columns: dict = {}
+    for sig in a_sigs:
+        for tok in sig:
+            columns.setdefault(tok, len(columns))
+    A = np.ascontiguousarray(_count_matrix(a_sigs, columns).T)  # (V, labelled)
+    a_size = np.array([len(sig) for sig in a_sigs], dtype=np.int64)
+
+    out: list[str | None] = []
+    for lo in range(0, len(unlabeled), IMPUTE_BLOCK):
+        b_sigs = [_signature(c) for c in unlabeled[lo:lo + IMPUTE_BLOCK]]
+        B = _count_matrix(b_sigs, columns)
+        b_size = np.array([len(sig) for sig in b_sigs], dtype=np.int64)
+        inter = np.zeros((len(b_sigs), len(labeled)), dtype=np.int64)
+        tmp = np.empty_like(inter)
+        for v in np.flatnonzero(B.any(axis=0)):
+            np.minimum(B[:, v, None], A[v], out=tmp)
+            inter += tmp
+        union = b_size[:, None] + a_size[None, :] - inter
+        sim = np.zeros(inter.shape)
+        np.divide(inter, union, out=sim, where=union > 0)
+        class_max = np.maximum.reduceat(sim, starts, axis=1)
+        row_max = class_max.max(axis=1)
+        pick = np.argmax(class_max == row_max[:, None], axis=1)
+        out += [classes[k] if m > 0.0 else None for k, m in zip(pick, row_max)]
+    return out
+
+
 def clean_log(log: EventLog, min_class_count: int) -> tuple[EventLog, CleaningReport]:
     """Impute missing labels, derive treatment years, filter rare classes.
 
-    Unlabeled cases inherit the label of the most similar labeled case, where
-    similarity is the multiset Jaccard overlap of activities plus the
-    treatment code; ties prefer the larger class, then the lexicographically
-    smaller label. Unlabeled cases with zero similarity to every labeled case
-    are dropped. Classes with fewer than ``min_class_count`` cases are removed
-    and recorded in the report.
+    Unlabeled cases inherit the label of the most similar labeled case. A
+    case's signature is the multiset of its activities plus one
+    ``("treatment", code)`` token when it has a treatment code, and the
+    similarity of two signatures a and b is their multiset Jaccard overlap
+    ``inter / (|a| + |b| - inter)`` with ``inter = sum_v min(a_v, b_v)``
+    (0 when both are empty). Counts and sums are exact int64, and the one
+    int -> float64 division rounds exactly as Python's ``int / int``.
+    Ties in the best similarity go to the class with more labeled cases,
+    then to the lexicographically smaller label. Unlabeled cases with zero
+    similarity to every labeled case are dropped. Classes with fewer than
+    ``min_class_count`` cases are removed and recorded in the report.
     """
     if min_class_count < 1:
         raise ValueError("min_class_count must be >= 1")
     labeled = [c for c in log.cases if c.diagnosis_code is not None]
     if not labeled:
         raise CannotImputeError("every case is unlabeled; nothing to impute from")
-    label_counts = Counter(c.diagnosis_code for c in labeled)
+    unlabeled = [c for c in log.cases if c.diagnosis_code is None]
+    imputed = iter(_impute_labels(labeled, unlabeled))
 
-    def signature(case: Case) -> Counter:
-        sig = case.activity_multiset()
-        if case.treatment_code:
-            sig[("treatment", case.treatment_code)] += 1
-        return sig
-
-    labeled_sigs = [(c, signature(c)) for c in labeled]
     report = CleaningReport(collapsed_features=list(log.spread_features))
     cleaned: list[Case] = []
     for case in log.cases:
         if case.diagnosis_code is not None:
             cleaned.append(_derive_years(case))
             continue
-        sig = signature(case)
-        best = None  # (similarity, class size, label)
-        for other, other_sig in labeled_sigs:
-            sim = _jaccard(sig, other_sig)
-            if sim <= 0.0:
-                continue
-            key = (sim, label_counts[other.diagnosis_code], _neg_lex(other.diagnosis_code))
-            if best is None or key > best[0]:
-                best = (key, other.diagnosis_code)
-        if best is None:
+        label = next(imputed)
+        if label is None:
             report.dropped_cases += 1
             continue
         report.imputed_labels += 1
-        cleaned.append(_derive_years(replace(case, diagnosis_code=best[1])))
+        cleaned.append(_derive_years(replace(case, diagnosis_code=label)))
 
     counts = Counter(c.diagnosis_code for c in cleaned)
     report.kept_classes = {lab for lab, n in counts.items() if n >= min_class_count}
@@ -279,16 +329,6 @@ def clean_log(log: EventLog, min_class_count: int) -> tuple[EventLog, CleaningRe
     }
     kept = [c for c in cleaned if c.diagnosis_code in report.kept_classes]
     return EventLog(cases=kept, spread_features=[], issues=dict(log.issues)), report
-
-
-class _neg_lex(str):
-    """Orders lexicographically smaller strings as larger, for max() tie-breaks."""
-
-    def __lt__(self, other):
-        return str.__gt__(self, other)
-
-    def __gt__(self, other):
-        return str.__lt__(self, other)
 
 
 @dataclass

@@ -58,6 +58,27 @@ def test_ingest_outputs(pipeline):
         assert (data / name).exists()
 
 
+def test_ingest_encodes_sequences_once(tmp_path, monkeypatch):
+    from xlog import encode
+    calls = []
+    real = encode.encode_sequences
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(encode, "encode_sequences", counted)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
+    assert run("synth", "--spec", spec_path, "--seed", 3,
+               "--out", tmp_path / "synth") == 0
+    assert run("ingest", "--csv", tmp_path / "synth" / "events.csv",
+               "--schema", tmp_path / "synth" / "schema.json",
+               "--min-class", 4, "--window", 7, "--seed", 3,
+               "--out", tmp_path / "data") == 0
+    assert len(calls) == 1
+
+
 def test_ingest_imputes_unlabeled_case(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC), encoding="utf-8")

@@ -1,4 +1,7 @@
 import os
+import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,6 +197,155 @@ def test_clean_derives_years():
     by_id = {c.case_id: c for c in cleaned.cases}
     assert by_id["c1"].years_in_treatment == pytest.approx(2.0)
     assert by_id["c2"].years_in_treatment == 0.0
+
+
+class _neg_lex(str):
+    """Orders lexicographically smaller strings as larger, for max() tie-breaks."""
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+    def __gt__(self, other):
+        return str.__lt__(self, other)
+
+
+def _jaccard(a: Counter, b: Counter) -> float:
+    """Multiset Jaccard: sum of min counts over sum of max counts."""
+    keys = set(a) | set(b)
+    inter = sum(min(a[k], b[k]) for k in keys)
+    union = sum(max(a[k], b[k]) for k in keys)
+    return inter / union if union else 0.0
+
+
+def oracle_impute(log):
+    """Reference imputation: a Python loop over Counter signatures.
+
+    Returns (case_id -> imputed label or None, tie kinds seen), where a tie
+    kind records whether classes tied at the best similarity had equal or
+    unequal sizes.
+    """
+    labeled = [c for c in log.cases if c.diagnosis_code is not None]
+    label_counts = Counter(c.diagnosis_code for c in labeled)
+
+    def signature(case):
+        sig = Counter(e.activity for e in case.events)
+        if case.treatment_code:
+            sig[("treatment", case.treatment_code)] += 1
+        return sig
+
+    labeled_sigs = [(c, signature(c)) for c in labeled]
+    labels, ties = {}, Counter()
+    for case in log.cases:
+        if case.diagnosis_code is not None:
+            continue
+        sig = signature(case)
+        best = None  # (similarity, class size, label)
+        tied = {}
+        for other, other_sig in labeled_sigs:
+            sim = _jaccard(sig, other_sig)
+            if sim <= 0.0:
+                continue
+            key = (sim, label_counts[other.diagnosis_code], _neg_lex(other.diagnosis_code))
+            if best is None or key > best[0]:
+                best = (key, other.diagnosis_code)
+            tied.setdefault(sim, set()).add(other.diagnosis_code)
+        labels[case.case_id] = None if best is None else best[1]
+        top = tied.get(best[0][0], set()) if best else set()
+        if len(top) > 1:
+            sizes = {label_counts[lab] for lab in top}
+            ties["equal" if len(sizes) < len(top) else "unequal"] += 1
+    return labels, ties
+
+
+def oracle_clean_log(log, min_class_count):
+    """``clean_log`` with its imputation done by ``oracle_impute``; also
+    returns the tie kinds seen."""
+    labels, ties = oracle_impute(log)
+    report = eventlog.CleaningReport(collapsed_features=list(log.spread_features))
+    cleaned = []
+    for case in log.cases:
+        if case.diagnosis_code is None:
+            label = labels[case.case_id]
+            if label is None:
+                report.dropped_cases += 1
+                continue
+            report.imputed_labels += 1
+            case = replace(case, diagnosis_code=label)
+        cleaned.append(eventlog._derive_years(case))
+    counts = Counter(c.diagnosis_code for c in cleaned)
+    report.kept_classes = {lab for lab, n in counts.items() if n >= min_class_count}
+    report.dropped_classes = {lab: n for lab, n in sorted(counts.items())
+                              if n < min_class_count}
+    return [c for c in cleaned if c.diagnosis_code in report.kept_classes], report, ties
+
+
+def random_tie_log(rng, k):
+    """A small log built for ties: few activities (one named "treatment"),
+    few treatment codes, repeated activities, classes of equal and unequal
+    size, and unlabelled cases whose only tokens no labelled case has."""
+    acts = ["a", "b", "c", "treatment"]
+    treatments = ["", "T1", "T2", "treatment"]
+    labels = ["M10", "M2", "M20", "106"][: int(rng.integers(2, 5))]
+    spec = []
+    for i in range(int(rng.integers(3, 14))):
+        label = labels[i] if i < len(labels) else str(rng.choice(labels))
+        spec.append({"case_id": f"l{k}_{i}", "label": label,
+                     "activities": list(rng.choice(acts, size=int(rng.integers(1, 5)))),
+                     "treatment": str(rng.choice(treatments))})
+    for i in range(int(rng.integers(1, 8))):
+        if rng.random() < 0.2:
+            activities, treatment = ["zz"] * int(rng.integers(1, 3)), ""
+        else:
+            activities = list(rng.choice(acts, size=int(rng.integers(1, 5))))
+            treatment = str(rng.choice(treatments))
+        spec.append({"case_id": f"u{k}_{i}", "label": None,
+                     "activities": activities, "treatment": treatment})
+    order = rng.permutation(len(spec))
+    return make_log([spec[j] for j in order])
+
+
+def test_clean_matches_counter_oracle_on_random_tie_logs(monkeypatch):
+    monkeypatch.setattr(eventlog, "IMPUTE_BLOCK", 3)  # several blocks per log
+    rng = np.random.default_rng(20240611)
+    seen = Counter()
+    for k in range(400):
+        log = random_tie_log(rng, k)
+        min_class = int(rng.integers(1, 4))
+        got, rep = clean_log(log, min_class_count=min_class)
+        want, want_rep, ties = oracle_clean_log(log, min_class_count=min_class)
+        assert [(c.case_id, c.diagnosis_code, c.years_in_treatment) for c in got.cases] \
+            == [(c.case_id, c.diagnosis_code, c.years_in_treatment) for c in want], k
+        assert rep.to_json() == want_rep.to_json(), k
+        seen.update(ties)
+        seen["dropped"] += want_rep.dropped_cases
+        seen["imputed"] += want_rep.imputed_labels
+    # the generator reaches every tie-break rule and the zero-similarity drop
+    assert min(seen["equal"], seen["unequal"], seen["dropped"], seen["imputed"]) > 0, seen
+
+
+def test_clean_imputes_medium_scale_in_bounded_memory():
+    # 600 unlabelled x 2400 labelled: the size that took about a minute with
+    # the Counter oracle, which is therefore not run here
+    rng = np.random.default_rng(7)
+    vocab = [f"n{i}" for i in range(40)]
+    motifs = {"M11": ["m_a", "m_b"], "M13": ["m_c", "m_d"], "M16": ["m_e", "m_f"]}
+    spec = []
+    for i in range(3000):
+        label = list(motifs)[i % 3]
+        acts = list(rng.choice(vocab, size=int(rng.integers(10, 61)))) + motifs[label]
+        spec.append({"case_id": f"p{i}", "activities": acts,
+                     "label": None if i % 5 == 0 else label,
+                     "treatment": f"T{int(rng.integers(0, 4))}"})
+    log = make_log(spec)
+    tracemalloc.start()
+    try:
+        cleaned, report = clean_log(log, min_class_count=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.imputed_labels + report.dropped_cases == 600
+    assert len(cleaned.cases) == 3000 - report.dropped_cases
+    assert peak < 32 * 2**20, peak
 
 
 def test_correlation_self_and_linear():
