@@ -428,7 +428,7 @@ def submodular_pick(explanations: list[Explanation], budget: int) -> GlobalSumma
         seen = set()
         for k in chosen:
             seen.update(f for f, wgt in explanations[k].weights.items() if wgt != 0.0)
-        return sum(importance[f] for f in seen)
+        return sum(importance[f] for f in sorted(seen))  # not hash order
 
     picked: list[int] = []
     for _ in range(min(budget, len(explanations))):

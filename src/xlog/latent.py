@@ -31,8 +31,8 @@ def capture_activations(model: seqnet.SeqNetModel, data: SequenceDataset,
                         layer: int = 0) -> ActivationMatrix:
     """Record the last true-masked recurrent state (both directions
     concatenated for a BiLSTM) plus true and predicted labels."""
-    acts = seqnet.hidden_summary(model, data.X, data.mask, layer=layer)
-    probs = seqnet.forward(model, data.X, data.mask)
+    acts, probs = seqnet.hidden_summary(model, data.X, data.mask, layer=layer,
+                                        with_probs=True)
     return ActivationMatrix(values=acts, layer=layer,
                             true_labels=np.asarray(data.Y, dtype=np.int64),
                             predicted_labels=np.argmax(probs, axis=1),
@@ -111,10 +111,7 @@ def fit_autoencoder(acts: ActivationMatrix, n1: int, epochs: int = 400,
         dh1 = (dcode @ params["enc2_W"].T) * (1.0 - h1 * h1)
         g["enc1_W"] = Z.T @ dh1
         g["enc1_b"] = dh1.sum(axis=0)
-        norm = np.sqrt(sum(float(np.sum(v * v)) for v in g.values()))
-        if norm > seqnet.CLIP_NORM:
-            for v in g.values():
-                v *= seqnet.CLIP_NORM / norm
+        seqnet.clip_global(g, seqnet.CLIP_NORM)
         for k in params:
             params[k] -= lr * g[k]
     _, _, _, recon = _ae_forward(ae.params, Z)

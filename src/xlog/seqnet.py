@@ -4,7 +4,9 @@
 Recurrent summaries read the hidden state at each case's last real event, so
 padded timesteps can never leak into predictions or gradients. The BiLSTM
 runs a second cell over the sequence reversed within its mask and
-concatenates both final states.
+concatenates both final states. Training keeps per-step caches for BPTT;
+inference keeps only the running state, so its memory does not grow with
+the number of timesteps.
 """
 
 from __future__ import annotations
@@ -22,47 +24,24 @@ CLIP_NORM = 5.0
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: exp(-|x|) is exactly exp(-x) for
+    x >= 0 and exp(x) below, so both branches are the textbook forms."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-@dataclass
-class LSTMCellParams:
-    """Combined gate weights: rows = input dim + hidden dim, columns = the
-    four gates in order (input i, forget f, output o, candidate g)."""
-
-    W: np.ndarray  # (D + H, 4H)
-    b: np.ndarray  # (4H,)
-
-    @property
-    def hidden(self) -> int:
-        return self.W.shape[1] // 4
-
-
-@dataclass
-class CellState:
-    C: np.ndarray
-    h: np.ndarray
-
-
-def lstm_step(params: LSTMCellParams, x_t, prev: CellState) -> CellState:
-    """One gated update: C_t = f*C_{t-1} + i*g, h_t = o*tanh(C_t)."""
-    x_t = np.asarray(x_t, dtype=float)
-    if not (np.all(np.isfinite(x_t)) and np.all(np.isfinite(prev.C))
-            and np.all(np.isfinite(prev.h))):
-        raise FloatingPointError("non-finite input to lstm_step")
-    H = params.hidden
-    z = np.concatenate([x_t, prev.h], axis=-1) @ params.W + params.b
-    i = sigmoid(z[..., :H])
-    f = sigmoid(z[..., H:2 * H])
-    o = sigmoid(z[..., 2 * H:3 * H])
-    g = np.tanh(z[..., 3 * H:])
-    C = f * prev.C + i * g
-    return CellState(C=C, h=o * np.tanh(C))
+def _lstm_cell(W, b, x_t, h, c):
+    """One gated update of (M, H) states: C_t = f*C_{t-1} + i*g and
+    h_t = o*tanh(C_t). ``W`` is (D + H, 4H), rows input then hidden, columns
+    the gates i, f, o, g. Returns the sigmoid gates side by side as
+    (M, 3H) ``ifo``, the candidate ``g`` and the new ``(c, h)``."""
+    H = h.shape[1]
+    z = np.concatenate([x_t, h], axis=1) @ W + b
+    ifo = sigmoid(z[:, :3 * H])
+    g = np.tanh(z[:, 3 * H:])
+    c = ifo[:, H:2 * H] * c + ifo[:, :H] * g
+    h = ifo[:, 2 * H:] * np.tanh(c)
+    return ifo, g, c, h
 
 
 @dataclass
@@ -158,17 +137,28 @@ def build_model(arch: str, nodes: int, feature_names, cat_sizes, label_names,
     return model
 
 
-def _embed(model: SeqNetModel, X):
-    """(M, T, F) raw tensor -> (M, T, D) input vectors plus the index cache."""
-    parts, idx_cache = [], []
+def _token_rows(model: SeqNetModel, X):
+    """Raw features (..., F) -> (..., n_cat) int64 rows of the stacked
+    embedding table (every ``emb_k`` in column order), plus that table."""
+    tables = [model.params[f"emb_{k}"] for k in range(len(model.cat_columns))]
+    rows = np.empty(X.shape[:-1] + (len(tables),), dtype=np.int64)
+    first = 0
     for k, col in enumerate(model.cat_columns):
-        size = model.cat_sizes[col]
-        idx = np.clip(X[:, :, col].astype(np.int64), 0, size)
-        idx_cache.append(idx)
-        parts.append(model.params[f"emb_{k}"][idx])
-    if model.num_columns:
-        parts.append(X[:, :, model.num_columns])
-    return np.concatenate(parts, axis=2), idx_cache
+        rows[..., k] = np.clip(X[..., col].astype(np.int64), 0, model.cat_sizes[col]) + first
+        first += len(tables[k])
+    table = np.concatenate(tables) if tables else np.empty((0, model.embed_dim))
+    return rows, table
+
+
+def _lookup(table, rows, X_num):
+    """Input vectors (..., D): the embeddings in column order, then the
+    numeric features ``X_num``. Only non-empty parts are concatenated, which
+    fixes the memory layout of the result and with it the BLAS path."""
+    parts = [X_num] if X_num.shape[-1] else []
+    if rows.shape[-1]:
+        width = rows.shape[-1] * table.shape[1]
+        parts.insert(0, table[rows].reshape(rows.shape[:-1] + (width,)))
+    return np.concatenate(parts, axis=-1)
 
 
 def _reverse_within_mask(A, lengths):
@@ -180,27 +170,23 @@ def _reverse_within_mask(A, lengths):
 
 
 def _lstm_scan(W, b, inputs):
-    """Run the cell over all timesteps; returns stacked states and caches."""
-    M, T, D = inputs.shape
+    """Run the cell over every timestep of (M, T, D) inputs, keeping the
+    time-major (T, M, .) caches that BPTT reads."""
+    M, T, _ = inputs.shape
     H = W.shape[1] // 4
-    i_s = np.empty((M, T, H)); f_s = np.empty((M, T, H))
-    o_s = np.empty((M, T, H)); g_s = np.empty((M, T, H))
-    c_s = np.empty((M, T, H)); h_s = np.empty((M, T, H))
+    ifo_s = np.empty((T, M, 3 * H))
+    g_s = np.empty((T, M, H)); c_s = np.empty((T, M, H)); h_s = np.empty((T, M, H))
     h = np.zeros((M, H)); c = np.zeros((M, H))
     for t in range(T):
-        z = np.concatenate([inputs[:, t, :], h], axis=1) @ W + b
-        i = sigmoid(z[:, :H]); f = sigmoid(z[:, H:2 * H])
-        o = sigmoid(z[:, 2 * H:3 * H]); g = np.tanh(z[:, 3 * H:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        i_s[:, t] = i; f_s[:, t] = f; o_s[:, t] = o; g_s[:, t] = g
-        c_s[:, t] = c; h_s[:, t] = h
-    return {"i": i_s, "f": f_s, "o": o_s, "g": g_s, "c": c_s, "h": h_s,
-            "inputs": inputs, "W": W}
+        ifo_s[t], g_s[t], c, h = _lstm_cell(W, b, inputs[:, t], h, c)
+        c_s[t] = c
+        h_s[t] = h
+    return {"ifo": ifo_s, "g": g_s, "c": c_s, "h": h_s, "inputs": inputs, "W": W}
 
 
 def _lstm_backward(cache, dH_out):
-    """Exact BPTT given per-timestep gradients on h; returns dInputs, dW, db."""
+    """Exact BPTT given time-major (T, M, H) gradients on h; returns
+    dInputs (M, T, D), dW and db."""
     inputs, W = cache["inputs"], cache["W"]
     M, T, D = inputs.shape
     H = W.shape[1] // 4
@@ -208,22 +194,25 @@ def _lstm_backward(cache, dH_out):
     db = np.zeros(4 * H)
     dX = np.zeros_like(inputs)
     dh = np.zeros((M, H)); dc = np.zeros((M, H))
+    zero = np.zeros((M, H))
+    dgates = np.empty((M, 3 * H))  # d(i, f, o) before the sigmoid derivative
+    dz = np.empty((M, 4 * H))
     for t in range(T - 1, -1, -1):
-        i = cache["i"][:, t]; f = cache["f"][:, t]
-        o = cache["o"][:, t]; g = cache["g"][:, t]
-        c = cache["c"][:, t]
-        c_prev = cache["c"][:, t - 1] if t > 0 else np.zeros((M, H))
-        h_prev = cache["h"][:, t - 1] if t > 0 else np.zeros((M, H))
-        dh_t = dH_out[:, t] + dh
-        tc = np.tanh(c)
-        do = dh_t * tc
+        ifo = cache["ifo"][t]
+        i, f, o = ifo[:, :H], ifo[:, H:2 * H], ifo[:, 2 * H:]
+        g = cache["g"][t]
+        c_prev = cache["c"][t - 1] if t > 0 else zero
+        h_prev = cache["h"][t - 1] if t > 0 else zero
+        dh_t = dH_out[t] + dh
+        tc = np.tanh(cache["c"][t])
+        np.multiply(dh_t, tc, out=dgates[:, 2 * H:])
         dc_t = dc + dh_t * o * (1.0 - tc * tc)
-        di = dc_t * g
+        np.multiply(dc_t, g, out=dgates[:, :H])
         dg = dc_t * i
-        df = dc_t * c_prev
+        np.multiply(dc_t, c_prev, out=dgates[:, H:2 * H])
         dc = dc_t * f
-        dz = np.concatenate([di * i * (1 - i), df * f * (1 - f),
-                             do * o * (1 - o), dg * (1 - g * g)], axis=1)
+        np.multiply(dgates * ifo, 1 - ifo, out=dz[:, :3 * H])
+        np.multiply(dg, 1 - g * g, out=dz[:, 3 * H:])
         inp = np.concatenate([inputs[:, t], h_prev], axis=1)
         dW += inp.T @ dz
         db += dz.sum(axis=0)
@@ -233,58 +222,132 @@ def _lstm_backward(cache, dH_out):
     return dX, dW, db
 
 
-def _forward_core(model: SeqNetModel, X, mask):
+def _prepare(model: SeqNetModel, X, mask):
+    """Validate a batch and cut recurrent inputs at the longest sequence.
+
+    Steps past every row's last event never reach a recurrent summary, and in
+    BPTT they only add exact zeros, so the cut changes no result. Dense
+    pooling keeps the full window: numpy sums a width-1 input pairwise along
+    time, so dropping padded steps could move its last bit."""
     X = np.asarray(X, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if X.ndim != 3 or X.shape[2] != len(model.feature_names):
         raise ValueError(f"expected (M, T, {len(model.feature_names)}) input, got {X.shape}")
+    if mask.shape != X.shape[:2]:
+        raise ValueError(f"mask shape {mask.shape} does not match input {X.shape[:2]}")
     if not np.all(np.isfinite(X)):
         raise FloatingPointError("non-finite values in input tensor")
     lengths = mask.sum(axis=1).astype(np.int64)
     if np.any(lengths == 0):
         raise ValueError("every sequence needs at least one true-masked event")
-    inputs, idx_cache = _embed(model, X)
-    cache = {"idx": idx_cache, "inputs": inputs, "lengths": lengths, "mask": mask}
-    M = X.shape[0]
-    rows = np.arange(M)
+    if model.arch != "dense":
+        T = int(lengths.max(initial=0))
+        X, mask = X[:, :T], mask[:, :T]
+    return X, mask, lengths
+
+
+def _mean_pool(inputs, mask, lengths):
+    """Mean of embedded timesteps over each row's true events."""
+    return (inputs * mask[:, :, None]).sum(axis=1) / lengths[:, None]
+
+
+def _head(model: SeqNetModel, summary):
+    """Summary -> (dense pre-activation, ReLU activation, logits, softmax)."""
+    pre = summary @ model.params["dense_W"] + model.params["dense_b"]
+    act = np.maximum(pre, 0.0)
+    logits = act @ model.params["out_W"] + model.params["out_b"]
+    shift = logits - logits.max(axis=1, keepdims=True)
+    ez = np.exp(shift)
+    return pre, act, logits, ez / ez.sum(axis=1, keepdims=True)
+
+
+def _forward_core(model: SeqNetModel, X, mask):
+    """Training forward pass: probabilities plus every cache BPTT needs."""
+    X, mask, lengths = _prepare(model, X, mask)
+    rows, table = _token_rows(model, X)
+    inputs = _lookup(table, rows, X[..., model.num_columns])
+    cache = {"rows": rows, "table_rows": len(table), "lengths": lengths, "mask": mask}
+    last = (lengths - 1, np.arange(X.shape[0]))
     if model.arch == "lstm":
         scan = _lstm_scan(model.params["lstm_W"], model.params["lstm_b"], inputs)
-        summary = scan["h"][rows, lengths - 1]
+        summary = scan["h"][last]
         cache["scan"] = scan
     elif model.arch == "bilstm":
         rev = _reverse_within_mask(inputs, lengths)
         scan_f = _lstm_scan(model.params["lstm_W_fwd"], model.params["lstm_b_fwd"], inputs)
         scan_b = _lstm_scan(model.params["lstm_W_bwd"], model.params["lstm_b_bwd"], rev)
-        summary = np.concatenate([scan_f["h"][rows, lengths - 1],
-                                  scan_b["h"][rows, lengths - 1]], axis=1)
+        summary = np.concatenate([scan_f["h"][last], scan_b["h"][last]], axis=1)
         cache["scan_f"], cache["scan_b"] = scan_f, scan_b
-    else:  # mean of embedded timesteps over the true prefix
-        pooled = (inputs * mask[:, :, None]).sum(axis=1) / lengths[:, None]
-        summary = pooled
+    else:
+        summary = _mean_pool(inputs, mask, lengths)
     cache["summary"] = summary
-    pre = summary @ model.params["dense_W"] + model.params["dense_b"]
-    act = np.maximum(pre, 0.0)
-    logits = act @ model.params["out_W"] + model.params["out_b"]
-    cache["pre"], cache["act"], cache["logits"] = pre, act, logits
-    shift = logits - logits.max(axis=1, keepdims=True)
-    ez = np.exp(shift)
-    probs = ez / ez.sum(axis=1, keepdims=True)
+    cache["pre"], cache["act"], cache["logits"], probs = _head(model, summary)
     return probs, cache
+
+
+def _lstm_last(model: SeqNetModel, W, b, X, lengths):
+    """Hidden state at each row's last event, keeping only the running
+    (h, c) and embedding one timestep at a time."""
+    M, T = X.shape[0], X.shape[1]
+    H = W.shape[1] // 4
+    rows, table = _token_rows(model, X.transpose(1, 0, 2))  # time-major
+    h = np.zeros((M, H)); c = np.zeros((M, H))
+    last = np.empty((M, H))
+    by_length = np.argsort(lengths, kind="stable")
+    bounds = np.searchsorted(lengths[by_length], np.arange(T + 1), side="right")
+    for t in range(T):
+        x_t = _lookup(table, rows[t], X[:, t, model.num_columns])
+        _, _, c, h = _lstm_cell(W, b, x_t, h, c)
+        ends = by_length[bounds[t]:bounds[t + 1]]
+        last[ends] = h[ends]
+    return last
+
+
+#: bytes of embedded input that dense inference pools at once
+POOL_BYTES = 4 * 2**20
+
+
+def _infer(model: SeqNetModel, X, mask):
+    """Inference without training caches: (summary, dense activations,
+    logits, probabilities). Memory is O(M * (D + H)) beyond input-sized
+    temporaries, never O(M * T * H)."""
+    X, mask, lengths = _prepare(model, X, mask)
+    p = model.params
+    if model.arch == "lstm":
+        summary = _lstm_last(model, p["lstm_W"], p["lstm_b"], X, lengths)
+    elif model.arch == "bilstm":
+        rev = _reverse_within_mask(X, lengths)
+        summary = np.concatenate(
+            [_lstm_last(model, p["lstm_W_fwd"], p["lstm_b_fwd"], X, lengths),
+             _lstm_last(model, p["lstm_W_bwd"], p["lstm_b_bwd"], rev, lengths)], axis=1)
+    else:
+        rows, table = _token_rows(model, X)
+        step = max(1, POOL_BYTES // (8 * model.input_dim * X.shape[1]))
+        # at least one block, so an empty batch pools to an empty summary;
+        # concatenating keeps the memory layout of the whole-batch form
+        blocks = [slice(r, r + step) for r in range(0, max(X.shape[0], 1), step)]
+        summary = np.concatenate(
+            [_mean_pool(_lookup(table, rows[s], X[s][..., model.num_columns]),
+                        mask[s], lengths[s]) for s in blocks], axis=0)
+    _, act, logits, probs = _head(model, summary)
+    return summary, act, logits, probs
 
 
 def forward(model: SeqNetModel, X, mask) -> np.ndarray:
     """Class probabilities, one row per sequence; padded steps have no effect."""
-    probs, _ = _forward_core(model, X, mask)
-    return probs
+    return _infer(model, X, mask)[3]
 
 
-def hidden_summary(model: SeqNetModel, X, mask, layer: int = 0) -> np.ndarray:
+def hidden_summary(model: SeqNetModel, X, mask, layer: int = 0,
+                   with_probs: bool = False):
     """Layer 0: the recurrent (or pooled) summary vector; layer 1: the dense
-    ReLU activations."""
+    ReLU activations. With ``with_probs``, returns ``(activations, probs)``
+    from the same single pass."""
     if layer not in (0, 1):
         raise ValueError(f"layer id {layer} out of range (0 or 1)")
-    _, cache = _forward_core(model, X, mask)
-    return cache["summary"] if layer == 0 else cache["act"]
+    summary, act, _, probs = _infer(model, X, mask)
+    acts = summary if layer == 0 else act
+    return (acts, probs) if with_probs else acts
 
 
 def _loss_from_logits(logits, Y):
@@ -312,18 +375,18 @@ def loss_and_grads(model: SeqNetModel, X, mask, Y):
     dsummary = dpre @ model.params["dense_W"].T
 
     lengths = cache["lengths"]
-    rows = np.arange(M)
+    last = (lengths - 1, np.arange(M))
     if model.arch == "lstm":
         dH = np.zeros_like(cache["scan"]["h"])
-        dH[rows, lengths - 1] = dsummary
+        dH[last] = dsummary
         dInputs, dW, db = _lstm_backward(cache["scan"], dH)
         grads["lstm_W"], grads["lstm_b"] = dW, db
     elif model.arch == "bilstm":
         H = model.nodes
         dH_f = np.zeros_like(cache["scan_f"]["h"])
-        dH_f[rows, lengths - 1] = dsummary[:, :H]
+        dH_f[last] = dsummary[:, :H]
         dH_b = np.zeros_like(cache["scan_b"]["h"])
-        dH_b[rows, lengths - 1] = dsummary[:, H:]
+        dH_b[last] = dsummary[:, H:]
         dIn_f, dW_f, db_f = _lstm_backward(cache["scan_f"], dH_f)
         dIn_b_rev, dW_b, db_b = _lstm_backward(cache["scan_b"], dH_b)
         grads["lstm_W_fwd"], grads["lstm_b_fwd"] = dW_f, db_f
@@ -332,16 +395,24 @@ def loss_and_grads(model: SeqNetModel, X, mask, Y):
     else:
         dInputs = (dsummary[:, None, :] * cache["mask"][:, :, None]
                    / lengths[:, None, None])
-    col = 0
+    # one bincount over the stacked tables adds each (row, dim) bin's terms
+    # in (sequence, step) order, the order np.add.at would use
+    E = model.embed_dim
+    rows = cache["rows"]
+    bins = (rows[..., None] * E + np.arange(E)).ravel()
+    dtable = np.bincount(bins, weights=dInputs[..., :rows.shape[-1] * E].ravel(),
+                         minlength=cache["table_rows"] * E).reshape(-1, E)
+    first = 0
     for k, _ in enumerate(model.cat_columns):
-        dE = np.zeros_like(model.params[f"emb_{k}"])
-        np.add.at(dE, cache["idx"][k], dInputs[:, :, col:col + model.embed_dim])
-        grads[f"emb_{k}"] = dE
-        col += model.embed_dim
+        size = model.params[f"emb_{k}"].shape[0]
+        grads[f"emb_{k}"] = dtable[first:first + size]
+        first += size
     return loss, grads
 
 
-def _clip_global(grads, max_norm):
+def clip_global(grads, max_norm):
+    """Scale every gradient in place so their joint L2 norm is at most
+    ``max_norm``; the norm sums the arrays in the dict's order."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
@@ -371,7 +442,7 @@ def train(model: SeqNetModel, X, mask, Y, epochs: int, lr: float, seed: int,
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             _, grads = loss_and_grads(model, X[idx], mask[idx], Y[idx])
-            _clip_global(grads, CLIP_NORM)
+            clip_global(grads, CLIP_NORM)
             for k, g in grads.items():
                 model.params[k] -= lr * g
         report = evaluate(model, X, mask, Y)
@@ -404,8 +475,8 @@ class EvalReport:
 
 def evaluate(model: SeqNetModel, X, mask, Y) -> EvalReport:
     Y = np.asarray(Y, dtype=np.int64)
-    probs, cache = _forward_core(model, X, mask)
-    loss = _loss_from_logits(cache["logits"], Y)
+    _, _, logits, probs = _infer(model, X, mask)
+    loss = _loss_from_logits(logits, Y)
     pred = np.argmax(probs, axis=1)
     C = model.n_classes
     confusion = np.zeros((C, C), dtype=np.int64)
@@ -449,8 +520,7 @@ def grad_check(model: SeqNetModel, X, mask, Y, epsilon: float = 1e-5,
 
 
 def _loss_only(model, X, mask, Y):
-    _, cache = _forward_core(model, X, mask)
-    return _loss_from_logits(cache["logits"], np.asarray(Y, dtype=np.int64))
+    return _loss_from_logits(_infer(model, X, mask)[2], np.asarray(Y, dtype=np.int64))
 
 
 def grid_search(space, dataset, split, seed: int, lr: float = 0.5,

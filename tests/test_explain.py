@@ -337,6 +337,33 @@ def test_pick_ties_break_by_instance_id():
     assert submodular_pick(exps, 1).picked == ["aa"]
 
 
+_PICK_SCRIPT = """
+import numpy as np
+from xlog.explain import Explanation, submodular_pick
+rng = np.random.default_rng(31)
+exps = [Explanation(instance_id=f"i{k}", target_class="c", intercept=0.0,
+                    fidelity=1.0, kernel_width=1.0,
+                    weights={f"feature_{int(j)}": float(rng.uniform(-1, 1))
+                             for j in rng.choice(40, size=12, replace=False)})
+        for k in range(8)]
+print(repr(submodular_pick(exps, 8).coverage))
+"""
+
+
+def test_pick_coverage_independent_of_string_hash_seed():
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = []
+    for hash_seed in ("0", "3", "17"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _PICK_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True, timeout=60)
+        out.append(run.stdout.strip())
+    assert out[0] and out.count(out[0]) == len(out), out
+
+
 def test_pick_coverage_non_decreasing_in_budget(rng):
     exps = [mk_exp(f"i{k}", {f"f{int(j)}": float(rng.uniform(-1, 1))
                              for j in rng.choice(6, size=rng.integers(1, 4),

@@ -4,8 +4,8 @@ import pytest
 from xlog import seqnet
 from xlog.encode import Split
 from xlog.seqnet import (
-    CellState, LSTMCellParams, SeqNetModel, build_model, evaluate, forward,
-    grad_check, grid_search, loss_and_grads, lstm_step, train,
+    SeqNetModel, _lstm_cell, build_model, evaluate, forward, grad_check,
+    grid_search, loss_and_grads, train,
 )
 
 
@@ -29,42 +29,48 @@ def toy_model(arch, rng_seed=3, nodes=7, cat_sizes=(5, 4), n_num=2, n_classes=3)
                        [f"c{i}" for i in range(n_classes)], seed=rng_seed)
 
 
-# ------------------------------------------------------------- lstm_step
+# ------------------------------------------------------------- lstm cell
 
-def test_lstm_step_zero_everything_gives_zero_state():
-    params = LSTMCellParams(W=np.zeros((3, 8)), b=np.zeros(8))
-    out = lstm_step(params, np.zeros(1), CellState(C=np.zeros(2), h=np.zeros(2)))
-    assert np.all(out.C == 0.0) and np.all(out.h == 0.0)
+def test_lstm_cell_zero_everything_gives_zero_state():
+    _, _, c, h = _lstm_cell(np.zeros((3, 8)), np.zeros(8), np.zeros((1, 1)),
+                            np.zeros((1, 2)), np.zeros((1, 2)))
+    assert np.all(c == 0.0) and np.all(h == 0.0)
 
 
-def test_lstm_step_saturated_gates_preserve_memory(rng):
+def test_lstm_cell_saturated_gates_preserve_memory(rng):
     H = 3
     b = np.concatenate([np.full(H, -1e3), np.full(H, 1e3), np.zeros(H), np.zeros(H)])
-    params = LSTMCellParams(W=np.zeros((2 + H, 4 * H)), b=b)
-    C0 = np.asarray([0.4, -1.2, 2.0])
-    state = CellState(C=C0.copy(), h=np.zeros(H))
+    W = np.zeros((2 + H, 4 * H))
+    C0 = np.asarray([[0.4, -1.2, 2.0]])
+    c, h = C0.copy(), np.zeros((1, H))
     for _ in range(5):
-        state = lstm_step(params, rng.random(2), state)
-    assert np.array_equal(state.C, C0)
+        _, _, c, h = _lstm_cell(W, b, rng.random((1, 2)), h, c)
+    assert np.array_equal(c, C0)
 
 
-def test_lstm_step_matches_hand_computed_scalar_cell():
+def test_lstm_cell_matches_hand_computed_scalar_cell():
     # single scalar cell, gate order (i, f, o, g); values worked out by hand
     W = np.asarray([[0.5, -0.3, 0.8, 1.0],
                     [0.2, 0.6, -0.4, 0.1]])
     b = np.asarray([0.1, -0.2, 0.3, 0.0])
-    params = LSTMCellParams(W=W, b=b)
-    out = lstm_step(params, np.asarray([0.7]),
-                    CellState(C=np.asarray([0.25]), h=np.asarray([-0.5])))
-    assert out.C[0] == pytest.approx(0.417751, abs=5e-7)
-    assert out.h[0] == pytest.approx(0.293388, abs=5e-7)
+    _, _, c, h = _lstm_cell(W, b, np.asarray([[0.7]]), np.asarray([[-0.5]]),
+                            np.asarray([[0.25]]))
+    assert c[0, 0] == pytest.approx(0.417751, abs=5e-7)
+    assert h[0, 0] == pytest.approx(0.293388, abs=5e-7)
 
 
-def test_lstm_step_rejects_non_finite():
-    params = LSTMCellParams(W=np.zeros((2, 4)), b=np.zeros(4))
+@pytest.mark.parametrize("arch", seqnet.ARCHS)
+def test_forward_rejects_non_finite(arch, rng):
+    X, mask, _ = random_batch(rng)
+    X[2, 0, 3] = np.nan
     with pytest.raises(FloatingPointError):
-        lstm_step(params, np.asarray([np.nan]),
-                  CellState(C=np.zeros(1), h=np.zeros(1)))
+        forward(toy_model(arch), X, mask)
+
+
+def test_sigmoid_matches_masked_two_branch_form():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 4001), [0.0, -0.0, 1e-300, -1e-300]])
+    assert np.array_equal(seqnet.sigmoid(x), _oracle_sigmoid(x))
+    assert np.all(np.isfinite(seqnet.sigmoid(x)))
 
 
 # --------------------------------------------------------------- forward
@@ -108,6 +114,15 @@ def test_forward_rejects_wrong_feature_count(rng):
     X, mask, _ = random_batch(rng)
     with pytest.raises(ValueError):
         forward(model, X[:, :, :2], mask)
+
+
+@pytest.mark.parametrize("arch", seqnet.ARCHS)
+def test_forward_rejects_mask_of_another_shape(arch, rng):
+    X, mask, _ = random_batch(rng)
+    longer = np.ones((X.shape[0], X.shape[1] + 2), dtype=bool)
+    for bad in (longer, mask[:, :-1], mask[:-1]):
+        with pytest.raises(ValueError):
+            forward(toy_model(arch), X, bad)
 
 
 def test_hidden_summary_layer_ids(rng):
@@ -304,3 +319,266 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert back.arch == "bilstm" and back.nodes == model.nodes
     assert np.array_equal(forward(back, X, mask), forward(model, X, mask))
     assert back.curve.train_loss == model.curve.train_loss
+
+
+# ------------------------------------------------ oracle: the caching code
+# The batch-major implementation that stored six (M, T, H) caches per
+# direction and scanned every padded step; the rewrite must match it bit for
+# bit on probabilities, both hidden layers, the loss and every gradient.
+
+def _oracle_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _oracle_embed(model, X):
+    parts, idx_cache = [], []
+    for k, col in enumerate(model.cat_columns):
+        size = model.cat_sizes[col]
+        idx = np.clip(X[:, :, col].astype(np.int64), 0, size)
+        idx_cache.append(idx)
+        parts.append(model.params[f"emb_{k}"][idx])
+    if model.num_columns:
+        parts.append(X[:, :, model.num_columns])
+    return np.concatenate(parts, axis=2), idx_cache
+
+
+def _oracle_reverse_within_mask(A, lengths):
+    M, T = A.shape[0], A.shape[1]
+    t = np.arange(T)[None, :]
+    src = np.where(t < lengths[:, None], lengths[:, None] - 1 - t, t)
+    return A[np.arange(M)[:, None], src]
+
+
+def _oracle_lstm_scan(W, b, inputs):
+    M, T, D = inputs.shape
+    H = W.shape[1] // 4
+    i_s = np.empty((M, T, H)); f_s = np.empty((M, T, H))
+    o_s = np.empty((M, T, H)); g_s = np.empty((M, T, H))
+    c_s = np.empty((M, T, H)); h_s = np.empty((M, T, H))
+    h = np.zeros((M, H)); c = np.zeros((M, H))
+    for t in range(T):
+        z = np.concatenate([inputs[:, t, :], h], axis=1) @ W + b
+        i = _oracle_sigmoid(z[:, :H]); f = _oracle_sigmoid(z[:, H:2 * H])
+        o = _oracle_sigmoid(z[:, 2 * H:3 * H]); g = np.tanh(z[:, 3 * H:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        i_s[:, t] = i; f_s[:, t] = f; o_s[:, t] = o; g_s[:, t] = g
+        c_s[:, t] = c; h_s[:, t] = h
+    return {"i": i_s, "f": f_s, "o": o_s, "g": g_s, "c": c_s, "h": h_s,
+            "inputs": inputs, "W": W}
+
+
+def _oracle_lstm_backward(cache, dH_out):
+    inputs, W = cache["inputs"], cache["W"]
+    M, T, D = inputs.shape
+    H = W.shape[1] // 4
+    dW = np.zeros_like(W)
+    db = np.zeros(4 * H)
+    dX = np.zeros_like(inputs)
+    dh = np.zeros((M, H)); dc = np.zeros((M, H))
+    for t in range(T - 1, -1, -1):
+        i = cache["i"][:, t]; f = cache["f"][:, t]
+        o = cache["o"][:, t]; g = cache["g"][:, t]
+        c = cache["c"][:, t]
+        c_prev = cache["c"][:, t - 1] if t > 0 else np.zeros((M, H))
+        h_prev = cache["h"][:, t - 1] if t > 0 else np.zeros((M, H))
+        dh_t = dH_out[:, t] + dh
+        tc = np.tanh(c)
+        do = dh_t * tc
+        dc_t = dc + dh_t * o * (1.0 - tc * tc)
+        di = dc_t * g
+        dg = dc_t * i
+        df = dc_t * c_prev
+        dc = dc_t * f
+        dz = np.concatenate([di * i * (1 - i), df * f * (1 - f),
+                             do * o * (1 - o), dg * (1 - g * g)], axis=1)
+        inp = np.concatenate([inputs[:, t], h_prev], axis=1)
+        dW += inp.T @ dz
+        db += dz.sum(axis=0)
+        dinp = dz @ W.T
+        dX[:, t] = dinp[:, :D]
+        dh = dinp[:, D:]
+    return dX, dW, db
+
+
+def _oracle_forward_core(model, X, mask):
+    X = np.asarray(X, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    lengths = mask.sum(axis=1).astype(np.int64)
+    inputs, idx_cache = _oracle_embed(model, X)
+    cache = {"idx": idx_cache, "inputs": inputs, "lengths": lengths, "mask": mask}
+    M = X.shape[0]
+    rows = np.arange(M)
+    if model.arch == "lstm":
+        scan = _oracle_lstm_scan(model.params["lstm_W"], model.params["lstm_b"], inputs)
+        summary = scan["h"][rows, lengths - 1]
+        cache["scan"] = scan
+    elif model.arch == "bilstm":
+        rev = _oracle_reverse_within_mask(inputs, lengths)
+        scan_f = _oracle_lstm_scan(model.params["lstm_W_fwd"], model.params["lstm_b_fwd"], inputs)
+        scan_b = _oracle_lstm_scan(model.params["lstm_W_bwd"], model.params["lstm_b_bwd"], rev)
+        summary = np.concatenate([scan_f["h"][rows, lengths - 1],
+                                  scan_b["h"][rows, lengths - 1]], axis=1)
+        cache["scan_f"], cache["scan_b"] = scan_f, scan_b
+    else:
+        summary = (inputs * mask[:, :, None]).sum(axis=1) / lengths[:, None]
+    cache["summary"] = summary
+    pre = summary @ model.params["dense_W"] + model.params["dense_b"]
+    act = np.maximum(pre, 0.0)
+    logits = act @ model.params["out_W"] + model.params["out_b"]
+    cache["pre"], cache["act"], cache["logits"] = pre, act, logits
+    shift = logits - logits.max(axis=1, keepdims=True)
+    ez = np.exp(shift)
+    return ez / ez.sum(axis=1, keepdims=True), cache
+
+
+def _oracle_loss_and_grads(model, X, mask, Y):
+    Y = np.asarray(Y, dtype=np.int64)
+    probs, cache = _oracle_forward_core(model, X, mask)
+    M = len(Y)
+    shift = cache["logits"] - cache["logits"].max(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(np.exp(shift).sum(axis=1)) - shift[np.arange(M), Y]))
+    dlogits = probs.copy()
+    dlogits[np.arange(M), Y] -= 1.0
+    dlogits /= M
+    grads = {}
+    grads["out_W"] = cache["act"].T @ dlogits
+    grads["out_b"] = dlogits.sum(axis=0)
+    dact = dlogits @ model.params["out_W"].T
+    dpre = dact * (cache["pre"] > 0)
+    grads["dense_W"] = cache["summary"].T @ dpre
+    grads["dense_b"] = dpre.sum(axis=0)
+    dsummary = dpre @ model.params["dense_W"].T
+    lengths = cache["lengths"]
+    rows = np.arange(M)
+    if model.arch == "lstm":
+        dH = np.zeros_like(cache["scan"]["h"])
+        dH[rows, lengths - 1] = dsummary
+        dInputs, dW, db = _oracle_lstm_backward(cache["scan"], dH)
+        grads["lstm_W"], grads["lstm_b"] = dW, db
+    elif model.arch == "bilstm":
+        H = model.nodes
+        dH_f = np.zeros_like(cache["scan_f"]["h"])
+        dH_f[rows, lengths - 1] = dsummary[:, :H]
+        dH_b = np.zeros_like(cache["scan_b"]["h"])
+        dH_b[rows, lengths - 1] = dsummary[:, H:]
+        dIn_f, dW_f, db_f = _oracle_lstm_backward(cache["scan_f"], dH_f)
+        dIn_b_rev, dW_b, db_b = _oracle_lstm_backward(cache["scan_b"], dH_b)
+        grads["lstm_W_fwd"], grads["lstm_b_fwd"] = dW_f, db_f
+        grads["lstm_W_bwd"], grads["lstm_b_bwd"] = dW_b, db_b
+        dInputs = dIn_f + _oracle_reverse_within_mask(dIn_b_rev, lengths)
+    else:
+        dInputs = (dsummary[:, None, :] * cache["mask"][:, :, None]
+                   / lengths[:, None, None])
+    col = 0
+    for k, _ in enumerate(model.cat_columns):
+        dE = np.zeros_like(model.params[f"emb_{k}"])
+        np.add.at(dE, cache["idx"][k], dInputs[:, :, col:col + model.embed_dim])
+        grads[f"emb_{k}"] = dE
+        col += model.embed_dim
+    return loss, grads, probs, cache
+
+
+def _oracle_case(rng, trial):
+    """A random model and batch; the lengths pattern cycles through rows of
+    length 1, rows of the full window, and every row shorter than it."""
+    arch = seqnet.ARCHS[trial % 3]
+    pattern = (trial // 3) % 4
+    M = 1 if trial % 7 == 0 else int(rng.integers(2, 40))
+    T = int(rng.integers(1, 13))
+    cat_sizes = [int(s) for s in rng.integers(2, 9, size=int(rng.integers(0, 3)))]
+    n_num = int(rng.integers(0 if cat_sizes else 1, 3))
+    if trial % 5 == 0:  # numeric features only: the input tensor is not C-ordered
+        cat_sizes, n_num = [], 1 + trial % 2
+    if pattern == 0:
+        lengths = rng.integers(1, T + 1, size=M)
+    elif pattern == 1:
+        lengths = np.full(M, T)
+    elif pattern == 2:
+        lengths = np.ones(M, dtype=np.int64)
+    else:
+        lengths = rng.integers(1, max(T - 1, 1) + 1, size=M)
+        lengths[lengths >= T] = max(T - 1, 1)
+    mask = np.arange(T)[None, :] < lengths[:, None]
+    F = len(cat_sizes) + n_num
+    X = np.zeros((M, T, F))
+    for j, size in enumerate(cat_sizes):
+        X[:, :, j] = rng.integers(0, size + 2, size=(M, T))  # 0 and size+1 clip
+    X[:, :, len(cat_sizes):] = rng.normal(0.0, 2.0, size=(M, T, n_num))
+    if trial % 2:
+        X[~mask] = 0.0  # else padding keeps its random values
+    n_classes = int(rng.integers(2, 5))
+    model = build_model(arch, int(rng.choice([1, 1, 2, 5, 9])), [f"f{i}" for i in range(F)],
+                        cat_sizes + [0] * n_num, [f"c{i}" for i in range(n_classes)],
+                        seed=trial)
+    for k in model.params:  # wide weights reach saturated gates
+        model.params[k] = model.params[k] * rng.choice([1.0, 4.0])
+    Y = rng.integers(0, n_classes, size=M)
+    return model, X, mask, Y
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])
+def test_rewrite_bitwise_equals_caching_oracle(block_bytes, monkeypatch):
+    if block_bytes is not None:  # dense inference pools one row at a time
+        monkeypatch.setattr(seqnet, "POOL_BYTES", block_bytes)
+    rng = np.random.default_rng(20)
+    seen = set()
+    for trial in range(96):
+        model, X, mask, Y = _oracle_case(rng, trial)
+        lengths = mask.sum(axis=1)
+        seen.update({(model.arch, "one row") if len(Y) == 1 else (),
+                     (model.arch, "a row of T") if lengths.max() == X.shape[1] else (),
+                     (model.arch, "all rows < T") if lengths.max() < X.shape[1] else (),
+                     (model.arch, "width 1") if model.input_dim == 1 else ()})
+        loss0, grads0, probs0, cache0 = _oracle_loss_and_grads(model, X, mask, Y)
+        loss1, grads1 = loss_and_grads(model, X, mask, Y)
+        assert loss1 == loss0, trial
+        assert sorted(grads1) == sorted(grads0)
+        for k in grads0:
+            assert np.array_equal(grads1[k], grads0[k]), (trial, k)
+        assert np.array_equal(forward(model, X, mask), probs0), trial
+        assert np.array_equal(seqnet.hidden_summary(model, X, mask, 0), cache0["summary"])
+        acts, probs = seqnet.hidden_summary(model, X, mask, 1, with_probs=True)
+        assert np.array_equal(acts, cache0["act"]) and np.array_equal(probs, probs0)
+        assert evaluate(model, X, mask, Y).loss == loss0
+    for arch in seqnet.ARCHS:
+        for tag in ("one row", "a row of T", "all rows < T", "width 1"):
+            assert (arch, tag) in seen, (arch, tag)
+
+
+def test_numeric_only_dense_matches_oracle_layout():
+    # without categorical columns the pooled summary is not C-ordered, and a
+    # one-node dense layer takes a different BLAS path for each layout
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        M, T = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+        X = rng.normal(0.0, 2.0, size=(M, T, 2))
+        mask = np.arange(T)[None, :] < rng.integers(1, T + 1, size=M)[:, None]
+        Y = rng.integers(0, 2, size=M)
+        model = build_model("dense", 1, ["a", "b"], [0, 0], ["y", "n"], seed=trial)
+        _, _, probs0, cache0 = _oracle_loss_and_grads(model, X, mask, Y)
+        acts, probs = seqnet.hidden_summary(model, X, mask, 1, with_probs=True)
+        assert np.array_equal(probs, probs0), trial
+        assert np.array_equal(acts, cache0["act"]), trial
+
+
+def test_inference_memory_stays_off_the_time_axis():
+    # training caches would be six (M, T, H) arrays per direction (~590 MB)
+    import tracemalloc
+    rng = np.random.default_rng(8)
+    M, T = 3000, 64
+    X, mask, _ = random_batch(rng, M=M, T=T, cat_sizes=(30, 20, 12, 9, 6), n_num=5)
+    model = toy_model("bilstm", nodes=32, cat_sizes=(30, 20, 12, 9, 6), n_num=5)
+    tracemalloc.start()
+    try:
+        summary = seqnet.hidden_summary(model, X, mask, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.shape == (M, 64)
+    assert peak < 64 * 2**20, peak / 2**20
