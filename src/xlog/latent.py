@@ -30,10 +30,13 @@ class ActivationMatrix:
 def capture_activations(model: seqnet.SeqNetModel, data: SequenceDataset,
                         layer: int = 0) -> ActivationMatrix:
     """Record the last true-masked recurrent state (both directions
-    concatenated for a BiLSTM) plus true and predicted labels."""
-    acts, probs = seqnet.hidden_summary(model, data.X, data.mask, layer=layer,
-                                        with_probs=True)
-    return ActivationMatrix(values=acts, layer=layer,
+    concatenated for a BiLSTM) plus true and predicted labels, all from one
+    pass over the data."""
+    if layer not in (0, 1):
+        raise ValueError(f"layer id {layer} out of range (0 or 1)")
+    summary = seqnet.hidden_summary(model, data.X, data.mask, 0)
+    _, act, _, probs = seqnet.head(model, summary)
+    return ActivationMatrix(values=summary if layer == 0 else act, layer=layer,
                             true_labels=np.asarray(data.Y, dtype=np.int64),
                             predicted_labels=np.argmax(probs, axis=1),
                             label_names=list(data.label_names),

@@ -137,27 +137,19 @@ def build_model(arch: str, nodes: int, feature_names, cat_sizes, label_names,
     return model
 
 
-def _token_rows(model: SeqNetModel, X):
-    """Raw features (..., F) -> (..., n_cat) int64 rows of the stacked
-    embedding table (every ``emb_k`` in column order), plus that table."""
-    tables = [model.params[f"emb_{k}"] for k in range(len(model.cat_columns))]
-    rows = np.empty(X.shape[:-1] + (len(tables),), dtype=np.int64)
-    first = 0
-    for k, col in enumerate(model.cat_columns):
-        rows[..., k] = np.clip(X[..., col].astype(np.int64), 0, model.cat_sizes[col]) + first
-        first += len(tables[k])
-    table = np.concatenate(tables) if tables else np.empty((0, model.embed_dim))
-    return rows, table
+def _indices(model: SeqNetModel, X):
+    """Clipped embedding row of every categorical column of (..., F) raw
+    features, one (...) int64 array per column."""
+    return [np.clip(X[..., col].astype(np.int64), 0, model.cat_sizes[col])
+            for col in model.cat_columns]
 
 
-def _lookup(table, rows, X_num):
-    """Input vectors (..., D): the embeddings in column order, then the
-    numeric features ``X_num``. Only non-empty parts are concatenated, which
-    fixes the memory layout of the result and with it the BLAS path."""
-    parts = [X_num] if X_num.shape[-1] else []
-    if rows.shape[-1]:
-        width = rows.shape[-1] * table.shape[1]
-        parts.insert(0, table[rows].reshape(rows.shape[:-1] + (width,)))
+def _embed(model: SeqNetModel, idx, X_num):
+    """Input vectors (..., D): each column's embeddings of ``idx``, then the
+    numeric features ``X_num``."""
+    parts = [model.params[f"emb_{k}"][i] for k, i in enumerate(idx)]
+    if X_num.shape[-1]:
+        parts.append(X_num)
     return np.concatenate(parts, axis=-1)
 
 
@@ -195,8 +187,6 @@ def _lstm_backward(cache, dH_out):
     dX = np.zeros_like(inputs)
     dh = np.zeros((M, H)); dc = np.zeros((M, H))
     zero = np.zeros((M, H))
-    dgates = np.empty((M, 3 * H))  # d(i, f, o) before the sigmoid derivative
-    dz = np.empty((M, 4 * H))
     for t in range(T - 1, -1, -1):
         ifo = cache["ifo"][t]
         i, f, o = ifo[:, :H], ifo[:, H:2 * H], ifo[:, 2 * H:]
@@ -205,14 +195,14 @@ def _lstm_backward(cache, dH_out):
         h_prev = cache["h"][t - 1] if t > 0 else zero
         dh_t = dH_out[t] + dh
         tc = np.tanh(cache["c"][t])
-        np.multiply(dh_t, tc, out=dgates[:, 2 * H:])
+        do = dh_t * tc
         dc_t = dc + dh_t * o * (1.0 - tc * tc)
-        np.multiply(dc_t, g, out=dgates[:, :H])
+        di = dc_t * g
         dg = dc_t * i
-        np.multiply(dc_t, c_prev, out=dgates[:, H:2 * H])
+        df = dc_t * c_prev
         dc = dc_t * f
-        np.multiply(dgates * ifo, 1 - ifo, out=dz[:, :3 * H])
-        np.multiply(dg, 1 - g * g, out=dz[:, 3 * H:])
+        dz = np.concatenate([di * i * (1 - i), df * f * (1 - f),
+                             do * o * (1 - o), dg * (1 - g * g)], axis=1)
         inp = np.concatenate([inputs[:, t], h_prev], axis=1)
         dW += inp.T @ dz
         db += dz.sum(axis=0)
@@ -251,7 +241,7 @@ def _mean_pool(inputs, mask, lengths):
     return (inputs * mask[:, :, None]).sum(axis=1) / lengths[:, None]
 
 
-def _head(model: SeqNetModel, summary):
+def head(model: SeqNetModel, summary):
     """Summary -> (dense pre-activation, ReLU activation, logits, softmax)."""
     pre = summary @ model.params["dense_W"] + model.params["dense_b"]
     act = np.maximum(pre, 0.0)
@@ -264,9 +254,9 @@ def _head(model: SeqNetModel, summary):
 def _forward_core(model: SeqNetModel, X, mask):
     """Training forward pass: probabilities plus every cache BPTT needs."""
     X, mask, lengths = _prepare(model, X, mask)
-    rows, table = _token_rows(model, X)
-    inputs = _lookup(table, rows, X[..., model.num_columns])
-    cache = {"rows": rows, "table_rows": len(table), "lengths": lengths, "mask": mask}
+    idx = _indices(model, X)
+    inputs = _embed(model, idx, X[..., model.num_columns])
+    cache = {"idx": idx, "lengths": lengths, "mask": mask}
     last = (lengths - 1, np.arange(X.shape[0]))
     if model.arch == "lstm":
         scan = _lstm_scan(model.params["lstm_W"], model.params["lstm_b"], inputs)
@@ -281,7 +271,7 @@ def _forward_core(model: SeqNetModel, X, mask):
     else:
         summary = _mean_pool(inputs, mask, lengths)
     cache["summary"] = summary
-    cache["pre"], cache["act"], cache["logits"], probs = _head(model, summary)
+    cache["pre"], cache["act"], cache["logits"], probs = head(model, summary)
     return probs, cache
 
 
@@ -290,15 +280,13 @@ def _lstm_last(model: SeqNetModel, W, b, X, lengths):
     (h, c) and embedding one timestep at a time."""
     M, T = X.shape[0], X.shape[1]
     H = W.shape[1] // 4
-    rows, table = _token_rows(model, X.transpose(1, 0, 2))  # time-major
+    idx, X_num = _indices(model, X), X[..., model.num_columns]
     h = np.zeros((M, H)); c = np.zeros((M, H))
     last = np.empty((M, H))
-    by_length = np.argsort(lengths, kind="stable")
-    bounds = np.searchsorted(lengths[by_length], np.arange(T + 1), side="right")
     for t in range(T):
-        x_t = _lookup(table, rows[t], X[:, t, model.num_columns])
+        x_t = _embed(model, [i[:, t] for i in idx], X_num[:, t])
         _, _, c, h = _lstm_cell(W, b, x_t, h, c)
-        ends = by_length[bounds[t]:bounds[t + 1]]
+        ends = lengths == t + 1
         last[ends] = h[ends]
     return last
 
@@ -321,15 +309,15 @@ def _infer(model: SeqNetModel, X, mask):
             [_lstm_last(model, p["lstm_W_fwd"], p["lstm_b_fwd"], X, lengths),
              _lstm_last(model, p["lstm_W_bwd"], p["lstm_b_bwd"], rev, lengths)], axis=1)
     else:
-        rows, table = _token_rows(model, X)
+        idx, X_num = _indices(model, X), X[..., model.num_columns]
         step = max(1, POOL_BYTES // (8 * model.input_dim * X.shape[1]))
         # at least one block, so an empty batch pools to an empty summary;
         # concatenating keeps the memory layout of the whole-batch form
         blocks = [slice(r, r + step) for r in range(0, max(X.shape[0], 1), step)]
         summary = np.concatenate(
-            [_mean_pool(_lookup(table, rows[s], X[s][..., model.num_columns]),
-                        mask[s], lengths[s]) for s in blocks], axis=0)
-    _, act, logits, probs = _head(model, summary)
+            [_mean_pool(_embed(model, [i[s] for i in idx], X_num[s]), mask[s], lengths[s])
+             for s in blocks], axis=0)
+    _, act, logits, probs = head(model, summary)
     return summary, act, logits, probs
 
 
@@ -338,16 +326,13 @@ def forward(model: SeqNetModel, X, mask) -> np.ndarray:
     return _infer(model, X, mask)[3]
 
 
-def hidden_summary(model: SeqNetModel, X, mask, layer: int = 0,
-                   with_probs: bool = False):
+def hidden_summary(model: SeqNetModel, X, mask, layer: int = 0) -> np.ndarray:
     """Layer 0: the recurrent (or pooled) summary vector; layer 1: the dense
-    ReLU activations. With ``with_probs``, returns ``(activations, probs)``
-    from the same single pass."""
+    ReLU activations."""
     if layer not in (0, 1):
         raise ValueError(f"layer id {layer} out of range (0 or 1)")
-    summary, act, _, probs = _infer(model, X, mask)
-    acts = summary if layer == 0 else act
-    return (acts, probs) if with_probs else acts
+    summary, act, _, _ = _infer(model, X, mask)
+    return summary if layer == 0 else act
 
 
 def _loss_from_logits(logits, Y):
@@ -395,18 +380,12 @@ def loss_and_grads(model: SeqNetModel, X, mask, Y):
     else:
         dInputs = (dsummary[:, None, :] * cache["mask"][:, :, None]
                    / lengths[:, None, None])
-    # one bincount over the stacked tables adds each (row, dim) bin's terms
-    # in (sequence, step) order, the order np.add.at would use
-    E = model.embed_dim
-    rows = cache["rows"]
-    bins = (rows[..., None] * E + np.arange(E)).ravel()
-    dtable = np.bincount(bins, weights=dInputs[..., :rows.shape[-1] * E].ravel(),
-                         minlength=cache["table_rows"] * E).reshape(-1, E)
-    first = 0
+    col = 0
     for k, _ in enumerate(model.cat_columns):
-        size = model.params[f"emb_{k}"].shape[0]
-        grads[f"emb_{k}"] = dtable[first:first + size]
-        first += size
+        dE = np.zeros_like(model.params[f"emb_{k}"])
+        np.add.at(dE, cache["idx"][k], dInputs[:, :, col:col + model.embed_dim])
+        grads[f"emb_{k}"] = dE
+        col += model.embed_dim
     return loss, grads
 
 

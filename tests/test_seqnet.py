@@ -543,12 +543,34 @@ def test_rewrite_bitwise_equals_caching_oracle(block_bytes, monkeypatch):
             assert np.array_equal(grads1[k], grads0[k]), (trial, k)
         assert np.array_equal(forward(model, X, mask), probs0), trial
         assert np.array_equal(seqnet.hidden_summary(model, X, mask, 0), cache0["summary"])
-        acts, probs = seqnet.hidden_summary(model, X, mask, 1, with_probs=True)
-        assert np.array_equal(acts, cache0["act"]) and np.array_equal(probs, probs0)
+        assert np.array_equal(seqnet.hidden_summary(model, X, mask, 1), cache0["act"])
         assert evaluate(model, X, mask, Y).loss == loss0
     for arch in seqnet.ARCHS:
         for tag in ("one row", "a row of T", "all rows < T", "width 1"):
             assert (arch, tag) in seen, (arch, tag)
+
+
+def test_capture_activations_one_pass_matches_oracle(monkeypatch):
+    from xlog import latent
+    from xlog.encode import SequenceDataset
+    calls = []
+    real_infer = seqnet._infer
+    monkeypatch.setattr(seqnet, "_infer", lambda *a: calls.append(1) or real_infer(*a))
+    rng = np.random.default_rng(22)
+    for trial in range(12):
+        model, X, mask, Y = _oracle_case(rng, trial)
+        _, _, probs0, cache0 = _oracle_loss_and_grads(model, X, mask, Y)
+        ds = SequenceDataset(X=X, mask=mask, Y=Y, T=X.shape[1],
+                             label_names=model.label_names,
+                             feature_names=model.feature_names, cat_sizes=model.cat_sizes)
+        for layer, want in ((0, cache0["summary"]), (1, cache0["act"])):
+            calls.clear()
+            acts = latent.capture_activations(model, ds, layer=layer)
+            assert len(calls) == 1
+            assert np.array_equal(acts.values, want), (trial, layer)
+            assert np.array_equal(acts.predicted_labels, np.argmax(probs0, axis=1))
+    with pytest.raises(ValueError):
+        latent.capture_activations(model, ds, layer=2)
 
 
 def test_numeric_only_dense_matches_oracle_layout():
@@ -562,9 +584,10 @@ def test_numeric_only_dense_matches_oracle_layout():
         Y = rng.integers(0, 2, size=M)
         model = build_model("dense", 1, ["a", "b"], [0, 0], ["y", "n"], seed=trial)
         _, _, probs0, cache0 = _oracle_loss_and_grads(model, X, mask, Y)
-        acts, probs = seqnet.hidden_summary(model, X, mask, 1, with_probs=True)
+        _, acts, _, probs = seqnet.head(model, seqnet.hidden_summary(model, X, mask, 0))
         assert np.array_equal(probs, probs0), trial
         assert np.array_equal(acts, cache0["act"]), trial
+        assert np.array_equal(forward(model, X, mask), probs0), trial
 
 
 def test_inference_memory_stays_off_the_time_axis():
