@@ -270,10 +270,11 @@ def cmd_train(args) -> int:
 
 def _load_predictor(checkpoint):
     with open(checkpoint, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "forest":
-        raise SystemExit("explain needs a forest checkpoint; train --model forest")
-    model = forest.from_json(json.dumps(payload))
+        text = fh.read()
+    try:
+        model = forest.from_json(text)
+    except ValueError as exc:
+        raise SystemExit("explain needs a forest checkpoint; train --model forest") from exc
     return model, (lambda X: forest.predict_proba(model, X))
 
 

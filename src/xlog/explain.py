@@ -155,15 +155,11 @@ class LinearSurrogate:
 
 @dataclass
 class TreeSurrogate:
-    root: forest_mod.TreeNode
-    n_classes: int
+    tree: forest_mod.Tree
     kind: str = "tree"
 
     def predict_proba(self, X):
-        X = np.asarray(X, dtype=float)
-        out = np.empty((len(X), self.n_classes))
-        forest_mod._tree_proba(self.root, X, out, np.arange(len(X)))
-        return out
+        return forest_mod.tree_proba(self.tree, np.asarray(X, dtype=float))
 
 
 def fit_global_surrogate(predictor, X, surrogate_kind: str = "tree",
@@ -191,9 +187,9 @@ def fit_global_surrogate(predictor, X, surrogate_kind: str = "tree",
         model = LinearSurrogate(coef=coef)
     elif surrogate_kind == "tree":
         rng = np.random.default_rng(0)
-        root = forest_mod.fit_tree(X, labels, max_features=X.shape[1], rng=rng,
+        tree = forest_mod.fit_tree(X, labels, max_features=X.shape[1], rng=rng,
                                    min_leaf=1, max_depth=depth, n_classes=n_classes)
-        model = TreeSurrogate(root=root, n_classes=n_classes)
+        model = TreeSurrogate(tree=tree)
     else:
         raise ValueError(f"unknown surrogate kind {surrogate_kind!r}")
     approx = model.predict_proba(X)

@@ -4,6 +4,11 @@ Split search maximizes gini gain over a fresh random feature subset at each
 node. Candidate thresholds are midpoints of adjacent distinct sorted values;
 ties break toward the lowest feature index, then the lowest threshold, so a
 fitted tree is reproducible against an exhaustive search.
+
+A tree is a set of parallel per-node arrays, the layout Louppe describes in
+*Understanding Random Forests* (arXiv:1407.7502, ch. 5). Growing, predicting,
+importance and checkpoints walk them with loops and stacks, never recursion,
+so tree depth is bounded only by the number of rows.
 """
 
 from __future__ import annotations
@@ -15,74 +20,75 @@ import numpy as np
 
 from . import svgplot
 
+#: feature and child id of a leaf
+LEAF = -1
 
-def gini(histogram) -> float:
-    """Gini impurity 1 - sum(p_c^2) of a class-count histogram."""
+#: byte budget of the cumulative class counts a split search holds at once
+SPLIT_BLOCK_BYTES = 256 * 1024
+
+
+def gini(histogram):
+    """Gini impurity 1 - sum(p_c^2) of a class-count histogram, or of each
+    row of a stack of histograms."""
     counts = np.asarray(histogram, dtype=float)
-    total = counts.sum()
-    if total <= 0:
+    total = counts.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("empty histogram")
     p = counts / total
-    return float(1.0 - np.sum(p * p))
+    return 1.0 - np.sum(p * p, axis=-1)
 
 
 @dataclass
-class TreeNode:
-    # leaf payload
-    class_histogram: np.ndarray | None = None
-    # internal payload
-    feature_index: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.class_histogram is not None
-
-    def leaf_proba(self) -> np.ndarray:
-        h = self.class_histogram
-        return h / h.sum()
+class Tree:
+    """Parallel per-node arrays. Node 0 is the root and ids follow a
+    pre-order walk (node, left subtree, right subtree); a leaf has ``LEAF``
+    as its feature and both children. Rows with ``x[feature] <= threshold``
+    go left."""
+    feature: np.ndarray    # (nodes,) int64
+    threshold: np.ndarray  # (nodes,) float64
+    left: np.ndarray       # (nodes,) int64
+    right: np.ndarray      # (nodes,) int64
+    histogram: np.ndarray  # (nodes, classes) float64 class counts of the node's rows
 
 
-def _best_split(X, Y, n_classes, feature_subset, min_leaf):
-    """Best (score, feature, threshold) over the subset; None when no valid
-    candidate exists. Score is sum(count^2)/n per side, a monotone transform
-    of negative weighted child impurity that is exact on integer class
-    counts. Gini decrease is never negative, and zero-gain splits are taken
-    (a consistent dataset is always memorized, XOR included)."""
-    n = len(Y)
-    parent_counts = np.bincount(Y, minlength=n_classes).astype(float)
+def _best_split(X, rows, y, n_classes, feature_subset, min_leaf):
+    """Best (score, feature, threshold) over the subset for the node holding
+    ``rows`` of ``X`` (labels ``y``); None when no valid candidate exists.
+    Score is sum(count^2)/n per side, a monotone transform of negative
+    weighted child impurity that is exact on integer class counts. Gini
+    decrease is never negative, and zero-gain splits are taken (a consistent
+    dataset is always memorized, XOR included).
+
+    The subset is scored in blocks of features whose cumulative class counts
+    fit ``SPLIT_BLOCK_BYTES``. Within a block every feature's rows are sorted
+    at once; candidate i splits after sorted position i."""
+    n = len(y)
+    parent_counts = np.bincount(y, minlength=n_classes)
+    n_left = np.arange(1, n)[:, None]
+    too_small = (n_left < min_leaf) | (n - n_left < min_leaf)
+    classes = np.arange(n_classes)
+    width = max(1, SPLIT_BLOCK_BYTES // (8 * n * n_classes))
     best = None  # (score, feature, threshold)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), Y] = 1.0
-    for f in feature_subset:
-        order = np.argsort(X[:, f], kind="stable")
-        v = X[order, f]
-        distinct = np.flatnonzero(v[:-1] != v[1:])  # split after position i
-        if distinct.size == 0:
-            continue
-        cum = np.cumsum(onehot[order], axis=0)  # class counts of left side
-        n_left = distinct + 1
-        n_right = n - n_left
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not np.any(valid):
-            continue
-        pos = distinct[valid]
-        left_counts = cum[pos]
-        right_counts = parent_counts - left_counts
-        score = (np.sum(left_counts**2, axis=1) / (pos + 1)
-                 + np.sum(right_counts**2, axis=1) / (n - pos - 1))
-        k = int(np.argmax(score))  # first max = lowest threshold
-        if best is None or score[k] > best[0]:
-            thr = (v[pos[k]] + v[pos[k] + 1]) / 2.0
-            best = (float(score[k]), int(f), float(thr))
+    for start in range(0, len(feature_subset), width):
+        block = feature_subset[start:start + width]
+        cols = X[np.ix_(rows, block)]
+        order = np.argsort(cols, axis=0, kind="stable")
+        v = np.take_along_axis(cols, order, axis=0)
+        left = np.cumsum(y[order][:, :, None] == classes, axis=0)[:-1]
+        right = parent_counts - left
+        score = (np.sum(left * left, axis=2) / n_left
+                 + np.sum(right * right, axis=2) / (n - n_left))
+        score[(v[:-1] == v[1:]) | too_small] = -np.inf
+        k = int(np.argmax(score.T))  # feature-major: first max = lowest feature, then threshold
+        j, i = divmod(k, n - 1)
+        if score[i, j] > -np.inf and (best is None or score[i, j] > best[0]):
+            best = (float(score[i, j]), int(block[j]), float((v[i, j] + v[i + 1, j]) / 2.0))
     return best
 
 
 def fit_tree(X, Y, max_features: int, rng: np.random.Generator,
              min_leaf: int = 1, max_depth: int | None = None,
-             n_classes: int | None = None) -> TreeNode:
+             n_classes: int | None = None) -> Tree:
     """Grow a CART classification tree.
 
     A fresh feature subset of size ``max_features`` is drawn from ``rng`` at
@@ -99,30 +105,39 @@ def fit_tree(X, Y, max_features: int, rng: np.random.Generator,
         n_classes = int(Y.max()) + 1
     n_features = X.shape[1]
     m = min(max_features, n_features)
-
-    def grow(rows, depth):
+    nodes, histogram = [], []  # nodes[i] = [feature, threshold, left, right]
+    # The left child is pushed last, so it is popped next and gets id node+1;
+    # nodes draw their subsets from rng in pre-order, left before right.
+    stack = [(np.arange(len(Y)), 0, LEAF)]  # rows, depth, parent if a right child
+    while stack:
+        rows, depth, right_of = stack.pop()
+        node = len(nodes)
+        if right_of != LEAF:
+            nodes[right_of][3] = node
         y = Y[rows]
-        hist = np.bincount(y, minlength=n_classes).astype(float)
-        pure = np.count_nonzero(hist) <= 1
+        histogram.append(np.bincount(y, minlength=n_classes).astype(float))
+        nodes.append([LEAF, 0.0, LEAF, LEAF])
+        pure = np.count_nonzero(histogram[node]) <= 1
         if pure or len(rows) < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-            return TreeNode(class_histogram=hist)
+            continue
         subset = np.sort(rng.choice(n_features, size=m, replace=False))
-        best = _best_split(X[rows], y, n_classes, subset, min_leaf)
+        best = _best_split(X, rows, y, n_classes, subset, min_leaf)
         if best is None:
-            return TreeNode(class_histogram=hist)
+            continue
         _, f, thr = best
+        nodes[node][:3] = f, thr, node + 1
         go_left = X[rows, f] <= thr
-        node = TreeNode(feature_index=f, threshold=thr)
-        node.left = grow(rows[go_left], depth + 1)
-        node.right = grow(rows[~go_left], depth + 1)
-        return node
-
-    return grow(np.arange(len(Y)), 0)
+        stack.append((rows[~go_left], depth + 1, node))
+        stack.append((rows[go_left], depth + 1, LEAF))
+    feature, threshold, left, right = zip(*nodes)
+    return Tree(np.asarray(feature, dtype=np.int64), np.asarray(threshold, dtype=float),
+                np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
+                np.asarray(histogram))
 
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[Tree]
     n_estimators: int
     max_features: int
     seed: int
@@ -174,13 +189,19 @@ def fit_forest(X, Y, n_estimators: int, max_features: int, seed: int,
                        oob_indices=oob, min_leaf=min_leaf)
 
 
-def _tree_proba(node: TreeNode, X, out, rows):
-    if node.is_leaf:
-        out[rows] = node.leaf_proba()
-        return
-    go_left = X[rows, node.feature_index] <= node.threshold
-    _tree_proba(node.left, X, out, rows[go_left])
-    _tree_proba(node.right, X, out, rows[~go_left])
+def tree_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Class-frequency vector of the leaf each row of the float matrix ``X``
+    reaches; all rows descend one level per step."""
+    node = np.zeros(len(X), dtype=np.int64)
+    rows = np.arange(len(X))
+    while rows.size:
+        at = node[rows]
+        inner = tree.feature[at] != LEAF
+        rows, at = rows[inner], at[inner]
+        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+    h = tree.histogram[node]
+    return h / h.sum(axis=1, keepdims=True)
 
 
 def predict_proba(model: ForestModel, X) -> np.ndarray:
@@ -191,28 +212,13 @@ def predict_proba(model: ForestModel, X) -> np.ndarray:
             f"expected {model.n_features} columns, got {X.shape}"
         )
     acc = np.zeros((len(X), model.n_classes))
-    rows = np.arange(len(X))
-    buf = np.empty_like(acc)
     for tree in model.trees:
-        _tree_proba(tree, X, buf, rows)
-        acc += buf
+        acc += tree_proba(tree, X)
     return acc / len(model.trees)
 
 
 def predict(model: ForestModel, X) -> np.ndarray:
     return np.argmax(predict_proba(model, X), axis=1)
-
-
-def majority_vote(model: ForestModel, X) -> np.ndarray:
-    """Plurality over per-tree argmax votes, ties to the lowest class index."""
-    X = np.asarray(X, dtype=float)
-    votes = np.zeros((len(X), model.n_classes))
-    rows = np.arange(len(X))
-    buf = np.empty((len(X), model.n_classes))
-    for tree in model.trees:
-        _tree_proba(tree, X, buf, rows)
-        votes[rows, np.argmax(buf, axis=1)] += 1.0
-    return np.argmax(votes, axis=1)
 
 
 @dataclass
@@ -237,24 +243,15 @@ class ImportanceReport:
                                   title=f"top {k} gini importance", meta=meta)
 
 
-def _accumulate_importance(node: TreeNode, n_root, imp) -> np.ndarray:
-    """Post-order walk; returns the node's class histogram while adding each
-    split's (node fraction x gain) to its feature."""
-    if node.is_leaf:
-        return node.class_histogram
-    hl = _accumulate_importance(node.left, n_root, imp)
-    hr = _accumulate_importance(node.right, n_root, imp)
-    h = hl + hr
-    n, nl, nr = h.sum(), hl.sum(), hr.sum()
-    gain = gini(h) - (nl / n) * gini(hl) - (nr / n) * gini(hr)
-    imp[node.feature_index] += (n / n_root) * gain
-    return h
-
-
-def _node_histogram(node: TreeNode) -> np.ndarray:
-    if node.is_leaf:
-        return node.class_histogram
-    return _node_histogram(node.left) + _node_histogram(node.right)
+def _postorder(tree: Tree) -> np.ndarray:
+    """Ids of the split nodes, each after its left then its right subtree."""
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        if tree.feature[node] != LEAF:
+            order.append(node)
+            stack += (tree.left[node], tree.right[node])
+    return np.asarray(order[::-1], dtype=np.int64)
 
 
 def gini_importance(model: ForestModel) -> ImportanceReport:
@@ -266,29 +263,19 @@ def gini_importance(model: ForestModel) -> ImportanceReport:
     """
     total = np.zeros(model.n_features)
     for tree in model.trees:
+        # each split adds (node fraction x gain) to its feature, in post-order
+        split = _postorder(tree)
+        h, hl, hr = (tree.histogram[ids] for ids in (split, tree.left[split], tree.right[split]))
+        n, nl, nr = h.sum(axis=1), hl.sum(axis=1), hr.sum(axis=1)
+        gain = gini(h) - (nl / n) * gini(hl) - (nr / n) * gini(hr)
         imp = np.zeros(model.n_features)
-        if not tree.is_leaf:
-            _accumulate_importance(tree, _node_histogram(tree).sum(), imp)
+        np.add.at(imp, tree.feature[split], (n / tree.histogram[0].sum()) * gain)
         total += imp
     total /= len(model.trees)
     s = total.sum()
     if s <= 0:
         return ImportanceReport(model.feature_names, total, all_leaves=True)
     return ImportanceReport(model.feature_names, total / s)
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": [float(v) for v in node.class_histogram]}
-    return {"feature": node.feature_index, "threshold": node.threshold,
-            "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
-
-
-def _node_from_dict(d: dict) -> TreeNode:
-    if "leaf" in d:
-        return TreeNode(class_histogram=np.asarray(d["leaf"], dtype=float))
-    return TreeNode(feature_index=d["feature"], threshold=d["threshold"],
-                    left=_node_from_dict(d["left"]), right=_node_from_dict(d["right"]))
 
 
 def to_json(model: ForestModel) -> str:
@@ -300,15 +287,27 @@ def to_json(model: ForestModel) -> str:
         "min_leaf": model.min_leaf,
         "feature_names": model.feature_names,
         "label_names": model.label_names,
-        "oob_indices": [[int(i) for i in o] for o in model.oob_indices],
-        "trees": [_node_to_dict(t) for t in model.trees],
+        "oob_indices": [o.tolist() for o in model.oob_indices],
+        "trees": [{"feature": t.feature.tolist(), "threshold": t.threshold.tolist(),
+                   "left": t.left.tolist(), "right": t.right.tolist(),
+                   "histogram": t.histogram.astype(np.int64).ravel().tolist()}
+                  for t in model.trees],
     })
 
 
 def from_json(text: str) -> ForestModel:
     d = json.loads(text)
+    if not isinstance(d, dict) or d.get("kind") != "forest":
+        raise ValueError("not a forest checkpoint")
+    n_classes = len(d["label_names"])
+    trees = [Tree(np.asarray(t["feature"], dtype=np.int64),
+                  np.asarray(t["threshold"], dtype=float),
+                  np.asarray(t["left"], dtype=np.int64),
+                  np.asarray(t["right"], dtype=np.int64),
+                  np.asarray(t["histogram"], dtype=float).reshape(-1, n_classes))
+             for t in d["trees"]]
     return ForestModel(
-        trees=[_node_from_dict(t) for t in d["trees"]],
+        trees=trees,
         n_estimators=d["n_estimators"], max_features=d["max_features"],
         seed=d["seed"], feature_names=d["feature_names"],
         label_names=d["label_names"],

@@ -35,14 +35,14 @@ def test_c01_tree_root_split_matches_exhaustive_oracle():
         C = int(rng.integers(2, 5))
         X = rng.integers(0, 10, size=(n, F)).astype(float) / 2.0
         Y = rng.integers(0, C, size=n)
-        root = forest.fit_tree(X, Y, max_features=F,
+        tree = forest.fit_tree(X, Y, max_features=F,
                                rng=np.random.default_rng(trial), n_classes=C)
         oracle = brute_force_best_split(X, Y, C)
         if oracle is None:
-            ok = root.is_leaf
+            ok = tree.feature[0] == forest.LEAF
         else:
-            ok = (not root.is_leaf
-                  and (root.feature_index, root.threshold) == (oracle[1], oracle[2]))
+            ok = (tree.feature[0] != forest.LEAF
+                  and (tree.feature[0], tree.threshold[0]) == (oracle[1], oracle[2]))
         mismatches += 0 if ok else 1
     elapsed = time.time() - started
     report("c01", "tree-oracle",

@@ -197,11 +197,19 @@ def test_explain_surrogate_report(trained):
 
 
 def test_explain_rejects_seqnet_checkpoint(trained):
-    with pytest.raises(SystemExit, match="forest"):
+    with pytest.raises(SystemExit, match="explain needs a forest checkpoint"):
         run("explain", "--data", trained / "data",
             "--checkpoint", trained / "lstm" / "seqnet.xlg.json",
             "--method", "lime", "--instance", "0",
             "--out", trained / "bad")
+
+
+@pytest.mark.parametrize("payload", [{"kind": "seqnet", "trees": []}, {"trees": []}, []])
+def test_load_predictor_rejects_non_forest_json(tmp_path, payload):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(SystemExit, match="explain needs a forest checkpoint"):
+        cli._load_predictor(path)
 
 
 def test_project_outputs(trained):

@@ -1,10 +1,14 @@
+import sys
+import tracemalloc
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from xlog import forest
 from xlog.forest import (
-    ForestModel, fit_forest, fit_tree, gini, gini_importance, majority_vote,
-    predict, predict_proba,
+    LEAF, ForestModel, Tree, fit_forest, fit_tree, gini, gini_importance,
+    predict, predict_proba, tree_proba,
 )
 
 
@@ -32,12 +36,282 @@ def brute_force_best_split(X, Y, n_classes, min_leaf=1):
 
 
 def tree_equal(a, b):
-    if a.is_leaf and b.is_leaf:
-        return np.array_equal(a.class_histogram, b.class_histogram)
-    if a.is_leaf or b.is_leaf:
-        return False
-    return (a.feature_index == b.feature_index and a.threshold == b.threshold
-            and tree_equal(a.left, b.left) and tree_equal(a.right, b.right))
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("feature", "threshold", "left", "right", "histogram"))
+
+
+def is_leaf(tree, node):
+    return tree.feature[node] == LEAF
+
+
+def leaf_tree(histogram):
+    return Tree(np.asarray([LEAF]), np.asarray([0.0]), np.asarray([LEAF]),
+                np.asarray([LEAF]), np.asarray([histogram], dtype=float))
+
+
+# ---------------------------------------------------------------- oracle
+# The recursive trees and per-feature split search that the array-backed
+# trees replaced, kept verbatim as the reference they must equal exactly.
+
+@dataclass
+class OracleNode:
+    class_histogram: np.ndarray | None = None
+    feature_index: int = -1
+    threshold: float = 0.0
+    left: "OracleNode | None" = None
+    right: "OracleNode | None" = None
+
+    @property
+    def is_leaf(self):
+        return self.class_histogram is not None
+
+
+def oracle_best_split(X, Y, n_classes, feature_subset, min_leaf):
+    n = len(Y)
+    parent_counts = np.bincount(Y, minlength=n_classes).astype(float)
+    best = None
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), Y] = 1.0
+    for f in feature_subset:
+        order = np.argsort(X[:, f], kind="stable")
+        v = X[order, f]
+        distinct = np.flatnonzero(v[:-1] != v[1:])
+        if distinct.size == 0:
+            continue
+        cum = np.cumsum(onehot[order], axis=0)
+        n_left = distinct + 1
+        n_right = n - n_left
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not np.any(valid):
+            continue
+        pos = distinct[valid]
+        left_counts = cum[pos]
+        right_counts = parent_counts - left_counts
+        score = (np.sum(left_counts**2, axis=1) / (pos + 1)
+                 + np.sum(right_counts**2, axis=1) / (n - pos - 1))
+        k = int(np.argmax(score))
+        if best is None or score[k] > best[0]:
+            thr = (v[pos[k]] + v[pos[k] + 1]) / 2.0
+            best = (float(score[k]), int(f), float(thr))
+    return best
+
+
+def oracle_fit_tree(X, Y, max_features, rng, min_leaf=1, max_depth=None,
+                    n_classes=None):
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=np.int64)
+    if n_classes is None:
+        n_classes = int(Y.max()) + 1
+    n_features = X.shape[1]
+    m = min(max_features, n_features)
+
+    def grow(rows, depth):
+        y = Y[rows]
+        hist = np.bincount(y, minlength=n_classes).astype(float)
+        pure = np.count_nonzero(hist) <= 1
+        if pure or len(rows) < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+            return OracleNode(class_histogram=hist)
+        subset = np.sort(rng.choice(n_features, size=m, replace=False))
+        best = oracle_best_split(X[rows], y, n_classes, subset, min_leaf)
+        if best is None:
+            return OracleNode(class_histogram=hist)
+        _, f, thr = best
+        go_left = X[rows, f] <= thr
+        node = OracleNode(feature_index=f, threshold=thr)
+        node.left = grow(rows[go_left], depth + 1)
+        node.right = grow(rows[~go_left], depth + 1)
+        return node
+
+    return grow(np.arange(len(Y)), 0)
+
+
+def oracle_fit_forest(X, Y, n_estimators, max_features, seed, min_leaf=1):
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=np.int64)
+    n, f = X.shape
+    n_classes = int(Y.max()) + 1
+    trees = []
+    for t in range(n_estimators):
+        rng = np.random.default_rng(seed + t)
+        sample = rng.integers(0, n, size=n)
+        trees.append(oracle_fit_tree(X[sample], Y[sample], min(max_features, f), rng,
+                                     min_leaf=min_leaf, n_classes=n_classes))
+    return trees
+
+
+def oracle_tree_proba(node, X, out, rows):
+    if node.is_leaf:
+        out[rows] = node.class_histogram / node.class_histogram.sum()
+        return
+    go_left = X[rows, node.feature_index] <= node.threshold
+    oracle_tree_proba(node.left, X, out, rows[go_left])
+    oracle_tree_proba(node.right, X, out, rows[~go_left])
+
+
+def oracle_predict_proba(trees, n_classes, X):
+    acc = np.zeros((len(X), n_classes))
+    rows = np.arange(len(X))
+    buf = np.empty_like(acc)
+    for tree in trees:
+        oracle_tree_proba(tree, X, buf, rows)
+        acc += buf
+    return acc / len(trees)
+
+
+def oracle_gini(histogram):
+    counts = np.asarray(histogram, dtype=float)
+    p = counts / counts.sum()
+    return float(1.0 - np.sum(p * p))
+
+
+def oracle_accumulate(node, n_root, imp):
+    if node.is_leaf:
+        return node.class_histogram
+    hl = oracle_accumulate(node.left, n_root, imp)
+    hr = oracle_accumulate(node.right, n_root, imp)
+    h = hl + hr
+    n, nl, nr = h.sum(), hl.sum(), hr.sum()
+    gain = oracle_gini(h) - (nl / n) * oracle_gini(hl) - (nr / n) * oracle_gini(hr)
+    imp[node.feature_index] += (n / n_root) * gain
+    return h
+
+
+def oracle_histogram(node):
+    if node.is_leaf:
+        return node.class_histogram
+    return oracle_histogram(node.left) + oracle_histogram(node.right)
+
+
+def oracle_gini_importance(trees, n_features):
+    total = np.zeros(n_features)
+    for tree in trees:
+        imp = np.zeros(n_features)
+        if not tree.is_leaf:
+            oracle_accumulate(tree, oracle_histogram(tree).sum(), imp)
+        total += imp
+    total /= len(trees)
+    s = total.sum()
+    return (total, True) if s <= 0 else (total / s, False)
+
+
+def oracle_arrays(root):
+    """The oracle tree as pre-order parallel arrays."""
+    feature, threshold, left, right, histogram = [], [], [], [], []
+
+    def walk(node):
+        i = len(feature)
+        feature.append(LEAF if node.is_leaf else node.feature_index)
+        threshold.append(0.0 if node.is_leaf else node.threshold)
+        left.append(LEAF)
+        right.append(LEAF)
+        histogram.append(oracle_histogram(node))
+        if not node.is_leaf:
+            left[i] = walk(node.left)
+            right[i] = walk(node.right)
+        return i
+
+    walk(root)
+    return Tree(np.asarray(feature), np.asarray(threshold), np.asarray(left),
+                np.asarray(right), np.asarray(histogram))
+
+
+def random_case(r):
+    """A small labelled matrix with many duplicate values and constant columns."""
+    n = int(r.integers(2, 90))
+    F = int(r.integers(1, 9))
+    C = int(r.integers(2, 5))
+    X = r.integers(0, int(r.integers(2, 9)), size=(n, F)).astype(float) / 2.0
+    if r.random() < 0.3:
+        X[:, r.integers(0, F)] = 1.5  # a constant column
+    if r.random() < 0.3:
+        X[:, 0] = r.random(n)  # one continuous column
+    Y = r.integers(0, C, size=n)
+    return X, Y, C
+
+
+@pytest.mark.parametrize("block_bytes", [forest.SPLIT_BLOCK_BYTES, 1, 2000])
+def test_array_trees_equal_recursive_oracle(block_bytes, monkeypatch):
+    monkeypatch.setattr(forest, "SPLIT_BLOCK_BYTES", block_bytes)
+    r = np.random.default_rng(4401)
+    seen = set()
+    for trial in range(150):
+        X, Y, C = random_case(r)
+        F = X.shape[1]
+        max_features = F if trial % 2 else int(r.integers(1, F + 1))
+        min_leaf = int(r.integers(1, 4))
+        max_depth = None if r.random() < 0.5 else int(r.integers(0, 5))
+        tree = fit_tree(X, Y, max_features, np.random.default_rng(trial),
+                        min_leaf=min_leaf, max_depth=max_depth, n_classes=C)
+        oracle = oracle_fit_tree(X, Y, max_features, np.random.default_rng(trial),
+                                 min_leaf=min_leaf, max_depth=max_depth, n_classes=C)
+        assert tree_equal(tree, oracle_arrays(oracle)), trial
+        Xt = np.vstack([X, r.integers(-1, 9, size=(20, F)) / 2.0])
+        assert np.array_equal(tree_proba(tree, Xt), oracle_predict_proba([oracle], C, Xt))
+        seen.add((C, min_leaf, max_depth is None, len(tree.feature) > 3))
+    assert len(seen) >= 20  # the draws cover the grid of settings
+
+
+@pytest.mark.parametrize("block_bytes", [forest.SPLIT_BLOCK_BYTES, 1])
+def test_forest_predictions_and_importance_equal_oracle(block_bytes, monkeypatch):
+    monkeypatch.setattr(forest, "SPLIT_BLOCK_BYTES", block_bytes)
+    r = np.random.default_rng(77)
+    for trial in range(40):
+        X, Y, _ = random_case(r)
+        F = X.shape[1]
+        n_est = int(r.integers(1, 6))
+        max_features = int(r.integers(1, F + 1))
+        min_leaf = int(r.integers(1, 4))
+        model = fit_forest(X, Y, n_est, max_features, seed=trial, min_leaf=min_leaf)
+        oracle = oracle_fit_forest(X, Y, n_est, max_features, seed=trial, min_leaf=min_leaf)
+        for tree, node in zip(model.trees, oracle):
+            assert tree_equal(tree, oracle_arrays(node)), trial
+        Xt = np.vstack([X, r.random((15, F)) * 4.0])
+        expected = oracle_predict_proba(oracle, model.n_classes, Xt)
+        assert np.array_equal(predict_proba(model, Xt), expected)
+        back = forest.from_json(forest.to_json(model))
+        assert all(tree_equal(a, b) for a, b in zip(back.trees, model.trees))
+        assert np.array_equal(predict_proba(back, Xt), expected)
+        importances, all_leaves = oracle_gini_importance(oracle, F)
+        report = gini_importance(model)
+        assert np.array_equal(report.importances, importances)
+        assert report.all_leaves == all_leaves
+
+
+def test_deep_chain_fits_predicts_and_round_trips():
+    # alternating labels along one feature: every split peels a single row,
+    # so the tree is a chain far deeper than the interpreter's recursion limit
+    n = 5000
+    X = np.arange(n, dtype=float)[:, None]
+    Y = np.arange(n) % 2
+    model = fit_forest(X, Y, n_estimators=1, max_features=1, seed=0, bootstrap=False)
+    tree = model.trees[0]
+    assert len(tree.feature) == 2 * n - 1
+    depth, node = 0, 0
+    while not is_leaf(tree, node):
+        node = max(tree.left[node], tree.right[node], key=lambda c: tree.histogram[c].sum())
+        depth += 1
+    assert depth > sys.getrecursionlimit()
+    assert np.array_equal(predict(model, X), Y)
+    assert gini_importance(model).importances[0] == 1.0
+    back = forest.from_json(forest.to_json(model))
+    assert tree_equal(back.trees[0], tree)
+    assert np.array_equal(predict_proba(back, X), predict_proba(model, X))
+
+
+def test_full_width_split_search_memory_is_bounded():
+    # the global surrogate's fit: all 388 columns drawn at every node
+    r = np.random.default_rng(5)
+    X = r.random((300, 388))
+    Y = r.integers(0, 3, size=300)
+    tracemalloc.start()
+    try:
+        tree = fit_tree(X, Y, max_features=388, rng=np.random.default_rng(0),
+                        max_depth=3, n_classes=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tree.feature) > 7
+    assert peak < 4 * 2**20, peak
 
 
 def test_gini_examples():
@@ -54,31 +328,29 @@ def test_gini_empty_histogram_raises():
 def test_fit_tree_simple_threshold():
     X = np.asarray([[1.0], [2.0], [3.0], [4.0]])
     Y = np.asarray([0, 0, 1, 1])
-    root = fit_tree(X, Y, max_features=1, rng=np.random.default_rng(0))
+    tree = fit_tree(X, Y, max_features=1, rng=np.random.default_rng(0))
     oracle = brute_force_best_split(X, Y, 2)
-    assert root.feature_index == oracle[1] == 0
-    assert root.threshold == oracle[2] == 2.5
-    assert root.left.is_leaf and root.right.is_leaf
-    assert gini(root.left.class_histogram) == 0.0
-    assert gini(root.right.class_histogram) == 0.0
+    assert tree.feature[0] == oracle[1] == 0
+    assert tree.threshold[0] == oracle[2] == 2.5
+    assert is_leaf(tree, tree.left[0]) and is_leaf(tree, tree.right[0])
+    assert gini(tree.histogram[tree.left[0]]) == 0.0
+    assert gini(tree.histogram[tree.right[0]]) == 0.0
 
 
 def test_fit_tree_pure_input_is_single_leaf():
     X = np.asarray([[1.0], [5.0], [9.0]])
-    root = fit_tree(X, np.asarray([1, 1, 1]), max_features=1,
+    tree = fit_tree(X, np.asarray([1, 1, 1]), max_features=1,
                     rng=np.random.default_rng(0), n_classes=2)
-    assert root.is_leaf
+    assert len(tree.feature) == 1 and is_leaf(tree, 0)
 
 
 def test_fit_tree_solves_xor_at_depth_two():
     X = np.asarray([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     Y = np.asarray([0, 1, 1, 0])
-    root = fit_tree(X, Y, max_features=2, rng=np.random.default_rng(3), min_leaf=1)
-    out = np.empty((4, 2))
-    forest._tree_proba(root, X, out, np.arange(4))
-    assert np.array_equal(np.argmax(out, axis=1), Y)
-    assert not root.is_leaf
-    assert not (root.left.is_leaf and root.right.is_leaf)  # depth 2 needed
+    tree = fit_tree(X, Y, max_features=2, rng=np.random.default_rng(3), min_leaf=1)
+    assert np.array_equal(np.argmax(tree_proba(tree, X), axis=1), Y)
+    assert not is_leaf(tree, 0)
+    assert not (is_leaf(tree, tree.left[0]) and is_leaf(tree, tree.right[0]))  # depth 2 needed
 
 
 def test_fit_tree_root_matches_brute_force_oracle():
@@ -89,23 +361,21 @@ def test_fit_tree_root_matches_brute_force_oracle():
         C = int(rng.integers(2, 5))
         X = rng.integers(0, 8, size=(n, F)).astype(float) / 2.0
         Y = rng.integers(0, C, size=n)
-        root = fit_tree(X, Y, max_features=F, rng=np.random.default_rng(trial),
+        tree = fit_tree(X, Y, max_features=F, rng=np.random.default_rng(trial),
                         n_classes=C)
         oracle = brute_force_best_split(X, Y, C)
         if oracle is None:
-            assert root.is_leaf
+            assert is_leaf(tree, 0)
         else:
-            assert not root.is_leaf
-            assert (root.feature_index, root.threshold) == (oracle[1], oracle[2])
+            assert not is_leaf(tree, 0)
+            assert (tree.feature[0], tree.threshold[0]) == (oracle[1], oracle[2])
 
 
 def test_fit_tree_full_features_memorizes_consistent_data(rng):
     X = rng.random((60, 4))
     Y = rng.integers(0, 3, size=60)
-    root = fit_tree(X, Y, max_features=4, rng=np.random.default_rng(5), min_leaf=1)
-    out = np.empty((60, 3))
-    forest._tree_proba(root, X, out, np.arange(60))
-    assert np.mean(np.argmax(out, axis=1) == Y) == 1.0
+    tree = fit_tree(X, Y, max_features=4, rng=np.random.default_rng(5), min_leaf=1)
+    assert np.mean(np.argmax(tree_proba(tree, X), axis=1) == Y) == 1.0
 
 
 def test_fit_tree_row_permutation_invariant(rng):
@@ -122,8 +392,9 @@ def test_fit_tree_respects_max_depth():
     rng = np.random.default_rng(2)
     X = rng.random((50, 3))
     Y = rng.integers(0, 2, size=50)
-    root = fit_tree(X, Y, max_features=3, rng=np.random.default_rng(0), max_depth=1)
-    assert root.left.is_leaf and root.right.is_leaf
+    tree = fit_tree(X, Y, max_features=3, rng=np.random.default_rng(0), max_depth=1)
+    assert not is_leaf(tree, 0)
+    assert is_leaf(tree, tree.left[0]) and is_leaf(tree, tree.right[0])
 
 
 def test_forest_same_seed_bit_identical(rng):
@@ -163,9 +434,9 @@ def test_predict_proba_rows_sum_to_one(rng):
 
 
 def test_predict_proba_unanimous_and_averaging():
-    leaf0 = forest.TreeNode(class_histogram=np.asarray([3.0, 0.0]))
-    leaf1 = forest.TreeNode(class_histogram=np.asarray([0.0, 5.0]))
-    agree = ForestModel(trees=[leaf0, forest.TreeNode(class_histogram=np.asarray([2.0, 0.0]))],
+    leaf0 = leaf_tree([3.0, 0.0])
+    leaf1 = leaf_tree([0.0, 5.0])
+    agree = ForestModel(trees=[leaf0, leaf_tree([2.0, 0.0])],
                         n_estimators=2, max_features=1, seed=0,
                         feature_names=["x0"], label_names=["a", "b"])
     assert np.array_equal(predict_proba(agree, np.zeros((1, 1))), [[1.0, 0.0]])
@@ -179,18 +450,6 @@ def test_predict_proba_shape_mismatch():
                        np.asarray([0, 1] * 5), 2, 2, seed=0)
     with pytest.raises(ValueError):
         predict_proba(model, np.zeros((4, 5)))
-
-
-def test_argmax_proba_equals_majority_vote(rng):
-    # fully grown trees on continuous rows have pure leaves, so the two
-    # reductions coincide (ties at the lowest class index)
-    for seed in range(8):
-        r = np.random.default_rng(seed)
-        X = r.random((50, 4))
-        Y = r.integers(0, 3, size=50)
-        model = fit_forest(X, Y, n_estimators=11, max_features=2, seed=seed)
-        Xt = r.random((40, 4))
-        assert np.array_equal(predict(model, Xt), majority_vote(model, Xt))
 
 
 def test_importance_single_split_is_one():
@@ -252,6 +511,9 @@ def test_forest_json_roundtrip(rng):
     back = forest.from_json(forest.to_json(model))
     assert back.feature_names == model.feature_names
     assert back.label_names == model.label_names
+    assert len(back.trees) == len(model.trees)
+    assert all(tree_equal(a, b) for a, b in zip(back.trees, model.trees))
+    assert all(np.array_equal(a, b) for a, b in zip(back.oob_indices, model.oob_indices))
     Xt = rng.random((10, 3))
     assert np.array_equal(predict_proba(back, Xt), predict_proba(model, Xt))
 
