@@ -9,6 +9,9 @@ On failure, files already written by the failing subcommand are removed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -54,22 +57,25 @@ _ACTIVE_RUNS: list["Run"] = []
 
 
 class Run:
-    """Tracks effective config, output files, and metadata stamping."""
+    """Tracks effective config, output files, and metadata stamping. The hash
+    covers the options as given; omitted ones then take their declared default."""
 
-    def __init__(self, args, keys):
-        cfg = {}
-        if getattr(args, "config", None):
-            cfg.update(parse_config_file(args.config))
-        for key in keys:
-            flag = getattr(args, key, None)
-            if flag is not None:
-                cfg[key] = flag
-            cfg.setdefault(key, None)
-        self.cfg = cfg
-        self.seed = int(cfg.get("seed") or 0)
+    def __init__(self, args):
+        options = _options(args.command)
+        cfg = parse_config_file(args.config) if args.config else {}
+        for key in options:
+            flag = getattr(args, key)
+            cfg[key] = flag if flag is not None else cfg.get(key)
         hashed = {k: cfg[k] for k in sorted(cfg) if k not in PATH_KEYS}
         blob = json.dumps(hashed, sort_keys=True, default=str)
         self.config_hash = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        for key, action in options.items():
+            if cfg[key] is None:
+                cfg[key] = action.default
+            elif action.type is not None:
+                cfg[key] = action.type(cfg[key])
+        self.cfg = cfg
+        self.seed = cfg["seed"]
         self.written: list[str] = []
         _ACTIVE_RUNS.append(self)
 
@@ -92,19 +98,15 @@ class Run:
         self.written.append(path)
 
     def write_json(self, path, payload: dict) -> None:
-        payload = dict(payload)
-        payload["meta"] = self.meta
-        self.write_text(path, json.dumps(payload, indent=2) + "\n")
+        self.write_text(path, json.dumps({**payload, "meta": self.meta}, indent=2) + "\n")
 
     def write_csv(self, path, body: str) -> None:
         self.write_text(path, f"# {self.meta_line}\n{body}")
 
     def cleanup(self) -> None:
         for path in self.written:
-            try:
+            with contextlib.suppress(OSError):
                 os.remove(path)
-            except OSError:
-                pass
 
 
 def _require(cfg, *keys):
@@ -116,27 +118,23 @@ def _require(cfg, *keys):
 # ------------------------------------------------------------------ ingest
 
 def cmd_ingest(args) -> int:
-    run = Run(args, ["csv", "schema", "min_class", "window", "split", "seed", "out"])
+    run = Run(args)
     cfg = run.cfg
     _require(cfg, "csv", "schema", "out")
-    min_class = int(cfg.get("min_class") or 30)
-    window = int(cfg.get("window") or 64)
-    fraction = float(cfg.get("split") or 0.2)
     with open(cfg["schema"], encoding="utf-8") as fh:
         schema = {k: v for k, v in json.load(fh).items() if k != "meta"}
     log = eventlog.parse_log(cfg["csv"], schema)
-    clean, report = eventlog.clean_log(log, min_class_count=min_class)
+    clean, report = eventlog.clean_log(log, min_class_count=cfg["min_class"])
     labels = [c.diagnosis_code for c in clean.cases]
-    split = encode.stratified_split(np.asarray(labels), fraction, run.seed)
+    split = encode.stratified_split(np.asarray(labels), cfg["split"], run.seed)
     vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
                                + list(eventlog.STATIC_CATEGORICAL))
-    seq = encode.encode_sequences(clean, vocab, window, split)
+    seq = encode.encode_sequences(clean, vocab, cfg["window"], split)
     flat = encode.flatten_sequences(seq)
     out = cfg["out"]
-    seq.save(run.path(out, "sequences.xlg"), meta=run.meta)
-    run.written += [run.path(out, "sequences.xlg"), run.path(out, "sequences.xlg.json")]
-    flat.save(run.path(out, "flat.xlg"), meta=run.meta)
-    run.written += [run.path(out, "flat.xlg"), run.path(out, "flat.xlg.json")]
+    for name, dataset in (("sequences.xlg", seq), ("flat.xlg", flat)):
+        dataset.save(run.path(out, name), meta=run.meta)
+        run.written += [run.path(out, name), run.path(out, name + ".json")]
     run.write_text(run.path(out, "vocab.json"), vocab.to_json(meta=run.meta) + "\n")
     run.write_json(run.path(out, "cleaning_report.json"),
                    json.loads(report.to_json()) | {"issues": clean.issues})
@@ -149,11 +147,7 @@ def cmd_ingest(args) -> int:
 # ------------------------------------------------------------------- train
 
 def _parse_forest_grid(spec: str):
-    cells = []
-    for part in spec.split(","):
-        a, b = part.lower().split("x")
-        cells.append((int(a), int(b)))
-    return cells
+    return [tuple(int(v) for v in part.lower().split("x")) for part in spec.split(",")]
 
 
 def _parse_seqnet_grid(spec: str, default_arch: str):
@@ -179,33 +173,38 @@ def _kfold_indices(Y, k, seed):
     return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
 
 
-def _train_forest(run, data_dir, out, grid_spec, cv_k, min_leaf):
-    flat = encode.FlatDataset.load(os.path.join(data_dir, "flat.xlg"))
+def _load_split(data_dir) -> encode.Split:
     with open(os.path.join(data_dir, "split.json"), encoding="utf-8") as fh:
         sp = json.load(fh)
-    train_idx = np.asarray(sp["train"], dtype=np.int64)
-    test_idx = np.asarray(sp["test"], dtype=np.int64)
-    tr, te = flat.take(train_idx), flat.take(test_idx)
-    folds = _kfold_indices(tr.Y, cv_k, run.seed)
+    return encode.Split(np.asarray(sp["train"], dtype=np.int64),
+                        np.asarray(sp["test"], dtype=np.int64))
+
+
+def _train_forest(run):
+    cfg = run.cfg
+    flat = encode.FlatDataset.load(os.path.join(cfg["data"], "flat.xlg"))
+    split = _load_split(cfg["data"])
+    tr, te = flat.take(split.train_indices), flat.take(split.test_indices)
+    out = cfg["out"]
+    folds = _kfold_indices(tr.Y, cfg["cv_k"], run.seed)
     fits = [np.setdiff1d(np.arange(len(tr.Y)), va) for va in folds]
     rows = []
-    for n_est, max_feat in _parse_forest_grid(grid_spec):
+    for n_est, max_feat in _parse_forest_grid(cfg["grid"]):
         accs = []
         for va, fit in zip(folds, fits):
             model = forest.fit_forest(tr.X[fit], tr.Y[fit], n_est, max_feat,
-                                      seed=run.seed, min_leaf=min_leaf)
+                                      seed=run.seed, min_leaf=cfg["min_leaf"])
             accs.append(float(np.mean(forest.predict(model, tr.X[va]) == tr.Y[va])))
         rows.append({"estimators": n_est, "max_features": max_feat,
                      "cv_accuracy": float(np.mean(accs)), "best": False})
     rows.sort(key=lambda r: (-r["cv_accuracy"], r["estimators"]))
-    rows[0]["best"] = True
     best = rows[0]
+    best["best"] = True
     model = forest.fit_forest(tr.X, tr.Y, best["estimators"], best["max_features"],
-                              seed=run.seed, min_leaf=min_leaf,
+                              seed=run.seed, min_leaf=cfg["min_leaf"],
                               feature_names=flat.feature_names,
                               label_names=flat.label_names)
-    test_acc = float(np.mean(forest.predict(model, te.X) == te.Y))
-    best["test_accuracy"] = test_acc
+    best["test_accuracy"] = float(np.mean(forest.predict(model, te.X) == te.Y))
     run.write_json(run.path(out, "train_table.json"), {"model": "forest", "rows": rows})
     body = "estimators,max_features,cv_accuracy,best\n" + "\n".join(
         f"{r['estimators']},{r['max_features']},{r['cv_accuracy']!r},{int(r['best'])}"
@@ -218,14 +217,14 @@ def _train_forest(run, data_dir, out, grid_spec, cv_k, min_leaf):
     return 0
 
 
-def _train_seqnet(run, data_dir, out, grid_spec, default_arch, lr):
-    seq = encode.SequenceDataset.load(os.path.join(data_dir, "sequences.xlg"))
-    with open(os.path.join(data_dir, "split.json"), encoding="utf-8") as fh:
-        sp = json.load(fh)
-    split = encode.Split(np.asarray(sp["train"], dtype=np.int64),
-                         np.asarray(sp["test"], dtype=np.int64))
-    space = _parse_seqnet_grid(grid_spec, default_arch)
-    rows, models = seqnet.grid_search(space, seq, split, seed=run.seed, lr=lr)
+def _train_seqnet(run):
+    cfg = run.cfg
+    seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
+    arch = "lstm" if cfg["model"] == "seqnet" else cfg["model"]
+    space = _parse_seqnet_grid(cfg["grid"], arch)
+    rows, models = seqnet.grid_search(space, seq, _load_split(cfg["data"]),
+                                      seed=run.seed, lr=cfg["lr"])
+    out = cfg["out"]
     run.write_json(run.path(out, "train_table.json"), {"model": "seqnet", "rows": rows})
     body = "architecture,nodes,epochs,accuracy,loss,best\n" + "\n".join(
         f"{r['architecture']},{r['nodes']},{r['epochs']},{r['accuracy']!r},"
@@ -251,73 +250,57 @@ def _train_seqnet(run, data_dir, out, grid_spec, default_arch, lr):
 
 
 def cmd_train(args) -> int:
-    run = Run(args, ["data", "model", "grid", "split", "seed", "out", "cv_k",
-                     "min_leaf", "lr"])
-    cfg = run.cfg
-    _require(cfg, "data", "model", "grid", "out")
-    model = cfg["model"]
-    if model == "forest":
-        return _train_forest(run, cfg["data"], cfg["out"], cfg["grid"],
-                             int(cfg.get("cv_k") or 5), int(cfg.get("min_leaf") or 1))
-    if model in ("dense", "lstm", "bilstm", "seqnet"):
-        return _train_seqnet(run, cfg["data"], cfg["out"], cfg["grid"],
-                             model if model != "seqnet" else "lstm",
-                             float(cfg.get("lr") or 0.5))
-    raise SystemExit(f"unknown model {model!r}")
+    run = Run(args)
+    _require(run.cfg, "data", "model", "grid", "out")
+    if run.cfg["model"] == "forest":
+        return _train_forest(run)
+    if run.cfg["model"] in ("dense", "lstm", "bilstm", "seqnet"):
+        return _train_seqnet(run)
+    raise SystemExit(f"unknown model {run.cfg['model']!r}")
 
 
 # ----------------------------------------------------------------- explain
 
 def _load_predictor(checkpoint):
     with open(checkpoint, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        model = forest.from_json(text)
-    except ValueError as exc:
-        raise SystemExit("explain needs a forest checkpoint; train --model forest") from exc
-    return model, (lambda X: forest.predict_proba(model, X))
+        try:
+            model = forest.from_json(fh.read())
+        except ValueError as exc:
+            raise SystemExit("explain needs a forest checkpoint; train --model forest") from exc
+    return lambda X: forest.predict_proba(model, X)
 
 
 def cmd_explain(args) -> int:
-    run = Run(args, ["data", "checkpoint", "method", "instance", "target",
-                     "feature", "k_features", "n_samples", "sigma", "budget",
-                     "grid_points", "seed", "out", "surrogate_kind", "max_candidates"])
+    run = Run(args)
     cfg = run.cfg
     _require(cfg, "data", "checkpoint", "method", "out")
     out = cfg["out"]
     flat = encode.FlatDataset.load(os.path.join(cfg["data"], "flat.xlg"))
-    model, predictor = _load_predictor(cfg["checkpoint"])
+    predictor = _load_predictor(cfg["checkpoint"])
     method = cfg["method"]
-    k_features = int(cfg.get("k_features") or 5)
-    n_samples = int(cfg.get("n_samples") or 5000)
-    sigma = float(cfg["sigma"]) if cfg.get("sigma") else None
 
     def explain_one(i):
-        target = int(cfg["target"]) if cfg.get("target") not in (None, "") \
+        target = cfg["target"] if cfg["target"] is not None \
             else int(np.argmax(predictor(flat.X[i:i + 1])[0]))
         return explain.lime_explain(
-            predictor, flat.X[i], flat.X, class_index=target, K=k_features,
-            n_samples=n_samples, sigma=sigma, seed=run.seed,
+            predictor, flat.X[i], flat.X, class_index=target, K=cfg["k_features"],
+            n_samples=cfg["n_samples"], sigma=cfg["sigma"], seed=run.seed,
             categorical=flat.categorical, feature_names=flat.feature_names,
             instance_id=flat.case_ids[i] if flat.case_ids else str(i),
             class_label=flat.label_names[target])
 
     if method == "lime":
         _require(cfg, "instance")
-        ids = [s for s in str(cfg["instance"]).split(",") if s]
-        for raw in ids:
-            i = flat.case_ids.index(raw) if raw in flat.case_ids else int(raw)
-            exp = explain_one(i)
+        for raw in filter(None, str(cfg["instance"]).split(",")):
+            exp = explain_one(flat.case_ids.index(raw) if raw in flat.case_ids else int(raw))
             stem = f"lime_{exp.instance_id}"
             run.write_json(run.path(out, stem + ".json"), exp.to_dict())
             run.write_text(run.path(out, stem + ".svg"), exp.to_svg(meta=run.meta_line))
     elif method == "pick":
         _require(cfg, "target")
-        target = int(cfg["target"])
-        members = [int(i) for i in np.flatnonzero(flat.Y == target)]
-        members = members[: int(cfg.get("max_candidates") or 12)]
-        exps = [explain_one(i) for i in members]
-        summary = explain.submodular_pick(exps, int(cfg.get("budget") or 3))
+        members = [int(i) for i in np.flatnonzero(flat.Y == cfg["target"])]
+        exps = [explain_one(i) for i in members[: cfg["max_candidates"]]]
+        summary = explain.submodular_pick(exps, cfg["budget"])
         run.write_json(run.path(out, "global_summary.json"),
                        json.loads(summary.to_json()))
         for exp in summary.explanations:
@@ -325,27 +308,17 @@ def cmd_explain(args) -> int:
                            exp.to_svg(meta=run.meta_line))
     elif method in ("pdp", "ice", "ale"):
         _require(cfg, "feature")
-        target = int(cfg.get("target") or 0)
         feat = cfg["feature"]
-        if method == "pdp":
-            curve = explain.pdp(predictor, flat.X, feat, class_index=target,
-                                feature_names=flat.feature_names)
-        elif method == "ice":
-            curve = explain.ice(predictor, flat.X, feat, class_index=target,
-                                feature_names=flat.feature_names)
-        else:
-            curve = explain.ale(predictor, flat.X, feat,
-                                n_intervals=int(cfg.get("grid_points") or 10),
-                                class_index=target, feature_names=flat.feature_names)
+        target = cfg["target"] if cfg["target"] is not None else 0
+        extra = {"n_intervals": cfg["grid_points"]} if method == "ale" else {}
+        curve = getattr(explain, method)(predictor, flat.X, feat, class_index=target,
+                                         feature_names=flat.feature_names, **extra)
         stem = f"{method}_{feat}"
         run.write_text(run.path(out, stem + ".csv"), curve.to_csv(meta=run.meta_line))
         run.write_text(run.path(out, stem + ".svg"), curve.to_svg(meta=run.meta_line))
     elif method == "surrogate":
-        kind = cfg.get("surrogate_kind") or "tree"
-        _, report = explain.fit_global_surrogate(predictor, flat.X, kind)
-        run.write_json(run.path(out, "surrogate_report.json"), {
-            "kind": report.kind, "r2_per_class": report.r2_per_class,
-            "agreement": report.agreement, "degenerate": report.degenerate})
+        _, report = explain.fit_global_surrogate(predictor, flat.X, cfg["surrogate_kind"])
+        run.write_json(run.path(out, "surrogate_report.json"), dataclasses.asdict(report))
     else:
         raise SystemExit(f"unknown explain method {method!r}")
     return 0
@@ -354,31 +327,26 @@ def cmd_explain(args) -> int:
 # ----------------------------------------------------------------- project
 
 def cmd_project(args) -> int:
-    run = Run(args, ["data", "checkpoint", "layer", "bottleneck", "bottleneck_grid",
-                     "n1", "k", "epochs", "lr", "seed", "out"])
+    run = Run(args)
     cfg = run.cfg
     _require(cfg, "data", "checkpoint", "out")
-    if cfg.get("bottleneck") not in (None, 2):
+    if cfg["bottleneck"] != 2:
         raise SystemExit("the latent bottleneck is fixed at 2 (plotting plane)")
     out = cfg["out"]
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
     model = seqnet.load_checkpoint(cfg["checkpoint"])
-    acts = latent.capture_activations(model, seq, layer=int(cfg.get("layer") or 0))
-    epochs = int(cfg.get("epochs") or 400)
-    lr = float(cfg.get("lr") or 0.05)
-    k = int(cfg.get("k") or len(seq.label_names))
-    if cfg.get("bottleneck_grid"):
+    acts = latent.capture_activations(model, seq, layer=cfg["layer"])
+    k = cfg["k"] if cfg["k"] is not None else len(seq.label_names)
+    if cfg["bottleneck_grid"] is not None:
         candidates = [int(s) for s in str(cfg["bottleneck_grid"]).split(",")]
-        rows, projections = latent.grid_search_ae(acts, candidates, epochs=epochs,
-                                                  lr=lr, seed=run.seed, k=k)
+        rows, projections = latent.grid_search_ae(acts, candidates, epochs=cfg["epochs"],
+                                                  lr=cfg["lr"], seed=run.seed, k=k)
         run.write_json(run.path(out, "ae_grid.json"),
-                       {"rows": [{"n1": r.n1, "mse": r.mse,
-                                  "silhouette": r.silhouette, "best": r.best}
-                                 for r in rows]})
+                       {"rows": [dataclasses.asdict(r) for r in rows]})
         proj = projections[0]
     else:
-        ae = latent.fit_autoencoder(acts, n1=int(cfg.get("n1") or 8),
-                                    epochs=epochs, lr=lr, seed=run.seed)
+        ae = latent.fit_autoencoder(acts, n1=cfg["n1"], epochs=cfg["epochs"],
+                                    lr=cfg["lr"], seed=run.seed)
         proj = latent.project(ae, acts)
     report = latent.analyze_misclassifications(proj, k=k, seed=run.seed)
     run.write_csv(run.path(out, "projection.csv"), proj.to_csv())
@@ -397,7 +365,7 @@ def cmd_project(args) -> int:
 # -------------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    run = Run(args, ["spec", "seed", "out"])
+    run = Run(args)
     cfg = run.cfg
     _require(cfg, "spec", "out")
     with open(cfg["spec"], encoding="utf-8") as fh:
@@ -426,56 +394,37 @@ BENCH_SPEC = {
 
 
 def cmd_bench(args) -> int:
-    """Small deterministic end-to-end pipeline emitting every artifact kind."""
-    run = Run(args, ["seed", "out"])
+    """Small deterministic end-to-end pipeline emitting every artifact kind;
+    each stage is parsed and run as its own command line."""
+    run = Run(args)
     _require(run.cfg, "out")
     out = run.cfg["out"]
-    os.makedirs(out, exist_ok=True)
     spec_path = run.path(out, "bench_spec.json")
     run.write_text(spec_path, json.dumps(BENCH_SPEC, indent=2) + "\n")
-
-    ns = argparse.Namespace(config=None, spec=spec_path, seed=run.seed,
-                            out=os.path.join(out, "synth"))
-    cmd_synth(ns)
-    ns = argparse.Namespace(config=None, csv=os.path.join(out, "synth", "events.csv"),
-                            schema=os.path.join(out, "synth", "schema.json"),
-                            min_class=4, window=9, split=0.2, seed=run.seed,
-                            out=os.path.join(out, "data"))
-    cmd_ingest(ns)
-    ns = argparse.Namespace(config=None, data=os.path.join(out, "data"),
-                            model="forest", grid="60x8", split=None,
-                            seed=run.seed, out=os.path.join(out, "forest"),
-                            cv_k=3, min_leaf=1, lr=None)
-    cmd_train(ns)
-    ns = argparse.Namespace(config=None, data=os.path.join(out, "data"),
-                            model="lstm", grid="12x40", split=None, seed=run.seed,
-                            out=os.path.join(out, "lstm"), cv_k=None,
-                            min_leaf=None, lr=0.5)
-    cmd_train(ns)
-    flat = encode.FlatDataset.load(os.path.join(out, "data", "flat.xlg"))
-    age_class = flat.label_names.index("c_mix106")
-    ns = argparse.Namespace(config=None, data=os.path.join(out, "data"),
-                            checkpoint=os.path.join(out, "forest", "forest.json"),
-                            method="pick", instance=None, target=age_class,
-                            feature=None, k_features=4, n_samples=600,
-                            sigma=None, budget=2, grid_points=None,
-                            seed=run.seed, out=os.path.join(out, "explain"),
-                            surrogate_kind=None, max_candidates=5)
-    cmd_explain(ns)
-    ns = argparse.Namespace(config=None, data=os.path.join(out, "data"),
-                            checkpoint=os.path.join(out, "forest", "forest.json"),
-                            method="pdp", instance=None, target=age_class,
-                            feature="age", k_features=None, n_samples=None,
-                            sigma=None, budget=None, grid_points=None,
-                            seed=run.seed, out=os.path.join(out, "explain"),
-                            surrogate_kind=None, max_candidates=None)
-    cmd_explain(ns)
-    ns = argparse.Namespace(config=None, data=os.path.join(out, "data"),
-                            checkpoint=os.path.join(out, "lstm", "seqnet.xlg"),
-                            layer=0, bottleneck_grid=None, n1=6, k=3,
-                            epochs=150, lr=0.05, seed=run.seed,
-                            out=os.path.join(out, "latent"))
-    cmd_project(ns)
+    synth_dir, data = os.path.join(out, "synth"), os.path.join(out, "data")
+    # ingest keeps all three classes and numbers them in sorted label order
+    age_class = sorted(c["label"] for c in BENCH_SPEC["classes"]).index("c_mix106")
+    explain_args = ["explain", "--data", data, "--checkpoint",
+                    os.path.join(out, "forest", "forest.json"), "--target", age_class,
+                    "--out", os.path.join(out, "explain")]
+    parser = build_parser()
+    for argv in (
+            ["synth", "--spec", spec_path, "--out", synth_dir],
+            ["ingest", "--csv", os.path.join(synth_dir, "events.csv"),
+             "--schema", os.path.join(synth_dir, "schema.json"), "--min-class", 4,
+             "--window", 9, "--split", 0.2, "--out", data],
+            ["train", "--data", data, "--model", "forest", "--grid", "60x8", "--cv-k", 3,
+             "--min-leaf", 1, "--out", os.path.join(out, "forest")],
+            ["train", "--data", data, "--model", "lstm", "--grid", "12x40", "--lr", 0.5,
+             "--out", os.path.join(out, "lstm")],
+            [*explain_args, "--method", "pick", "--k-features", 4, "--n-samples", 600,
+             "--budget", 2, "--max-candidates", 5],
+            [*explain_args, "--method", "pdp", "--feature", "age"],
+            ["project", "--data", data, "--checkpoint", os.path.join(out, "lstm", "seqnet.xlg"),
+             "--layer", 0, "--n1", 6, "--k", 3, "--epochs", 150, "--lr", 0.05,
+             "--out", os.path.join(out, "latent")]):
+        stage = parser.parse_args([*map(str, argv), "--seed", str(run.seed)])
+        stage.func(stage)
     with open(os.path.join(out, "forest", "train_table.json"), encoding="utf-8") as fh:
         forest_table = json.load(fh)
     with open(os.path.join(out, "lstm", "train_table.json"), encoding="utf-8") as fh:
@@ -490,76 +439,88 @@ def cmd_bench(args) -> int:
 
 # --------------------------------------------------------------------- main
 
-def _add_common(p):
-    p.add_argument("--config", help="key = value config file; flags override")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+class _Parser(argparse.ArgumentParser):
+    """Leaves an omitted option ``None`` in the namespace, so ``Run`` can hash
+    the options as given before it fills in their declared defaults."""
+
+    def options(self) -> dict:
+        """Option dest -> its argparse action."""
+        return {a.dest: a for a in self._actions if a.default != argparse.SUPPRESS}
+
+    def parse_known_args(self, args=None, namespace=None):
+        if namespace is None:
+            namespace = argparse.Namespace(**dict.fromkeys(self.options()))
+        return super().parse_known_args(args, namespace)
+
+
+@functools.cache
+def _options(command) -> dict:
+    """The options ``build_parser`` declares for ``command``."""
+    return build_parser().options()["command"].choices[command].options()
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="xlog",
-                                     description=__doc__.splitlines()[0])
+    """Every subcommand option, each declared once with its type and default."""
+    parser = _Parser(prog="xlog", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse, clean and encode a CSV event log")
-    _add_common(p)
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--config", help="key = value config file; flags override")
+        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument("--out")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("ingest", cmd_ingest, "parse, clean and encode a CSV event log")
     p.add_argument("--csv")
     p.add_argument("--schema")
-    p.add_argument("--min-class", dest="min_class", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--split", type=float)
-    p.set_defaults(func=cmd_ingest)
+    p.add_argument("--min-class", type=int, default=30, help="drop rarer classes")
+    p.add_argument("--window", type=int, default=64, help="events kept per case")
+    p.add_argument("--split", type=float, default=0.2, help="test fraction per class")
 
-    p = sub.add_parser("train", help="grid-search and train a classifier")
-    _add_common(p)
+    p = command("train", cmd_train, "grid-search and train a classifier")
     p.add_argument("--data")
     p.add_argument("--model", choices=["forest", "dense", "lstm", "bilstm", "seqnet"])
     p.add_argument("--grid")
     p.add_argument("--split", type=float)
-    p.add_argument("--cv-k", dest="cv_k", type=int)
-    p.add_argument("--min-leaf", dest="min_leaf", type=int)
-    p.add_argument("--lr", type=float)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--cv-k", type=int, default=5, help="forest cross-validation folds")
+    p.add_argument("--min-leaf", type=int, default=1, help="forest rows per leaf")
+    p.add_argument("--lr", type=float, default=0.5, help="network learning rate")
 
-    p = sub.add_parser("explain", help="local/global explanations and curves")
-    _add_common(p)
+    p = command("explain", cmd_explain, "local/global explanations and curves")
     p.add_argument("--data")
     p.add_argument("--checkpoint")
     p.add_argument("--method", choices=["lime", "surrogate", "pdp", "ice", "ale", "pick"])
-    p.add_argument("--instance")
-    p.add_argument("--target", type=int)
-    p.add_argument("--feature")
-    p.add_argument("--k-features", dest="k_features", type=int)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--surrogate-kind", dest="surrogate_kind", choices=["linear", "tree"])
-    p.add_argument("--max-candidates", dest="max_candidates", type=int)
-    p.set_defaults(func=cmd_explain)
+    p.add_argument("--instance", help="comma list of case ids or row indices (lime)")
+    p.add_argument("--target", type=int,
+                   help="class index; None: the predicted class (lime) or 0 (curves)")
+    p.add_argument("--feature", help="feature name (pdp, ice, ale)")
+    p.add_argument("--k-features", type=int, default=5, help="LIME features kept")
+    p.add_argument("--n-samples", type=int, default=5000, help="LIME perturbations")
+    p.add_argument("--sigma", type=float, help="LIME kernel width; None: 0.75*sqrt(width)")
+    p.add_argument("--budget", type=int, default=3, help="explanations picked")
+    p.add_argument("--grid-points", type=int, default=10, help="ALE intervals")
+    p.add_argument("--surrogate-kind", choices=["linear", "tree"], default="tree",
+                   help="global surrogate model")
+    p.add_argument("--max-candidates", type=int, default=12, help="pick candidates")
 
-    p = sub.add_parser("project", help="autoencoder latent projection of hidden layers")
-    _add_common(p)
+    p = command("project", cmd_project, "autoencoder latent projection of hidden layers")
     p.add_argument("--data")
     p.add_argument("--checkpoint")
-    p.add_argument("--layer", type=int)
-    p.add_argument("--bottleneck", type=int)
-    p.add_argument("--bottleneck-grid", dest="bottleneck_grid",
-                   help="comma list of feeder widths n1 to grid-search")
-    p.add_argument("--n1", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.set_defaults(func=cmd_project)
+    p.add_argument("--layer", type=int, default=0, help="recurrent layer to capture")
+    p.add_argument("--bottleneck", type=int, default=2, help="latent width (fixed at 2)")
+    p.add_argument("--bottleneck-grid", help="comma list of feeder widths n1 to grid-search")
+    p.add_argument("--n1", type=int, default=8, help="feeder width without a grid")
+    p.add_argument("--k", type=int, help="clusters; None: the number of classes")
+    p.add_argument("--epochs", type=int, default=400, help="autoencoder epochs")
+    p.add_argument("--lr", type=float, default=0.05, help="autoencoder learning rate")
 
-    p = sub.add_parser("synth", help="generate a synthetic event log with planted truth")
-    _add_common(p)
+    p = command("synth", cmd_synth, "generate a synthetic event log with planted truth")
     p.add_argument("--spec")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("bench", help="deterministic end-to-end pipeline run")
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
+    command("bench", cmd_bench, "deterministic end-to-end pipeline run")
     return parser
 
 
