@@ -210,7 +210,7 @@ def _train_forest(run):
         f"{r['estimators']},{r['max_features']},{r['cv_accuracy']!r},{int(r['best'])}"
         for r in rows) + "\n"
     run.write_csv(run.path(out, "train_table.csv"), body)
-    run.write_json(run.path(out, "forest.json"), json.loads(forest.to_json(model)))
+    run.write_text(run.path(out, "forest.json"), forest.to_json(model, meta=run.meta) + "\n")
     imp = forest.gini_importance(model)
     run.write_json(run.path(out, "importance.json"), json.loads(imp.to_json()))
     run.write_text(run.path(out, "importance.svg"), imp.to_svg(k=5, meta=run.meta_line))
@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("ingest", cmd_ingest, "parse, clean and encode a CSV event log")
     p.add_argument("--csv")
     p.add_argument("--schema")
-    p.add_argument("--min-class", type=int, default=30, help="drop rarer classes")
+    p.add_argument("--min-class", type=int, default=30, help="fewest cases a kept class may have")
     p.add_argument("--window", type=int, default=64, help="events kept per case")
     p.add_argument("--split", type=float, default=0.2, help="test fraction per class")
 
@@ -484,9 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--model", choices=["forest", "dense", "lstm", "bilstm", "seqnet"])
     p.add_argument("--grid")
-    p.add_argument("--split", type=float)
     p.add_argument("--cv-k", type=int, default=5, help="forest cross-validation folds")
-    p.add_argument("--min-leaf", type=int, default=1, help="forest rows per leaf")
+    p.add_argument("--min-leaf", type=int, default=1, help="fewest rows per forest leaf")
     p.add_argument("--lr", type=float, default=0.5, help="network learning rate")
 
     p = command("explain", cmd_explain, "local/global explanations and curves")
@@ -495,11 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["lime", "surrogate", "pdp", "ice", "ale", "pick"])
     p.add_argument("--instance", help="comma list of case ids or row indices (lime)")
     p.add_argument("--target", type=int,
-                   help="class index; None: the predicted class (lime) or 0 (curves)")
+                   help="class index; omitted: the predicted class (lime) or 0 (curves)")
     p.add_argument("--feature", help="feature name (pdp, ice, ale)")
     p.add_argument("--k-features", type=int, default=5, help="LIME features kept")
     p.add_argument("--n-samples", type=int, default=5000, help="LIME perturbations")
-    p.add_argument("--sigma", type=float, help="LIME kernel width; None: 0.75*sqrt(width)")
+    p.add_argument("--sigma", type=float, help="LIME kernel width; omitted: 0.75*sqrt(columns)")
     p.add_argument("--budget", type=int, default=3, help="explanations picked")
     p.add_argument("--grid-points", type=int, default=10, help="ALE intervals")
     p.add_argument("--surrogate-kind", choices=["linear", "tree"], default="tree",
@@ -513,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bottleneck", type=int, default=2, help="latent width (fixed at 2)")
     p.add_argument("--bottleneck-grid", help="comma list of feeder widths n1 to grid-search")
     p.add_argument("--n1", type=int, default=8, help="feeder width without a grid")
-    p.add_argument("--k", type=int, help="clusters; None: the number of classes")
+    p.add_argument("--k", type=int, help="k-means clusters; omitted: the number of classes")
     p.add_argument("--epochs", type=int, default=400, help="autoencoder epochs")
     p.add_argument("--lr", type=float, default=0.05, help="autoencoder learning rate")
 

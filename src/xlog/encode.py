@@ -37,12 +37,6 @@ class Vocabulary:
     def index(self, feature: str, token: str) -> int:
         return self.maps.get(feature, {}).get(token, 0)
 
-    def decode(self, feature: str, index: int) -> str | None:
-        for tok, i in self.maps.get(feature, {}).items():
-            if i == index:
-                return tok
-        return None
-
     def size(self, feature: str) -> int:
         return len(self.maps.get(feature, {}))
 
@@ -147,23 +141,6 @@ class SequenceDataset:
                    feature_names=meta["feature_names"], cat_sizes=meta["cat_sizes"],
                    case_ids=meta.get("case_ids", []))
 
-    def to_json(self) -> str:
-        """Whole-dataset JSON, for small test fixtures only."""
-        return json.dumps({
-            "X": self.X.tolist(), "mask": self.mask.tolist(),
-            "Y": self.Y.tolist(), "T": self.T, "label_names": self.label_names,
-            "feature_names": self.feature_names, "cat_sizes": self.cat_sizes,
-            "case_ids": self.case_ids})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SequenceDataset":
-        d = json.loads(text)
-        return cls(X=np.asarray(d["X"], dtype=float),
-                   mask=np.asarray(d["mask"], dtype=bool),
-                   Y=np.asarray(d["Y"], dtype=np.int64), T=d["T"],
-                   label_names=d["label_names"], feature_names=d["feature_names"],
-                   cat_sizes=d["cat_sizes"], case_ids=d.get("case_ids", []))
-
 
 @dataclass
 class FlatDataset:
@@ -193,21 +170,6 @@ class FlatDataset:
         return cls(X=arrays["X"], Y=arrays["Y"], feature_names=meta["feature_names"],
                    label_names=meta["label_names"], categorical=meta["categorical"],
                    case_ids=meta.get("case_ids", []))
-
-    def to_json(self) -> str:
-        """Whole-dataset JSON, for small test fixtures only."""
-        return json.dumps({
-            "X": self.X.tolist(), "Y": self.Y.tolist(),
-            "feature_names": self.feature_names, "label_names": self.label_names,
-            "categorical": self.categorical, "case_ids": self.case_ids})
-
-    @classmethod
-    def from_json(cls, text: str) -> "FlatDataset":
-        d = json.loads(text)
-        return cls(X=np.asarray(d["X"], dtype=float),
-                   Y=np.asarray(d["Y"], dtype=np.int64),
-                   feature_names=d["feature_names"], label_names=d["label_names"],
-                   categorical=d["categorical"], case_ids=d.get("case_ids", []))
 
 
 def _write_manifest(path, ds, meta: dict | None = None) -> None:

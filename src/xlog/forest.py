@@ -278,8 +278,8 @@ def gini_importance(model: ForestModel) -> ImportanceReport:
     return ImportanceReport(model.feature_names, total / s)
 
 
-def to_json(model: ForestModel) -> str:
-    return json.dumps({
+def to_json(model: ForestModel, meta: dict | None = None) -> str:
+    payload = {
         "kind": "forest",
         "n_estimators": model.n_estimators,
         "max_features": model.max_features,
@@ -292,7 +292,10 @@ def to_json(model: ForestModel) -> str:
                    "left": t.left.tolist(), "right": t.right.tolist(),
                    "histogram": t.histogram.astype(np.int64).ravel().tolist()}
                   for t in model.trees],
-    })
+    }
+    if meta:
+        payload["meta"] = meta
+    return json.dumps(payload)
 
 
 def from_json(text: str) -> ForestModel:

@@ -110,7 +110,9 @@ def test_train_forest_grid_table(pipeline):
     assert len(table["rows"]) == 2
     assert sum(r["best"] for r in table["rows"]) == 1
     assert "test_accuracy" in table["rows"][0]
-    assert (out / "forest.json").exists()
+    checkpoint = (out / "forest.json").read_text()
+    assert checkpoint.count("\n") == 1  # one compact line
+    assert json.loads(checkpoint)["meta"]["config_hash"] == table["meta"]["config_hash"]
     assert (out / "importance.svg").read_text().startswith("<svg")
     csv_lines = (out / "train_table.csv").read_text().splitlines()
     assert csv_lines[0].startswith("# config=")
@@ -291,6 +293,64 @@ def test_failure_removes_partial_files(tmp_path, monkeypatch):
     assert code == 1
     leftovers = [p for p in (tmp_path / "f").glob("*")] if (tmp_path / "f").exists() else []
     assert leftovers == []
+
+
+def files_under(path):
+    return sorted(p for p in path.rglob("*") if p.is_file()) if path.exists() else []
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("ingest", ["--window", 0]),
+    ("explain", ["--sigma", 0]),
+    ("explain", ["--n-samples", 0]),
+], ids=["window", "sigma", "n-samples"])
+def test_explicit_zero_reaches_library_range_check(trained, command, flag):
+    out = trained / "zero"
+    if command == "ingest":
+        argv = ["ingest", "--csv", trained / "synth" / "events.csv",
+                "--schema", trained / "synth" / "schema.json", "--min-class", 4]
+    else:
+        argv = ["explain", "--data", trained / "data", "--method", "lime", "--instance", 0,
+                "--checkpoint", trained / "forest" / "forest.json", "--n-samples", 50]
+    assert run(*argv, *flag, "--seed", 1, "--out", out) == 1
+    assert files_under(out) == []
+
+
+def test_omitted_options_take_declared_defaults_after_hashing(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('window = "12"\nsplit = 0.25\n', encoding="utf-8")
+    parser = cli.build_parser()
+    base = ["ingest", "--csv", "e.csv", "--schema", "s.json", "--out", "o"]
+    omitted = cli.Run(parser.parse_args(base))
+    explicit = cli.Run(parser.parse_args([*base, "--window", "64", "--min-class", "30"]))
+    configured = cli.Run(parser.parse_args([*base, "--config", str(cfg)]))
+    assert omitted.cfg["window"] == explicit.cfg["window"] == 64
+    assert omitted.cfg["min_class"] == 30 and omitted.cfg["split"] == 0.2
+    assert omitted.seed == 0 and omitted.cfg["seed"] == 0
+    assert omitted.config_hash != explicit.config_hash  # hashed as given
+    assert configured.cfg["window"] == 12 and configured.cfg["split"] == 0.25
+
+
+def test_train_has_no_split_flag_but_config_split_key_works(pipeline):
+    with pytest.raises(SystemExit):
+        run("train", "--data", pipeline / "data", "--model", "forest", "--grid", "10x4",
+            "--split", "0.3", "--out", pipeline / "nosplit")
+    cfg = pipeline / "shared.cfg"
+    cfg.write_text("split = 0.3\ncv_k = 2\n", encoding="utf-8")
+    assert run("train", "--config", cfg, "--data", pipeline / "data", "--model", "forest",
+               "--grid", "10x4", "--seed", 1, "--out", pipeline / "cfgsplit") == 0
+
+
+def test_bench_failure_in_late_stage_removes_every_file(tmp_path, monkeypatch):
+    from xlog import latent
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("autoencoder failed")
+
+    monkeypatch.setattr(latent, "fit_autoencoder", boom)
+    out = tmp_path / "bench"
+    assert run("bench", "--seed", 11, "--out", out) == 1
+    assert files_under(out) == []
 
 
 def test_bench_runs_and_is_byte_deterministic(tmp_path):
