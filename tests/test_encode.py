@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -248,9 +250,32 @@ def test_dataset_save_load_roundtrip(tmp_path):
     assert np.array_equal(seq.mask, seq2.mask)
     assert np.array_equal(seq.Y, seq2.Y) and seq2.T == seq.T
     assert seq2.cat_sizes == seq.cat_sizes
-    assert (seq2.label_names, seq2.feature_names, seq2.case_ids) == \
-        (seq.label_names, seq.feature_names, seq.case_ids)
     assert np.array_equal(flat.X, flat2.X) and np.array_equal(flat.Y, flat2.Y)
     assert flat2.feature_names == flat.feature_names
     assert flat2.categorical == flat.categorical
+
+
+def test_dataset_json_fixture_roundtrip(tmp_path):
+    """The JSON manifest beside each container carries the non-array fields."""
+    log = small_log()
+    vocab = build_vocab(log, CATS)
+    seq = encode_sequences(log, vocab, T=3)
+    flat = encode_flat(log, vocab, L=3)
+    seq.save(tmp_path / "seq.xlg", meta={"seed": 0})
+    flat.save(tmp_path / "flat.xlg")
+    seq_manifest = json.loads((tmp_path / "seq.xlg.json").read_text(encoding="utf-8"))
+    flat_manifest = json.loads((tmp_path / "flat.xlg.json").read_text(encoding="utf-8"))
+    assert seq_manifest == {
+        "label_names": seq.label_names, "feature_names": seq.feature_names,
+        "case_ids": seq.case_ids, "cat_sizes": seq.cat_sizes, "T": 3,
+        "meta": {"seed": 0},
+    }
+    assert flat_manifest == {
+        "label_names": flat.label_names, "feature_names": flat.feature_names,
+        "case_ids": flat.case_ids, "categorical": flat.categorical,
+    }
+    seq2 = SequenceDataset.load(tmp_path / "seq.xlg")
+    flat2 = FlatDataset.load(tmp_path / "flat.xlg")
+    assert (seq2.label_names, seq2.feature_names, seq2.case_ids) == \
+        (seq.label_names, seq.feature_names, seq.case_ids)
     assert (flat2.label_names, flat2.case_ids) == (flat.label_names, flat.case_ids)
