@@ -93,9 +93,9 @@ class Run:
         return os.path.join(out_dir, name)
 
     def write_text(self, path, text) -> None:
+        self.written.append(path)  # before the write, so a partial file is cleaned up too
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        self.written.append(path)
 
     def write_json(self, path, payload: dict) -> None:
         self.write_text(path, json.dumps({**payload, "meta": self.meta}, indent=2) + "\n")
@@ -133,8 +133,8 @@ def cmd_ingest(args) -> int:
     flat = encode.flatten_sequences(seq)
     out = cfg["out"]
     for name, dataset in (("sequences.xlg", seq), ("flat.xlg", flat)):
-        dataset.save(run.path(out, name), meta=run.meta)
         run.written += [run.path(out, name), run.path(out, name + ".json")]
+        dataset.save(run.path(out, name), meta=run.meta)
     run.write_text(run.path(out, "vocab.json"), vocab.to_json(meta=run.meta) + "\n")
     run.write_json(run.path(out, "cleaning_report.json"),
                    json.loads(report.to_json()) | {"issues": clean.issues})
@@ -231,8 +231,8 @@ def _train_seqnet(run):
         f"{r['loss']!r},{int(r['best'])}" for r in rows) + "\n"
     run.write_csv(run.path(out, "train_table.csv"), body)
     best = models[0]
-    seqnet.save_checkpoint(run.path(out, "seqnet.xlg"), best)
     run.written += [run.path(out, "seqnet.xlg"), run.path(out, "seqnet.xlg.json")]
+    seqnet.save_checkpoint(run.path(out, "seqnet.xlg"), best)
     curve = best.curve
     body = "epoch,train_loss,train_acc,val_loss,val_acc\n" + "\n".join(
         ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)

@@ -228,6 +228,7 @@ def perturb(instance, X, n_samples: int, seed: int, categorical):
     categorical = np.asarray(categorical, dtype=bool)
     rng = np.random.default_rng(seed)
     samples = np.tile(instance, (n_samples, 1))
+    sd = np.zeros(n_features)
     for j in range(n_features):
         col = X[:, j]
         if categorical[j]:
@@ -235,16 +236,14 @@ def perturb(instance, X, n_samples: int, seed: int, categorical):
             draws = rng.choice(col, size=n_samples, replace=True)
             samples[~keep, j] = draws[~keep]
         else:
-            sd = float(col.std())
-            samples[:, j] = instance[j] + sd * rng.standard_normal(n_samples)
+            # per column: X.std(axis=0) sums in another order and moves last bits
+            sd[j] = float(col.std())
+            samples[:, j] = instance[j] + sd[j] * rng.standard_normal(n_samples)
     samples[0] = instance
+    numeric = ~categorical
     Z = np.empty((n_samples, n_features))
-    for j in range(n_features):
-        if categorical[j]:
-            Z[:, j] = (samples[:, j] == instance[j]).astype(float)
-        else:
-            sd = float(X[:, j].std())
-            Z[:, j] = (np.abs(samples[:, j] - instance[j]) <= 0.5 * sd).astype(float)
+    Z[:, categorical] = samples[:, categorical] == instance[categorical]
+    Z[:, numeric] = np.abs(samples[:, numeric] - instance[numeric]) <= 0.5 * sd[numeric]
     return samples, Z
 
 
@@ -277,46 +276,49 @@ def _wls(Z, y, w, ridge: float):
     return float(beta[0]), beta[1:], float(np.sum(w * resid * resid))
 
 
+#: relative width, in units of yᵀWy, of the band of near-best Gram scores that
+#: ``_forward_select`` scores again from the rows; the Gram form's rounding
+#: error is a few ulps of yᵀWy
+TIE_TOL = 1e-9
+
+
 def _forward_select(Z, y, w, K: int, ridge: float):
-    """Greedy selection of K columns by weighted residual reduction."""
+    """Greedy selection of K columns by weighted residual reduction.
+
+    ``G = AᵀWA``, ``c = AᵀWy`` and ``yᵀWy`` over ``A = [1, Z]`` are formed
+    once. Each step solves every remaining candidate's ridge system (the
+    selected columns plus the candidate, intercept unpenalized) in one batched
+    solve and scores it by its weighted SSE, ``yᵀWy − 2βᵀc_S + βᵀG_Sβ``.
+    Candidates within ``TIE_TOL · yᵀWy`` of the best score are scored again
+    by ``_wls`` from the rows, so ties (duplicate columns, exact fits) resolve
+    as a per-candidate fit resolves them: the first minimum wins.
+    """
+    A = np.hstack([np.ones((len(Z), 1)), Z])
+    Aw = A * w[:, None]
+    G = A.T @ Aw
+    c = Aw.T @ y
+    yy = float(y @ (w * y))
     selected: list[int] = []
-    remaining = list(range(Z.shape[1]))
-    for _ in range(min(K, Z.shape[1])):
-        best = None
-        for j in remaining:
-            cols = selected + [j]
-            _, _, sse = _wls(Z[:, cols], y, w, ridge)
-            if best is None or sse < best[0]:
-                best = (sse, j)
-        selected.append(best[1])
-        remaining.remove(best[1])
+    remaining = np.arange(Z.shape[1])
+    for k in range(min(K, Z.shape[1])):
+        S = np.zeros((len(remaining), k + 2), dtype=np.int64)  # columns of A
+        S[:, 1:-1] = np.add(selected, 1)
+        S[:, -1] = remaining + 1
+        G_S = G[S[:, :, None], S[:, None, :]]
+        c_S = c[S]
+        reg = ridge * np.eye(k + 2); reg[0, 0] = 0.0
+        beta = np.linalg.solve(G_S + reg, c_S[:, :, None])[:, :, 0]
+        sse = (yy - 2.0 * np.einsum("ri,ri->r", beta, c_S)
+               + np.einsum("ri,rij,rj->r", beta, G_S, beta))
+        best = int(np.argmin(sse))
+        near = np.flatnonzero(sse <= sse[best] + TIE_TOL * yy)
+        if len(near) > 1:
+            exact = [_wls(Z[:, selected + [int(remaining[r])]], y, w, ridge)[2]
+                     for r in near]
+            best = int(near[np.argmin(exact)])
+        selected.append(int(remaining[best]))
+        remaining = np.delete(remaining, best)
     return sorted(selected)
-
-
-def _lasso_select(Z, y, w, K: int, n_iter: int = 200):
-    """Coordinate-descent lasso path; shrink lambda until K columns survive."""
-    sw = np.sqrt(w)
-    Zw = Z * sw[:, None]
-    yw = y * sw
-    Zc = Zw - Zw.mean(axis=0)
-    yc = yw - yw.mean()
-    lam_max = np.max(np.abs(Zc.T @ yc)) / len(y)
-    lam = lam_max
-    beta = np.zeros(Z.shape[1])
-    col_sq = (Zc * Zc).sum(axis=0) / len(y)
-    for _ in range(60):
-        for _ in range(n_iter):
-            for j in range(Z.shape[1]):
-                if col_sq[j] == 0:
-                    continue
-                r = yc - Zc @ beta + Zc[:, j] * beta[j]
-                rho = float(Zc[:, j] @ r) / len(y)
-                beta[j] = np.sign(rho) * max(abs(rho) - lam, 0.0) / col_sq[j]
-        if np.count_nonzero(beta) >= K or lam < 1e-10:
-            break
-        lam *= 0.7
-    order = np.argsort(-np.abs(beta), kind="stable")
-    return sorted(int(j) for j in order[:K] if beta[j] != 0.0) or [int(order[0])]
 
 
 @dataclass
@@ -353,7 +355,7 @@ def lime_explain(predictor, instance, X, class_index: int, K: int,
                  n_samples: int = 5000, sigma: float | None = None,
                  seed: int = 0, categorical=None, feature_names=None,
                  instance_id: str = "0", class_label: str | None = None,
-                 selection: str = "forward", ridge: float = 1e-3) -> Explanation:
+                 ridge: float = 1e-3) -> Explanation:
     """Local surrogate: perturb, weight by kernel similarity, select K
     features, then ridge-regularized weighted least squares."""
     if K < 1:
@@ -377,10 +379,7 @@ def lime_explain(predictor, instance, X, class_index: int, K: int,
         return Explanation(instance_id=instance_id, target_class=label,
                            weights={}, intercept=wmean, fidelity=float("nan"),
                            kernel_width=float(sigma), degenerate=True)
-    if selection == "lasso":
-        cols = _lasso_select(Z, y, w, K)
-    else:
-        cols = _forward_select(Z, y, w, K, ridge)
+    cols = _forward_select(Z, y, w, K, ridge)
     intercept, coefs, sse = _wls(Z[:, cols], y, w, ridge)
     weights = {feature_names[j]: float(c) for j, c in zip(cols, coefs)}
     return Explanation(instance_id=instance_id, target_class=label,

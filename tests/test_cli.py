@@ -79,6 +79,24 @@ def test_ingest_encodes_sequences_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_ingest_manifest_failure_leaves_no_container(tmp_path, monkeypatch):
+    from xlog import encode
+
+    def boom(*args, **kwargs):
+        raise OSError("disk full")
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
+    assert run("synth", "--spec", spec_path, "--seed", 3,
+               "--out", tmp_path / "synth") == 0
+    monkeypatch.setattr(encode, "_write_manifest", boom)
+    out = tmp_path / "data"
+    assert run("ingest", "--csv", tmp_path / "synth" / "events.csv",
+               "--schema", tmp_path / "synth" / "schema.json",
+               "--min-class", 4, "--window", 7, "--seed", 3, "--out", out) == 1
+    assert files_under(out) == []
+
+
 def test_ingest_imputes_unlabeled_case(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC), encoding="utf-8")

@@ -213,6 +213,51 @@ def test_perturb_categorical_keep_rate_matches_analytic():
     assert Z[:, 0].mean() == pytest.approx(0.75, abs=0.02)
 
 
+def perturb_oracle(instance, X, n_samples, seed, categorical):
+    """``perturb`` as first written: std computed twice, Z built per column."""
+    X = np.asarray(X, dtype=float)
+    instance = np.asarray(instance, dtype=float)
+    n_features = X.shape[1]
+    categorical = np.asarray(categorical, dtype=bool)
+    rng = np.random.default_rng(seed)
+    samples = np.tile(instance, (n_samples, 1))
+    for j in range(n_features):
+        col = X[:, j]
+        if categorical[j]:
+            keep = rng.random(n_samples) < 0.5
+            draws = rng.choice(col, size=n_samples, replace=True)
+            samples[~keep, j] = draws[~keep]
+        else:
+            sd = float(col.std())
+            samples[:, j] = instance[j] + sd * rng.standard_normal(n_samples)
+    samples[0] = instance
+    Z = np.empty((n_samples, n_features))
+    for j in range(n_features):
+        if categorical[j]:
+            Z[:, j] = (samples[:, j] == instance[j]).astype(float)
+        else:
+            sd = float(X[:, j].std())
+            Z[:, j] = (np.abs(samples[:, j] - instance[j]) <= 0.5 * sd).astype(float)
+    return samples, Z
+
+
+def test_perturb_bitwise_equals_oracle():
+    gen = np.random.default_rng(21)
+    for case in range(60):
+        rows, F = int(gen.integers(1, 40)), int(gen.integers(1, 30))
+        kind = gen.integers(0, 3, size=F)  # categorical, numeric, zero-variance numeric
+        X = np.where(kind == 0, gen.integers(0, 4, size=(rows, F)),
+                     gen.normal(50.0, 20.0, size=(rows, F)))
+        X[:, kind == 2] = gen.normal(size=int(np.sum(kind == 2)))
+        inst = X[int(gen.integers(rows))].copy()
+        if case % 3 == 0:
+            inst[kind == 1] += gen.normal(size=int(np.sum(kind == 1)))  # off-background
+        n = int(gen.integers(1, 300))
+        got = perturb(inst, X, n, seed=case, categorical=kind == 0)
+        want = perturb_oracle(inst, X, n, seed=case, categorical=kind == 0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_kernel_weight_reference_points():
     assert kernel_weight(0.0, 2.0) == 1.0
     assert float(kernel_weight(2.0, 2.0)) == pytest.approx(math.exp(-1.0))  # ~0.3679
@@ -280,13 +325,66 @@ def test_lime_constant_predictor_flagged(rng):
     assert exp.degenerate and exp.weights == {}
 
 
-def test_lime_lasso_mode_agrees_on_support(rng):
-    beta = np.asarray([0.08, 0.0, -0.06, 0.0])
-    predictor = linear_predictor(beta, intercept=0.4)
-    bg = rng.integers(0, 2, size=(150, 4)).astype(float)
-    exp = lime_explain(predictor, np.ones(4), bg, 1, K=2, n_samples=3000,
-                       seed=1, categorical=[True] * 4, selection="lasso")
-    assert set(exp.weights) == {"x0", "x2"}
+def forward_select_oracle(Z, y, w, K, ridge):
+    """Greedy selection as first written: one ``_wls`` fit per candidate per
+    step. Returns the columns in pick order."""
+    selected = []
+    remaining = list(range(Z.shape[1]))
+    for _ in range(min(K, Z.shape[1])):
+        best = None
+        for j in remaining:
+            _, _, sse = explain._wls(Z[:, selected + [j]], y, w, ridge)
+            if best is None or sse < best[0]:
+                best = (sse, j)
+        selected.append(best[1])
+        remaining.remove(best[1])
+    return selected
+
+
+def selection_case(case):
+    gen = np.random.default_rng([31, case])
+    n, F = int(gen.integers(2, 50)), int(gen.integers(1, 36))
+    K = int(gen.integers(1, min(F, 12) + 4))  # K >= F whenever F < K
+    Z = (gen.random((n, F)) < gen.uniform(0.2, 0.9)).astype(float)
+    if F > 1:
+        for _ in range(int(gen.integers(0, 3))):
+            a, b = gen.choice(F, 2, replace=False)
+            Z[:, b] = Z[:, a]
+        Z[:, int(gen.integers(F))] = 1.0
+        Z[:, int(gen.integers(F))] = 0.0
+    w = np.exp(-gen.uniform(0, 3, n) ** 2)
+    zero = gen.random(n) < 0.2
+    zero[int(gen.integers(n))] = False
+    w[zero] = 0.0
+    y = Z @ gen.normal(size=F) + gen.normal() if case % 2 else gen.random(n)
+    ridge = (1e-3, 1e-3, 1e-6, 1.0)[case % 4]
+    return Z, y, w, K, ridge
+
+
+def test_forward_select_equals_per_candidate_oracle():
+    # duplicate, all-ones and all-zero columns, zero-weight rows, exact
+    # linear fits and more columns than rows all make ties or near-ties
+    # that the Gram scores alone cannot order the way the oracle does
+    wide = full = 0
+    for case in range(600):
+        Z, y, w, K, ridge = selection_case(case)
+        want = forward_select_oracle(Z, y, w, K, ridge)
+        assert explain._forward_select(Z, y, w, K, ridge) == sorted(want), case
+        wide += Z.shape[1] >= len(Z)
+        full += K >= Z.shape[1]
+    assert wide > 100 and full > 50
+
+
+def test_forward_select_breaks_exact_ties_by_first_column():
+    gen = np.random.default_rng(5)
+    Z = (gen.random((40, 6)) < 0.5).astype(float)
+    Z[:, 4] = Z[:, 1]
+    Z[:, 5] = Z[:, 1]
+    y = 0.3 * Z[:, 1] + 0.1 * gen.random(40)
+    w = np.ones(40)
+    assert explain._forward_select(Z, y, w, 1, 1e-3) == [1]
+    picks = explain._forward_select(Z, y, w, 3, 1e-3)
+    assert picks == sorted(forward_select_oracle(Z, y, w, 3, 1e-3))
 
 
 def test_lime_age_rule_shows_age_with_positive_weight():
