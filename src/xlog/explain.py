@@ -242,7 +242,7 @@ def perturb(instance, X, n_samples: int, seed: int, categorical):
     samples[0] = instance
     numeric = ~categorical
     Z = np.empty((n_samples, n_features))
-    Z[:, categorical] = samples[:, categorical] == instance[categorical]
+    np.equal(samples, instance, out=Z)  # the categorical test; numeric columns follow
     Z[:, numeric] = np.abs(samples[:, numeric] - instance[numeric]) <= 0.5 * sd[numeric]
     return samples, Z
 
@@ -285,27 +285,36 @@ TIE_TOL = 1e-9
 def _forward_select(Z, y, w, K: int, ridge: float):
     """Greedy selection of K columns by weighted residual reduction.
 
-    ``G = AᵀWA``, ``c = AᵀWy`` and ``yᵀWy`` over ``A = [1, Z]`` are formed
-    once. Each step solves every remaining candidate's ridge system (the
-    selected columns plus the candidate, intercept unpenalized) in one batched
-    solve and scores it by its weighted SSE, ``yᵀWy − 2βᵀc_S + βᵀG_Sβ``.
-    Candidates within ``TIE_TOL · yᵀWy`` of the best score are scored again
-    by ``_wls`` from the rows, so ties (duplicate columns, exact fits) resolve
-    as a per-candidate fit resolves them: the first minimum wins.
+    Works from the weighted Gram matrix ``G = AᵀWA`` over ``A = [1, Z]``, of
+    which a step needs only the diagonal and the rows of the intercept and
+    the selected columns: one matrix-vector product per selected column,
+    never the whole (F + 1)² matrix. Each step solves every remaining
+    candidate's ridge system (the selected columns plus the candidate,
+    intercept unpenalized) in one batched solve and scores it by its weighted
+    SSE, ``yᵀWy − 2βᵀc_S + βᵀG_Sβ`` with ``c = AᵀWy``. Candidates within
+    ``TIE_TOL · yᵀWy`` of the best score are scored again by ``_wls`` from
+    the rows, so ties (duplicate columns, exact fits) resolve as one fit per
+    candidate resolves them: the first minimum wins.
     """
-    A = np.hstack([np.ones((len(Z), 1)), Z])
-    Aw = A * w[:, None]
-    G = A.T @ Aw
-    c = Aw.T @ y
+    rows = [np.concatenate([[w.sum()], w @ Z])]  # G rows: intercept, then each pick
+    diag = np.einsum("ij,ij,i->j", Z, Z, w)
+    c = np.concatenate([[w @ y], (w * y) @ Z])
     yy = float(y @ (w * y))
     selected: list[int] = []
     remaining = np.arange(Z.shape[1])
     for k in range(min(K, Z.shape[1])):
-        S = np.zeros((len(remaining), k + 2), dtype=np.int64)  # columns of A
-        S[:, 1:-1] = np.add(selected, 1)
-        S[:, -1] = remaining + 1
-        G_S = G[S[:, :, None], S[:, None, :]]
-        c_S = c[S]
+        if selected:
+            j = selected[-1]
+            rows.append(np.concatenate([[rows[0][j + 1]], (w * Z[:, j]) @ Z]))
+        G_rows = np.asarray(rows)
+        fixed = [0] + [j + 1 for j in selected]  # intercept and picks, as columns of A
+        G_S = np.empty((len(remaining), k + 2, k + 2))
+        G_S[:, :-1, :-1] = G_rows[:, fixed]
+        G_S[:, :-1, -1] = G_S[:, -1, :-1] = G_rows[:, remaining + 1].T
+        G_S[:, -1, -1] = diag[remaining]
+        c_S = np.empty((len(remaining), k + 2))
+        c_S[:, :-1] = c[fixed]
+        c_S[:, -1] = c[remaining + 1]
         reg = ridge * np.eye(k + 2); reg[0, 0] = 0.0
         beta = np.linalg.solve(G_S + reg, c_S[:, :, None])[:, :, 0]
         sse = (yy - 2.0 * np.einsum("ri,ri->r", beta, c_S)

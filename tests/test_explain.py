@@ -344,7 +344,7 @@ def forward_select_oracle(Z, y, w, K, ridge):
 def selection_case(case):
     gen = np.random.default_rng([31, case])
     n, F = int(gen.integers(2, 50)), int(gen.integers(1, 36))
-    K = int(gen.integers(1, min(F, 12) + 4))  # K >= F whenever F < K
+    K = int(gen.integers(1, min(F, 12) + 4))  # K >= F in about one case in five
     Z = (gen.random((n, F)) < gen.uniform(0.2, 0.9)).astype(float)
     if F > 1:
         for _ in range(int(gen.integers(0, 3))):
@@ -357,7 +357,7 @@ def selection_case(case):
     zero[int(gen.integers(n))] = False
     w[zero] = 0.0
     y = Z @ gen.normal(size=F) + gen.normal() if case % 2 else gen.random(n)
-    ridge = (1e-3, 1e-3, 1e-6, 1.0)[case % 4]
+    ridge = (1e-3, 1e-3, 1e-6, 1.0)[case // 2 % 4]
     return Z, y, w, K, ridge
 
 
@@ -373,18 +373,6 @@ def test_forward_select_equals_per_candidate_oracle():
         wide += Z.shape[1] >= len(Z)
         full += K >= Z.shape[1]
     assert wide > 100 and full > 50
-
-
-def test_forward_select_breaks_exact_ties_by_first_column():
-    gen = np.random.default_rng(5)
-    Z = (gen.random((40, 6)) < 0.5).astype(float)
-    Z[:, 4] = Z[:, 1]
-    Z[:, 5] = Z[:, 1]
-    y = 0.3 * Z[:, 1] + 0.1 * gen.random(40)
-    w = np.ones(40)
-    assert explain._forward_select(Z, y, w, 1, 1e-3) == [1]
-    picks = explain._forward_select(Z, y, w, 3, 1e-3)
-    assert picks == sorted(forward_select_oracle(Z, y, w, 3, 1e-3))
 
 
 def test_lime_age_rule_shows_age_with_positive_weight():
