@@ -4,9 +4,10 @@
 Recurrent summaries read the hidden state at each case's last real event, so
 padded timesteps can never leak into predictions or gradients. The BiLSTM
 runs a second cell over the sequence reversed within its mask and
-concatenates both final states. Training keeps per-step caches for BPTT;
-inference keeps only the running state, so its memory does not grow with
-the number of timesteps.
+concatenates both final states. Training and inference share one forward
+pass and one LSTM scan: training embeds the batch once and keeps per-step
+caches for BPTT; inference embeds one timestep at a time and keeps only the
+running state, so its memory does not grow with the number of timesteps.
 """
 
 from __future__ import annotations
@@ -90,11 +91,16 @@ class SeqNetModel:
         return self.embed_dim * len(self.cat_columns) + len(self.num_columns)
 
     def summary_width(self) -> int:
-        if self.arch == "lstm":
-            return self.nodes
-        if self.arch == "bilstm":
-            return 2 * self.nodes
-        return self.input_dim
+        n = len(_directions(self.arch))
+        return n * self.nodes if n else self.input_dim
+
+
+def _directions(arch: str):
+    """(weight, bias, reversed) parameter names of each recurrent direction,
+    in summary order; the pooled dense architecture has none."""
+    return {"lstm": [("lstm_W", "lstm_b", False)],
+            "bilstm": [("lstm_W_fwd", "lstm_b_fwd", False),
+                       ("lstm_W_bwd", "lstm_b_bwd", True)]}.get(arch, [])
 
 
 def build_model(arch: str, nodes: int, feature_names, cat_sizes, label_names,
@@ -121,14 +127,9 @@ def build_model(arch: str, nodes: int, feature_names, cat_sizes, label_names,
         b[H:2 * H] = 1.0  # forget gate opens toward remembering early events
         return b
 
-    if arch == "lstm":
-        p["lstm_W"] = uniform((D + H, 4 * H), D + H)
-        p["lstm_b"] = lstm_bias()
-    elif arch == "bilstm":
-        p["lstm_W_fwd"] = uniform((D + H, 4 * H), D + H)
-        p["lstm_b_fwd"] = lstm_bias()
-        p["lstm_W_bwd"] = uniform((D + H, 4 * H), D + H)
-        p["lstm_b_bwd"] = lstm_bias()
+    for w, b, _ in _directions(arch):
+        p[w] = uniform((D + H, 4 * H), D + H)
+        p[b] = lstm_bias()
     R = model.summary_width()
     p["dense_W"] = uniform((R, nodes), R)
     p["dense_b"] = np.full(nodes, 0.01)  # start ReLU units alive
@@ -161,25 +162,27 @@ def _reverse_within_mask(A, lengths):
     return A[np.arange(M)[:, None], src]
 
 
-def _lstm_scan(W, b, inputs):
-    """Run the cell over every timestep of (M, T, D) inputs, keeping the
-    time-major (T, M, .) caches that BPTT reads."""
-    M, T, _ = inputs.shape
-    H = W.shape[1] // 4
-    ifo_s = np.empty((T, M, 3 * H))
-    g_s = np.empty((T, M, H)); c_s = np.empty((T, M, H)); h_s = np.empty((T, M, H))
+def _lstm_scan(W, b, step, lengths, T, keep):
+    """Run the cell over T timesteps, reading each step's (M, D) input from
+    ``step(t)``. Returns the hidden state at each row's last event and, when
+    ``keep`` is set, the time-major (T, M, .) caches that BPTT reads."""
+    M, H = len(lengths), W.shape[1] // 4
     h = np.zeros((M, H)); c = np.zeros((M, H))
+    last = np.empty((M, H))
+    cache = {k: np.empty((T, M, w * H)) for k, w in (("ifo", 3), ("g", 1), ("c", 1), ("h", 1))} \
+        if keep else None
     for t in range(T):
-        ifo_s[t], g_s[t], c, h = _lstm_cell(W, b, inputs[:, t], h, c)
-        c_s[t] = c
-        h_s[t] = h
-    return {"ifo": ifo_s, "g": g_s, "c": c_s, "h": h_s, "inputs": inputs, "W": W}
+        ifo, g, c, h = _lstm_cell(W, b, step(t), h, c)
+        if keep:
+            cache["ifo"][t], cache["g"][t], cache["c"][t], cache["h"][t] = ifo, g, c, h
+        np.copyto(last, h, where=(lengths == t + 1)[:, None])
+    return last, cache
 
 
-def _lstm_backward(cache, dH_out):
-    """Exact BPTT given time-major (T, M, H) gradients on h; returns
-    dInputs (M, T, D), dW and db."""
-    inputs, W = cache["inputs"], cache["W"]
+def _lstm_backward(W, inputs, cache, dH_out):
+    """Exact BPTT through the (M, T, D) ``inputs`` a scan with ``keep`` read,
+    given time-major (T, M, H) gradients on h; returns dInputs (M, T, D), dW
+    and db."""
     M, T, D = inputs.shape
     H = W.shape[1] // 4
     dW = np.zeros_like(W)
@@ -230,15 +233,10 @@ def _prepare(model: SeqNetModel, X, mask):
     lengths = mask.sum(axis=1).astype(np.int64)
     if np.any(lengths == 0):
         raise ValueError("every sequence needs at least one true-masked event")
-    if model.arch != "dense":
+    if _directions(model.arch):
         T = int(lengths.max(initial=0))
         X, mask = X[:, :T], mask[:, :T]
     return X, mask, lengths
-
-
-def _mean_pool(inputs, mask, lengths):
-    """Mean of embedded timesteps over each row's true events."""
-    return (inputs * mask[:, :, None]).sum(axis=1) / lengths[:, None]
 
 
 def head(model: SeqNetModel, summary):
@@ -251,79 +249,61 @@ def head(model: SeqNetModel, summary):
     return pre, act, logits, ez / ez.sum(axis=1, keepdims=True)
 
 
-def _forward_core(model: SeqNetModel, X, mask):
-    """Training forward pass: probabilities plus every cache BPTT needs."""
-    X, mask, lengths = _prepare(model, X, mask)
-    idx = _indices(model, X)
-    inputs = _embed(model, idx, X[..., model.num_columns])
-    cache = {"idx": idx, "lengths": lengths, "mask": mask}
-    last = (lengths - 1, np.arange(X.shape[0]))
-    if model.arch == "lstm":
-        scan = _lstm_scan(model.params["lstm_W"], model.params["lstm_b"], inputs)
-        summary = scan["h"][last]
-        cache["scan"] = scan
-    elif model.arch == "bilstm":
-        rev = _reverse_within_mask(inputs, lengths)
-        scan_f = _lstm_scan(model.params["lstm_W_fwd"], model.params["lstm_b_fwd"], inputs)
-        scan_b = _lstm_scan(model.params["lstm_W_bwd"], model.params["lstm_b_bwd"], rev)
-        summary = np.concatenate([scan_f["h"][last], scan_b["h"][last]], axis=1)
-        cache["scan_f"], cache["scan_b"] = scan_f, scan_b
-    else:
-        summary = _mean_pool(inputs, mask, lengths)
-    cache["summary"] = summary
-    cache["pre"], cache["act"], cache["logits"], probs = head(model, summary)
-    return probs, cache
-
-
-def _lstm_last(model: SeqNetModel, W, b, X, lengths):
-    """Hidden state at each row's last event, keeping only the running
-    (h, c) and embedding one timestep at a time."""
-    M, T = X.shape[0], X.shape[1]
-    H = W.shape[1] // 4
-    idx, X_num = _indices(model, X), X[..., model.num_columns]
-    h = np.zeros((M, H)); c = np.zeros((M, H))
-    last = np.empty((M, H))
-    for t in range(T):
-        x_t = _embed(model, [i[:, t] for i in idx], X_num[:, t])
-        _, _, c, h = _lstm_cell(W, b, x_t, h, c)
-        ends = lengths == t + 1
-        last[ends] = h[ends]
-    return last
-
-
 #: bytes of embedded input that dense inference pools at once
 POOL_BYTES = 4 * 2**20
 
 
-def _infer(model: SeqNetModel, X, mask):
-    """Inference without training caches: (summary, dense activations,
-    logits, probabilities). Memory is O(M * (D + H)) beyond input-sized
+def _embed_steps(model: SeqNetModel, X):
+    """``step(t)`` for inference: the inputs of timestep t of raw (M, T, F)
+    ``X``, embedded only when the scan reaches it."""
+    idx, X_num = _indices(model, X), X[..., model.num_columns]
+    return lambda t: _embed(model, [i[:, t] for i in idx], X_num[:, t])
+
+
+def _forward(model: SeqNetModel, X, mask, keep):
+    """Summary, dense activations, logits, probabilities and a cache.
+
+    With ``keep`` (training) the batch is embedded once and the cache holds
+    everything ``loss_and_grads`` reads. Without it (inference) recurrent
+    inputs are embedded one timestep at a time and dense inputs pooled in
+    blocks of ``POOL_BYTES``, so memory is O(M * (D + H)) beyond input-sized
     temporaries, never O(M * T * H)."""
     X, mask, lengths = _prepare(model, X, mask)
-    p = model.params
-    if model.arch == "lstm":
-        summary = _lstm_last(model, p["lstm_W"], p["lstm_b"], X, lengths)
-    elif model.arch == "bilstm":
-        rev = _reverse_within_mask(X, lengths)
-        summary = np.concatenate(
-            [_lstm_last(model, p["lstm_W_fwd"], p["lstm_b_fwd"], X, lengths),
-             _lstm_last(model, p["lstm_W_bwd"], p["lstm_b_bwd"], rev, lengths)], axis=1)
-    else:
-        idx, X_num = _indices(model, X), X[..., model.num_columns]
-        step = max(1, POOL_BYTES // (8 * model.input_dim * X.shape[1]))
+    p, dirs = model.params, _directions(model.arch)
+    cache = {"lengths": lengths, "mask": mask, "scans": []}
+    if keep or not dirs:
+        cache["idx"] = idx = _indices(model, X)
+        X_num = X[..., model.num_columns]
+    if not dirs:  # mean of embedded timesteps over each row's true events
+        rows = max(len(X), 1) if keep else \
+            max(1, POOL_BYTES // (8 * model.input_dim * X.shape[1]))
         # at least one block, so an empty batch pools to an empty summary;
         # concatenating keeps the memory layout of the whole-batch form
-        blocks = [slice(r, r + step) for r in range(0, max(X.shape[0], 1), step)]
+        blocks = [slice(r, r + rows) for r in range(0, max(len(X), 1), rows)]
         summary = np.concatenate(
-            [_mean_pool(_embed(model, [i[s] for i in idx], X_num[s]), mask[s], lengths[s])
-             for s in blocks], axis=0)
+            [(_embed(model, [i[s] for i in idx], X_num[s]) * mask[s, :, None]).sum(axis=1)
+             / lengths[s, None] for s in blocks], axis=0)
+    else:
+        inputs = _embed(model, idx, X_num) if keep else None
+        parts = []
+        for w, b, backward in dirs:
+            if keep:
+                src = _reverse_within_mask(inputs, lengths) if backward else inputs
+                step = lambda t, src=src: src[:, t]
+            else:
+                step = _embed_steps(model, _reverse_within_mask(X, lengths) if backward else X)
+            h_last, scan = _lstm_scan(p[w], p[b], step, lengths, X.shape[1], keep)
+            parts.append(h_last)
+            if keep:
+                cache["scans"].append((src, scan))
+        summary = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
     _, act, logits, probs = head(model, summary)
-    return summary, act, logits, probs
+    return summary, act, logits, probs, cache
 
 
 def forward(model: SeqNetModel, X, mask) -> np.ndarray:
     """Class probabilities, one row per sequence; padded steps have no effect."""
-    return _infer(model, X, mask)[3]
+    return _forward(model, X, mask, False)[3]
 
 
 def hidden_summary(model: SeqNetModel, X, mask, layer: int = 0) -> np.ndarray:
@@ -331,8 +311,7 @@ def hidden_summary(model: SeqNetModel, X, mask, layer: int = 0) -> np.ndarray:
     ReLU activations."""
     if layer not in (0, 1):
         raise ValueError(f"layer id {layer} out of range (0 or 1)")
-    summary, act, _, _ = _infer(model, X, mask)
-    return summary if layer == 0 else act
+    return _forward(model, X, mask, False)[layer]
 
 
 def _loss_from_logits(logits, Y):
@@ -344,45 +323,38 @@ def _loss_from_logits(logits, Y):
 def loss_and_grads(model: SeqNetModel, X, mask, Y):
     """Mean cross-entropy and exact gradients for every parameter."""
     Y = np.asarray(Y, dtype=np.int64)
-    probs, cache = _forward_core(model, X, mask)
-    M = len(Y)
-    loss = _loss_from_logits(cache["logits"], Y)
+    summary, act, logits, probs, cache = _forward(model, X, mask, True)
+    p, M = model.params, len(Y)
+    loss = _loss_from_logits(logits, Y)
     dlogits = probs.copy()
     dlogits[np.arange(M), Y] -= 1.0
     dlogits /= M
     grads = {}
-    grads["out_W"] = cache["act"].T @ dlogits
+    grads["out_W"] = act.T @ dlogits
     grads["out_b"] = dlogits.sum(axis=0)
-    dact = dlogits @ model.params["out_W"].T
-    dpre = dact * (cache["pre"] > 0)
-    grads["dense_W"] = cache["summary"].T @ dpre
+    dact = dlogits @ p["out_W"].T
+    dpre = dact * (act > 0)  # act > 0 exactly where the pre-activation is
+    grads["dense_W"] = summary.T @ dpre
     grads["dense_b"] = dpre.sum(axis=0)
-    dsummary = dpre @ model.params["dense_W"].T
+    dsummary = dpre @ p["dense_W"].T
 
-    lengths = cache["lengths"]
+    lengths, H = cache["lengths"], model.nodes
     last = (lengths - 1, np.arange(M))
-    if model.arch == "lstm":
-        dH = np.zeros_like(cache["scan"]["h"])
-        dH[last] = dsummary
-        dInputs, dW, db = _lstm_backward(cache["scan"], dH)
-        grads["lstm_W"], grads["lstm_b"] = dW, db
-    elif model.arch == "bilstm":
-        H = model.nodes
-        dH_f = np.zeros_like(cache["scan_f"]["h"])
-        dH_f[last] = dsummary[:, :H]
-        dH_b = np.zeros_like(cache["scan_b"]["h"])
-        dH_b[last] = dsummary[:, H:]
-        dIn_f, dW_f, db_f = _lstm_backward(cache["scan_f"], dH_f)
-        dIn_b_rev, dW_b, db_b = _lstm_backward(cache["scan_b"], dH_b)
-        grads["lstm_W_fwd"], grads["lstm_b_fwd"] = dW_f, db_f
-        grads["lstm_W_bwd"], grads["lstm_b_bwd"] = dW_b, db_b
-        dInputs = dIn_f + _reverse_within_mask(dIn_b_rev, lengths)
-    else:
+    dInputs = None
+    for k, ((w, b, backward), (src, scan)) in enumerate(zip(_directions(model.arch),
+                                                          cache["scans"])):
+        dH = np.zeros_like(scan["h"])
+        dH[last] = dsummary[:, k * H:(k + 1) * H]
+        dIn, grads[w], grads[b] = _lstm_backward(p[w], src, scan, dH)
+        if backward:
+            dIn = _reverse_within_mask(dIn, lengths)
+        dInputs = dIn if dInputs is None else dInputs + dIn
+    if dInputs is None:  # pooled dense inputs
         dInputs = (dsummary[:, None, :] * cache["mask"][:, :, None]
                    / lengths[:, None, None])
     col = 0
     for k, _ in enumerate(model.cat_columns):
-        dE = np.zeros_like(model.params[f"emb_{k}"])
+        dE = np.zeros_like(p[f"emb_{k}"])
         np.add.at(dE, cache["idx"][k], dInputs[:, :, col:col + model.embed_dim])
         grads[f"emb_{k}"] = dE
         col += model.embed_dim
@@ -454,7 +426,7 @@ class EvalReport:
 
 def evaluate(model: SeqNetModel, X, mask, Y) -> EvalReport:
     Y = np.asarray(Y, dtype=np.int64)
-    _, _, logits, probs = _infer(model, X, mask)
+    _, _, logits, probs, _ = _forward(model, X, mask, False)
     loss = _loss_from_logits(logits, Y)
     pred = np.argmax(probs, axis=1)
     C = model.n_classes
@@ -499,7 +471,7 @@ def grad_check(model: SeqNetModel, X, mask, Y, epsilon: float = 1e-5,
 
 
 def _loss_only(model, X, mask, Y):
-    return _loss_from_logits(_infer(model, X, mask)[2], np.asarray(Y, dtype=np.int64))
+    return _loss_from_logits(_forward(model, X, mask, False)[2], np.asarray(Y, dtype=np.int64))
 
 
 def grid_search(space, dataset, split, seed: int, lr: float = 0.5,

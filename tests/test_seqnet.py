@@ -554,8 +554,8 @@ def test_capture_activations_one_pass_matches_oracle(monkeypatch):
     from xlog import latent
     from xlog.encode import SequenceDataset
     calls = []
-    real_infer = seqnet._infer
-    monkeypatch.setattr(seqnet, "_infer", lambda *a: calls.append(1) or real_infer(*a))
+    real_forward = seqnet._forward
+    monkeypatch.setattr(seqnet, "_forward", lambda *a: calls.append(1) or real_forward(*a))
     rng = np.random.default_rng(22)
     for trial in range(12):
         model, X, mask, Y = _oracle_case(rng, trial)
