@@ -232,7 +232,7 @@ def _train_seqnet(run):
     run.write_csv(run.path(out, "train_table.csv"), body)
     best = models[0]
     run.written += [run.path(out, "seqnet.xlg"), run.path(out, "seqnet.xlg.json")]
-    seqnet.save_checkpoint(run.path(out, "seqnet.xlg"), best)
+    seqnet.save_checkpoint(run.path(out, "seqnet.xlg"), best, meta=run.meta)
     curve = best.curve
     body = "epoch,train_loss,train_acc,val_loss,val_acc\n" + "\n".join(
         ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
@@ -334,7 +334,10 @@ def cmd_project(args) -> int:
         raise SystemExit("the latent bottleneck is fixed at 2 (plotting plane)")
     out = cfg["out"]
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
-    model = seqnet.load_checkpoint(cfg["checkpoint"])
+    try:
+        model = seqnet.load_checkpoint(cfg["checkpoint"])
+    except ValueError as exc:
+        raise SystemExit("project needs a seqnet checkpoint; train --model lstm") from exc
     acts = latent.capture_activations(model, seq, layer=cfg["layer"])
     k = cfg["k"] if cfg["k"] is not None else len(seq.label_names)
     if cfg["bottleneck_grid"] is not None:

@@ -163,7 +163,7 @@ class TreeSurrogate:
 
 
 def fit_global_surrogate(predictor, X, surrogate_kind: str = "tree",
-                         depth: int | None = 3, lam: float = 0.0):
+                         depth: int | None = 3):
     """Fit an interpretable stand-in on the black box's own predictions.
 
     The black box is evaluated on ``X``; the surrogate is trained against
@@ -179,11 +179,7 @@ def fit_global_surrogate(predictor, X, surrogate_kind: str = "tree",
     n_classes = probs.shape[1]
     if surrogate_kind == "linear":
         A = np.hstack([np.ones((len(X), 1)), X])
-        if lam > 0:
-            reg = lam * np.eye(A.shape[1]); reg[0, 0] = 0.0
-            coef = np.linalg.solve(A.T @ A + reg, A.T @ probs)
-        else:
-            coef, *_ = np.linalg.lstsq(A, probs, rcond=None)
+        coef, *_ = np.linalg.lstsq(A, probs, rcond=None)
         model = LinearSurrogate(coef=coef)
     elif surrogate_kind == "tree":
         rng = np.random.default_rng(0)
@@ -360,13 +356,16 @@ class Explanation:
                                   meta=meta)
 
 
+#: ridge penalty of LIME's local weighted least squares (intercept unpenalized)
+LIME_RIDGE = 1e-3
+
+
 def lime_explain(predictor, instance, X, class_index: int, K: int,
                  n_samples: int = 5000, sigma: float | None = None,
                  seed: int = 0, categorical=None, feature_names=None,
-                 instance_id: str = "0", class_label: str | None = None,
-                 ridge: float = 1e-3) -> Explanation:
+                 instance_id: str = "0", class_label: str | None = None) -> Explanation:
     """Local surrogate: perturb, weight by kernel similarity, select K
-    features, then ridge-regularized weighted least squares."""
+    features, then weighted least squares with ``LIME_RIDGE`` regularization."""
     if K < 1:
         raise ValueError("K must be >= 1")
     X = np.asarray(X, dtype=float)
@@ -388,8 +387,8 @@ def lime_explain(predictor, instance, X, class_index: int, K: int,
         return Explanation(instance_id=instance_id, target_class=label,
                            weights={}, intercept=wmean, fidelity=float("nan"),
                            kernel_width=float(sigma), degenerate=True)
-    cols = _forward_select(Z, y, w, K, ridge)
-    intercept, coefs, sse = _wls(Z[:, cols], y, w, ridge)
+    cols = _forward_select(Z, y, w, K, LIME_RIDGE)
+    intercept, coefs, sse = _wls(Z[:, cols], y, w, LIME_RIDGE)
     weights = {feature_names[j]: float(c) for j, c in zip(cols, coefs)}
     return Explanation(instance_id=instance_id, target_class=label,
                        weights=weights, intercept=intercept,

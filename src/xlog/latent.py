@@ -161,9 +161,9 @@ def project(ae: Autoencoder, acts: ActivationMatrix) -> LatentProjection:
 
 # ----------------------------------------------------------------- k-means
 
-def kmeans(X, k: int, seed: int, restarts: int = 20, max_iter: int = 100):
-    """Lloyd iterations from ``restarts`` seeded random initializations;
-    returns (labels, centers, inertia) of the best restart."""
+def kmeans(X, k: int, seed: int, restarts: int = 20):
+    """At most 100 Lloyd iterations from each of ``restarts`` seeded random
+    initializations; returns (labels, centers, inertia) of the best restart."""
     X = np.asarray(X, dtype=float)
     if k > len(X):
         raise ValueError(f"k={k} exceeds {len(X)} points")
@@ -172,7 +172,7 @@ def kmeans(X, k: int, seed: int, restarts: int = 20, max_iter: int = 100):
         rng = np.random.default_rng(seed + r)
         centers = X[rng.choice(len(X), size=k, replace=False)].copy()
         labels = np.zeros(len(X), dtype=np.int64)
-        for _ in range(max_iter):
+        for _ in range(100):
             d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = np.argmin(d2, axis=1)
             for c in range(k):

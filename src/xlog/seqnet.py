@@ -22,6 +22,7 @@ from . import container
 ARCHS = ("dense", "lstm", "bilstm")
 EMBED_DIM = 8
 CLIP_NORM = 5.0
+BATCH_SIZE = 32
 
 
 def sigmoid(x):
@@ -373,9 +374,10 @@ def clip_global(grads, max_norm):
 
 
 def train(model: SeqNetModel, X, mask, Y, epochs: int, lr: float, seed: int,
-          batch_size: int = 32, validation=None) -> SeqNetModel:
-    """Mini-batch gradient descent on mean cross-entropy with global-norm
-    clipping; deterministic under a fixed seed. Records the per-epoch curve.
+          validation=None) -> SeqNetModel:
+    """Gradient descent on mean cross-entropy over mini-batches of
+    ``BATCH_SIZE`` with global-norm clipping; deterministic under a fixed
+    seed. Records the per-epoch curve.
 
     Divergence (non-finite loss) aborts, keeping the last finite epoch's
     parameters and flagging the curve.
@@ -385,13 +387,13 @@ def train(model: SeqNetModel, X, mask, Y, epochs: int, lr: float, seed: int,
     Y = np.asarray(Y, dtype=np.int64)
     rng = np.random.default_rng(seed)
     model.hyper.update({"epochs": epochs, "lr": lr, "train_seed": seed,
-                        "batch_size": batch_size})
+                        "batch_size": BATCH_SIZE})
     n = len(Y)
     snapshot = {k: v.copy() for k, v in model.params.items()}
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             _, grads = loss_and_grads(model, X[idx], mask[idx], Y[idx])
             clip_global(grads, CLIP_NORM)
             for k, g in grads.items():
@@ -474,8 +476,7 @@ def _loss_only(model, X, mask, Y):
     return _loss_from_logits(_forward(model, X, mask, False)[2], np.asarray(Y, dtype=np.int64))
 
 
-def grid_search(space, dataset, split, seed: int, lr: float = 0.5,
-                batch_size: int = 32):
+def grid_search(space, dataset, split, seed: int, lr: float = 0.5):
     """Train one model per (arch, nodes, epochs) configuration on the train
     split; rank held-out results by accuracy descending, then loss ascending.
 
@@ -492,7 +493,6 @@ def grid_search(space, dataset, split, seed: int, lr: float = 0.5,
         model = build_model(arch, nodes, dataset.feature_names, dataset.cat_sizes,
                             dataset.label_names, seed=seed)
         train(model, tr.X, tr.mask, tr.Y, epochs=epochs, lr=lr, seed=seed,
-              batch_size=batch_size,
               validation=(te.X, te.mask, te.Y))
         report = evaluate(model, te.X, te.mask, te.Y)
         rows.append({"architecture": arch, "nodes": nodes, "epochs": epochs,
@@ -507,10 +507,11 @@ def grid_search(space, dataset, split, seed: int, lr: float = 0.5,
     return rows, models
 
 
-def save_checkpoint(path, model: SeqNetModel) -> None:
-    """XLG1 parameter container plus a JSON hyperparameter manifest."""
+def save_checkpoint(path, model: SeqNetModel, meta: dict | None = None) -> None:
+    """XLG1 parameter container plus a JSON hyperparameter manifest, stamped
+    with the run's ``meta`` block when one is given."""
     container.save_arrays(path, model.params)
-    meta = {
+    manifest = {
         "kind": "seqnet", "arch": model.arch, "nodes": model.nodes,
         "feature_names": model.feature_names, "cat_sizes": model.cat_sizes,
         "label_names": model.label_names, "seed": model.seed,
@@ -521,13 +522,19 @@ def save_checkpoint(path, model: SeqNetModel) -> None:
             "val_acc": model.curve.val_acc, "diverged": model.curve.diverged,
         },
     }
+    if meta:
+        manifest["meta"] = meta
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(manifest, fh, indent=2)
 
 
 def load_checkpoint(path) -> SeqNetModel:
+    """Read a ``save_checkpoint`` pair; ``ValueError`` unless the manifest is
+    a seqnet's."""
     with open(str(path) + ".json", encoding="utf-8") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict) or meta.get("kind") != "seqnet":
+        raise ValueError(f"{path} is not a seqnet checkpoint")
     curve = TrainingCurve(**{k: v for k, v in meta["curve"].items()})
     model = SeqNetModel(arch=meta["arch"], nodes=meta["nodes"],
                         feature_names=meta["feature_names"],

@@ -224,6 +224,21 @@ def test_explain_rejects_seqnet_checkpoint(trained):
             "--out", trained / "bad")
 
 
+def test_project_rejects_non_seqnet_checkpoint(trained):
+    with pytest.raises(SystemExit, match="project needs a seqnet checkpoint"):
+        run("project", "--data", trained / "data",
+            "--checkpoint", trained / "data" / "sequences.xlg",
+            "--out", trained / "bad")
+
+
+def test_seqnet_checkpoint_manifest_carries_run_meta(trained):
+    manifest = json.loads((trained / "lstm" / "seqnet.xlg.json").read_text())
+    table = json.loads((trained / "lstm" / "train_table.json").read_text())
+    assert manifest["kind"] == "seqnet"
+    assert manifest["meta"] == table["meta"]
+    assert set(manifest["meta"]) == {"config_hash", "seed", "version"}
+
+
 @pytest.mark.parametrize("payload", [{"kind": "seqnet", "trees": []}, {"trees": []}, []])
 def test_load_predictor_rejects_non_forest_json(tmp_path, payload):
     path = tmp_path / "model.json"

@@ -1,0 +1,32 @@
+"""The benchmark's tracer wraps xlog functions by name and binds their
+arguments by parameter name; a rename must fail here, not at benchmark time."""
+
+from pathlib import Path
+
+from xlog import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def files_under(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_traced_bench_writes_untraced_bytes_and_records_seqnet_spans(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    assert cli.main(["bench", "--seed", "11", "--out", str(tmp_path / "plain")]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        assert cli.main(["bench", "--seed", "11", "--out", str(tmp_path / "traced")]) == 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert files_under(tmp_path / "traced") == files_under(tmp_path / "plain")
+    names = {span[0] for span in tracer.spans}
+    assert {"seqnet.loss_and_grads", "seqnet.evaluate", "seqnet.hidden_summary"} <= names
+    assert tracer.counts["seqnet.steps_scanned"] > 0
+    assert tracer.counts["seqnet.loss_and_grads.calls"] > 0
