@@ -169,15 +169,21 @@ def _lstm_scan(W, b, step, lengths, T, keep):
     ``keep`` is set, the time-major (T, M, .) caches that BPTT reads."""
     M, H = len(lengths), W.shape[1] // 4
     h = np.zeros((M, H)); c = np.zeros((M, H))
-    last = np.empty((M, H))
-    cache = {k: np.empty((T, M, w * H)) for k, w in (("ifo", 3), ("g", 1), ("c", 1), ("h", 1))} \
-        if keep else None
+    if keep:
+        cache = {k: np.empty((T, M, w * H))
+                 for k, w in (("ifo", 3), ("g", 1), ("c", 1), ("h", 1))}
+    else:
+        last = np.empty((M, H))
+        ends = lengths[:, None] == np.arange(1, T + 1)
     for t in range(T):
         ifo, g, c, h = _lstm_cell(W, b, step(t), h, c)
         if keep:
             cache["ifo"][t], cache["g"][t], cache["c"][t], cache["h"][t] = ifo, g, c, h
-        np.copyto(last, h, where=(lengths == t + 1)[:, None])
-    return last, cache
+        else:
+            np.copyto(last, h, where=ends[:, t, None])
+    if keep:
+        return cache["h"][lengths - 1, np.arange(M)], cache
+    return last, None
 
 
 def _lstm_backward(W, inputs, cache, dH_out):
@@ -276,6 +282,8 @@ def _forward(model: SeqNetModel, X, mask, keep):
         cache["idx"] = idx = _indices(model, X)
         X_num = X[..., model.num_columns]
     if not dirs:  # mean of embedded timesteps over each row's true events
+        # training pools the whole batch: the summary's layout picks the BLAS
+        # path of summary.T @ dpre, and one-row blocks would change it
         rows = max(len(X), 1) if keep else \
             max(1, POOL_BYTES // (8 * model.input_dim * X.shape[1]))
         # at least one block, so an empty batch pools to an empty summary;
