@@ -342,7 +342,7 @@ def loss_and_grads(model: SeqNetModel, X, mask, Y):
     grads["out_W"] = act.T @ dlogits
     grads["out_b"] = dlogits.sum(axis=0)
     dact = dlogits @ p["out_W"].T
-    dpre = dact * (act > 0)  # act > 0 exactly where the pre-activation is
+    dpre = dact * (act > 0)  # act = max(pre, 0) is positive exactly where pre is
     grads["dense_W"] = summary.T @ dpre
     grads["dense_b"] = dpre.sum(axis=0)
     dsummary = dpre @ p["dense_W"].T
@@ -540,15 +540,15 @@ def load_checkpoint(path) -> SeqNetModel:
     """Read a ``save_checkpoint`` pair; ``ValueError`` unless the manifest is
     a seqnet's."""
     with open(str(path) + ".json", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict) or meta.get("kind") != "seqnet":
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict) or manifest.get("kind") != "seqnet":
         raise ValueError(f"{path} is not a seqnet checkpoint")
-    curve = TrainingCurve(**{k: v for k, v in meta["curve"].items()})
-    model = SeqNetModel(arch=meta["arch"], nodes=meta["nodes"],
-                        feature_names=meta["feature_names"],
-                        cat_sizes=meta["cat_sizes"],
-                        label_names=meta["label_names"], seed=meta["seed"],
-                        embed_dim=meta["embed_dim"], hyper=meta["hyper"],
+    curve = TrainingCurve(**{k: v for k, v in manifest["curve"].items()})
+    model = SeqNetModel(arch=manifest["arch"], nodes=manifest["nodes"],
+                        feature_names=manifest["feature_names"],
+                        cat_sizes=manifest["cat_sizes"],
+                        label_names=manifest["label_names"], seed=manifest["seed"],
+                        embed_dim=manifest["embed_dim"], hyper=manifest["hyper"],
                         curve=curve)
     model.params = container.load_arrays(path)
     return model
