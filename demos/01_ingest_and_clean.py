@@ -1,6 +1,8 @@
 """Walk through ingestion: synthesize a small hospital-style event log,
 round-trip it through CSV, clean it, and look at feature correlations."""
 
+import dataclasses
+
 import numpy as np
 
 from xlog import eventlog, synth
@@ -19,14 +21,17 @@ log, manifest = synth.generate_synthetic(spec, seed=1)
 print(f"generated {len(log.cases)} cases, {log.n_events()} events")
 print("planted truth:", manifest["age_rule"])
 
-# write the flat one-event-per-row CSV and parse it back
+# drop one label so the cleaner has something to impute
+log.cases[0] = dataclasses.replace(log.cases[0], diagnosis_code=None)
+
+# write the flat one-event-per-row CSV and parse it back into a columnar table
 with open("demo_events.csv", "w", encoding="utf-8") as fh:
     fh.write(synth.log_to_csv(log))
 parsed = eventlog.parse_log("demo_events.csv", synth.DEFAULT_SCHEMA)
 print("parsed issues:", parsed.issues or "none")
+print(f"parsed {len(parsed.case_ids)} cases, {parsed.n_events()} events;",
+      "first case starts with", parsed.cases[0].events[0])
 
-# drop one label so the cleaner has something to impute
-parsed.cases[0].diagnosis_code = None
 clean, report = eventlog.clean_log(parsed, min_class_count=4)
 print("imputed labels:", report.imputed_labels)
 print("kept classes:", sorted(report.kept_classes))

@@ -16,7 +16,7 @@ spec = synth.SyntheticSpec(
 )
 log, _ = synth.generate_synthetic(spec, seed=1)
 clean, _ = eventlog.clean_log(log, min_class_count=4)
-labels = np.asarray([c.diagnosis_code for c in clean.cases])
+labels = np.asarray(clean.diagnosis_code)
 split = encode.stratified_split(labels, 0.2, seed=3)
 vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
                            + list(eventlog.STATIC_CATEGORICAL))

@@ -125,8 +125,7 @@ def cmd_ingest(args) -> int:
         schema = {k: v for k, v in json.load(fh).items() if k != "meta"}
     log = eventlog.parse_log(cfg["csv"], schema)
     clean, report = eventlog.clean_log(log, min_class_count=cfg["min_class"])
-    labels = [c.diagnosis_code for c in clean.cases]
-    split = encode.stratified_split(np.asarray(labels), cfg["split"], run.seed)
+    split = encode.stratified_split(np.asarray(clean.diagnosis_code), cfg["split"], run.seed)
     vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
                                + list(eventlog.STATIC_CATEGORICAL))
     seq = encode.encode_sequences(clean, vocab, cfg["window"], split)

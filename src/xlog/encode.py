@@ -21,6 +21,8 @@ from .eventlog import (
     STATIC_CATEGORICAL,
     STATIC_NUMERIC,
     EventLog,
+    EventTable,
+    as_table,
 )
 
 DYNAMIC_FEATURES = DYNAMIC_CATEGORICAL + DYNAMIC_NUMERIC
@@ -52,25 +54,19 @@ class Vocabulary:
         return cls(maps=d["maps"] if "maps" in d else d)
 
 
-def build_vocab(log: EventLog, categorical_features: list[str]) -> Vocabulary:
+def build_vocab(log: EventLog | EventTable, categorical_features: list[str]) -> Vocabulary:
     """Index tokens of each categorical feature by descending frequency, ties
     broken lexicographically; indices start at 1."""
-    if not log.cases:
+    t = as_table(log)
+    if not t.case_ids:
         raise ValueError("empty log")
     maps: dict[str, dict[str, int]] = {}
     for feat in categorical_features:
-        freq: Counter = Counter()
         if feat in STATIC_CATEGORICAL:
-            for case in log.cases:
-                tok = getattr(case, feat)
-                if tok:
-                    freq[tok] += 1
+            freq = Counter(tok for tok in getattr(t, feat) if tok)
         else:
-            for case in log.cases:
-                for ev in case.events:
-                    tok = getattr(ev, feat)
-                    if tok:
-                        freq[tok] += 1
+            counts = np.bincount(t.codes[feat], minlength=len(t.tokens[feat])).tolist()
+            freq = {tok: n for tok, n in zip(t.tokens[feat], counts) if n and tok}
         order = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
         maps[feat] = {tok: i + 1 for i, (tok, _) in enumerate(order)}
     return Vocabulary(maps=maps)
@@ -191,35 +187,42 @@ def _read_manifest(path) -> dict:
         return json.load(fh)
 
 
-def _label_space(log: EventLog) -> tuple[list[str], dict[str, int]]:
-    names = sorted({c.diagnosis_code for c in log.cases if c.diagnosis_code is not None})
+def _label_space(t: EventTable) -> tuple[list[str], dict[str, int]]:
+    names = sorted({lab for lab in t.diagnosis_code if lab is not None})
     return names, {lab: i for i, lab in enumerate(names)}
 
 
-def _numeric_stats(log: EventLog, split: "Split | None"):
-    """Min/max of each numeric feature over train cases (or all cases)."""
-    cases = log.cases
-    if split is not None:
-        cases = [log.cases[i] for i in split.train_indices]
+def _numeric_stats(t: EventTable, split: "Split | None"):
+    """Min/max of each numeric feature over train cases (or all cases); counts
+    over every event of those cases, not only the encoded window."""
+    cases = np.arange(len(t.case_ids)) if split is None else np.asarray(split.train_indices)
     stats = {}
-    execs = [ev.num_executions for c in cases for ev in c.events]
-    stats["num_executions"] = (float(min(execs)), float(max(execs)))
+    execs = t.num_executions[t.case_events(cases)]
+    stats["num_executions"] = (float(execs.min()), float(execs.max()))
     for feat in STATIC_NUMERIC:
-        vals = [float(getattr(c, feat)) for c in cases]
-        stats[feat] = (float(min(vals)), float(max(vals)))
+        vals = np.array([float(v) for v in getattr(t, feat)])[cases]
+        stats[feat] = (float(vals.min()), float(vals.max()))
     return stats
 
 
-def _scale(value: float, lo: float, hi: float, clamp_zero: bool) -> float:
+def _scale(values: np.ndarray, lo: float, hi: float, clamp_zero: bool) -> np.ndarray:
+    """``(values - lo) / (hi - lo)`` elementwise in float64, 0 when hi == lo."""
     if hi == lo:
-        return 0.0
-    v = (value - lo) / (hi - lo)
-    if clamp_zero and v < 0.0:
-        v = 0.0
+        return np.zeros(len(values))
+    v = (values - lo) / (hi - lo)
+    if clamp_zero:
+        v = np.where(v < 0.0, 0.0, v)
     return v
 
 
-def encode_sequences(log: EventLog, vocab: Vocabulary, T: int,
+def _lookup(vocab: Vocabulary, feat: str, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Vocabulary index of each token, and whether it is a non-empty token the
+    vocabulary lacks."""
+    idx = np.array([vocab.index(feat, tok) for tok in tokens], dtype=np.int64)
+    return idx, (idx == 0) & np.array([bool(tok) for tok in tokens], dtype=bool)
+
+
+def encode_sequences(log: EventLog | EventTable, vocab: Vocabulary, T: int,
                      split: "Split | None" = None) -> SequenceDataset:
     """Pad/truncate each case to ``T`` events (keep-first) and emit the
     (M, T, F) tensor with a prefix mask.
@@ -232,51 +235,50 @@ def encode_sequences(log: EventLog, vocab: Vocabulary, T: int,
     """
     if T < 1:
         raise ValueError("window length T must be >= 1")
-    label_names, label_idx = _label_space(log)
-    stats = _numeric_stats(log, split)
+    t = as_table(log)
+    label_names, label_idx = _label_space(t)
+    stats = _numeric_stats(t, split)
     feature_names = list(DYNAMIC_FEATURES) + list(STATIC_FEATURES)
     cat_sizes = [vocab.size(f) if f in DYNAMIC_CATEGORICAL + STATIC_CATEGORICAL else 0
                  for f in feature_names]
-    M, F = len(log.cases), len(feature_names)
-    X = np.zeros((M, T, F))
-    mask = np.zeros((M, T), dtype=bool)
-    Y = np.zeros(M, dtype=np.int64)
+    M, F = len(t.case_ids), len(feature_names)
+    cases = np.arange(M)
+    n = np.minimum(np.diff(t.offsets), T)
+    mask = np.arange(T) < n[:, None]
+    Y = np.array([label_idx[lab] for lab in t.diagnosis_code], dtype=np.int64)
+    # one entry per encoded event: its case, its timestep and its table row
+    rows = t.case_events(cases, limit=T)
+    case_of = np.repeat(cases, n)
+    step = rows - np.repeat(t.offsets[:-1], n)
+
     unknown = 0
-    for m, case in enumerate(log.cases):
-        Y[m] = label_idx[case.diagnosis_code]
-        n = min(len(case.events), T)
-        mask[m, :n] = True
-        statics = []
-        for feat in STATIC_CATEGORICAL:
-            idx = vocab.index(feat, getattr(case, feat))
-            if idx == 0 and getattr(case, feat):
-                unknown += 1
-            statics.append(float(idx))
-        lo, hi = stats["age"]
-        statics.append(_scale(float(case.age), lo, hi, clamp_zero=False))
-        lo, hi = stats["years_in_treatment"]
-        statics.append(_scale(case.years_in_treatment, lo, hi, clamp_zero=False))
-        for t in range(n):
-            ev = case.events[t]
-            col = 0
-            for feat in DYNAMIC_CATEGORICAL:
-                idx = vocab.index(feat, getattr(ev, feat))
-                if idx == 0 and getattr(ev, feat):
-                    unknown += 1
-                X[m, t, col] = float(idx)
-                col += 1
-            lo, hi = stats["num_executions"]
-            X[m, t, col] = _scale(float(ev.num_executions), lo, hi, clamp_zero=True)
-            col += 1
-            X[m, t, col:] = statics
-        # padded timesteps keep statics at zero; masked out downstream
+    statics = np.zeros((M, len(STATIC_FEATURES)))
+    for col, feat in enumerate(STATIC_CATEGORICAL):
+        idx, unseen = _lookup(vocab, feat, getattr(t, feat))
+        statics[:, col] = idx
+        unknown += int(unseen.sum())
+    for col, feat in enumerate(STATIC_NUMERIC, start=len(STATIC_CATEGORICAL)):
+        values = np.array([float(v) for v in getattr(t, feat)])
+        statics[:, col] = _scale(values, *stats[feat], clamp_zero=False)
+    events = np.empty((len(rows), F))
+    for col, feat in enumerate(DYNAMIC_CATEGORICAL):
+        idx, unseen = _lookup(vocab, feat, t.tokens[feat])
+        codes = t.codes[feat][rows]
+        events[:, col] = idx[codes]
+        unknown += int(unseen[codes].sum())
+    events[:, len(DYNAMIC_CATEGORICAL)] = _scale(t.num_executions[rows], *stats["num_executions"],
+                                                 clamp_zero=True)
+    events[:, len(DYNAMIC_FEATURES):] = statics[case_of]
+    # padded timesteps keep statics at zero; masked out downstream
+    X = np.zeros((M, T, F))
+    X[case_of, step] = events
     vocab.unknown_tokens = unknown
     return SequenceDataset(X=X, mask=mask, Y=Y, T=T, label_names=label_names,
                            feature_names=feature_names, cat_sizes=cat_sizes,
-                           case_ids=[c.case_id for c in log.cases])
+                           case_ids=list(t.case_ids))
 
 
-def encode_flat(log: EventLog, vocab: Vocabulary, L: int,
+def encode_flat(log: EventLog | EventTable, vocab: Vocabulary, L: int,
                 split: "Split | None" = None,
                 feature_labels: dict[str, str] | None = None) -> FlatDataset:
     """Concatenate the first ``L`` events positionally, then append statics.

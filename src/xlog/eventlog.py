@@ -3,15 +3,24 @@
 A log is a set of cases (one per patient / process instance); each case is an
 ordered sequence of timestamped activity events plus static attributes. Input
 is a flat CSV with one event per row and static attributes repeated per row.
+
+``parse_log`` reads the CSV into an ``EventTable``: per-event columns in case
+order plus per-case attributes. ``EventLog``/``Case``/``Event`` are the object
+form that generated and hand-built logs use; every stage converts one with
+``as_table`` at entry.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -76,6 +85,114 @@ class EventLog:
         return sum(len(c.events) for c in self.cases)
 
 
+def _codes(values) -> tuple[np.ndarray, list]:
+    """int64 code of each value into the distinct values in first-seen order."""
+    tokens = list(dict.fromkeys(values))
+    index = {tok: i for i, tok in enumerate(tokens)}
+    return np.fromiter(map(index.__getitem__, values), np.int64, len(values)), tokens
+
+
+@dataclass(eq=False)
+class EventTable:
+    """An event log as columns.
+
+    Case ``i`` owns the event rows ``offsets[i]:offsets[i + 1]``. Each
+    categorical event field is an int64 code per event into its ``tokens``
+    list; per-case attributes are lists or arrays in case order. A table is
+    not modified after it is built.
+    """
+
+    case_ids: list[str]
+    offsets: np.ndarray            # int64 (cases + 1,)
+    codes: dict[str, np.ndarray]   # DYNAMIC_CATEGORICAL field -> int64 per event
+    tokens: dict[str, list[str]]   # DYNAMIC_CATEGORICAL field -> distinct values
+    timestamp: np.ndarray          # float64 per event, UTC epoch seconds
+    num_executions: np.ndarray     # float64 per event; whole numbers, so values past int64 stay exact
+    age: list[int]
+    diagnosis_code: list[str | None]
+    treatment_code: list[str]
+    combination_id: list[str]
+    years_in_treatment: np.ndarray  # float64 per case
+    spread_features: list[str] = field(default_factory=list)
+    issues: dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def from_log(cls, log: EventLog) -> "EventTable":
+        """The table of an object log; events keep their order."""
+        events = [ev for case in log.cases for ev in case.events]
+        codes, tokens = {}, {}
+        for f in DYNAMIC_CATEGORICAL:
+            codes[f], tokens[f] = _codes([getattr(ev, f) for ev in events])
+        lengths = [len(case.events) for case in log.cases]
+        return cls(
+            case_ids=[c.case_id for c in log.cases],
+            offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+            codes=codes, tokens=tokens,
+            timestamp=np.array([ev.timestamp for ev in events], dtype=float),
+            num_executions=np.array([float(ev.num_executions) for ev in events]),
+            age=[c.age for c in log.cases],
+            diagnosis_code=[c.diagnosis_code for c in log.cases],
+            treatment_code=[c.treatment_code for c in log.cases],
+            combination_id=[c.combination_id for c in log.cases],
+            years_in_treatment=np.array([c.years_in_treatment for c in log.cases], dtype=float),
+            spread_features=list(log.spread_features), issues=dict(log.issues))
+
+    @functools.cached_property
+    def cases(self) -> tuple[Case, ...]:
+        """The table as ``Case``/``Event`` objects, built on first access.
+        Edits to them do not reach the table."""
+        cols = [[self.tokens[f][c] for c in self.codes[f].tolist()] for f in DYNAMIC_CATEGORICAL]
+        events = [Event(activity=act, timestamp=ts, department=dep, num_executions=int(n),
+                        activity_code=code, producer_code=prod, section=sec)
+                  for act, dep, code, prod, sec, ts, n in zip(
+                      *cols, self.timestamp.tolist(), self.num_executions.tolist())]
+        bounds = self.offsets.tolist()
+        return tuple(
+            Case(case_id=cid, events=events[lo:hi], age=age, diagnosis_code=diag,
+                 treatment_code=treat, combination_id=comb, years_in_treatment=years)
+            for cid, lo, hi, age, diag, treat, comb, years in zip(
+                self.case_ids, bounds, bounds[1:], self.age, self.diagnosis_code,
+                self.treatment_code, self.combination_id, self.years_in_treatment.tolist()))
+
+    @property
+    def class_counts(self) -> dict[str, int]:
+        counts = Counter(lab for lab in self.diagnosis_code if lab is not None)
+        return dict(sorted(counts.items()))
+
+    def n_events(self) -> int:
+        return int(self.offsets[-1])
+
+    def case_events(self, cases: np.ndarray, limit: int | None = None) -> np.ndarray:
+        """Event rows of ``cases`` in order, at most the first ``limit`` of each."""
+        starts = self.offsets[cases]
+        counts = self.offsets[cases + 1] - starts
+        if limit is not None:
+            counts = np.minimum(counts, limit)
+        ends = np.cumsum(counts)
+        return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+    def take(self, cases) -> "EventTable":
+        """The table of ``cases`` (case indices), in that order."""
+        cases = np.asarray(cases, dtype=np.int64)
+        rows = self.case_events(cases)
+        lengths = self.offsets[cases + 1] - self.offsets[cases]
+        pick = cases.tolist()
+        return replace(
+            self, case_ids=[self.case_ids[i] for i in pick],
+            offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+            codes={f: c[rows] for f, c in self.codes.items()},
+            timestamp=self.timestamp[rows], num_executions=self.num_executions[rows],
+            age=[self.age[i] for i in pick],
+            diagnosis_code=[self.diagnosis_code[i] for i in pick],
+            treatment_code=[self.treatment_code[i] for i in pick],
+            combination_id=[self.combination_id[i] for i in pick],
+            years_in_treatment=self.years_in_treatment[cases])
+
+
+def as_table(log: EventLog | EventTable) -> EventTable:
+    return log if isinstance(log, EventTable) else EventTable.from_log(log)
+
+
 @dataclass
 class CleaningReport:
     imputed_labels: int = 0
@@ -108,12 +225,90 @@ def _parse_timestamp(raw: str) -> float:
     return dt.timestamp()
 
 
+#: positions of the digits in ``YYYY-MM-DD HH:MM:SS``
+_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+
+
+def _canonical_seconds(stripped: list[str]) -> np.ndarray | None:
+    """Epoch seconds of ``YYYY-MM-DD[ T]HH:MM:SS`` strings parsed by numpy, or
+    None unless every string has that shape and is a valid date-time.
+    numpy accepts year 0000, which ``fromisoformat`` rejects, so it is left to
+    ``_parse_timestamp``; whole seconds convert to float64 exactly as
+    ``datetime.timestamp`` does."""
+    text = np.array(stripped)
+    if text.dtype.kind != "U" or text.dtype.itemsize != 19 * 4:
+        return None
+    cp = text.view(np.uint32).reshape(len(stripped), 19)
+    digits = cp[:, _DIGITS]
+    if not (((digits >= 48) & (digits <= 57)).all()
+            and (cp[:, [4, 7]] == 45).all() and (cp[:, [13, 16]] == 58).all()
+            and ((cp[:, 10] == 32) | (cp[:, 10] == 84)).all()
+            and (cp[:, :4] != 48).any(axis=1).all()):
+        return None
+    try:
+        seconds = text.astype("datetime64[s]")
+    except ValueError:  # a day, hour, minute or second out of range
+        return None
+    return seconds.astype(np.int64).astype(np.float64)
+
+
+def _timestamps(raw: list[str]) -> np.ndarray:
+    """UTC epoch seconds of each string; NaN where ``_parse_timestamp`` fails."""
+    stripped = list(map(str.strip, raw))
+    fast = _canonical_seconds(stripped)
+    if fast is not None:
+        return fast
+    out = np.empty(len(stripped))
+    for i, text in enumerate(stripped):
+        try:
+            out[i] = _parse_timestamp(text)
+        except (ValueError, OverflowError):
+            out[i] = np.nan
+    return out
+
+
+def _whole(raw: str | None, low: int) -> int:
+    """``max(low, int(float(raw)))``, or ``low`` unless ``raw`` is a finite number."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        return low
+    return max(low, int(value)) if math.isfinite(value) else low
+
+
+def _stripped_codes(values) -> tuple[np.ndarray, list[str]]:
+    """``_codes`` of the stripped values; each distinct value is stripped once."""
+    raw_codes, raw_tokens = _codes(values)
+    remap, tokens = _codes([tok.strip() for tok in raw_tokens])
+    return remap[raw_codes], tokens
+
+
+def _filled(codes: np.ndarray, tokens: list[str]) -> np.ndarray:
+    return codes != tokens.index("") if "" in tokens else np.ones(len(codes), dtype=bool)
+
+
+def _collapse(codes: np.ndarray, tokens: list[str], owner: np.ndarray, n_cases: int):
+    """Per case, the last non-empty token in row-major order of the (rows x
+    columns) ``codes``, or None; and whether some case has two distinct
+    non-empty tokens. ``owner`` is the case of each row."""
+    owner = np.repeat(owner, codes.shape[1])
+    codes = codes.ravel()
+    filled = _filled(codes, tokens)
+    codes, owner = codes[filled], owner[filled]
+    seen, first = np.unique(owner[::-1], return_index=True)
+    last = np.full(n_cases, -1, dtype=np.int64)
+    last[seen] = codes[::-1][first]
+    pairs = np.unique(owner * len(tokens) + codes)
+    spread = bool((np.bincount(pairs // len(tokens)) > 1).any())
+    return [tokens[c] if c >= 0 else None for c in last.tolist()], spread
+
+
 def _columns(spec) -> list[str]:
     return [spec] if isinstance(spec, str) else list(spec)
 
 
-def parse_log(path, schema: dict) -> EventLog:
-    """Parse a one-event-per-row CSV into an EventLog.
+def parse_log(path, schema: dict) -> EventTable:
+    """Parse a one-event-per-row CSV into an EventTable.
 
     ``schema`` maps canonical field names (``case_id``, ``activity``,
     ``timestamp`` mandatory; ``department``, ``num_executions``,
@@ -121,99 +316,102 @@ def parse_log(path, schema: dict) -> EventLog:
     ``diagnosis_code``, ``treatment_code``, ``combination_id`` optional) to CSV
     column names. A static field may map to a list of columns (spread
     attributes); the last non-empty value wins and the field is recorded as
-    collapsed. Events are sorted by timestamp within each case. Rows that
-    cannot be parsed are counted in ``log.issues`` rather than silently lost.
+    collapsed. Events are sorted by timestamp within each case (ties keep file
+    order) and cases keep the order they are first seen in. Lines starting
+    with ``#`` and blank rows are skipped, a UTF-8 byte-order mark is
+    accepted, a header name given twice means its last column, and a row
+    shorter than the header reads its missing fields as empty. Rows without
+    a case id or activity, and rows whose timestamp does not parse, are
+    counted in ``log.issues`` rather than silently lost. A
+    ``num_executions`` that is not a finite number reads as 1, an ``age``
+    as 0.
     """
     for key in ("case_id", "activity", "timestamp"):
         if key not in schema:
             raise SchemaError(f"schema is missing mandatory field {key!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    header = reader.fieldnames or []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    index = {name: i for i, name in enumerate(header)}
     for key, spec in schema.items():
         for col in _columns(spec):
-            if col not in header:
+            if col not in index:
                 raise SchemaError(f"column {col!r} (field {key!r}) not in CSV header")
-    rows = list(reader)
+    if not rows:
+        raise EmptyLogError(f"{path}: no parseable event rows")
+    width = 1 + max(index[col] for spec in schema.values() for col in _columns(spec))
+    if min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
 
-    statics = ("age", "diagnosis_code", "treatment_code", "combination_id")
-    event_fields = ("department", "activity_code", "producer_code", "section")
-    case_col = _columns(schema["case_id"])[0]
-    activity_col = _columns(schema["activity"])[0]
-    timestamp_col = _columns(schema["timestamp"])[0]
-    event_cols = {f: _columns(schema[f])[0] for f in event_fields if f in schema}
-    exec_col = _columns(schema["num_executions"])[0] if "num_executions" in schema else None
-    static_cols = {f: _columns(schema[f]) for f in statics if f in schema}
-    cases: dict[str, dict] = {}
-    bad_rows = 0
-    bad_timestamps = 0
-    # a static field read from several columns is spread whenever any row parses
-    spread: set[str] = {f for f, cols in static_cols.items() if len(cols) > 1}
+    def raw(col):
+        return list(map(itemgetter(index[col]), rows))
 
-    for row in rows:
-        case_id = (row.get(case_col) or "").strip()
-        activity = (row.get(activity_col) or "").strip()
-        if not case_id or not activity:
-            bad_rows += 1
-            continue
-        try:
-            ts = _parse_timestamp(row[timestamp_col])
-        except (ValueError, KeyError, TypeError):
-            bad_timestamps += 1
-            continue
-        slot = cases.setdefault(case_id, {"events": [], "static": {}})
-        kwargs = {f: (row.get(col) or "").strip() for f, col in event_cols.items()}
-        n_exec = 1
-        if exec_col is not None:
-            try:
-                n_exec = max(1, int(float(row[exec_col])))
-            except (ValueError, TypeError, KeyError):
-                n_exec = 1
-        slot["events"].append(Event(activity=activity, timestamp=ts,
-                                    num_executions=n_exec, **kwargs))
-        for f, cols in static_cols.items():
-            for col in cols:
-                val = (row.get(col) or "").strip()
-                if val:
-                    prev = slot["static"].get(f)
-                    if prev is not None and prev != val:
-                        spread.add(f)
-                    slot["static"][f] = val
+    def column(key):
+        return _stripped_codes(raw(_columns(schema[key])[0]))
 
-    if not cases:
+    case_codes, case_tokens = column("case_id")
+    act_codes, act_tokens = column("activity")
+    candidates = np.flatnonzero(_filled(case_codes, case_tokens) & _filled(act_codes, act_tokens))
+    ts_raw = raw(_columns(schema["timestamp"])[0])
+    ts = _timestamps([ts_raw[i] for i in candidates.tolist()])
+    parsed = ~np.isnan(ts)
+    keep, ts = candidates[parsed], ts[parsed]
+    if not len(keep):
         raise EmptyLogError(f"{path}: no parseable event rows")
 
-    out = []
-    for case_id, slot in cases.items():
-        st = slot["static"]
-        age = 0
-        if "age" in st:
-            try:
-                age = max(0, int(float(st["age"])))
-            except ValueError:
-                age = 0
-        out.append(
-            Case(
-                case_id=case_id,
-                events=sorted(slot["events"], key=lambda e: e.timestamp),
-                age=age,
-                diagnosis_code=st.get("diagnosis_code"),
-                treatment_code=st.get("treatment_code", ""),
-                combination_id=st.get("combination_id", ""),
-            )
-        )
+    # cases in first-seen order among the rows kept
+    kept_cases = case_codes[keep]
+    seen, first = np.unique(kept_cases, return_index=True)
+    order_seen = seen[np.argsort(first)]
+    case_of = np.empty(len(case_tokens), dtype=np.int64)
+    case_of[order_seen] = np.arange(len(order_seen))
+    owner = case_of[kept_cases]
+    n_cases = len(order_seen)
+    by_case = np.lexsort((ts, owner))
+    events = keep[by_case]
+
+    codes, tokens = {"activity": act_codes[events]}, {"activity": act_tokens}
+    for f in DYNAMIC_CATEGORICAL[1:]:
+        if f in schema:
+            col_codes, tokens[f] = column(f)
+            codes[f] = col_codes[events]
+        else:
+            codes[f], tokens[f] = np.zeros(len(events), dtype=np.int64), [""]
+    n_exec = np.ones(len(events))
+    if "num_executions" in schema:
+        # float() ignores the whitespace that stripping removes
+        exec_codes, exec_tokens = column("num_executions")
+        n_exec = np.array([float(_whole(tok, 1)) for tok in exec_tokens])[exec_codes[events]]
+
+    statics, spread = {}, set()
+    for f in ("age", "diagnosis_code", "treatment_code", "combination_id"):
+        if f not in schema:
+            statics[f] = [None] * n_cases
+            continue
+        cols = _columns(schema[f])
+        static_codes, static_tokens = _stripped_codes(
+            list(chain.from_iterable(raw(col) for col in cols)))
+        static_codes = static_codes.reshape(len(cols), len(rows)).T[keep]
+        statics[f], mixed = _collapse(static_codes, static_tokens, owner, n_cases)
+        if mixed or len(cols) > 1:
+            spread.add(f)
+
     issues = {}
-    if bad_rows:
-        issues["unparseable_rows"] = bad_rows
-    if bad_timestamps:
-        issues["unparseable_timestamps"] = bad_timestamps
-    return EventLog(cases=out, spread_features=sorted(spread), issues=issues)
-
-
-def _derive_years(case: Case) -> Case:
-    span = case.events[-1].timestamp - case.events[0].timestamp
-    return replace(case, years_in_treatment=span / SECONDS_PER_YEAR)
+    if len(rows) - len(candidates):
+        issues["unparseable_rows"] = len(rows) - len(candidates)
+    if len(candidates) - len(keep):
+        issues["unparseable_timestamps"] = len(candidates) - len(keep)
+    return EventTable(
+        case_ids=[case_tokens[c] for c in order_seen.tolist()],
+        offsets=np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n_cases)))),
+        codes=codes, tokens=tokens, timestamp=ts[by_case],
+        num_executions=n_exec, age=[_whole(a, 0) for a in statics["age"]],
+        diagnosis_code=statics["diagnosis_code"],
+        treatment_code=[v or "" for v in statics["treatment_code"]],
+        combination_id=[v or "" for v in statics["combination_id"]],
+        years_in_treatment=np.zeros(n_cases),
+        spread_features=sorted(spread), issues=issues)
 
 
 #: unlabelled cases scored together during label imputation; peak memory is a
@@ -221,57 +419,59 @@ def _derive_years(case: Case) -> Case:
 IMPUTE_BLOCK = 128
 
 
-def _signature(case: Case) -> list:
-    """Activities plus a ``("treatment", code)`` token; the tuple keeps an
-    activity literally named "treatment" a separate token."""
-    tokens: list = [e.activity for e in case.events]
-    if case.treatment_code:
-        tokens.append(("treatment", case.treatment_code))
-    return tokens
+def _signatures(t: EventTable, cases: np.ndarray, treatment: np.ndarray):
+    """Signature tokens of ``cases`` as (signature row, token) pairs, plus each
+    signature's size. Tokens are activity codes, then ``n_activities + k`` for
+    a case whose treatment has index ``k`` (-1: no treatment code), so an
+    activity named like a treatment stays a separate token."""
+    lengths = t.offsets[cases + 1] - t.offsets[cases]
+    with_treatment = treatment[cases] >= 0
+    rows = np.concatenate([np.repeat(np.arange(len(cases)), lengths),
+                           np.flatnonzero(with_treatment)])
+    tokens = np.concatenate([t.codes["activity"][t.case_events(cases)],
+                             len(t.tokens["activity"]) + treatment[cases][with_treatment]])
+    return rows, tokens, lengths + with_treatment
 
 
-def _count_matrix(signatures: list[list], columns: dict) -> np.ndarray:
-    """int64 (signatures x columns) token counts; tokens without a column are
-    left out."""
-    rows, cols = [], []
-    for i, sig in enumerate(signatures):
-        for tok in sig:
-            j = columns.get(tok)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-    V = len(columns)
-    flat = np.asarray(rows, dtype=np.int64) * V + np.asarray(cols, dtype=np.int64)
-    counts = np.bincount(flat, minlength=len(signatures) * V)
-    return counts.astype(np.int64, copy=False).reshape(len(signatures), V)
+def _count_matrix(rows: np.ndarray, cols: np.ndarray, n_rows: int, V: int) -> np.ndarray:
+    """int64 (n_rows x V) counts of the (row, column) pairs; pairs whose column
+    is -1 are left out."""
+    used = cols >= 0
+    counts = np.bincount(rows[used] * V + cols[used], minlength=n_rows * V)
+    return counts.astype(np.int64, copy=False).reshape(n_rows, V)
 
 
-def _impute_labels(labeled: list[Case], unlabeled: list[Case]) -> list[str | None]:
+def _impute_labels(t: EventTable, labeled: list[int], unlabeled: list[int]) -> list[str | None]:
     """Label of the most similar labelled case for each unlabelled case, or
     None when every similarity is 0 (see ``clean_log``)."""
     if not unlabeled:
         return []
-    label_counts = Counter(c.diagnosis_code for c in labeled)
+    labels = t.diagnosis_code
+    label_counts = Counter(labels[i] for i in labeled)
     classes = sorted(label_counts, key=lambda lab: (-label_counts[lab], lab))
     rank = {lab: k for k, lab in enumerate(classes)}
     # labelled cases grouped by class in tie-break order, so that each class
     # is one contiguous run of similarity columns
-    labeled = sorted(labeled, key=lambda c: rank[c.diagnosis_code])
+    labeled = np.array(sorted(labeled, key=lambda i: rank[labels[i]]), dtype=np.int64)
     starts = np.cumsum([0] + [label_counts[lab] for lab in classes[:-1]])
-    a_sigs = [_signature(c) for c in labeled]
-    columns: dict = {}
-    for sig in a_sigs:
-        for tok in sig:
-            columns.setdefault(tok, len(columns))
-    A = np.ascontiguousarray(_count_matrix(a_sigs, columns).T)  # (V, labelled)
-    a_size = np.array([len(sig) for sig in a_sigs], dtype=np.int64)
+    treatment_codes: dict[str, int] = {}
+    treatment = np.array([treatment_codes.setdefault(tc, len(treatment_codes)) if tc else -1
+                          for tc in t.treatment_code], dtype=np.int64)
+    a_rows, a_tokens, a_size = _signatures(t, labeled, treatment)
+    # only tokens of labelled signatures get a similarity column
+    present = np.unique(a_tokens)
+    column = np.full(len(t.tokens["activity"]) + len(treatment_codes), -1, dtype=np.int64)
+    column[present] = np.arange(len(present))
+    V = len(present)
+    A = np.ascontiguousarray(_count_matrix(a_rows, column[a_tokens], len(labeled), V).T)
 
+    unlabeled = np.asarray(unlabeled, dtype=np.int64)
     out: list[str | None] = []
     for lo in range(0, len(unlabeled), IMPUTE_BLOCK):
-        b_sigs = [_signature(c) for c in unlabeled[lo:lo + IMPUTE_BLOCK]]
-        B = _count_matrix(b_sigs, columns)
-        b_size = np.array([len(sig) for sig in b_sigs], dtype=np.int64)
-        inter = np.zeros((len(b_sigs), len(labeled)), dtype=np.int64)
+        block = unlabeled[lo:lo + IMPUTE_BLOCK]
+        b_rows, b_tokens, b_size = _signatures(t, block, treatment)
+        B = _count_matrix(b_rows, column[b_tokens], len(block), V)
+        inter = np.zeros((len(block), len(labeled)), dtype=np.int64)
         tmp = np.empty_like(inter)
         for v in np.flatnonzero(B.any(axis=0)):
             np.minimum(B[:, v, None], A[v], out=tmp)
@@ -286,7 +486,7 @@ def _impute_labels(labeled: list[Case], unlabeled: list[Case]) -> list[str | Non
     return out
 
 
-def clean_log(log: EventLog, min_class_count: int) -> tuple[EventLog, CleaningReport]:
+def clean_log(log: EventLog | EventTable, min_class_count: int) -> tuple[EventTable, CleaningReport]:
     """Impute missing labels, derive treatment years, filter rare classes.
 
     Unlabeled cases inherit the label of the most similar labeled case. A
@@ -300,35 +500,36 @@ def clean_log(log: EventLog, min_class_count: int) -> tuple[EventLog, CleaningRe
     then to the lexicographically smaller label. Unlabeled cases with zero
     similarity to every labeled case are dropped. Classes with fewer than
     ``min_class_count`` cases are removed and recorded in the report.
+    Treatment years are the span from a case's first to its last event.
     """
     if min_class_count < 1:
         raise ValueError("min_class_count must be >= 1")
-    labeled = [c for c in log.cases if c.diagnosis_code is not None]
+    t = as_table(log)
+    if (np.diff(t.offsets) == 0).any():
+        raise ValueError("a case has no events, so it has no treatment span")
+    labels = list(t.diagnosis_code)
+    labeled = [i for i, lab in enumerate(labels) if lab is not None]
     if not labeled:
         raise CannotImputeError("every case is unlabeled; nothing to impute from")
-    unlabeled = [c for c in log.cases if c.diagnosis_code is None]
-    imputed = iter(_impute_labels(labeled, unlabeled))
+    unlabeled = [i for i, lab in enumerate(labels) if lab is None]
 
-    report = CleaningReport(collapsed_features=list(log.spread_features))
-    cleaned: list[Case] = []
-    for case in log.cases:
-        if case.diagnosis_code is not None:
-            cleaned.append(_derive_years(case))
-            continue
-        label = next(imputed)
+    report = CleaningReport(collapsed_features=list(t.spread_features))
+    for i, label in zip(unlabeled, _impute_labels(t, labeled, unlabeled)):
+        labels[i] = label
         if label is None:
             report.dropped_cases += 1
-            continue
-        report.imputed_labels += 1
-        cleaned.append(_derive_years(replace(case, diagnosis_code=label)))
+        else:
+            report.imputed_labels += 1
 
-    counts = Counter(c.diagnosis_code for c in cleaned)
+    counts = Counter(lab for lab in labels if lab is not None)
     report.kept_classes = {lab for lab, n in counts.items() if n >= min_class_count}
     report.dropped_classes = {
         lab: n for lab, n in sorted(counts.items()) if n < min_class_count
     }
-    kept = [c for c in cleaned if c.diagnosis_code in report.kept_classes]
-    return EventLog(cases=kept, spread_features=[], issues=dict(log.issues)), report
+    years = (t.timestamp[t.offsets[1:] - 1] - t.timestamp[t.offsets[:-1]]) / SECONDS_PER_YEAR
+    cleaned = replace(t, diagnosis_code=labels, years_in_treatment=years,
+                      spread_features=[], issues=dict(t.issues))
+    return cleaned.take([i for i, lab in enumerate(labels) if lab in report.kept_classes]), report
 
 
 @dataclass
@@ -338,37 +539,45 @@ class CorrelationResult:
     zero_variance: list[str]
 
 
-def _feature_rows(log: EventLog, features: list[str]) -> np.ndarray:
+#: per-case fields; each event row repeats its case's value
+_CASE_FIELDS = ("age", "years_in_treatment", "diagnosis_code", "treatment_code", "combination_id")
+
+
+def _feature_rows(t: EventTable, features: list[str]) -> np.ndarray:
     """One row per event; categoricals encoded by frequency rank (1 = most common)."""
     cat_fields = set(DYNAMIC_CATEGORICAL) | set(STATIC_CATEGORICAL) | {"diagnosis_code"}
+    lengths = np.diff(t.offsets)
     columns = []
     for feat in features:
-        vals = []
-        for case in log.cases:
-            for ev in case.events:
-                if feat in ("age", "years_in_treatment", "diagnosis_code",
-                            "treatment_code", "combination_id"):
-                    vals.append(getattr(case, feat))
-                else:
-                    vals.append(getattr(ev, feat))
-        if feat in cat_fields:
-            freq = Counter(v if v is not None else "" for v in vals)
-            order = sorted(freq.items(), key=lambda kv: (-kv[1], str(kv[0])))
-            rank = {tok: i + 1 for i, (tok, _) in enumerate(order)}
-            columns.append([float(rank[v if v is not None else ""]) for v in vals])
+        if feat in DYNAMIC_CATEGORICAL:
+            codes, tokens = t.codes[feat], t.tokens[feat]
+        elif feat in cat_fields:
+            case_codes, tokens = _codes([v if v is not None else "" for v in getattr(t, feat)])
+            codes = np.repeat(case_codes, lengths)
+        elif feat in _CASE_FIELDS:
+            columns.append(np.repeat(np.array([float(v) for v in getattr(t, feat)]), lengths))
+            continue
         else:
-            columns.append([float(v) for v in vals])
+            columns.append(np.asarray(getattr(t, feat), dtype=float))
+            continue
+        counts = np.bincount(codes, minlength=len(tokens)).tolist()
+        order = sorted((k for k in range(len(tokens)) if counts[k]),
+                       key=lambda k: (-counts[k], str(tokens[k])))
+        rank = np.zeros(len(tokens))
+        rank[order] = np.arange(1, len(order) + 1)
+        columns.append(rank[codes])
     return np.asarray(columns, dtype=float).T
 
 
-def correlation_matrix(log: EventLog, features: list[str]) -> CorrelationResult:
+def correlation_matrix(log: EventLog | EventTable, features: list[str]) -> CorrelationResult:
     """Pearson correlation over event rows; unit diagonal, symmetric.
 
     Zero-variance features get zero off-diagonal entries and are flagged.
     """
-    if len(log.cases) < 2:
+    t = as_table(log)
+    if len(t.case_ids) < 2:
         raise ValueError("need at least 2 cases")
-    X = _feature_rows(log, features)
+    X = _feature_rows(t, features)
     n, f = X.shape
     X = X - X.mean(axis=0)
     sd = X.std(axis=0)

@@ -13,6 +13,7 @@ running state, so its memory does not grow with the number of timesteps.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -539,8 +540,13 @@ def save_checkpoint(path, model: SeqNetModel, meta: dict | None = None) -> None:
 def load_checkpoint(path) -> SeqNetModel:
     """Read a ``save_checkpoint`` pair; ``ValueError`` unless the manifest is
     a seqnet's."""
-    with open(str(path) + ".json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(str(path) + ".json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        if os.path.exists(path):  # some other file, such as forest.json
+            raise ValueError(f"{path} is not a seqnet checkpoint") from None
+        raise
     if not isinstance(manifest, dict) or manifest.get("kind") != "seqnet":
         raise ValueError(f"{path} is not a seqnet checkpoint")
     curve = TrainingCurve(**{k: v for k, v in manifest["curve"].items()})

@@ -79,6 +79,24 @@ def test_ingest_encodes_sequences_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_ingest_builds_no_case_or_event_objects(tmp_path, monkeypatch):
+    from xlog import eventlog
+
+    def boom(*args, **kwargs):
+        raise AssertionError("ingest built a Case or Event object")
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
+    assert run("synth", "--spec", spec_path, "--seed", 3,
+               "--out", tmp_path / "synth") == 0
+    monkeypatch.setattr(eventlog, "Event", boom)
+    monkeypatch.setattr(eventlog, "Case", boom)
+    assert run("ingest", "--csv", tmp_path / "synth" / "events.csv",
+               "--schema", tmp_path / "synth" / "schema.json",
+               "--min-class", 4, "--window", 7, "--seed", 3,
+               "--out", tmp_path / "data") == 0
+
+
 def test_ingest_manifest_failure_leaves_no_container(tmp_path, monkeypatch):
     from xlog import encode
 
@@ -228,6 +246,14 @@ def test_project_rejects_non_seqnet_checkpoint(trained):
     with pytest.raises(SystemExit, match="project needs a seqnet checkpoint"):
         run("project", "--data", trained / "data",
             "--checkpoint", trained / "data" / "sequences.xlg",
+            "--out", trained / "bad")
+
+
+def test_project_rejects_forest_checkpoint(trained):
+    # forest.json exists but has no forest.json.json manifest beside it
+    with pytest.raises(SystemExit, match="project needs a seqnet checkpoint"):
+        run("project", "--data", trained / "data",
+            "--checkpoint", trained / "forest" / "forest.json",
             "--out", trained / "bad")
 
 

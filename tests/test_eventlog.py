@@ -1,7 +1,6 @@
 import os
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from xlog.eventlog import (
 )
 
 from conftest import make_case, make_log
+from ingest_oracle import oracle_clean_log
 
 SCHEMA = {"case_id": "case", "activity": "act", "timestamp": "ts",
           "age": "age", "diagnosis_code": "diag"}
@@ -77,6 +77,37 @@ def test_parse_counts_bad_rows_instead_of_silence(tmp_path):
     log = parse_log(path, SCHEMA)
     assert log.issues == {"unparseable_rows": 1, "unparseable_timestamps": 1}
     assert len(log.cases[0].events) == 1
+
+
+def test_parse_counts_short_row_instead_of_crashing(tmp_path):
+    path = write_csv(tmp_path, [
+        "c1,a,2020-01-01 00:00:00,50,M11",
+        "c1,b",
+        "c2",
+    ])
+    log = parse_log(path, SCHEMA)
+    assert log.issues == {"unparseable_rows": 1, "unparseable_timestamps": 1}
+    assert [c.case_id for c in log.cases] == ["c1"]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "Infinity"])
+def test_parse_non_finite_numbers_take_defaults(tmp_path, value):
+    path = write_csv(tmp_path, [
+        f"c1,a,2020-01-01 00:00:00,{value},M11,{value}",
+        "c1,b,2020-01-02 00:00:00,,M11,3.7",
+    ], header="case,act,ts,age,diag,n")
+    log = parse_log(path, dict(SCHEMA, num_executions="n"))
+    assert log.cases[0].age == 0
+    assert [e.num_executions for e in log.cases[0].events] == [1, 3]
+
+
+def test_parse_accepts_utf8_byte_order_mark(tmp_path):
+    path = os.path.join(tmp_path, "bom.csv")
+    with open(path, "w", encoding="utf-8-sig") as fh:
+        fh.write("case,act,ts,age,diag\nc1,a,2020-01-01 00:00:00,50,M11\n")
+    log = parse_log(path, SCHEMA)
+    assert [c.case_id for c in log.cases] == ["c1"]
+    assert log.cases[0].diagnosis_code == "M11"
 
 
 def test_parse_empty_log_error(tmp_path):
@@ -182,6 +213,12 @@ def test_clean_drops_zero_similarity_case():
     assert len(cleaned.cases) == 1
 
 
+def test_clean_rejects_case_without_events():
+    log = make_log([("c1", ["a"], "L"), ("c2", [], "L")])
+    with pytest.raises(ValueError, match="no events"):
+        clean_log(log, min_class_count=1)
+
+
 def test_clean_all_unlabeled_raises():
     log = make_log([{"case_id": "c1", "activities": ["a"], "label": None}])
     with pytest.raises(CannotImputeError):
@@ -197,86 +234,6 @@ def test_clean_derives_years():
     by_id = {c.case_id: c for c in cleaned.cases}
     assert by_id["c1"].years_in_treatment == pytest.approx(2.0)
     assert by_id["c2"].years_in_treatment == 0.0
-
-
-class _neg_lex(str):
-    """Orders lexicographically smaller strings as larger, for max() tie-breaks."""
-
-    def __lt__(self, other):
-        return str.__gt__(self, other)
-
-    def __gt__(self, other):
-        return str.__lt__(self, other)
-
-
-def _jaccard(a: Counter, b: Counter) -> float:
-    """Multiset Jaccard: sum of min counts over sum of max counts."""
-    keys = set(a) | set(b)
-    inter = sum(min(a[k], b[k]) for k in keys)
-    union = sum(max(a[k], b[k]) for k in keys)
-    return inter / union if union else 0.0
-
-
-def oracle_impute(log):
-    """Reference imputation: a Python loop over Counter signatures.
-
-    Returns (case_id -> imputed label or None, tie kinds seen), where a tie
-    kind records whether classes tied at the best similarity had equal or
-    unequal sizes.
-    """
-    labeled = [c for c in log.cases if c.diagnosis_code is not None]
-    label_counts = Counter(c.diagnosis_code for c in labeled)
-
-    def signature(case):
-        sig = Counter(e.activity for e in case.events)
-        if case.treatment_code:
-            sig[("treatment", case.treatment_code)] += 1
-        return sig
-
-    labeled_sigs = [(c, signature(c)) for c in labeled]
-    labels, ties = {}, Counter()
-    for case in log.cases:
-        if case.diagnosis_code is not None:
-            continue
-        sig = signature(case)
-        best = None  # (similarity, class size, label)
-        tied = {}
-        for other, other_sig in labeled_sigs:
-            sim = _jaccard(sig, other_sig)
-            if sim <= 0.0:
-                continue
-            key = (sim, label_counts[other.diagnosis_code], _neg_lex(other.diagnosis_code))
-            if best is None or key > best[0]:
-                best = (key, other.diagnosis_code)
-            tied.setdefault(sim, set()).add(other.diagnosis_code)
-        labels[case.case_id] = None if best is None else best[1]
-        top = tied.get(best[0][0], set()) if best else set()
-        if len(top) > 1:
-            sizes = {label_counts[lab] for lab in top}
-            ties["equal" if len(sizes) < len(top) else "unequal"] += 1
-    return labels, ties
-
-
-def oracle_clean_log(log, min_class_count):
-    """``clean_log`` with its imputation done by ``oracle_impute``; also
-    returns the tie kinds seen."""
-    labels, ties = oracle_impute(log)
-    report = eventlog.CleaningReport(collapsed_features=list(log.spread_features))
-    cleaned = []
-    for case in log.cases:
-        if case.diagnosis_code is None:
-            label = labels[case.case_id]
-            if label is None:
-                report.dropped_cases += 1
-                continue
-            report.imputed_labels += 1
-            case = replace(case, diagnosis_code=label)
-        cleaned.append(eventlog._derive_years(case))
-    counts = Counter(c.diagnosis_code for c in cleaned)
-    report.kept_classes = {lab for lab, n in counts.items() if n >= min_class_count}
-    report.dropped_classes = {lab: n for lab, n in sorted(counts.items())
-                              if n < min_class_count}
-    return [c for c in cleaned if c.diagnosis_code in report.kept_classes], report, ties
 
 
 def random_tie_log(rng, k):

@@ -27,6 +27,11 @@ def test_traced_bench_writes_untraced_bytes_and_records_seqnet_spans(tmp_path, m
         tracer.uninstall()
     assert files_under(tmp_path / "traced") == files_under(tmp_path / "plain")
     names = {span[0] for span in tracer.spans}
+    assert {"eventlog.parse_log", "eventlog.clean_log", "encode.build_vocab",
+            "encode.encode_sequences"} <= names
+    csv_lines = (tmp_path / "traced" / "synth" / "events.csv").read_text().splitlines()
+    assert tracer.counts["eventlog.events"] == len(csv_lines) - 1
+    assert tracer.counts["encode.cells"] > 0
     assert {"seqnet.loss_and_grads", "seqnet.evaluate", "seqnet.hidden_summary"} <= names
     assert tracer.counts["seqnet.steps_scanned"] > 0
     assert tracer.counts["seqnet.loss_and_grads.calls"] > 0
