@@ -190,6 +190,7 @@ class EventTable:
 
 
 def as_table(log: EventLog | EventTable) -> EventTable:
+    """``log`` as a table; an object log is converted."""
     return log if isinstance(log, EventTable) else EventTable.from_log(log)
 
 
@@ -338,10 +339,8 @@ def parse_log(path, schema: dict) -> EventTable:
         for col in _columns(spec):
             if col not in index:
                 raise SchemaError(f"column {col!r} (field {key!r}) not in CSV header")
-    if not rows:
-        raise EmptyLogError(f"{path}: no parseable event rows")
     width = 1 + max(index[col] for spec in schema.values() for col in _columns(spec))
-    if min(map(len, rows)) < width:
+    if min(map(len, rows), default=width) < width:
         rows = [row + [""] * (width - len(row)) for row in rows]
 
     def raw(col):
