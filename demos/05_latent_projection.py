@@ -31,16 +31,16 @@ seqnet.train(model, tr.X, tr.mask, tr.Y, epochs=120, lr=0.5, seed=7)
 acts = latent.capture_activations(model, seq, layer=0)
 print("captured activations:", acts.values.shape)
 
-# grid-search the autoencoder feeder width; rank projections by silhouette
-rows, projections = latent.grid_search_ae(acts, [2, 4, 8, 16, 32],
-                                          epochs=300, lr=0.05, seed=5)
+# grid-search the autoencoder feeder width; rank projections by the
+# silhouette of their k-means clusters
+rows, projections, reports = latent.grid_search_ae(acts, [2, 4, 8, 16, 32],
+                                                   epochs=300, lr=0.05, seed=5)
 print(f"{'n1':>4}{'mse':>12}{'silhouette':>12}")
 for row in rows:
     star = " *" if row.best else ""
     print(f"{row.n1:>4}{row.mse:>12.4f}{row.silhouette:>12.3f}{star}")
 
-proj = projections[0]
-rep = latent.analyze_misclassifications(proj, k=len(seq.label_names), seed=5)
+proj, rep = projections[0], reports[0]
 print(f"\nk-means purity: {rep.purity:.3f}")
 for c, ids in rep.misclassified.items():
     label = rep.majority_label[c]

@@ -53,12 +53,12 @@ def parse_config_file(path) -> dict:
 #: same logical run emits identical bytes regardless of where it writes
 PATH_KEYS = {"config", "out", "csv", "schema", "data", "checkpoint", "spec"}
 
-_ACTIVE_RUNS: list["Run"] = []
-
 
 class Run:
     """Tracks effective config, output files, and metadata stamping. The hash
-    covers the options as given; omitted ones then take their declared default."""
+    covers the options as given; omitted ones then take their declared default.
+    Used as a context manager, it removes the files it wrote when its body
+    raises, and lets the exception through."""
 
     def __init__(self, args):
         options = _options(args.command)
@@ -77,7 +77,15 @@ class Run:
         self.cfg = cfg
         self.seed = cfg["seed"]
         self.written: list[str] = []
-        _ACTIVE_RUNS.append(self)
+
+    def __enter__(self) -> "Run":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for path in self.written:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
 
     @property
     def meta(self) -> dict:
@@ -103,11 +111,6 @@ class Run:
     def write_csv(self, path, body: str) -> None:
         self.write_text(path, f"# {self.meta_line}\n{body}")
 
-    def cleanup(self) -> None:
-        for path in self.written:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-
 
 def _require(cfg, *keys):
     for key in keys:
@@ -117,8 +120,7 @@ def _require(cfg, *keys):
 
 # ------------------------------------------------------------------ ingest
 
-def cmd_ingest(args) -> int:
-    run = Run(args)
+def cmd_ingest(run) -> int:
     cfg = run.cfg
     _require(cfg, "csv", "schema", "out")
     with open(cfg["schema"], encoding="utf-8") as fh:
@@ -248,8 +250,7 @@ def _train_seqnet(run):
     return 0
 
 
-def cmd_train(args) -> int:
-    run = Run(args)
+def cmd_train(run) -> int:
     _require(run.cfg, "data", "model", "grid", "out")
     if run.cfg["model"] == "forest":
         return _train_forest(run)
@@ -269,8 +270,7 @@ def _load_predictor(checkpoint):
     return lambda X: forest.predict_proba(model, X)
 
 
-def cmd_explain(args) -> int:
-    run = Run(args)
+def cmd_explain(run) -> int:
     cfg = run.cfg
     _require(cfg, "data", "checkpoint", "method", "out")
     out = cfg["out"]
@@ -325,12 +325,9 @@ def cmd_explain(args) -> int:
 
 # ----------------------------------------------------------------- project
 
-def cmd_project(args) -> int:
-    run = Run(args)
+def cmd_project(run) -> int:
     cfg = run.cfg
     _require(cfg, "data", "checkpoint", "out")
-    if cfg["bottleneck"] != 2:
-        raise SystemExit("the latent bottleneck is fixed at 2 (plotting plane)")
     out = cfg["out"]
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
     try:
@@ -339,18 +336,12 @@ def cmd_project(args) -> int:
         raise SystemExit("project needs a seqnet checkpoint; train --model lstm") from exc
     acts = latent.capture_activations(model, seq, layer=cfg["layer"])
     k = cfg["k"] if cfg["k"] is not None else len(seq.label_names)
-    if cfg["bottleneck_grid"] is not None:
-        candidates = [int(s) for s in str(cfg["bottleneck_grid"]).split(",")]
-        rows, projections = latent.grid_search_ae(acts, candidates, epochs=cfg["epochs"],
-                                                  lr=cfg["lr"], seed=run.seed, k=k)
-        run.write_json(run.path(out, "ae_grid.json"),
-                       {"rows": [dataclasses.asdict(r) for r in rows]})
-        proj = projections[0]
-    else:
-        ae = latent.fit_autoencoder(acts, n1=cfg["n1"], epochs=cfg["epochs"],
-                                    lr=cfg["lr"], seed=run.seed)
-        proj = latent.project(ae, acts)
-    report = latent.analyze_misclassifications(proj, k=k, seed=run.seed)
+    candidates = [int(s) for s in str(cfg["bottleneck_grid"]).split(",")]
+    rows, projections, reports = latent.grid_search_ae(
+        acts, candidates, epochs=cfg["epochs"], lr=cfg["lr"], seed=run.seed, k=k)
+    run.write_json(run.path(out, "ae_grid.json"),
+                   {"rows": [dataclasses.asdict(r) for r in rows]})
+    proj, report = projections[0], reports[0]
     run.write_csv(run.path(out, "projection.csv"), proj.to_csv())
     names = proj.label_names
     run.write_text(run.path(out, "projection.svg"), svgplot.scatter_chart(
@@ -366,8 +357,7 @@ def cmd_project(args) -> int:
 
 # -------------------------------------------------------------------- synth
 
-def cmd_synth(args) -> int:
-    run = Run(args)
+def cmd_synth(run) -> int:
     cfg = run.cfg
     _require(cfg, "spec", "out")
     with open(cfg["spec"], encoding="utf-8") as fh:
@@ -395,10 +385,9 @@ BENCH_SPEC = {
 }
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(run) -> int:
     """Small deterministic end-to-end pipeline emitting every artifact kind;
     each stage is parsed and run as its own command line."""
-    run = Run(args)
     _require(run.cfg, "out")
     out = run.cfg["out"]
     spec_path = run.path(out, "bench_spec.json")
@@ -423,10 +412,12 @@ def cmd_bench(args) -> int:
              "--budget", 2, "--max-candidates", 5],
             [*explain_args, "--method", "pdp", "--feature", "age"],
             ["project", "--data", data, "--checkpoint", os.path.join(out, "lstm", "seqnet.xlg"),
-             "--layer", 0, "--n1", 6, "--k", 3, "--epochs", 150, "--lr", 0.05,
+             "--layer", 0, "--bottleneck-grid", 6, "--k", 3, "--epochs", 150, "--lr", 0.05,
              "--out", os.path.join(out, "latent")]):
         stage = parser.parse_args([*map(str, argv), "--seed", str(run.seed)])
-        stage.func(stage)
+        with Run(stage) as stage_run:
+            stage.func(stage_run)
+        run.written += stage_run.written  # a later stage's failure removes them too
     with open(os.path.join(out, "forest", "train_table.json"), encoding="utf-8") as fh:
         forest_table = json.load(fh)
     with open(os.path.join(out, "lstm", "train_table.json"), encoding="utf-8") as fh:
@@ -467,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help_text):
-        p = sub.add_parser(name, help=help_text,
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", help="key = value config file; flags override")
         p.add_argument("--seed", type=int, default=0, help="random seed")
@@ -511,9 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--checkpoint")
     p.add_argument("--layer", type=int, default=0, help="recurrent layer to capture")
-    p.add_argument("--bottleneck", type=int, default=2, help="latent width (fixed at 2)")
-    p.add_argument("--bottleneck-grid", help="comma list of feeder widths n1 to grid-search")
-    p.add_argument("--n1", type=int, default=8, help="feeder width without a grid")
+    p.add_argument("--bottleneck-grid", default="8",
+                   help="comma list of feeder widths n1 to grid-search")
     p.add_argument("--k", type=int, help="k-means clusters; omitted: the number of classes")
     p.add_argument("--epochs", type=int, default=400, help="autoencoder epochs")
     p.add_argument("--lr", type=float, default=0.05, help="autoencoder learning rate")
@@ -527,14 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _ACTIVE_RUNS.clear()
     try:
-        return args.func(args)
-    except BaseException as exc:  # partial failure removes partial files
-        for run in _ACTIVE_RUNS:
-            run.cleanup()
-        if isinstance(exc, (SystemExit, KeyboardInterrupt)):
-            raise
+        with Run(args) as run:  # partial failure removes partial files
+            return args.func(run)
+    except Exception as exc:
         print(f"xlog: error: {exc}", file=sys.stderr)
         return 1
 

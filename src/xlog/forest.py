@@ -14,7 +14,7 @@ so tree depth is bounded only by the number of rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,7 +143,6 @@ class ForestModel:
     seed: int
     feature_names: list[str]
     label_names: list[str]
-    oob_indices: list[np.ndarray] = field(default_factory=list)
     min_leaf: int = 1
 
     @property
@@ -156,11 +155,10 @@ class ForestModel:
 
 
 def fit_forest(X, Y, n_estimators: int, max_features: int, seed: int,
-               min_leaf: int = 1, bootstrap: bool = True,
-               feature_names: list[str] | None = None,
+               min_leaf: int = 1, feature_names: list[str] | None = None,
                label_names: list[str] | None = None) -> ForestModel:
-    """Fit ``n_estimators`` trees on bootstrap samples (per-tree streams seeded
-    ``seed + tree index``); out-of-bag row indices are recorded per tree."""
+    """Fit ``n_estimators`` trees on bootstrap samples; tree ``t`` draws its
+    sample, then its feature subsets, from ``default_rng(seed + t)``."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=np.int64)
     if n_estimators < 1:
@@ -171,22 +169,16 @@ def fit_forest(X, Y, n_estimators: int, max_features: int, seed: int,
         feature_names = [f"x{j}" for j in range(f)]
     if label_names is None:
         label_names = [str(c) for c in range(n_classes)]
-    trees, oob = [], []
+    trees = []
     for t in range(n_estimators):
         rng = np.random.default_rng(seed + t)
-        if bootstrap:
-            sample = rng.integers(0, n, size=n)
-            held_out = np.setdiff1d(np.arange(n), np.unique(sample))
-        else:
-            sample = np.arange(n)
-            held_out = np.asarray([], dtype=np.int64)
+        sample = rng.integers(0, n, size=n)
         trees.append(fit_tree(X[sample], Y[sample], min(max_features, f), rng,
                               min_leaf=min_leaf, n_classes=n_classes))
-        oob.append(held_out)
     return ForestModel(trees=trees, n_estimators=n_estimators,
                        max_features=min(max_features, f), seed=seed,
                        feature_names=feature_names, label_names=label_names,
-                       oob_indices=oob, min_leaf=min_leaf)
+                       min_leaf=min_leaf)
 
 
 def tree_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -287,7 +279,6 @@ def to_json(model: ForestModel, meta: dict | None = None) -> str:
         "min_leaf": model.min_leaf,
         "feature_names": model.feature_names,
         "label_names": model.label_names,
-        "oob_indices": [o.tolist() for o in model.oob_indices],
         "trees": [{"feature": t.feature.tolist(), "threshold": t.threshold.tolist(),
                    "left": t.left.tolist(), "right": t.right.tolist(),
                    "histogram": t.histogram.astype(np.int64).ravel().tolist()}
@@ -313,6 +304,4 @@ def from_json(text: str) -> ForestModel:
         trees=trees,
         n_estimators=d["n_estimators"], max_features=d["max_features"],
         seed=d["seed"], feature_names=d["feature_names"],
-        label_names=d["label_names"],
-        oob_indices=[np.asarray(o, dtype=np.int64) for o in d["oob_indices"]],
-        min_leaf=d["min_leaf"])
+        label_names=d["label_names"], min_leaf=d["min_leaf"])

@@ -275,23 +275,24 @@ class AEGridRow:
 
 def grid_search_ae(acts: ActivationMatrix, candidates, epochs: int = 400,
                    lr: float = 0.05, seed: int = 0, k: int | None = None):
-    """Fit one autoencoder per bottleneck-feeder width and rank projections by
-    the k-means silhouette of the latent plane (sparser wins); all projections
-    are returned for inspection."""
+    """Fit one autoencoder per bottleneck-feeder width (candidate ``i`` with
+    ``seed + i``), cluster its plane once (``analyze_misclassifications``
+    with ``seed + i``) and rank the candidates by the silhouette of those
+    clusters (sparser wins). Returns the rows, projections and cluster
+    reports, all in rank order."""
     if not list(candidates):
         raise ValueError("empty candidate set")
     if k is None:
         k = len(set(acts.true_labels.tolist()))
-    rows, projections = [], []
+    rows, projections, reports = [], [], []
     for i, n1 in enumerate(candidates):
         ae = fit_autoencoder(acts, n1=n1, epochs=epochs, lr=lr, seed=seed + i)
         proj = project(ae, acts)
-        labels, _, _ = kmeans(proj.coordinates, k, seed=seed + i)
-        sil = silhouette_score(proj.coordinates, labels)
+        reports.append(analyze_misclassifications(proj, k, seed=seed + i))
+        sil = silhouette_score(proj.coordinates, proj.clusters)
         rows.append(AEGridRow(n1=n1, mse=ae.final_mse, silhouette=sil))
         projections.append(proj)
     order = sorted(range(len(rows)), key=lambda j: (-rows[j].silhouette, rows[j].mse, j))
-    rows = [rows[j] for j in order]
-    projections = [projections[j] for j in order]
-    rows[0].best = True
-    return rows, projections
+    rows[order[0]].best = True
+    return ([rows[j] for j in order], [projections[j] for j in order],
+            [reports[j] for j in order])

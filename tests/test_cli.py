@@ -277,13 +277,15 @@ def test_project_outputs(trained):
     out = trained / "proj"
     assert run("project", "--data", trained / "data",
                "--checkpoint", trained / "lstm" / "seqnet.xlg",
-               "--layer", 0, "--bottleneck", 2, "--k", 2, "--epochs", 60,
+               "--layer", 0, "--k", 2, "--epochs", 60,
                "--seed", 2, "--out", out) == 0
     csv_text = (out / "projection.csv").read_text()
     assert csv_text.splitlines()[1] == "id,x,y,true,predicted,cluster"
     report = json.loads((out / "cluster_report.json").read_text())
     assert report["k"] == 2 and report["layer_width"] == 8
     assert (out / "projection.svg").read_text().startswith("<svg")
+    grid = json.loads((out / "ae_grid.json").read_text())
+    assert [(r["n1"], r["best"]) for r in grid["rows"]] == [(8, True)]  # the default grid
 
 
 def test_project_grid_mode(trained):
@@ -297,11 +299,37 @@ def test_project_grid_mode(trained):
     assert sum(r["best"] for r in grid["rows"]) == 1
 
 
+def test_project_clusters_each_candidate_once(trained, monkeypatch):
+    from xlog import latent
+    calls = []
+    real = latent.kmeans
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(latent, "kmeans", counted)
+    out = trained / "projonce"
+    assert run("project", "--data", trained / "data",
+               "--checkpoint", trained / "lstm" / "seqnet.xlg",
+               "--bottleneck-grid", "4,8", "--k", 2, "--epochs", 40,
+               "--seed", 2, "--out", out) == 0
+    assert len(calls) == 2
+
+
 def test_project_rejects_non_planar_bottleneck(trained):
-    with pytest.raises(SystemExit, match="fixed at 2"):
-        run("project", "--data", trained / "data",
-            "--checkpoint", trained / "lstm" / "seqnet.xlg",
-            "--bottleneck", 3, "--out", trained / "nope")
+    # --bottleneck is gone, and an option prefix is not taken for the full name
+    base = ["--data", trained / "data", "--out", trained / "nope"]
+    for argv in (["project", *base, "--checkpoint", trained / "lstm" / "seqnet.xlg",
+                  "--bottleneck", 3],
+                 ["project", *base, "--checkpoint", trained / "lstm" / "seqnet.xlg",
+                  "--bottleneck", 2],
+                 ["explain", *base, "--checkpoint", trained / "forest" / "forest.json",
+                  "--method", "lime", "--instance", 0, "--k-feat", 3]):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+    assert files_under(trained / "nope") == []
 
 
 def test_config_file_parsing(tmp_path):
@@ -352,6 +380,15 @@ def test_failure_removes_partial_files(tmp_path, monkeypatch):
     assert code == 1
     leftovers = [p for p in (tmp_path / "f").glob("*")] if (tmp_path / "f").exists() else []
     assert leftovers == []
+
+
+def test_run_removes_its_files_when_its_body_exits(tmp_path):
+    args = cli.build_parser().parse_args(["synth", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit, match="stop"):
+        with cli.Run(args) as r:
+            r.write_text(r.path(tmp_path, "partial.txt"), "x")
+            raise SystemExit("stop")
+    assert files_under(tmp_path) == []
 
 
 def files_under(path):

@@ -49,6 +49,14 @@ def leaf_tree(histogram):
                 np.asarray([LEAF]), np.asarray([histogram], dtype=float))
 
 
+def one_tree_forest(X, Y, max_features, seed):
+    """A forest of the one tree ``fit_tree`` grows on all rows of ``X``."""
+    tree = fit_tree(X, Y, max_features, np.random.default_rng(seed))
+    return ForestModel(trees=[tree], n_estimators=1, max_features=max_features, seed=seed,
+                       feature_names=[f"x{j}" for j in range(X.shape[1])],
+                       label_names=[str(c) for c in range(int(Y.max()) + 1)])
+
+
 # ---------------------------------------------------------------- oracle
 # The recursive trees and per-feature split search that the array-backed
 # trees replaced, kept verbatim as the reference they must equal exactly.
@@ -283,7 +291,7 @@ def test_deep_chain_fits_predicts_and_round_trips():
     n = 5000
     X = np.arange(n, dtype=float)[:, None]
     Y = np.arange(n) % 2
-    model = fit_forest(X, Y, n_estimators=1, max_features=1, seed=0, bootstrap=False)
+    model = one_tree_forest(X, Y, max_features=1, seed=0)
     tree = model.trees[0]
     assert len(tree.feature) == 2 * n - 1
     depth, node = 0, 0
@@ -407,22 +415,16 @@ def test_forest_same_seed_bit_identical(rng):
     assert np.array_equal(predict_proba(m1, X), predict_proba(m2, X))
 
 
-def test_forest_single_tree_without_bootstrap_equals_fit_tree(rng):
+def test_forest_trees_equal_fit_tree_on_their_bootstrap_samples(rng):
+    # tree t draws its sample, then its feature subsets, from default_rng(seed + t)
     X = rng.random((30, 3))
     Y = rng.integers(0, 2, size=30)
-    model = fit_forest(X, Y, n_estimators=1, max_features=3, seed=4, bootstrap=False)
-    direct = fit_tree(X, Y, max_features=3, rng=np.random.default_rng(4), n_classes=2)
-    assert tree_equal(model.trees[0], direct)
-    assert model.oob_indices[0].size == 0
-
-
-def test_forest_oob_indices_are_out_of_bag(rng):
-    X = rng.random((25, 2))
-    Y = rng.integers(0, 2, size=25)
-    model = fit_forest(X, Y, n_estimators=5, max_features=2, seed=1)
-    for t, oob in enumerate(model.oob_indices):
-        sample = np.random.default_rng(1 + t).integers(0, 25, size=25)
-        assert np.intersect1d(oob, np.unique(sample)).size == 0
+    model = fit_forest(X, Y, n_estimators=3, max_features=2, seed=4)
+    for t, tree in enumerate(model.trees):
+        tree_rng = np.random.default_rng(4 + t)
+        sample = tree_rng.integers(0, 30, size=30)
+        direct = fit_tree(X[sample], Y[sample], max_features=2, rng=tree_rng, n_classes=2)
+        assert tree_equal(tree, direct)
 
 
 def test_predict_proba_rows_sum_to_one(rng):
@@ -455,8 +457,7 @@ def test_predict_proba_shape_mismatch():
 def test_importance_single_split_is_one():
     X = np.asarray([[0.0], [1.0], [2.0], [3.0]])
     Y = np.asarray([0, 0, 1, 1])
-    model = fit_forest(X, Y, n_estimators=1, max_features=1, seed=0, bootstrap=False)
-    report = gini_importance(model)
+    report = gini_importance(one_tree_forest(X, Y, max_features=1, seed=0))
     assert report.importances[0] == pytest.approx(1.0)
 
 
@@ -513,7 +514,6 @@ def test_forest_json_roundtrip(rng):
     assert back.label_names == model.label_names
     assert len(back.trees) == len(model.trees)
     assert all(tree_equal(a, b) for a, b in zip(back.trees, model.trees))
-    assert all(np.array_equal(a, b) for a, b in zip(back.oob_indices, model.oob_indices))
     Xt = rng.random((10, 3))
     assert np.array_equal(predict_proba(back, Xt), predict_proba(model, Xt))
 

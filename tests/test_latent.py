@@ -212,9 +212,23 @@ def test_analyze_rejects_bad_k(rng):
 
 def test_grid_search_ae_single_candidate(rng):
     acts = blob_acts(rng, n_per=15)
-    rows, projections = grid_search_ae(acts, [4], epochs=50, lr=0.05, seed=0)
+    rows, projections, reports = grid_search_ae(acts, [4], epochs=50, lr=0.05, seed=0)
     assert len(rows) == 1 and rows[0].best
-    assert len(projections) == 1
+    assert len(projections) == len(reports) == 1
+
+
+def test_grid_search_ae_reports_the_clusters_that_ranked_each_candidate(rng):
+    acts = blob_acts(rng, n_per=15)
+    candidates = [2, 4, 8]
+    rows, projections, reports = grid_search_ae(acts, candidates, epochs=60, lr=0.05,
+                                                seed=3, k=3)
+    for row, proj, report in zip(rows, projections, reports):
+        i = candidates.index(row.n1)
+        labels, _, _ = kmeans(proj.coordinates, 3, seed=3 + i)
+        assert np.array_equal(proj.clusters, labels)
+        assert row.silhouette == silhouette_score(proj.coordinates, proj.clusters)
+        assert report.purity == proj.purity
+        assert report.cluster_sizes == np.bincount(labels, minlength=3).tolist()
 
 
 def test_grid_search_ae_similar_mse_ranked_by_silhouette(rng):
@@ -224,15 +238,15 @@ def test_grid_search_ae_similar_mse_ranked_by_silhouette(rng):
     vals = Z @ A + y[:, None] * 2.0
     acts = ActivationMatrix(values=vals, layer=0, true_labels=y,
                             predicted_labels=y.copy(), label_names=["a", "b", "c"])
-    rows, _ = grid_search_ae(acts, [4, 8, 16], epochs=250, lr=0.05, seed=1)
+    rows, _, _ = grid_search_ae(acts, [4, 8, 16], epochs=250, lr=0.05, seed=1)
     assert rows[0].silhouette == max(r.silhouette for r in rows)
     assert sum(r.best for r in rows) == 1
 
 
 def test_grid_search_ae_deterministic(rng):
     acts = blob_acts(rng, n_per=12)
-    r1, _ = grid_search_ae(acts, [4, 8], epochs=40, lr=0.05, seed=5)
-    r2, _ = grid_search_ae(acts, [4, 8], epochs=40, lr=0.05, seed=5)
+    r1, _, _ = grid_search_ae(acts, [4, 8], epochs=40, lr=0.05, seed=5)
+    r2, _, _ = grid_search_ae(acts, [4, 8], epochs=40, lr=0.05, seed=5)
     assert [(a.n1, a.mse, a.silhouette) for a in r1] == \
         [(a.n1, a.mse, a.silhouette) for a in r2]
 
