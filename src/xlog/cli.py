@@ -51,7 +51,7 @@ def parse_config_file(path) -> dict:
 
 #: config keys holding filesystem paths; excluded from the config hash so the
 #: same logical run emits identical bytes regardless of where it writes
-PATH_KEYS = {"config", "out", "csv", "schema", "data", "checkpoint", "spec"}
+PATH_KEYS = frozenset({"config", "out", "csv", "schema", "data", "checkpoint", "spec"})
 
 
 class Run:
@@ -164,6 +164,12 @@ def _parse_seqnet_grid(spec: str, default_arch: str):
 
 
 def _kfold_indices(Y, k, seed):
+    """Each class's rows, shuffled, dealt round-robin from fold 0; so no fold
+    is empty exactly when ``k`` is at most the largest class's row count."""
+    largest = int(np.unique(Y, return_counts=True)[1].max())
+    if not 2 <= k <= largest:
+        raise ValueError(f"--cv-k must be between 2 and {largest} (the largest class's "
+                         f"training rows), got {k}")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     for label in np.unique(Y):
@@ -275,8 +281,19 @@ def cmd_explain(run) -> int:
     _require(cfg, "data", "checkpoint", "method", "out")
     out = cfg["out"]
     flat = encode.FlatDataset.load(os.path.join(cfg["data"], "flat.xlg"))
+    n_classes = len(flat.label_names)
+    if cfg["target"] is not None and not 0 <= cfg["target"] < n_classes:
+        raise SystemExit(f"--target {cfg['target']} is not a class index in [0, {n_classes})")
     predictor = _load_predictor(cfg["checkpoint"])
     method = cfg["method"]
+
+    def row_of(raw):
+        if raw in flat.case_ids:
+            return flat.case_ids.index(raw)
+        if raw.isdecimal() and int(raw) < len(flat.Y):
+            return int(raw)
+        raise SystemExit(f"--instance {raw!r} is neither a case id nor a row index "
+                         f"in [0, {len(flat.Y)})")
 
     def explain_one(i):
         target = cfg["target"] if cfg["target"] is not None \
@@ -290,8 +307,8 @@ def cmd_explain(run) -> int:
 
     if method == "lime":
         _require(cfg, "instance")
-        for raw in filter(None, str(cfg["instance"]).split(",")):
-            exp = explain_one(flat.case_ids.index(raw) if raw in flat.case_ids else int(raw))
+        for i in [row_of(raw) for raw in filter(None, str(cfg["instance"]).split(","))]:
+            exp = explain_one(i)
             stem = f"lime_{exp.instance_id}"
             run.write_json(run.path(out, stem + ".json"), exp.to_dict())
             run.write_text(run.path(out, stem + ".svg"), exp.to_svg(meta=run.meta_line))

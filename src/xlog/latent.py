@@ -16,6 +16,9 @@ import numpy as np
 from . import seqnet
 from .encode import SequenceDataset
 
+#: rows whose distances to every point ``silhouette_score`` holds at once
+SILHOUETTE_BLOCK_ROWS = 256
+
 
 @dataclass
 class ActivationMatrix:
@@ -165,6 +168,8 @@ def kmeans(X, k: int, seed: int, restarts: int = 20):
     """At most 100 Lloyd iterations from each of ``restarts`` seeded random
     initializations; returns (labels, centers, inertia) of the best restart."""
     X = np.asarray(X, dtype=float)
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k > len(X):
         raise ValueError(f"k={k} exceeds {len(X)} points")
     best = None
@@ -193,22 +198,25 @@ def kmeans(X, k: int, seed: int, restarts: int = 20):
 
 
 def silhouette_score(X, labels) -> float:
-    """Mean silhouette over all points; single-member clusters score 0."""
+    """Mean silhouette over all points; single-member clusters score 0.
+    Distances are computed ``SILHOUETTE_BLOCK_ROWS`` rows at a time."""
     X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
-    uniq = np.unique(labels)
+    uniq, cluster = np.unique(np.asarray(labels), return_inverse=True)
     if len(uniq) < 2:
         return 0.0
-    d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    members = cluster == np.arange(len(uniq))[:, None]  # (clusters, points)
     scores = np.zeros(len(X))
-    for i in range(len(X)):
-        same = labels == labels[i]
-        n_same = same.sum()
-        if n_same <= 1:
-            continue
-        a = d[i, same].sum() / (n_same - 1)
-        b = min(d[i, labels == c].mean() for c in uniq if c != labels[i])
-        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    for start in range(0, len(X), SILHOUETTE_BLOCK_ROWS):
+        block = X[start:start + SILHOUETTE_BLOCK_ROWS]
+        d = np.sqrt(((block[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        for i, row in enumerate(d, start):
+            same = members[cluster[i]]
+            n_same = same.sum()
+            if n_same <= 1:
+                continue
+            a = row[same].sum() / (n_same - 1)
+            b = min(row[members[c]].mean() for c in range(len(uniq)) if c != cluster[i])
+            scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
     return float(scores.mean())
 
 
@@ -241,8 +249,6 @@ def analyze_misclassifications(proj: LatentProjection, k: int,
     """Cluster the 2-D coordinates (k-means, 20 seeded restarts, best inertia)
     and list, per cluster, the instances whose predicted label differs from
     the cluster's majority true label."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     labels, _, _ = kmeans(proj.coordinates, k, seed=seed)
     proj.clusters = labels
     proj.purity = _purity(labels, proj.true_labels, k)

@@ -168,6 +168,17 @@ def test_train_seqnet_three_architectures(pipeline):
     assert (out / "curve.csv").exists() and (out / "curve.svg").exists()
 
 
+@pytest.mark.parametrize("cv_k", [0, 1, 13, 40])
+def test_train_rejects_cv_k_outside_usable_range(pipeline, capsys, cv_k):
+    # each class has 12 training rows, so folds 2..12 are all non-empty
+    out = pipeline / "cvk"
+    assert run("train", "--data", pipeline / "data", "--model", "forest",
+               "--grid", "5x4", "--cv-k", cv_k, "--seed", 5, "--out", out) == 1
+    assert f"--cv-k must be between 2 and 12 (the largest class's training rows), " \
+        f"got {cv_k}" in capsys.readouterr().err
+    assert files_under(out) == []
+
+
 def test_train_rerun_identical_reports(pipeline):
     a, b = pipeline / "runA", pipeline / "runB"
     for out in (a, b):
@@ -198,6 +209,22 @@ def test_explain_lime_single_instance(trained):
     assert any(f.endswith(".svg") for f in files)
     payload = json.loads((out / files[0]).read_text())
     assert len(payload["weights"]) <= 3
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--instance", "nope"], r"--instance 'nope' is neither a case id nor a row index in \[0, 32\)"),
+    (["--instance", "-1", "--target", 0], r"--instance '-1' is neither"),
+    (["--instance", "32"], r"--instance '32' is neither"),
+    (["--instance", "0", "--target", 9], r"--target 9 is not a class index in \[0, 2\)"),
+    (["--instance", "0", "--target", -1], r"--target -1 is not a class index"),
+], ids=["case-id", "negative-row", "row-past-end", "target", "negative-target"])
+def test_explain_rejects_bad_instance_or_target(trained, flags, message):
+    out = trained / "bad_lime"
+    with pytest.raises(SystemExit, match=message):
+        run("explain", "--data", trained / "data",
+            "--checkpoint", trained / "forest" / "forest.json", "--method", "lime",
+            *flags, "--n-samples", 50, "--out", out)
+    assert files_under(out) == []
 
 
 def test_explain_submodular_pick(trained):
@@ -315,6 +342,15 @@ def test_project_clusters_each_candidate_once(trained, monkeypatch):
                "--bottleneck-grid", "4,8", "--k", 2, "--epochs", 40,
                "--seed", 2, "--out", out) == 0
     assert len(calls) == 2
+
+
+def test_project_rejects_k_zero(trained, capsys):
+    out = trained / "k0"
+    assert run("project", "--data", trained / "data",
+               "--checkpoint", trained / "lstm" / "seqnet.xlg",
+               "--k", 0, "--bottleneck-grid", 4, "--epochs", 5, "--out", out) == 1
+    assert "k must be >= 1" in capsys.readouterr().err
+    assert files_under(out) == []
 
 
 def test_project_rejects_non_planar_bottleneck(trained):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,58 @@ def test_kmeans_best_of_restarts_beats_single_restart(rng):
 def test_kmeans_rejects_k_above_m(rng):
     with pytest.raises(ValueError):
         kmeans(rng.random((3, 2)), 4, seed=0)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_kmeans_rejects_k_below_one(rng, k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        kmeans(rng.random((5, 2)), k, seed=0)
+
+
+def oracle_silhouette_score(X, labels) -> float:
+    """The silhouette over the full distance matrix that the blocked one
+    replaced, kept verbatim as the reference it must equal exactly."""
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    if len(uniq) < 2:
+        return 0.0
+    d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    scores = np.zeros(len(X))
+    for i in range(len(X)):
+        same = labels == labels[i]
+        n_same = same.sum()
+        if n_same <= 1:
+            continue
+        a = d[i, same].sum() / (n_same - 1)
+        b = min(d[i, labels == c].mean() for c in uniq if c != labels[i])
+        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    return float(scores.mean())
+
+
+@pytest.mark.parametrize("n, dim, k", [(7, 2, 3), (300, 2, 3), (2000, 2, 4), (600, 5, 2)])
+def test_silhouette_equals_full_matrix_oracle(n, dim, k):
+    rng = np.random.default_rng(n + dim)
+    X = rng.normal(size=(n, dim)) + rng.integers(0, k, size=n)[:, None] * 1.5
+    labels = rng.integers(0, k, size=n)
+    labels[0] = k  # a single-member cluster scores 0
+    assert silhouette_score(X, labels) == oracle_silhouette_score(X, labels)
+    names = np.asarray([f"c{v}" for v in labels])
+    assert silhouette_score(X, names) == oracle_silhouette_score(X, names)
+
+
+def test_silhouette_memory_is_bounded_at_5000_points():
+    # the full distance matrix alone is 200 MB here; blocks of 256 rows stay near 40 MB
+    rng = np.random.default_rng(5000)
+    X = rng.normal(size=(5000, 2))
+    labels = rng.integers(0, 3, size=5000)
+    tracemalloc.start()
+    try:
+        silhouette_score(X, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_silhouette_well_separated_near_one():
