@@ -201,21 +201,21 @@ def silhouette_score(X, labels) -> float:
     """Mean silhouette over all points; single-member clusters score 0.
     Distances are computed ``SILHOUETTE_BLOCK_ROWS`` rows at a time."""
     X = np.asarray(X, dtype=float)
-    uniq, cluster = np.unique(np.asarray(labels), return_inverse=True)
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
     if len(uniq) < 2:
         return 0.0
-    members = cluster == np.arange(len(uniq))[:, None]  # (clusters, points)
     scores = np.zeros(len(X))
     for start in range(0, len(X), SILHOUETTE_BLOCK_ROWS):
         block = X[start:start + SILHOUETTE_BLOCK_ROWS]
         d = np.sqrt(((block[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
         for i, row in enumerate(d, start):
-            same = members[cluster[i]]
+            same = labels == labels[i]
             n_same = same.sum()
             if n_same <= 1:
                 continue
             a = row[same].sum() / (n_same - 1)
-            b = min(row[members[c]].mean() for c in range(len(uniq)) if c != cluster[i])
+            b = min(row[labels == c].mean() for c in uniq if c != labels[i])
             scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
     return float(scores.mean())
 

@@ -315,18 +315,7 @@ def test_project_outputs(trained):
     assert [(r["n1"], r["best"]) for r in grid["rows"]] == [(8, True)]  # the default grid
 
 
-def test_project_grid_mode(trained):
-    out = trained / "projgrid"
-    assert run("project", "--data", trained / "data",
-               "--checkpoint", trained / "lstm" / "seqnet.xlg",
-               "--bottleneck-grid", "2,4", "--k", 2, "--epochs", 40,
-               "--seed", 2, "--out", out) == 0
-    grid = json.loads((out / "ae_grid.json").read_text())
-    assert len(grid["rows"]) == 2
-    assert sum(r["best"] for r in grid["rows"]) == 1
-
-
-def test_project_clusters_each_candidate_once(trained, monkeypatch):
+def test_project_grid_mode(trained, monkeypatch):
     from xlog import latent
     calls = []
     real = latent.kmeans
@@ -336,12 +325,15 @@ def test_project_clusters_each_candidate_once(trained, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(latent, "kmeans", counted)
-    out = trained / "projonce"
+    out = trained / "projgrid"
     assert run("project", "--data", trained / "data",
                "--checkpoint", trained / "lstm" / "seqnet.xlg",
                "--bottleneck-grid", "4,8", "--k", 2, "--epochs", 40,
                "--seed", 2, "--out", out) == 0
-    assert len(calls) == 2
+    grid = json.loads((out / "ae_grid.json").read_text())
+    assert len(grid["rows"]) == 2
+    assert sum(r["best"] for r in grid["rows"]) == 1
+    assert len(calls) == 2  # one clustering per candidate, none repeated on the winner
 
 
 def test_project_rejects_k_zero(trained, capsys):
