@@ -108,8 +108,13 @@ class Run:
     def write_json(self, path, payload: dict) -> None:
         self.write_text(path, json.dumps({**payload, "meta": self.meta}, indent=2) + "\n")
 
-    def write_csv(self, path, body: str) -> None:
-        self.write_text(path, f"# {self.meta_line}\n{body}")
+    def write_csv(self, path, header, rows) -> None:
+        """The meta line as a comment, then ``header`` and one line per row. A
+        float cell is written as ``repr(float(v))``, any other with ``str``."""
+        lines = [f"# {self.meta_line}", ",".join(header)]
+        lines += [",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                           for v in row) for row in rows]
+        self.write_text(path, "\n".join(lines) + "\n")
 
 
 def _require(cfg, *keys):
@@ -136,9 +141,9 @@ def cmd_ingest(run) -> int:
     for name, dataset in (("sequences.xlg", seq), ("flat.xlg", flat)):
         run.written += [run.path(out, name), run.path(out, name + ".json")]
         dataset.save(run.path(out, name), meta=run.meta)
-    run.write_text(run.path(out, "vocab.json"), vocab.to_json(meta=run.meta) + "\n")
+    run.write_json(run.path(out, "vocab.json"), vocab.to_dict())
     run.write_json(run.path(out, "cleaning_report.json"),
-                   json.loads(report.to_json()) | {"issues": clean.issues})
+                   report.to_dict() | {"issues": clean.issues})
     run.write_json(run.path(out, "split.json"),
                    {"train": [int(i) for i in split.train_indices],
                     "test": [int(i) for i in split.test_indices]})
@@ -213,13 +218,13 @@ def _train_forest(run):
                               label_names=flat.label_names)
     best["test_accuracy"] = float(np.mean(forest.predict(model, te.X) == te.Y))
     run.write_json(run.path(out, "train_table.json"), {"model": "forest", "rows": rows})
-    body = "estimators,max_features,cv_accuracy,best\n" + "\n".join(
-        f"{r['estimators']},{r['max_features']},{r['cv_accuracy']!r},{int(r['best'])}"
-        for r in rows) + "\n"
-    run.write_csv(run.path(out, "train_table.csv"), body)
+    run.write_csv(run.path(out, "train_table.csv"),
+                  ["estimators", "max_features", "cv_accuracy", "best"],
+                  [(r["estimators"], r["max_features"], r["cv_accuracy"], int(r["best"]))
+                   for r in rows])
     run.write_text(run.path(out, "forest.json"), forest.to_json(model, meta=run.meta) + "\n")
     imp = forest.gini_importance(model)
-    run.write_json(run.path(out, "importance.json"), json.loads(imp.to_json()))
+    run.write_json(run.path(out, "importance.json"), imp.to_dict())
     run.write_text(run.path(out, "importance.svg"), imp.to_svg(k=5, meta=run.meta_line))
     return 0
 
@@ -233,18 +238,16 @@ def _train_seqnet(run):
                                       seed=run.seed, lr=cfg["lr"])
     out = cfg["out"]
     run.write_json(run.path(out, "train_table.json"), {"model": "seqnet", "rows": rows})
-    body = "architecture,nodes,epochs,accuracy,loss,best\n" + "\n".join(
-        f"{r['architecture']},{r['nodes']},{r['epochs']},{r['accuracy']!r},"
-        f"{r['loss']!r},{int(r['best'])}" for r in rows) + "\n"
-    run.write_csv(run.path(out, "train_table.csv"), body)
+    run.write_csv(run.path(out, "train_table.csv"),
+                  ["architecture", "nodes", "epochs", "accuracy", "loss", "best"],
+                  [(r["architecture"], r["nodes"], r["epochs"], r["accuracy"], r["loss"],
+                    int(r["best"])) for r in rows])
     best = models[0]
     run.written += [run.path(out, "seqnet.xlg"), run.path(out, "seqnet.xlg.json")]
     seqnet.save_checkpoint(run.path(out, "seqnet.xlg"), best, meta=run.meta)
     curve = best.curve
-    body = "epoch,train_loss,train_acc,val_loss,val_acc\n" + "\n".join(
-        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-        for row in curve.rows()) + "\n"
-    run.write_csv(run.path(out, "curve.csv"), body)
+    run.write_csv(run.path(out, "curve.csv"),
+                  ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"], curve.rows())
     series = {"train_loss": curve.train_loss, "train_acc": curve.train_acc}
     if curve.val_loss:
         series["val_loss"] = curve.val_loss
@@ -317,8 +320,7 @@ def cmd_explain(run) -> int:
         members = [int(i) for i in np.flatnonzero(flat.Y == cfg["target"])]
         exps = [explain_one(i) for i in members[: cfg["max_candidates"]]]
         summary = explain.submodular_pick(exps, cfg["budget"])
-        run.write_json(run.path(out, "global_summary.json"),
-                       json.loads(summary.to_json()))
+        run.write_json(run.path(out, "global_summary.json"), summary.to_dict())
         for exp in summary.explanations:
             run.write_text(run.path(out, f"pick_{exp.instance_id}.svg"),
                            exp.to_svg(meta=run.meta_line))
@@ -330,7 +332,7 @@ def cmd_explain(run) -> int:
         curve = getattr(explain, method)(predictor, flat.X, feat, class_index=target,
                                          feature_names=flat.feature_names, **extra)
         stem = f"{method}_{feat}"
-        run.write_text(run.path(out, stem + ".csv"), curve.to_csv(meta=run.meta_line))
+        run.write_csv(run.path(out, stem + ".csv"), *curve.table())
         run.write_text(run.path(out, stem + ".svg"), curve.to_svg(meta=run.meta_line))
     elif method == "surrogate":
         _, report = explain.fit_global_surrogate(predictor, flat.X, cfg["surrogate_kind"])
@@ -359,7 +361,7 @@ def cmd_project(run) -> int:
     run.write_json(run.path(out, "ae_grid.json"),
                    {"rows": [dataclasses.asdict(r) for r in rows]})
     proj, report = projections[0], reports[0]
-    run.write_csv(run.path(out, "projection.csv"), proj.to_csv())
+    run.write_csv(run.path(out, "projection.csv"), *proj.table())
     names = proj.label_names
     run.write_text(run.path(out, "projection.svg"), svgplot.scatter_chart(
         proj.coordinates[:, 0], proj.coordinates[:, 1],

@@ -42,16 +42,9 @@ class Vocabulary:
     def size(self, feature: str) -> int:
         return len(self.maps.get(feature, {}))
 
-    def to_json(self, meta: dict | None = None) -> str:
-        payload = {"maps": self.maps}
-        if meta:
-            payload["meta"] = meta
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
-        d = json.loads(text)
-        return cls(maps=d["maps"] if "maps" in d else d)
+    def to_dict(self) -> dict:
+        """The maps, sorted by feature and then by token."""
+        return {"maps": {feat: dict(sorted(m.items())) for feat, m in sorted(self.maps.items())}}
 
 
 def build_vocab(log: EventLog | EventTable, categorical_features: list[str]) -> Vocabulary:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -202,17 +201,14 @@ class CleaningReport:
     kept_classes: set[str] = field(default_factory=set)
     dropped_classes: dict[str, int] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "imputed_labels": self.imputed_labels,
-                "dropped_cases": self.dropped_cases,
-                "collapsed_features": list(self.collapsed_features),
-                "kept_classes": sorted(self.kept_classes),
-                "dropped_classes": dict(sorted(self.dropped_classes.items())),
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "imputed_labels": self.imputed_labels,
+            "dropped_cases": self.dropped_cases,
+            "collapsed_features": list(self.collapsed_features),
+            "kept_classes": sorted(self.kept_classes),
+            "dropped_classes": dict(sorted(self.dropped_classes.items())),
+        }
 
 
 def _parse_timestamp(raw: str) -> float:

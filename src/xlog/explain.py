@@ -9,7 +9,6 @@ summarizes many local explanations globally.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,18 +29,13 @@ class CurveSet:
     extrapolated: bool = False
     merged_intervals: int = 0
 
-    def to_csv(self, meta: str = "") -> str:
-        lines = [f"# {meta}"] if meta else []
+    def table(self) -> tuple[list[str], list]:
+        """CSV header and rows: one row per grid point, with the curve's value
+        (PDP/ALE) or one value per instance (ICE)."""
         if self.values.ndim == 1:
-            lines.append(f"{self.feature},{self.kind.lower()}")
-            for g, v in zip(self.grid, self.values):
-                lines.append(f"{g!r},{v!r}")
-        else:
-            header = [self.feature] + [f"instance_{i}" for i in range(len(self.values))]
-            lines.append(",".join(header))
-            for j, g in enumerate(self.grid):
-                lines.append(",".join([repr(float(g))] + [repr(float(v)) for v in self.values[:, j]]))
-        return "\n".join(lines) + "\n"
+            return [self.feature, self.kind.lower()], list(zip(self.grid, self.values))
+        header = [self.feature] + [f"instance_{i}" for i in range(len(self.values))]
+        return header, [[g, *self.values[:, j]] for j, g in enumerate(self.grid)]
 
     def to_svg(self, meta: str = "") -> str:
         series = ({self.kind: list(self.values)} if self.values.ndim == 1 else
@@ -346,9 +340,6 @@ class Explanation:
                 "fidelity": self.fidelity, "kernel_width": self.kernel_width,
                 "degenerate": self.degenerate}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def to_svg(self, meta: str = "") -> str:
         items = sorted(self.weights.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
         return svgplot.barh_chart([k for k, _ in items], [v for _, v in items],
@@ -404,12 +395,10 @@ class GlobalSummary:
     coverage: float
     feature_importance: dict[str, float] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "picked": self.picked, "coverage": self.coverage,
-            "feature_importance": self.feature_importance,
-            "explanations": [e.to_dict() for e in self.explanations],
-        }, indent=2)
+    def to_dict(self) -> dict:
+        return {"picked": self.picked, "coverage": self.coverage,
+                "feature_importance": self.feature_importance,
+                "explanations": [e.to_dict() for e in self.explanations]}
 
 
 def submodular_pick(explanations: list[Explanation], budget: int) -> GlobalSummary:

@@ -223,11 +223,10 @@ class ImportanceReport:
         order = np.argsort(-self.importances, kind="stable")[:k]
         return [(self.feature_names[i], float(self.importances[i])) for i in order]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"importances": {n: float(v) for n, v in
-                             zip(self.feature_names, self.importances)},
-             "all_leaves": self.all_leaves}, indent=2)
+    def to_dict(self) -> dict:
+        return {"importances": {n: float(v) for n, v in
+                                zip(self.feature_names, self.importances)},
+                "all_leaves": self.all_leaves}
 
     def to_svg(self, k: int = 5, meta: str = "") -> str:
         pairs = self.top(k)

@@ -135,17 +135,14 @@ class LatentProjection:
     clusters: np.ndarray | None = None
     purity: float = float("nan")
 
-    def to_csv(self, meta: str = "") -> str:
-        lines = [f"# {meta}"] if meta else []
-        lines.append("id,x,y,true,predicted,cluster")
-        for i in range(len(self.coordinates)):
-            cid = self.case_ids[i] if self.case_ids else str(i)
-            cl = int(self.clusters[i]) if self.clusters is not None else ""
-            lines.append(
-                f"{cid},{self.coordinates[i, 0]!r},{self.coordinates[i, 1]!r},"
-                f"{self.label_names[self.true_labels[i]]},"
-                f"{self.label_names[self.predicted_labels[i]]},{cl}")
-        return "\n".join(lines) + "\n"
+    def table(self) -> tuple[list[str], list]:
+        """CSV header and one row per case."""
+        rows = [[self.case_ids[i] if self.case_ids else i, x, y,
+                 self.label_names[self.true_labels[i]],
+                 self.label_names[self.predicted_labels[i]],
+                 self.clusters[i] if self.clusters is not None else ""]
+                for i, (x, y) in enumerate(self.coordinates)]
+        return ["id", "x", "y", "true", "predicted", "cluster"], rows
 
 
 def project(ae: Autoencoder, acts: ActivationMatrix) -> LatentProjection:

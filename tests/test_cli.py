@@ -247,7 +247,11 @@ def test_explain_curves(trained):
                    "--checkpoint", trained / "forest" / "forest.json",
                    "--method", method, "--feature", "age", "--target", 1,
                    "--grid-points", 4, "--seed", 1, "--out", out) == 0
-        assert (out / f"{method}_age.csv").exists()
+        lines = (out / f"{method}_age.csv").read_text().splitlines()
+        assert lines[0].startswith("# config=") and lines[1].startswith("age,")
+        assert len(lines) > 2
+        for line in lines[2:]:  # every cell a plain number
+            assert np.isfinite([float(cell) for cell in line.split(",")]).all()
         assert (out / f"{method}_age.svg").exists()
 
 
@@ -306,8 +310,12 @@ def test_project_outputs(trained):
                "--checkpoint", trained / "lstm" / "seqnet.xlg",
                "--layer", 0, "--k", 2, "--epochs", 60,
                "--seed", 2, "--out", out) == 0
-    csv_text = (out / "projection.csv").read_text()
-    assert csv_text.splitlines()[1] == "id,x,y,true,predicted,cluster"
+    lines = (out / "projection.csv").read_text().splitlines()
+    assert lines[1] == "id,x,y,true,predicted,cluster"
+    assert len(lines) == 2 + 32
+    for line in lines[2:]:  # x and y plain numbers
+        _, x, y, *_ = line.split(",")
+        assert np.isfinite([float(x), float(y)]).all()
     report = json.loads((out / "cluster_report.json").read_text())
     assert report["k"] == 2 and report["layer_width"] == 8
     assert (out / "projection.svg").read_text().startswith("<svg")

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from xlog import container
+from xlog import container, encode
+from xlog.cli import main
 from xlog.encode import (
-    FlatDataset, SequenceDataset, Vocabulary, build_vocab, encode_flat,
+    FlatDataset, SequenceDataset, build_vocab, encode_flat,
     encode_sequences, stratified_split,
 )
 from xlog.eventlog import DYNAMIC_CATEGORICAL, STATIC_CATEGORICAL
@@ -47,10 +48,32 @@ def test_vocab_never_assigns_zero():
         assert 0 not in mapping.values()
 
 
-def test_vocab_json_roundtrip():
-    vocab = build_vocab(small_log(), ["activity"])
-    again = Vocabulary.from_json(vocab.to_json(meta={"seed": 1}))
-    assert again.maps == vocab.maps
+def test_vocab_json_roundtrip(tmp_path, monkeypatch):
+    """``xlog ingest`` writes the vocabulary it encoded with, maps sorted by
+    feature and by token."""
+    built = []
+
+    def capture(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    real = encode.build_vocab
+    monkeypatch.setattr(encode, "build_vocab", capture)
+    spec = {"classes": [{"label": "a", "motif": ["m_a"], "cases": 6},
+                        {"label": "b", "motif": ["m_b"], "cases": 6}],
+            "noise_vocab": 4, "min_length": 3, "max_length": 5}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    synth_dir, data = tmp_path / "synth", tmp_path / "data"
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(synth_dir)]) == 0
+    assert main(["ingest", "--csv", str(synth_dir / "events.csv"),
+                 "--schema", str(synth_dir / "schema.json"), "--min-class", "2",
+                 "--out", str(data)]) == 0
+    [vocab] = built
+    written = json.loads((data / "vocab.json").read_text())
+    assert written["maps"] == vocab.to_dict()["maps"] == vocab.maps
+    assert list(written["maps"]) == sorted(vocab.maps)
+    assert all(list(m) == sorted(m) for m in written["maps"].values())
+    assert set(written["meta"]) == {"config_hash", "seed", "version"}
 
 
 def test_encode_sequences_pads_with_prefix_mask():

@@ -272,7 +272,7 @@ def test_clean_matches_counter_oracle_on_random_tie_logs(monkeypatch):
         want, want_rep, ties = oracle_clean_log(log, min_class_count=min_class)
         assert [(c.case_id, c.diagnosis_code, c.years_in_treatment) for c in got.cases] \
             == [(c.case_id, c.diagnosis_code, c.years_in_treatment) for c in want], k
-        assert rep.to_json() == want_rep.to_json(), k
+        assert rep.to_dict() == want_rep.to_dict(), k
         seen.update(ties)
         seen["dropped"] += want_rep.dropped_cases
         seen["imputed"] += want_rep.imputed_labels

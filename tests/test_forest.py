@@ -525,4 +525,6 @@ def test_importance_svg_and_json_emission(rng):
     report = gini_importance(model)
     svg = report.to_svg(k=2, meta="seed=0")
     assert svg.startswith("<svg") and "seed=0" in svg
-    assert "importances" in report.to_json()
+    d = report.to_dict()
+    assert d["importances"] == {f"x{j}": float(report.importances[j]) for j in range(3)}
+    assert d["all_leaves"] is report.all_leaves

@@ -114,7 +114,7 @@ def test_columnar_ingest_matches_object_oracle_on_messy_csvs(tmp_path, monkeypat
         want_cases, want_report, ties = oracle.oracle_clean_log(want, min_class)
         clean, report = clean_log(got, min_class)
         assert list(clean.cases) == want_cases, k
-        assert report.to_json() == want_report.to_json(), k
+        assert report.to_dict() == want_report.to_dict(), k
         seen.update(ties)
         seen["imputed"] += report.imputed_labels
         seen["dropped"] += report.dropped_cases
@@ -126,7 +126,7 @@ def test_columnar_ingest_matches_object_oracle_on_messy_csvs(tmp_path, monkeypat
         head = int(rng.integers(1, len(want_cases) + 1))
         vocab = build_vocab(clean.take(np.arange(head)), CATS)
         want_vocab = oracle.build_vocab(EventLog(cases=want_cases[:head]), CATS)
-        assert vocab.to_json() == want_vocab.to_json(), k
+        assert vocab.to_dict() == want_vocab.to_dict(), k
         split = None
         if rng.random() < 0.7:
             train = np.sort(rng.choice(len(want_cases), size=int(rng.integers(1, len(want_cases))),

@@ -314,8 +314,8 @@ def test_projection_csv_layout(rng):
     acts = blob_acts(rng, n_per=5, dim=2)
     proj = project(fit_autoencoder(acts, n1=4, epochs=10, lr=0.05, seed=0), acts)
     analyze_misclassifications(proj, k=2, seed=0)
-    text = proj.to_csv(meta="m")
-    lines = text.strip().split("\n")
-    assert lines[0] == "# m"
-    assert lines[1] == "id,x,y,true,predicted,cluster"
-    assert len(lines) == 2 + 15
+    header, rows = proj.table()
+    assert header == ["id", "x", "y", "true", "predicted", "cluster"]
+    assert len(rows) == 15
+    assert [r[1:3] for r in rows] == proj.coordinates.tolist()
+    assert [r[5] for r in rows] == proj.clusters.tolist()
