@@ -156,11 +156,18 @@ def _parse_forest_grid(spec: str):
     return [tuple(int(v) for v in part.lower().split("x")) for part in spec.split(",")]
 
 
-def _parse_seqnet_grid(spec: str, default_arch: str):
+def _parse_seqnet_grid(spec: str, model: str):
+    """``arch:nodes:epochs`` or ``NODESxEPOCHS`` entries. Under ``--model
+    seqnet`` an entry may name any architecture and ``NxE`` means lstm; under
+    any other model an entry must name that model's architecture."""
+    default_arch = "lstm" if model == "seqnet" else model
     space = []
     for part in spec.split(","):
         bits = part.split(":")
         if len(bits) == 3:
+            if model != "seqnet" and bits[0] != model:
+                raise SystemExit(f"grid entry {part!r} names architecture {bits[0]!r}, "
+                                 f"but --model is {model!r}")
             space.append((bits[0], int(bits[1]), int(bits[2])))
         else:
             a, b = part.lower().split("x")
@@ -232,8 +239,7 @@ def _train_forest(run):
 def _train_seqnet(run):
     cfg = run.cfg
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
-    arch = "lstm" if cfg["model"] == "seqnet" else cfg["model"]
-    space = _parse_seqnet_grid(cfg["grid"], arch)
+    space = _parse_seqnet_grid(cfg["grid"], cfg["model"])
     rows, models = seqnet.grid_search(space, seq, _load_split(cfg["data"]),
                                       seed=run.seed, lr=cfg["lr"])
     out = cfg["out"]
@@ -310,7 +316,10 @@ def cmd_explain(run) -> int:
 
     if method == "lime":
         _require(cfg, "instance")
-        for i in [row_of(raw) for raw in filter(None, str(cfg["instance"]).split(","))]:
+        rows = [row_of(raw) for raw in filter(None, str(cfg["instance"]).split(","))]
+        if not rows:
+            raise SystemExit(f"--instance {cfg['instance']!r} names no case id or row index")
+        for i in rows:
             exp = explain_one(i)
             stem = f"lime_{exp.instance_id}"
             run.write_json(run.path(out, stem + ".json"), exp.to_dict())

@@ -168,6 +168,25 @@ def test_train_seqnet_three_architectures(pipeline):
     assert (out / "curve.csv").exists() and (out / "curve.svg").exists()
 
 
+@pytest.mark.parametrize("model, grid, named", [
+    ("dense", "lstm:6:2", "lstm"), ("lstm", "bilstm:4:1", "bilstm"),
+    ("bilstm", "bilstm:4:1,dense:4:1", "dense"),
+])
+def test_train_seqnet_grid_entry_must_name_the_model(pipeline, model, grid, named):
+    out = pipeline / "mismatch"
+    with pytest.raises(SystemExit, match=f"names architecture '{named}', "
+                                         f"but --model is '{model}'"):
+        run("train", "--data", pipeline / "data", "--model", model, "--grid", grid,
+            "--out", out)
+    assert files_under(out) == []
+
+
+def test_parse_seqnet_grid_accepts_the_model_architecture():
+    assert cli._parse_seqnet_grid("lstm:16:2,8x3", "lstm") == [("lstm", 16, 2), ("lstm", 8, 3)]
+    assert cli._parse_seqnet_grid("dense:4:2,bilstm:4:1,6X2", "seqnet") == [
+        ("dense", 4, 2), ("bilstm", 4, 1), ("lstm", 6, 2)]
+
+
 @pytest.mark.parametrize("cv_k", [0, 1, 13, 40])
 def test_train_rejects_cv_k_outside_usable_range(pipeline, capsys, cv_k):
     # each class has 12 training rows, so folds 2..12 are all non-empty
@@ -217,7 +236,9 @@ def test_explain_lime_single_instance(trained):
     (["--instance", "32"], r"--instance '32' is neither"),
     (["--instance", "0", "--target", 9], r"--target 9 is not a class index in \[0, 2\)"),
     (["--instance", "0", "--target", -1], r"--target -1 is not a class index"),
-], ids=["case-id", "negative-row", "row-past-end", "target", "negative-target"])
+    (["--instance", ","], r"--instance ',' names no case id or row index"),
+], ids=["case-id", "negative-row", "row-past-end", "target", "negative-target",
+        "empty-list"])
 def test_explain_rejects_bad_instance_or_target(trained, flags, message):
     out = trained / "bad_lime"
     with pytest.raises(SystemExit, match=message):
