@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -110,11 +112,14 @@ class Run:
 
     def write_csv(self, path, header, rows) -> None:
         """The meta line as a comment, then ``header`` and one line per row. A
-        float cell is written as ``repr(float(v))``, any other with ``str``."""
-        lines = [f"# {self.meta_line}", ",".join(header)]
-        lines += [",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                           for v in row) for row in rows]
-        self.write_text(path, "\n".join(lines) + "\n")
+        float cell is written as ``repr(float(v))``, any other with ``str``; a
+        cell holding a comma, quote or newline is quoted."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                          for v in row] for row in rows)
+        self.write_text(path, f"# {self.meta_line}\n{buf.getvalue()}")
 
 
 def _require(cfg, *keys):

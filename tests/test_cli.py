@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -446,6 +447,20 @@ def test_run_removes_its_files_when_its_body_exits(tmp_path):
             r.write_text(r.path(tmp_path, "partial.txt"), "x")
             raise SystemExit("stop")
     assert files_under(tmp_path) == []
+
+
+def test_run_write_csv_cells_read_back_with_a_csv_reader(tmp_path):
+    # a case id may hold a comma: ingest reads quoted fields
+    r = cli.Run(cli.build_parser().parse_args(["synth", "--out", str(tmp_path)]))
+    path = r.path(tmp_path, "t.csv")
+    r.write_csv(path, ["id", "x", "n"], [["case,1", np.float64(0.1), np.int64(3)],
+                                         ['say "hi"', 2.5, ""]])
+    with open(path, encoding="utf-8", newline="") as fh:
+        meta, *rows = fh.read().splitlines(keepends=True)
+    assert meta == f"# {r.meta_line}\n"
+    assert rows[1] == '"case,1",0.1,3\n'
+    assert list(csv.reader(rows)) == [["id", "x", "n"], ["case,1", "0.1", "3"],
+                                      ['say "hi"', "2.5", ""]]
 
 
 def files_under(path):
