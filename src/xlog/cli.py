@@ -157,8 +157,20 @@ def cmd_ingest(run) -> int:
 
 # ------------------------------------------------------------------- train
 
+def _grid_ints(part: str, bits, form: str):
+    """The two integers of a ``--grid`` entry split into ``bits``; a
+    ``SystemExit`` naming the entry and the expected form otherwise."""
+    try:
+        a, b = (int(v) for v in bits)  # a wrong count raises ValueError too
+    except ValueError:
+        raise SystemExit(f"grid entry {part!r} is not of the form {form}") from None
+    return a, b
+
+
 def _parse_forest_grid(spec: str):
-    return [tuple(int(v) for v in part.lower().split("x")) for part in spec.split(",")]
+    """``ESTIMATORSxMAX_FEATURES`` entries."""
+    return [_grid_ints(part, part.lower().split("x"), "ESTIMATORSxMAX_FEATURES, e.g. 40x8")
+            for part in spec.split(",")]
 
 
 def _parse_seqnet_grid(spec: str, model: str):
@@ -166,6 +178,7 @@ def _parse_seqnet_grid(spec: str, model: str):
     seqnet`` an entry may name any architecture and ``NxE`` means lstm; under
     any other model an entry must name that model's architecture."""
     default_arch = "lstm" if model == "seqnet" else model
+    form = "ARCH:NODES:EPOCHS or NODESxEPOCHS, e.g. lstm:16:2 or 16x2"
     space = []
     for part in spec.split(","):
         bits = part.split(":")
@@ -173,10 +186,9 @@ def _parse_seqnet_grid(spec: str, model: str):
             if model != "seqnet" and bits[0] != model:
                 raise SystemExit(f"grid entry {part!r} names architecture {bits[0]!r}, "
                                  f"but --model is {model!r}")
-            space.append((bits[0], int(bits[1]), int(bits[2])))
+            space.append((bits[0], *_grid_ints(part, bits[1:], form)))
         else:
-            a, b = part.lower().split("x")
-            space.append((default_arch, int(a), int(b)))
+            space.append((default_arch, *_grid_ints(part, part.lower().split("x"), form)))
     return space
 
 
@@ -206,6 +218,7 @@ def _load_split(data_dir) -> encode.Split:
 
 def _train_forest(run):
     cfg = run.cfg
+    space = _parse_forest_grid(cfg["grid"])
     flat = encode.FlatDataset.load(os.path.join(cfg["data"], "flat.xlg"))
     split = _load_split(cfg["data"])
     tr, te = flat.take(split.train_indices), flat.take(split.test_indices)
@@ -213,7 +226,7 @@ def _train_forest(run):
     folds = _kfold_indices(tr.Y, cfg["cv_k"], run.seed)
     fits = [np.setdiff1d(np.arange(len(tr.Y)), va) for va in folds]
     rows = []
-    for n_est, max_feat in _parse_forest_grid(cfg["grid"]):
+    for n_est, max_feat in space:
         accs = []
         for va, fit in zip(folds, fits):
             model = forest.fit_forest(tr.X[fit], tr.Y[fit], n_est, max_feat,
@@ -243,8 +256,8 @@ def _train_forest(run):
 
 def _train_seqnet(run):
     cfg = run.cfg
-    seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
     space = _parse_seqnet_grid(cfg["grid"], cfg["model"])
+    seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
     rows, models = seqnet.grid_search(space, seq, _load_split(cfg["data"]),
                                       seed=run.seed, lr=cfg["lr"])
     out = cfg["out"]

@@ -3,11 +3,14 @@
 
 Recurrent summaries read the hidden state at each case's last real event, so
 padded timesteps can never leak into predictions or gradients. The BiLSTM
-runs a second cell over the sequence reversed within its mask and
-concatenates both final states. Training and inference share one forward
-pass and one LSTM scan: training embeds the batch once and keeps per-step
-caches for BPTT; inference embeds one timestep at a time and keeps only the
-running state, so its memory does not grow with the number of timesteps.
+runs a second cell over the sequence reversed within its mask, stacked with
+the first in one loop, and concatenates both final states. Training and
+inference share one forward pass and one LSTM scan over rows sorted longest
+first, which steps at each timestep only the rows still inside their
+sequence. Training embeds and projects the batch once and keeps per-step
+caches for BPTT; inference embeds and projects blocks of steps and keeps
+only the running state, so its memory does not grow with the number of
+timesteps.
 """
 
 from __future__ import annotations
@@ -33,18 +36,54 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def _gate_columns(H):
+    """The stored (i, f, o, g) columns in the scan's gate order (o, i, f, g):
+    the sigmoid gates first and the three gates that BPTT scales by dc last,
+    each a contiguous block."""
+    return np.concatenate([np.arange(k * H, (k + 1) * H) for k in (2, 0, 1, 3)])
+
+
+def _scan_weights(W, b):
+    """``W`` (..., D + H, 4H) and ``b`` in the scan's gate order, with the
+    sigmoid gates' columns halved: sigmoid(z) = (1 + tanh(z / 2)) / 2, so
+    one tanh serves all four gates. Halving is exact in floating point."""
+    H = W.shape[-1] // 4
+    cols, half = _gate_columns(H), np.repeat([0.5, 0.5, 0.5, 1.0], H)
+    return W[..., cols] * half, b[..., cols] * half
+
+
+def _lstm_step(z, Wh, h_prev, c_prev, c, tc, h, scratch):
+    """One gated update, in place, of the (..., n, .) rows that ``z`` holds:
+    on entry their input projection with ``_scan_weights``, on exit the
+    gates o, i, f, g. ``h_prev`` is None at the first step, where the state
+    is zero. Writes C_t = f*C_{t-1} + i*g, tanh(C_t) and h_t = o*tanh(C_t)
+    into ``c``, ``tc`` and ``h``; ``scratch`` is shaped like ``z``."""
+    H = c.shape[-1]
+    if h_prev is not None:
+        np.matmul(h_prev, Wh, out=scratch)
+        z += scratch
+    np.tanh(z, out=z)
+    sig = z[..., :3 * H]
+    sig *= 0.5
+    sig += 0.5
+    np.multiply(z[..., 2 * H:3 * H], c_prev, out=c)
+    ig = np.multiply(z[..., H:2 * H], z[..., 3 * H:], out=scratch[..., :H])
+    c += ig
+    np.tanh(c, out=tc)
+    np.multiply(z[..., :H], tc, out=h)
+
+
 def _lstm_cell(W, b, x_t, h, c):
-    """One gated update of (M, H) states: C_t = f*C_{t-1} + i*g and
-    h_t = o*tanh(C_t). ``W`` is (D + H, 4H), rows input then hidden, columns
-    the gates i, f, o, g. Returns the sigmoid gates side by side as
+    """One step of the scan's cell on (M, H) states: C_t = f*C_{t-1} + i*g
+    and h_t = o*tanh(C_t). ``W`` is (D + H, 4H), rows input then hidden,
+    columns the gates i, f, o, g. Returns the sigmoid gates side by side as
     (M, 3H) ``ifo``, the candidate ``g`` and the new ``(c, h)``."""
-    H = h.shape[1]
-    z = np.concatenate([x_t, h], axis=1) @ W + b
-    ifo = sigmoid(z[:, :3 * H])
-    g = np.tanh(z[:, 3 * H:])
-    c = ifo[:, H:2 * H] * c + ifo[:, :H] * g
-    h = ifo[:, 2 * H:] * np.tanh(c)
-    return ifo, g, c, h
+    H, D = h.shape[1], x_t.shape[1]
+    Ws, bs = _scan_weights(W, b)
+    z = x_t @ Ws[:D] + bs
+    c_new, tc, h_new = np.empty_like(h), np.empty_like(h), np.empty_like(h)
+    _lstm_step(z, Ws[D:], h, c, c_new, tc, h_new, np.empty_like(z))
+    return np.roll(z[:, :3 * H], -H, axis=1), z[:, 3 * H:], c_new, h_new
 
 
 @dataclass
@@ -141,95 +180,146 @@ def build_model(arch: str, nodes: int, feature_names, cat_sizes, label_names,
 
 
 def _indices(model: SeqNetModel, X):
-    """Clipped embedding row of every categorical column of (..., F) raw
-    features, one (...) int64 array per column."""
-    return [np.clip(X[..., col].astype(np.int64), 0, model.cat_sizes[col])
-            for col in model.cat_columns]
+    """Row of every categorical cell of raw (..., F) features in the stacked
+    embedding table: the value clipped to its column's vocabulary, plus the
+    first row of that column's table. Shape (..., C), int64."""
+    sizes = np.asarray([model.cat_sizes[c] for c in model.cat_columns], dtype=np.int64)
+    first = np.cumsum(sizes + 1) - (sizes + 1)
+    return np.clip(X[..., model.cat_columns].astype(np.int64), 0, sizes) + first
 
 
-def _embed(model: SeqNetModel, idx, X_num):
-    """Input vectors (..., D): each column's embeddings of ``idx``, then the
-    numeric features ``X_num``."""
-    parts = [model.params[f"emb_{k}"][i] for k, i in enumerate(idx)]
-    if X_num.shape[-1]:
-        parts.append(X_num)
-    return np.concatenate(parts, axis=-1)
+def _table(model: SeqNetModel):
+    """Every categorical column's embedding table, stacked in column order."""
+    tables = [model.params[f"emb_{k}"] for k in range(len(model.cat_columns))]
+    return np.concatenate(tables) if tables else np.zeros((0, model.embed_dim))
 
 
-def _reverse_within_mask(A, lengths):
-    """Reverse each row's true prefix; padding positions are left in place."""
-    M, T = A.shape[0], A.shape[1]
-    t = np.arange(T)[None, :]
-    src = np.where(t < lengths[:, None], lengths[:, None] - 1 - t, t)
-    return A[np.arange(M)[:, None], src]
+def _embed(table, idx, X_num):
+    """C-ordered input vectors (..., D): the ``table`` rows of ``idx``, column
+    by column, then the numeric features ``X_num``."""
+    cat = table[idx].reshape(idx.shape[:-1] + (-1,))
+    return np.concatenate([cat, X_num], axis=-1) if X_num.shape[-1] else cat
 
 
-def _lstm_scan(W, b, step, lengths, T, keep):
-    """Run the cell over T timesteps, reading each step's (M, D) input from
-    ``step(t)``. Returns the hidden state at each row's last event and, when
-    ``keep`` is set, the time-major (T, M, .) caches that BPTT reads."""
-    M, H = len(lengths), W.shape[1] // 4
-    h = np.zeros((M, H)); c = np.zeros((M, H))
-    if keep:
-        cache = {k: np.empty((T, M, w * H))
-                 for k, w in (("ifo", 3), ("g", 1), ("c", 1), ("h", 1))}
-    else:
-        last = np.empty((M, H))
-        ends = lengths[:, None] == np.arange(1, T + 1)
-    for t in range(T):
-        ifo, g, c, h = _lstm_cell(W, b, step(t), h, c)
-        if keep:
-            cache["ifo"][t], cache["g"][t], cache["c"][t], cache["h"][t] = ifo, g, c, h
-        else:
-            np.copyto(last, h, where=ends[:, t, None])
-    if keep:
-        return cache["h"][lengths - 1, np.arange(M)], cache
-    return last, None
+def _pool(table, idx, X_num, lengths):
+    """Mean of each row's first ``lengths`` embedded steps, summed in time
+    order, so that padding after them cannot change a bit."""
+    total = np.cumsum(_embed(table, idx, X_num), axis=1)
+    return total[np.arange(len(lengths)), lengths - 1] / lengths[:, None]
 
 
-def _lstm_backward(W, inputs, cache, dH_out):
-    """Exact BPTT through the (M, T, D) ``inputs`` a scan with ``keep`` read,
-    given time-major (T, M, H) gradients on h; returns dInputs (M, T, D), dW
-    and db."""
-    M, T, D = inputs.shape
-    H = W.shape[1] // 4
-    dW = np.zeros_like(W)
-    db = np.zeros(4 * H)
-    dX = np.zeros_like(inputs)
-    dh = np.zeros((M, H)); dc = np.zeros((M, H))
-    zero = np.zeros((M, H))
+def _embedding_grads(model: SeqNetModel, idx, dX, grads):
+    """Add each embedding table's gradient to ``grads``, given the gradient
+    ``dX`` (..., >= C*E) on input vectors whose categorical part was read at
+    stacked-table rows ``idx`` (..., C): one bincount per embedding
+    dimension covers every table."""
+    E, C = model.embed_dim, idx.shape[-1]
+    if not C:
+        return
+    sizes = [model.cat_sizes[c] + 1 for c in model.cat_columns]
+    rows, w = idx.ravel(), dX[..., :C * E].reshape(-1, E)
+    dT = np.stack([np.bincount(rows, weights=w[:, e], minlength=sum(sizes))
+                   for e in range(E)], axis=1)
+    for k, part in enumerate(np.split(dT, np.cumsum(sizes)[:-1])):
+        grads[f"emb_{k}"] = part
+
+
+def _lstm_scan(Wh, blocks, running, keep):
+    """Run K stacked cells over the rows of a batch sorted longest first,
+    stepping at step t only the first ``running[t]`` rows, those still
+    inside their sequence; a row that has ended keeps its state.
+
+    ``blocks`` yields ``(t0, G)``: the (K, B, n, 4H) input projections of
+    steps t0 .. t0 + B - 1, made with ``_scan_weights``, for at least the
+    rows running at t0. The cell leaves its gates in ``G``. Returns the
+    buffers ``C`` and ``Hs`` of cell and hidden states, where slot ``s``
+    holds the state after step ``s - 1`` (slot 0 is the zero start), and
+    ``TC`` = tanh(C) by step. With ``keep`` (training) they hold every
+    step for BPTT; without it, two slots in turn, and a row's final state
+    stays in slot ``length % 2`` because no later step touches the row."""
+    K, H, T, M = Wh.shape[0], Wh.shape[1], len(running) - 1, running[0]
+    S = T + 1 if keep else 2
+    C, Hs = np.zeros((K, S, M, H)), np.zeros((K, S, M, H))
+    TC = np.zeros((K, T if keep else 1, M, H))
+    scratch = np.empty((K, M, 4 * H))
+    for t0, G in blocks:
+        for j in range(G.shape[1]):
+            t = t0 + j
+            n, a, z = running[t], t % S, (t + 1) % S
+            _lstm_step(G[:, j, :n], Wh, Hs[:, a, :n] if t else None, C[:, a, :n],
+                       C[:, z, :n], TC[:, t if keep else 0, :n], Hs[:, z, :n],
+                       scratch[:, :n])
+        del G  # before the next block is projected
+    return C, TC, Hs
+
+
+def _lstm_backward(Wh, G, C, TC, running, dh):
+    """Exact BPTT through a scan with ``keep``, given its buffers and the
+    loss gradient ``dh`` (K, M, H) on each sorted row's final hidden state.
+    ``Wh`` holds the recurrent weights in the scan's gate order, not
+    halved. Returns the gradient on every step's gate pre-activations,
+    (K, T, M, 4H), computed in place in ``G``; it is zero wherever a row is
+    not running. Overwrites ``C``, ``TC`` and ``dh``.
+
+    Every per-step coefficient is computed for all steps at once before the
+    loop, in place in the gate cache, so each step only chains ``dc`` and
+    ``dh`` through the running rows."""
+    K, T, M, H = G.shape[0], G.shape[1], G.shape[2], Wh.shape[1]
+    o, i, f, g = (G[..., k * H:(k + 1) * H] for k in range(4))
+    F = C[:, :T]  # c_{t-1} of step t, then f
+    u = np.subtract(1.0, o)
+    u *= o
+    v = np.multiply(TC, TC)
+    np.subtract(1.0, v, out=v)
+    v *= o
+    np.multiply(u, TC, out=o)  # do/dh:  tanh(c) o (1 - o)
+    TC[...] = v                # dc/dh:  o (1 - tanh(c)^2)
+    np.subtract(1.0, i, out=u)
+    np.multiply(g, g, out=v)
+    np.subtract(1.0, v, out=v)
+    v *= i
+    i *= u
+    i *= g                     # di/dc:  g i (1 - i)
+    g[...] = v                 # dg/dc:  i (1 - g^2)
+    np.subtract(1.0, f, out=u)
+    u *= f
+    u *= F
+    F[...] = f
+    f[...] = u                 # df/dc:  c_{t-1} f (1 - f)
+    del u, v
+    G4 = G.reshape(K, T, M, 4, H)
+    WhT = np.ascontiguousarray(Wh.transpose(0, 2, 1))
+    dc, tmp = np.zeros_like(dh), np.empty_like(dh)
     for t in range(T - 1, -1, -1):
-        ifo = cache["ifo"][t]
-        i, f, o = ifo[:, :H], ifo[:, H:2 * H], ifo[:, 2 * H:]
-        g = cache["g"][t]
-        c_prev = cache["c"][t - 1] if t > 0 else zero
-        h_prev = cache["h"][t - 1] if t > 0 else zero
-        dh_t = dH_out[t] + dh
-        tc = np.tanh(cache["c"][t])
-        do = dh_t * tc
-        dc_t = dc + dh_t * o * (1.0 - tc * tc)
-        di = dc_t * g
-        dg = dc_t * i
-        df = dc_t * c_prev
-        dc = dc_t * f
-        dz = np.concatenate([di * i * (1 - i), df * f * (1 - f),
-                             do * o * (1 - o), dg * (1 - g * g)], axis=1)
-        inp = np.concatenate([inputs[:, t], h_prev], axis=1)
-        dW += inp.T @ dz
-        db += dz.sum(axis=0)
-        dinp = dz @ W.T
-        dX[:, t] = dinp[:, :D]
-        dh = dinp[:, D:]
-    return dX, dW, db
+        n = running[t]
+        dh_t, dc_t, tmp_t = dh[:, :n], dc[:, :n], tmp[:, :n]
+        np.multiply(dh_t, TC[:, t, :n], out=tmp_t)
+        dc_t += tmp_t
+        z = G4[:, t, :n]
+        z[:, :, 1:] *= dc_t[:, :, None]
+        z[:, :, 0] *= dh_t
+        if t:
+            dc_t *= F[:, t, :n]
+            np.matmul(G[:, t, :n], WhT, out=dh_t)
+    return G
+
+
+def _sum_step_products(A, B, out):
+    """``out`` = sum over steps t of A_t^T @ B_t, for (..., T, M, .) stacks:
+    one small GEMM per step, for the BLAS reason given in ``_forward``, and
+    eight steps at a time, so that the stack of products stays small."""
+    out[...] = 0.0
+    for t in range(0, A.shape[-3], 8):
+        s = slice(t, t + 8)
+        out += np.matmul(A[..., s, :, :].swapaxes(-1, -2), B[..., s, :, :]).sum(axis=-3)
 
 
 def _prepare(model: SeqNetModel, X, mask):
-    """Validate a batch and cut recurrent inputs at the longest sequence.
+    """Validate a batch and cut it at the longest sequence.
 
-    Steps past every row's last event never reach a recurrent summary, and in
-    BPTT they only add exact zeros, so the cut changes no result. Dense
-    pooling keeps the full window: numpy sums a width-1 input pairwise along
-    time, so dropping padded steps could move its last bit."""
+    Steps past every row's last event reach no summary: recurrent summaries
+    are read at each row's last event, and dense pooling sums only each
+    row's true prefix, so the cut changes no result."""
     X = np.asarray(X, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if X.ndim != 3 or X.shape[2] != len(model.feature_names):
@@ -241,10 +331,10 @@ def _prepare(model: SeqNetModel, X, mask):
     lengths = mask.sum(axis=1).astype(np.int64)
     if np.any(lengths == 0):
         raise ValueError("every sequence needs at least one true-masked event")
-    if _directions(model.arch):
-        T = int(lengths.max(initial=0))
-        X, mask = X[:, :T], mask[:, :T]
-    return X, mask, lengths
+    if not np.array_equal(mask, np.arange(mask.shape[1]) < lengths[:, None]):
+        raise ValueError("each row's mask must be a prefix: true events, then padding")
+    T = int(lengths.max(initial=0))
+    return X[:, :T], mask[:, :T], lengths
 
 
 def head(model: SeqNetModel, summary):
@@ -259,54 +349,86 @@ def head(model: SeqNetModel, summary):
 
 #: bytes of embedded input that dense inference pools at once
 POOL_BYTES = 4 * 2**20
-
-
-def _embed_steps(model: SeqNetModel, X):
-    """``step(t)`` for inference: the inputs of timestep t of raw (M, T, F)
-    ``X``, embedded only when the scan reaches it."""
-    idx, X_num = _indices(model, X), X[..., model.num_columns]
-    return lambda t: _embed(model, [i[:, t] for i in idx], X_num[:, t])
+#: bytes of embedded and projected input that recurrent inference holds at once
+SCAN_BYTES = 256 * 2**10
 
 
 def _forward(model: SeqNetModel, X, mask, keep):
     """Summary, dense activations, logits, probabilities and a cache.
 
-    With ``keep`` (training) the batch is embedded once and the cache holds
-    everything ``loss_and_grads`` reads. Without it (inference) recurrent
-    inputs are embedded one timestep at a time and dense inputs pooled in
-    blocks of ``POOL_BYTES``, so memory is O(M * (D + H)) beyond input-sized
+    Dense pooling sums each row's true prefix in time order, so extra
+    padded steps leave it unchanged to the last bit. Recurrent rows are
+    sorted longest first and read time-major; the input projection
+    ``x @ W[:D] + b`` is one matmul call outside the time loop. With ``keep``
+    (training) the batch is embedded and projected at once and the cache
+    holds everything ``loss_and_grads`` reads. Without it (inference)
+    recurrent inputs are embedded and projected in blocks of steps of
+    ``SCAN_BYTES`` and dense inputs pooled in blocks of rows of
+    ``POOL_BYTES``, so memory is O(M * (D + H)) beyond input-sized
     temporaries, never O(M * T * H)."""
     X, mask, lengths = _prepare(model, X, mask)
-    p, dirs = model.params, _directions(model.arch)
-    cache = {"lengths": lengths, "mask": mask, "scans": []}
-    if keep or not dirs:
-        cache["idx"] = idx = _indices(model, X)
-        X_num = X[..., model.num_columns]
+    p, dirs, table = model.params, _directions(model.arch), _table(model)
+    M, T, D = X.shape[0], X.shape[1], model.input_dim
+    idx, X_num = _indices(model, X), X[..., model.num_columns]
+    cache = {"lengths": lengths, "mask": mask}
     if not dirs:  # mean of embedded timesteps over each row's true events
-        # training pools the whole batch: the summary's layout picks the BLAS
-        # path of summary.T @ dpre, and one-row blocks would change it
-        rows = max(len(X), 1) if keep else \
-            max(1, POOL_BYTES // (8 * model.input_dim * X.shape[1]))
-        # at least one block, so an empty batch pools to an empty summary;
-        # concatenating keeps the memory layout of the whole-batch form
-        blocks = [slice(r, r + rows) for r in range(0, max(len(X), 1), rows)]
-        summary = np.concatenate(
-            [(_embed(model, [i[s] for i in idx], X_num[s]) * mask[s, :, None]).sum(axis=1)
-             / lengths[s, None] for s in blocks], axis=0)
+        cache["idx"] = idx
+        rows = max(M, 1) if keep else max(1, POOL_BYTES // (8 * D * max(T, 1)))
+        # at least one block, so an empty batch pools to an empty summary
+        blocks = [slice(r, r + rows) for r in range(0, max(M, 1), rows)]
+        summary = np.concatenate([_pool(table, idx[s], X_num[s], lengths[s]) for s in blocks])
     else:
-        inputs = _embed(model, idx, X_num) if keep else None
-        parts = []
-        for w, b, backward in dirs:
-            if keep:
-                src = _reverse_within_mask(inputs, lengths) if backward else inputs
-                step = lambda t, src=src: src[:, t]
-            else:
-                step = _embed_steps(model, _reverse_within_mask(X, lengths) if backward else X)
-            h_last, scan = _lstm_scan(p[w], p[b], step, lengths, X.shape[1], keep)
-            parts.append(h_last)
-            if keep:
-                cache["scans"].append((src, scan))
-        summary = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+        K, H = len(dirs), model.nodes
+        order = np.argsort(-lengths, kind="stable")
+        L = lengths[order]
+        # running[t]: rows still inside their sequence at step t; running[T] = 0
+        running = (M - np.cumsum(np.bincount(L, minlength=T + 1))).tolist()
+        # each direction's source step of every (step, sorted row); the
+        # backward cell reads each row's true prefix reversed
+        t = np.arange(T)[:, None]
+        src = [np.where(t < L, L - 1 - t, t) if backward else None for _, _, backward in dirs]
+        W, b = _scan_weights(np.stack([p[w] for w, _, _ in dirs]),
+                             np.stack([p[bb] for _, bb, _ in dirs]))
+        if keep:
+            # embed the batch once in time order and project it per
+            # direction; a reversed direction gathers its projection. The
+            # matmul over the (T, M, D) stack runs one small GEMM per step:
+            # one GEMM over all T*M rows is split across BLAS threads, whose
+            # buffers then stay resident (1.5 MB more peak RSS over 15
+            # seqnet_latent passes)
+            ix = idx[order, t]
+            inputs = _embed(table, ix, X_num[order, t])
+            flat = [None if s is None else (s * M + np.arange(M)).ravel() for s in src]
+            G = np.empty((K, T, M, 4 * H))
+            for k, f in enumerate(flat):
+                if f is None:
+                    np.matmul(inputs, W[k, :D], out=G[k])
+                else:
+                    np.take(np.matmul(inputs, W[k, :D]).reshape(-1, 4 * H), f, axis=0,
+                            out=G[k].reshape(-1, 4 * H), mode="clip")
+            G += b[:, None, None]
+            G[:, np.arange(M) >= np.asarray(running[:T])[:, None]] = 0.0
+            blocks = [(0, G)]
+            cache.update(idx=ix, inputs=inputs, flat=flat, G=G, order=order,
+                         running=running)
+        else:
+            pos = np.stack([np.broadcast_to(t, (T, M)) if s is None else s for s in src])
+
+            def project(t0, t1):
+                rows, at = order[:running[t0]], pos[:, t0:t1, :running[t0]]
+                G = np.matmul(_embed(table, idx[rows, at], X_num[rows, at]).reshape(K, -1, D),
+                              W[:, :D]).reshape(at.shape + (4 * H,))
+                G += b[:, None, None]
+                return t0, G
+
+            steps = max(1, SCAN_BYTES // (8 * K * max(M, 1) * (D + 4 * H)))
+            blocks = (project(t0, min(T, t0 + steps)) for t0 in range(0, T, steps))
+        C, TC, Hs = _lstm_scan(W[:, D:], blocks, running, keep)
+        if keep:
+            cache.update(C=C, TC=TC, Hs=Hs)
+        inv = np.empty_like(order)
+        inv[order] = np.arange(M)
+        summary = Hs[:, lengths % Hs.shape[1], inv].transpose(1, 0, 2).reshape(M, K * H)
     _, act, logits, probs = head(model, summary)
     return summary, act, logits, probs, cache
 
@@ -348,26 +470,38 @@ def loss_and_grads(model: SeqNetModel, X, mask, Y):
     grads["dense_b"] = dpre.sum(axis=0)
     dsummary = dpre @ p["dense_W"].T
 
-    lengths, H = cache["lengths"], model.nodes
-    last = (lengths - 1, np.arange(M))
-    dInputs = None
-    for k, ((w, b, backward), (src, scan)) in enumerate(zip(_directions(model.arch),
-                                                          cache["scans"])):
-        dH = np.zeros_like(scan["h"])
-        dH[last] = dsummary[:, k * H:(k + 1) * H]
-        dIn, grads[w], grads[b] = _lstm_backward(p[w], src, scan, dH)
-        if backward:
-            dIn = _reverse_within_mask(dIn, lengths)
-        dInputs = dIn if dInputs is None else dInputs + dIn
-    if dInputs is None:  # pooled dense inputs
-        dInputs = (dsummary[:, None, :] * cache["mask"][:, :, None]
+    # only the embedded input columns lead to parameters
+    dirs, lengths = _directions(model.arch), cache["lengths"]
+    E = model.embed_dim * len(model.cat_columns)
+    if not dirs:  # pooled dense inputs
+        dInputs = (dsummary[:, None, :E] * cache["mask"][:, :, None]
                    / lengths[:, None, None])
-    col = 0
-    for k, _ in enumerate(model.cat_columns):
-        dE = np.zeros_like(p[f"emb_{k}"])
-        np.add.at(dE, cache["idx"][k], dInputs[:, :, col:col + model.embed_dim])
-        grads[f"emb_{k}"] = dE
-        col += model.embed_dim
+    else:
+        K, H, D = len(dirs), model.nodes, model.input_dim
+        cols = _gate_columns(H)
+        W = np.stack([p[w] for w, _, _ in dirs])[..., cols]
+        dh = np.ascontiguousarray(dsummary.reshape(M, K, H)[cache["order"]].transpose(1, 0, 2))
+        # release each cache once read, so that dInputs does not add to the peak
+        dZ = _lstm_backward(W[:, D:], cache.pop("G"), cache.pop("C"), cache.pop("TC"),
+                            cache["running"], dh)
+        T = dZ.shape[1]
+        dW = np.empty_like(W)
+        _sum_step_products(cache.pop("Hs")[:, :T], dZ, dW[:, D:])
+        db = dZ.sum(axis=(1, 2))
+        inputs = cache.pop("inputs")
+        dInputs = None
+        for k, f in enumerate(cache["flat"]):
+            # the gather that reversed a direction's projection is its own inverse
+            dP = dZ[k] if f is None else \
+                np.take(dZ[k].reshape(-1, 4 * H), f, axis=0, mode="clip").reshape(T, M, 4 * H)
+            _sum_step_products(inputs, dP, dW[k, :D])
+            dIn = np.matmul(dP, W[k, :E].T)
+            dInputs = dIn if dInputs is None else np.add(dInputs, dIn, out=dInputs)
+        del inputs
+        back = np.argsort(cols)
+        for k, (w, b, _) in enumerate(dirs):
+            grads[w], grads[b] = dW[k][:, back], db[k][back]
+    _embedding_grads(model, cache["idx"], dInputs, grads)
     return loss, grads
 
 
@@ -503,10 +637,15 @@ def grid_search(space, dataset, split, seed: int, lr: float = 0.5):
                             dataset.label_names, seed=seed)
         train(model, tr.X, tr.mask, tr.Y, epochs=epochs, lr=lr, seed=seed,
               validation=(te.X, te.mask, te.Y))
-        report = evaluate(model, te.X, te.mask, te.Y)
+        # the last validation point scored the final parameters on the test
+        # split; only when epoch 1 diverged is the curve empty
+        if model.curve.val_acc:
+            accuracy, loss = model.curve.val_acc[-1], model.curve.val_loss[-1]
+        else:
+            report = evaluate(model, te.X, te.mask, te.Y)
+            accuracy, loss = report.accuracy, report.loss
         rows.append({"architecture": arch, "nodes": nodes, "epochs": epochs,
-                     "accuracy": report.accuracy, "loss": report.loss,
-                     "best": False})
+                     "accuracy": accuracy, "loss": loss, "best": False})
         models.append(model)
     order = sorted(range(len(rows)),
                    key=lambda k: (-rows[k]["accuracy"], rows[k]["loss"], k))

@@ -182,6 +182,19 @@ def test_train_seqnet_grid_entry_must_name_the_model(pipeline, model, grid, name
     assert files_under(out) == []
 
 
+@pytest.mark.parametrize("model, grid, form", [
+    ("forest", "60x8x3", "ESTIMATORSxMAX_FEATURES"),
+    ("forest", "lstm:6:2", "ESTIMATORSxMAX_FEATURES"),
+    ("lstm", "lstm:6", "ARCH:NODES:EPOCHS or NODESxEPOCHS"),
+])
+def test_train_malformed_grid_entry_names_entry_and_form(pipeline, model, grid, form):
+    out = pipeline / "malformed"
+    with pytest.raises(SystemExit, match=f"grid entry '{grid}' is not of the form {form}"):
+        run("train", "--data", pipeline / "data", "--model", model, "--grid", grid,
+            "--out", out)
+    assert files_under(out) == []
+
+
 def test_parse_seqnet_grid_accepts_the_model_architecture():
     assert cli._parse_seqnet_grid("lstm:16:2,8x3", "lstm") == [("lstm", 16, 2), ("lstm", 8, 3)]
     assert cli._parse_seqnet_grid("dense:4:2,bilstm:4:1,6X2", "seqnet") == [
