@@ -203,7 +203,8 @@ def _embed(table, idx, X_num):
 
 def _pool(table, idx, X_num, lengths):
     """Mean of each row's first ``lengths`` embedded steps, summed in time
-    order, so that padding after them cannot change a bit."""
+    order, so that padding after them cannot change a bit. One call per
+    block of rows, so each block's temporaries are freed before the next."""
     total = np.cumsum(_embed(table, idx, X_num), axis=1)
     return total[np.arange(len(lengths)), lengths - 1] / lengths[:, None]
 
