@@ -18,7 +18,7 @@ spec = synth.SyntheticSpec(
     age_rule=synth.AgeRule(label="c_mix106", threshold=70),
 )
 log, manifest = synth.generate_synthetic(spec, seed=1)
-print(f"generated {len(log.cases)} cases, {log.n_events()} events")
+print(f"generated {len(log.cases)} cases, {sum(len(c.events) for c in log.cases)} events")
 print("planted truth:", manifest["age_rule"])
 
 # drop one label so the cleaner has something to impute

@@ -15,7 +15,11 @@ spec = synth.SyntheticSpec(
     age_rule=synth.AgeRule(label="c_mix106", threshold=70),
 )
 log, _ = synth.generate_synthetic(spec, seed=1)
-clean, _ = eventlog.clean_log(log, min_class_count=4)
+# through the CSV, as `xlog synth` and `xlog ingest` do
+with open("demo_events.csv", "w", encoding="utf-8") as fh:
+    fh.write(synth.log_to_csv(log))
+parsed = eventlog.parse_log("demo_events.csv", synth.DEFAULT_SCHEMA)
+clean, _ = eventlog.clean_log(parsed, min_class_count=4)
 
 labels = np.asarray(clean.diagnosis_code)
 split = encode.stratified_split(labels, test_fraction=0.2, seed=3)

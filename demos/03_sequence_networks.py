@@ -14,11 +14,15 @@ spec = synth.SyntheticSpec(
     noise_vocab=8, min_length=5, max_length=8,
 )
 log, _ = synth.generate_synthetic(spec, seed=11)
-labels = np.asarray([c.diagnosis_code for c in log.cases])
+# through the CSV, as `xlog synth` and `xlog ingest` do
+with open("demo_events.csv", "w", encoding="utf-8") as fh:
+    fh.write(synth.log_to_csv(log))
+parsed = eventlog.parse_log("demo_events.csv", synth.DEFAULT_SCHEMA)
+labels = np.asarray(parsed.diagnosis_code)
 split = encode.stratified_split(labels, 0.2, seed=13)
-vocab = encode.build_vocab(log, list(eventlog.DYNAMIC_CATEGORICAL)
+vocab = encode.build_vocab(parsed, list(eventlog.DYNAMIC_CATEGORICAL)
                            + list(eventlog.STATIC_CATEGORICAL))
-seq = encode.encode_sequences(log, vocab, T=8, split=split)
+seq = encode.encode_sequences(parsed, vocab, T=8, split=split)
 print("sequence tensor:", seq.X.shape, "mask:", seq.mask.shape)
 
 space = [("dense", 25, 60), ("lstm", 20, 60), ("bilstm", 20, 60)]

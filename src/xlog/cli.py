@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from urllib.parse import quote
 
 import numpy as np
 
@@ -339,7 +340,7 @@ def cmd_explain(run) -> int:
             raise SystemExit(f"--instance {cfg['instance']!r} names no case id or row index")
         for i in rows:
             exp = explain_one(i)
-            stem = f"lime_{exp.instance_id}"
+            stem = f"lime_{quote(exp.instance_id, safe='')}"
             run.write_json(run.path(out, stem + ".json"), exp.to_dict())
             run.write_text(run.path(out, stem + ".svg"), exp.to_svg(meta=run.meta_line))
     elif method == "pick":
@@ -349,7 +350,7 @@ def cmd_explain(run) -> int:
         summary = explain.submodular_pick(exps, cfg["budget"])
         run.write_json(run.path(out, "global_summary.json"), summary.to_dict())
         for exp in summary.explanations:
-            run.write_text(run.path(out, f"pick_{exp.instance_id}.svg"),
+            run.write_text(run.path(out, f"pick_{quote(exp.instance_id, safe='')}.svg"),
                            exp.to_svg(meta=run.meta_line))
     elif method in ("pdp", "ice", "ale"):
         _require(cfg, "feature")

@@ -20,9 +20,7 @@ from .eventlog import (
     DYNAMIC_NUMERIC,
     STATIC_CATEGORICAL,
     STATIC_NUMERIC,
-    EventLog,
     EventTable,
-    as_table,
 )
 
 DYNAMIC_FEATURES = DYNAMIC_CATEGORICAL + DYNAMIC_NUMERIC
@@ -47,19 +45,18 @@ class Vocabulary:
         return {"maps": {feat: dict(sorted(m.items())) for feat, m in sorted(self.maps.items())}}
 
 
-def build_vocab(log: EventLog | EventTable, categorical_features: list[str]) -> Vocabulary:
+def build_vocab(log: EventTable, categorical_features: list[str]) -> Vocabulary:
     """Index tokens of each categorical feature by descending frequency, ties
     broken lexicographically; indices start at 1."""
-    t = as_table(log)
-    if not t.case_ids:
+    if not log.case_ids:
         raise ValueError("empty log")
     maps: dict[str, dict[str, int]] = {}
     for feat in categorical_features:
         if feat in STATIC_CATEGORICAL:
-            freq = Counter(tok for tok in getattr(t, feat) if tok)
+            freq = Counter(tok for tok in getattr(log, feat) if tok)
         else:
-            counts = np.bincount(t.codes[feat], minlength=len(t.tokens[feat])).tolist()
-            freq = {tok: n for tok, n in zip(t.tokens[feat], counts) if n and tok}
+            counts = np.bincount(log.codes[feat], minlength=len(log.tokens[feat])).tolist()
+            freq = {tok: n for tok, n in zip(log.tokens[feat], counts) if n and tok}
         order = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
         maps[feat] = {tok: i + 1 for i, (tok, _) in enumerate(order)}
     return Vocabulary(maps=maps)
@@ -215,7 +212,7 @@ def _lookup(vocab: Vocabulary, feat: str, tokens: list[str]) -> tuple[np.ndarray
     return idx, (idx == 0) & np.array([bool(tok) for tok in tokens], dtype=bool)
 
 
-def encode_sequences(log: EventLog | EventTable, vocab: Vocabulary, T: int,
+def encode_sequences(log: EventTable, vocab: Vocabulary, T: int,
                      split: "Split | None" = None) -> SequenceDataset:
     """Pad/truncate each case to ``T`` events (keep-first) and emit the
     (M, T, F) tensor with a prefix mask.
@@ -228,39 +225,38 @@ def encode_sequences(log: EventLog | EventTable, vocab: Vocabulary, T: int,
     """
     if T < 1:
         raise ValueError("window length T must be >= 1")
-    t = as_table(log)
-    label_names, label_idx = _label_space(t)
-    stats = _numeric_stats(t, split)
+    label_names, label_idx = _label_space(log)
+    stats = _numeric_stats(log, split)
     feature_names = list(DYNAMIC_FEATURES) + list(STATIC_FEATURES)
     cat_sizes = [vocab.size(f) if f in DYNAMIC_CATEGORICAL + STATIC_CATEGORICAL else 0
                  for f in feature_names]
-    M, F = len(t.case_ids), len(feature_names)
+    M, F = len(log.case_ids), len(feature_names)
     cases = np.arange(M)
-    n = np.minimum(np.diff(t.offsets), T)
+    n = np.minimum(np.diff(log.offsets), T)
     mask = np.arange(T) < n[:, None]
-    Y = np.array([label_idx[lab] for lab in t.diagnosis_code], dtype=np.int64)
+    Y = np.array([label_idx[lab] for lab in log.diagnosis_code], dtype=np.int64)
     # one entry per encoded event: its case, its timestep and its table row
-    rows = t.case_events(cases, limit=T)
+    rows = log.case_events(cases, limit=T)
     case_of = np.repeat(cases, n)
-    step = rows - np.repeat(t.offsets[:-1], n)
+    step = rows - np.repeat(log.offsets[:-1], n)
 
     unknown = 0
     statics = np.zeros((M, len(STATIC_FEATURES)))
     for col, feat in enumerate(STATIC_CATEGORICAL):
-        idx, unseen = _lookup(vocab, feat, getattr(t, feat))
+        idx, unseen = _lookup(vocab, feat, getattr(log, feat))
         statics[:, col] = idx
         unknown += int(unseen.sum())
     for col, feat in enumerate(STATIC_NUMERIC, start=len(STATIC_CATEGORICAL)):
-        values = np.array([float(v) for v in getattr(t, feat)])
+        values = np.array([float(v) for v in getattr(log, feat)])
         statics[:, col] = _scale(values, *stats[feat], clamp_zero=False)
     events = np.empty((len(rows), F))
     for col, feat in enumerate(DYNAMIC_CATEGORICAL):
-        idx, unseen = _lookup(vocab, feat, t.tokens[feat])
-        codes = t.codes[feat][rows]
+        idx, unseen = _lookup(vocab, feat, log.tokens[feat])
+        codes = log.codes[feat][rows]
         events[:, col] = idx[codes]
         unknown += int(unseen[codes].sum())
-    events[:, len(DYNAMIC_CATEGORICAL)] = _scale(t.num_executions[rows], *stats["num_executions"],
-                                                 clamp_zero=True)
+    events[:, len(DYNAMIC_CATEGORICAL)] = _scale(
+        log.num_executions[rows], *stats["num_executions"], clamp_zero=True)
     events[:, len(DYNAMIC_FEATURES):] = statics[case_of]
     # padded timesteps keep statics at zero; masked out downstream
     X = np.zeros((M, T, F))
@@ -268,35 +264,28 @@ def encode_sequences(log: EventLog | EventTable, vocab: Vocabulary, T: int,
     vocab.unknown_tokens = unknown
     return SequenceDataset(X=X, mask=mask, Y=Y, T=T, label_names=label_names,
                            feature_names=feature_names, cat_sizes=cat_sizes,
-                           case_ids=list(t.case_ids))
+                           case_ids=list(log.case_ids))
 
 
-def encode_flat(log: EventLog | EventTable, vocab: Vocabulary, L: int,
-                split: "Split | None" = None,
-                feature_labels: dict[str, str] | None = None) -> FlatDataset:
+def encode_flat(log: EventTable, vocab: Vocabulary, L: int,
+                split: "Split | None" = None) -> FlatDataset:
     """Concatenate the first ``L`` events positionally, then append statics.
 
     The dynamic block is position-major (all features of event 0, then event
     1, ...), padded with index 0 beyond the case length. Column names follow
-    ``<feature>_<sequence_number>``; ``feature_labels`` overrides display
-    names (e.g. {"activity": "Activity Coded"}).
+    ``<feature>_<sequence_number>``.
     """
     if L < 1:
         raise ValueError("window length L must be >= 1")
-    return flatten_sequences(encode_sequences(log, vocab, L, split), feature_labels)
+    return flatten_sequences(encode_sequences(log, vocab, L, split))
 
 
-def flatten_sequences(seq: SequenceDataset,
-                      feature_labels: dict[str, str] | None = None) -> FlatDataset:
+def flatten_sequences(seq: SequenceDataset) -> FlatDataset:
     """The flat encoding of an already encoded tensor (see ``encode_flat``);
     its window is ``seq.T``."""
     L, n_dyn = seq.T, len(DYNAMIC_FEATURES)
-    labels = feature_labels or {}
-    names = []
-    for t in range(L):
-        for feat in DYNAMIC_FEATURES:
-            names.append(f"{labels.get(feat, feat)}_{t}")
-    names += [labels.get(f, f) for f in STATIC_FEATURES]
+    names = [f"{feat}_{t}" for t in range(L) for feat in DYNAMIC_FEATURES]
+    names += list(STATIC_FEATURES)
     dyn = seq.X[:, :, :n_dyn].reshape(len(seq.X), L * n_dyn)
     statics = seq.X[:, 0, n_dyn:]
     X = np.concatenate([dyn, statics], axis=1)

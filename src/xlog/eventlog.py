@@ -5,9 +5,14 @@ ordered sequence of timestamped activity events plus static attributes. Input
 is a flat CSV with one event per row and static attributes repeated per row.
 
 ``parse_log`` reads the CSV into an ``EventTable``: per-event columns in case
-order plus per-case attributes. ``EventLog``/``Case``/``Event`` are the object
-form that generated and hand-built logs use; every stage converts one with
-``as_table`` at entry.
+order plus per-case attributes. Every stage takes such a table.
+
+``EventLog``/``Case``/``Event`` are an object form that no stage reads. It
+stays for the benchmark: ``synth.generate_synthetic`` returns an
+``EventLog`` because ``perfbench/workloads.py`` blanks labels by assigning to
+``log.cases[i]`` before ``log_to_csv`` writes it, and ``EventTable.cases`` is
+a read-only view in that form because ``perfbench/tracing.py`` counts the
+labelled cases of ``clean_log``'s input through it.
 """
 
 from __future__ import annotations
@@ -70,18 +75,6 @@ class Case:
 @dataclass
 class EventLog:
     cases: list[Case]
-    #: fields whose values were collapsed from spread/repeated columns at parse time
-    spread_features: list[str] = field(default_factory=list)
-    #: parse-time issue counts (unparseable rows/timestamps), never silently dropped
-    issues: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def class_counts(self) -> dict[str, int]:
-        counts = Counter(c.diagnosis_code for c in self.cases if c.diagnosis_code is not None)
-        return dict(sorted(counts.items()))
-
-    def n_events(self) -> int:
-        return sum(len(c.events) for c in self.cases)
 
 
 def _codes(values) -> tuple[np.ndarray, list]:
@@ -114,27 +107,6 @@ class EventTable:
     years_in_treatment: np.ndarray  # float64 per case
     spread_features: list[str] = field(default_factory=list)
     issues: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_log(cls, log: EventLog) -> "EventTable":
-        """The table of an object log; events keep their order."""
-        events = [ev for case in log.cases for ev in case.events]
-        codes, tokens = {}, {}
-        for f in DYNAMIC_CATEGORICAL:
-            codes[f], tokens[f] = _codes([getattr(ev, f) for ev in events])
-        lengths = [len(case.events) for case in log.cases]
-        return cls(
-            case_ids=[c.case_id for c in log.cases],
-            offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
-            codes=codes, tokens=tokens,
-            timestamp=np.array([ev.timestamp for ev in events], dtype=float),
-            num_executions=np.array([float(ev.num_executions) for ev in events]),
-            age=[c.age for c in log.cases],
-            diagnosis_code=[c.diagnosis_code for c in log.cases],
-            treatment_code=[c.treatment_code for c in log.cases],
-            combination_id=[c.combination_id for c in log.cases],
-            years_in_treatment=np.array([c.years_in_treatment for c in log.cases], dtype=float),
-            spread_features=list(log.spread_features), issues=dict(log.issues))
 
     @functools.cached_property
     def cases(self) -> tuple[Case, ...]:
@@ -186,11 +158,6 @@ class EventTable:
             treatment_code=[self.treatment_code[i] for i in pick],
             combination_id=[self.combination_id[i] for i in pick],
             years_in_treatment=self.years_in_treatment[cases])
-
-
-def as_table(log: EventLog | EventTable) -> EventTable:
-    """``log`` as a table; an object log is converted."""
-    return log if isinstance(log, EventTable) else EventTable.from_log(log)
 
 
 @dataclass
@@ -481,7 +448,7 @@ def _impute_labels(t: EventTable, labeled: list[int], unlabeled: list[int]) -> l
     return out
 
 
-def clean_log(log: EventLog | EventTable, min_class_count: int) -> tuple[EventTable, CleaningReport]:
+def clean_log(log: EventTable, min_class_count: int) -> tuple[EventTable, CleaningReport]:
     """Impute missing labels, derive treatment years, filter rare classes.
 
     Unlabeled cases inherit the label of the most similar labeled case. A
@@ -499,17 +466,16 @@ def clean_log(log: EventLog | EventTable, min_class_count: int) -> tuple[EventTa
     """
     if min_class_count < 1:
         raise ValueError("min_class_count must be >= 1")
-    t = as_table(log)
-    if (np.diff(t.offsets) == 0).any():
+    if (np.diff(log.offsets) == 0).any():
         raise ValueError("a case has no events, so it has no treatment span")
-    labels = list(t.diagnosis_code)
+    labels = list(log.diagnosis_code)
     labeled = [i for i, lab in enumerate(labels) if lab is not None]
     if not labeled:
         raise CannotImputeError("every case is unlabeled; nothing to impute from")
     unlabeled = [i for i, lab in enumerate(labels) if lab is None]
 
-    report = CleaningReport(collapsed_features=list(t.spread_features))
-    for i, label in zip(unlabeled, _impute_labels(t, labeled, unlabeled)):
+    report = CleaningReport(collapsed_features=list(log.spread_features))
+    for i, label in zip(unlabeled, _impute_labels(log, labeled, unlabeled)):
         labels[i] = label
         if label is None:
             report.dropped_cases += 1
@@ -521,9 +487,10 @@ def clean_log(log: EventLog | EventTable, min_class_count: int) -> tuple[EventTa
     report.dropped_classes = {
         lab: n for lab, n in sorted(counts.items()) if n < min_class_count
     }
-    years = (t.timestamp[t.offsets[1:] - 1] - t.timestamp[t.offsets[:-1]]) / SECONDS_PER_YEAR
-    cleaned = replace(t, diagnosis_code=labels, years_in_treatment=years,
-                      spread_features=[], issues=dict(t.issues))
+    first, last = log.timestamp[log.offsets[:-1]], log.timestamp[log.offsets[1:] - 1]
+    years = (last - first) / SECONDS_PER_YEAR
+    cleaned = replace(log, diagnosis_code=labels, years_in_treatment=years,
+                      spread_features=[], issues=dict(log.issues))
     return cleaned.take([i for i, lab in enumerate(labels) if lab in report.kept_classes]), report
 
 
@@ -564,15 +531,14 @@ def _feature_rows(t: EventTable, features: list[str]) -> np.ndarray:
     return np.asarray(columns, dtype=float).T
 
 
-def correlation_matrix(log: EventLog | EventTable, features: list[str]) -> CorrelationResult:
+def correlation_matrix(log: EventTable, features: list[str]) -> CorrelationResult:
     """Pearson correlation over event rows; unit diagonal, symmetric.
 
     Zero-variance features get zero off-diagonal entries and are flagged.
     """
-    t = as_table(log)
-    if len(t.case_ids) < 2:
+    if len(log.case_ids) < 2:
         raise ValueError("need at least 2 cases")
-    X = _feature_rows(t, features)
+    X = _feature_rows(log, features)
     n, f = X.shape
     X = X - X.mean(axis=0)
     sd = X.std(axis=0)

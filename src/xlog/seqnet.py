@@ -29,13 +29,6 @@ CLIP_NORM = 5.0
 BATCH_SIZE = 32
 
 
-def sigmoid(x):
-    """Logistic function without overflow: exp(-|x|) is exactly exp(-x) for
-    x >= 0 and exp(x) below, so both branches are the textbook forms."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def _gate_columns(H):
     """The stored (i, f, o, g) columns in the scan's gate order (o, i, f, g):
     the sigmoid gates first and the three gates that BPTT scales by dc last,
@@ -71,19 +64,6 @@ def _lstm_step(z, Wh, h_prev, c_prev, c, tc, h, scratch):
     c += ig
     np.tanh(c, out=tc)
     np.multiply(z[..., :H], tc, out=h)
-
-
-def _lstm_cell(W, b, x_t, h, c):
-    """One step of the scan's cell on (M, H) states: C_t = f*C_{t-1} + i*g
-    and h_t = o*tanh(C_t). ``W`` is (D + H, 4H), rows input then hidden,
-    columns the gates i, f, o, g. Returns the sigmoid gates side by side as
-    (M, 3H) ``ifo``, the candidate ``g`` and the new ``(c, h)``."""
-    H, D = h.shape[1], x_t.shape[1]
-    Ws, bs = _scan_weights(W, b)
-    z = x_t @ Ws[:D] + bs
-    c_new, tc, h_new = np.empty_like(h), np.empty_like(h), np.empty_like(h)
-    _lstm_step(z, Ws[D:], h, c, c_new, tc, h_new, np.empty_like(z))
-    return np.roll(z[:, :3 * H], -H, axis=1), z[:, 3 * H:], c_new, h_new
 
 
 @dataclass
@@ -447,7 +427,7 @@ def hidden_summary(model: SeqNetModel, X, mask, layer: int = 0) -> np.ndarray:
     return _forward(model, X, mask, False)[layer]
 
 
-def _loss_from_logits(logits, Y):
+def _cross_entropy(logits, Y):
     shift = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shift).sum(axis=1))
     return float(np.mean(lse - shift[np.arange(len(Y)), Y]))
@@ -458,7 +438,7 @@ def loss_and_grads(model: SeqNetModel, X, mask, Y):
     Y = np.asarray(Y, dtype=np.int64)
     summary, act, logits, probs, cache = _forward(model, X, mask, True)
     p, M = model.params, len(Y)
-    loss = _loss_from_logits(logits, Y)
+    loss = _cross_entropy(logits, Y)
     dlogits = probs.copy()
     dlogits[np.arange(M), Y] -= 1.0
     dlogits /= M
@@ -573,7 +553,7 @@ class EvalReport:
 def evaluate(model: SeqNetModel, X, mask, Y) -> EvalReport:
     Y = np.asarray(Y, dtype=np.int64)
     _, _, logits, probs, _ = _forward(model, X, mask, False)
-    loss = _loss_from_logits(logits, Y)
+    loss = _cross_entropy(logits, Y)
     pred = np.argmax(probs, axis=1)
     C = model.n_classes
     confusion = np.zeros((C, C), dtype=np.int64)
@@ -617,7 +597,7 @@ def grad_check(model: SeqNetModel, X, mask, Y, epsilon: float = 1e-5,
 
 
 def _loss_only(model, X, mask, Y):
-    return _loss_from_logits(_forward(model, X, mask, False)[2], np.asarray(Y, dtype=np.int64))
+    return _cross_entropy(_forward(model, X, mask, False)[2], np.asarray(Y, dtype=np.int64))
 
 
 def grid_search(space, dataset, split, seed: int, lr: float = 0.5):

@@ -55,6 +55,12 @@ class SyntheticSpec:
                    treatments=d.get("treatments", ["T1", "T2"]))
 
     def validate(self) -> None:
+        # log_to_csv writes cells unquoted, so such a cell would shift its row
+        cells = [c.label for c in self.classes] + [tok for c in self.classes for tok in c.motif]
+        for value in cells + list(self.treatments):
+            if any(ch in value for ch in ',"\r\n'):
+                raise ValueError(f"{value!r}: a class label, motif token or treatment "
+                                 "may not hold a comma, a quote or a line break")
         motifs = [tuple(c.motif) for c in self.classes]
         if len(set(motifs)) != len(motifs):
             raise ValueError("motifs must be pairwise distinct")

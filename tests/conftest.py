@@ -3,6 +3,8 @@ import pytest
 
 from xlog.eventlog import Case, Event, EventLog
 
+from ingest_oracle import table_of
+
 BASE = 1577836800.0  # 2020-01-01 UTC
 
 
@@ -17,7 +19,8 @@ def make_case(case_id, activities, label="L1", age=50, treatment="T1",
 
 
 def make_log(spec):
-    """spec: list of (case_id, activities, label) or full kwargs dicts."""
+    """The table of a hand-built log. spec: list of (case_id, activities,
+    label) or full kwargs dicts."""
     cases = []
     for item in spec:
         if isinstance(item, dict):
@@ -25,7 +28,7 @@ def make_log(spec):
         else:
             cid, acts, label = item
             cases.append(make_case(cid, acts, label))
-    return EventLog(cases=cases)
+    return table_of(EventLog(cases=cases))
 
 
 @pytest.fixture

@@ -3,13 +3,14 @@
 Each function walks ``Case``/``Event`` objects one attribute at a time, as
 xlog's ingest did before it became columnar. The tests compare the columnar
 ``parse_log``, ``clean_log``, ``build_vocab`` and ``encode_sequences`` with
-them on the same inputs.
+them on the same inputs. ``table_of`` turns an object log, hand-built or
+generated by ``synth``, into the ``EventTable`` that the stages take.
 """
 
 import csv
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,8 +20,38 @@ from xlog.encode import (
 )
 from xlog.eventlog import (
     DYNAMIC_CATEGORICAL, STATIC_CATEGORICAL, STATIC_NUMERIC,
-    Case, EmptyLogError, Event, EventLog, SchemaError, _columns, _parse_timestamp,
+    Case, EmptyLogError, Event, EventTable, SchemaError, _codes, _columns, _parse_timestamp,
 )
+
+
+def table_of(log) -> EventTable:
+    """The table of an object log (anything with ``cases``); events keep
+    their order."""
+    events = [ev for case in log.cases for ev in case.events]
+    codes, tokens = {}, {}
+    for f in DYNAMIC_CATEGORICAL:
+        codes[f], tokens[f] = _codes([getattr(ev, f) for ev in events])
+    lengths = [len(case.events) for case in log.cases]
+    return EventTable(
+        case_ids=[c.case_id for c in log.cases],
+        offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        codes=codes, tokens=tokens,
+        timestamp=np.array([ev.timestamp for ev in events], dtype=float),
+        num_executions=np.array([float(ev.num_executions) for ev in events]),
+        age=[c.age for c in log.cases],
+        diagnosis_code=[c.diagnosis_code for c in log.cases],
+        treatment_code=[c.treatment_code for c in log.cases],
+        combination_id=[c.combination_id for c in log.cases],
+        years_in_treatment=np.array([c.years_in_treatment for c in log.cases], dtype=float))
+
+
+@dataclass
+class ParsedLog:
+    """The oracle's parse: the cases, the fields collapsed from spread or
+    disagreeing columns, and the counts of rows it could not use."""
+    cases: list[Case]
+    spread_features: list[str]
+    issues: dict[str, int]
 
 
 def _whole(raw, low):
@@ -30,7 +61,7 @@ def _whole(raw, low):
 
 def parse_log(path, schema):
     """One ``DictReader`` pass, one frozen ``Event`` per row and statics
-    collected per case; returns an ``EventLog``."""
+    collected per case; returns a ``ParsedLog``."""
     for key in ("case_id", "activity", "timestamp"):
         if key not in schema:
             raise SchemaError(f"schema is missing mandatory field {key!r}")
@@ -109,7 +140,7 @@ def parse_log(path, schema):
         issues["unparseable_rows"] = bad_rows
     if bad_timestamps:
         issues["unparseable_timestamps"] = bad_timestamps
-    return EventLog(cases=out, spread_features=sorted(spread), issues=issues)
+    return ParsedLog(cases=out, spread_features=sorted(spread), issues=issues)
 
 
 def derive_years(case):

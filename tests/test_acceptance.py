@@ -13,6 +13,7 @@ import pytest
 
 from xlog import cli, encode, eventlog, explain, forest, latent, seqnet, synth
 
+from ingest_oracle import table_of
 from test_forest import brute_force_best_split
 
 
@@ -201,7 +202,7 @@ def test_c07_planted_signal_pipeline():
         noise_vocab=8, min_length=5, max_length=9,
         age_rule=synth.AgeRule(label="c_mix106", threshold=70))
     log, _ = synth.generate_synthetic(spec, seed=1)
-    clean, _ = eventlog.clean_log(log, min_class_count=4)
+    clean, _ = eventlog.clean_log(table_of(log), min_class_count=4)
     labels = np.asarray([c.diagnosis_code for c in clean.cases])
     split = encode.stratified_split(labels, 0.2, seed=3)
     vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
@@ -260,8 +261,8 @@ def test_c08_order_sensitivity_recurrent_beats_dense():
         classes=[synth.ClassSpec("ord_uvw", ["tok_u", "tok_v", "tok_w"], 150),
                  synth.ClassSpec("ord_wvu", ["tok_w", "tok_v", "tok_u"], 150)],
         noise_vocab=8, min_length=5, max_length=8)
-    log, _ = synth.generate_synthetic(spec, seed=11)
-    labels = np.asarray([c.diagnosis_code for c in log.cases])
+    log = table_of(synth.generate_synthetic(spec, seed=11)[0])
+    labels = np.asarray(log.diagnosis_code)
     split = encode.stratified_split(labels, 0.2, seed=13)
     vocab = encode.build_vocab(log, list(eventlog.DYNAMIC_CATEGORICAL)
                                + list(eventlog.STATIC_CATEGORICAL))

@@ -244,6 +244,30 @@ def test_explain_lime_single_instance(trained):
     assert len(payload["weights"]) <= 3
 
 
+def test_explain_names_files_from_the_encoded_case_id(pipeline):
+    # a case id may hold "/"; its file names must stay inside --out
+    text = (pipeline / "synth" / "events.csv").read_text().replace("\ncase_", "\ncase/")
+    (pipeline / "slash.csv").write_text(text, encoding="utf-8")
+    data, out = pipeline / "slash_data", pipeline / "slash_exp"
+    assert run("ingest", "--csv", pipeline / "slash.csv",
+               "--schema", pipeline / "synth" / "schema.json",
+               "--min-class", 4, "--window", 7, "--seed", 3, "--out", data) == 0
+    assert run("train", "--data", data, "--model", "forest", "--grid", "5x6",
+               "--cv-k", 2, "--seed", 5, "--out", pipeline / "slash_forest") == 0
+    explain = ["explain", "--data", data, "--checkpoint",
+               pipeline / "slash_forest" / "forest.json", "--n-samples", 100, "--out", out]
+    assert run(*explain, "--method", "lime", "--instance", "0") == 0
+    assert run(*explain, "--method", "pick", "--target", 1, "--max-candidates", 2,
+               "--budget", 1) == 0
+    case_id = json.loads((data / "flat.xlg.json").read_text())["case_ids"][0]
+    assert "/" in case_id
+    stem = "lime_" + case_id.replace("/", "%2F")
+    assert json.loads((out / (stem + ".json")).read_text())["instance"] == case_id
+    assert (out / (stem + ".svg")).is_file()
+    assert any(p.name.startswith("pick_case%2F") for p in out.iterdir())
+    assert all(p.is_file() for p in out.iterdir())
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--instance", "nope"], r"--instance 'nope' is neither a case id nor a row index in \[0, 32\)"),
     (["--instance", "-1", "--target", 0], r"--instance '-1' is neither"),

@@ -153,9 +153,7 @@ def test_encode_scaling_maps_train_extremes_to_unit_interval():
 def test_encode_count_clamped_at_zero_on_unseen_low():
     log = make_log([("c1", ["a"], "L"), ("c2", ["a"], "L"), ("c3", ["a"], "L")])
     from dataclasses import replace
-    log.cases[0].events[0] = replace(log.cases[0].events[0], num_executions=5)
-    log.cases[1].events[0] = replace(log.cases[1].events[0], num_executions=9)
-    log.cases[2].events[0] = replace(log.cases[2].events[0], num_executions=1)
+    log = replace(log, num_executions=np.array([5.0, 9.0, 1.0]))
     from xlog.encode import Split
     split = Split(train_indices=np.array([0, 1]), test_indices=np.array([2]))
     vocab = build_vocab(log, CATS)
@@ -174,15 +172,6 @@ def test_encode_flat_positional_layout_and_padding():
     iA, iB = vocab.index("activity", "A"), vocab.index("activity", "B")
     assert ds.X[0, [a0, a1, a2]].astype(int).tolist() == [iA, iB, 0]
     assert ds.X[1, [a0, a1, a2]].astype(int).tolist() == [iB, 0, 0]
-
-
-def test_encode_flat_paper_style_column_names():
-    log = small_log()
-    vocab = build_vocab(log, CATS)
-    ds = encode_flat(log, vocab, L=3, feature_labels={"activity": "Activity Coded"})
-    for name in ("Activity Coded_0", "Activity Coded_1", "Activity Coded_2"):
-        assert name in ds.feature_names
-    assert len(set(ds.feature_names)) == len(ds.feature_names)
 
 
 def test_encode_flat_l1_has_one_dynamic_block_plus_statics():

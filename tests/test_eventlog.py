@@ -1,6 +1,7 @@
 import os
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from xlog.eventlog import (
     clean_log, correlation_matrix, parse_log,
 )
 
-from conftest import make_case, make_log
+from conftest import make_log
 from ingest_oracle import oracle_clean_log
 
 SCHEMA = {"case_id": "case", "activity": "act", "timestamp": "ts",
@@ -308,8 +309,7 @@ def test_clean_imputes_medium_scale_in_bounded_memory():
 def test_correlation_self_and_linear():
     log = make_log([{"case_id": f"c{i}", "activities": ["a"], "label": "L",
                      "age": 20 + i} for i in range(5)])
-    for i, case in enumerate(log.cases):
-        case.years_in_treatment = 2.0 * (20 + i)  # y = 2x
+    log = replace(log, years_in_treatment=2.0 * (20 + np.arange(5.0)))  # y = 2x
     res = correlation_matrix(log, ["age", "years_in_treatment"])
     assert res.matrix[0, 0] == 1.0 and res.matrix[1, 1] == 1.0
     assert abs(res.matrix[0, 1] - 1.0) < 1e-12
@@ -318,8 +318,7 @@ def test_correlation_self_and_linear():
 def test_correlation_perfect_anticorrelation():
     log = make_log([{"case_id": f"c{i}", "activities": ["a"], "label": "L",
                      "age": v} for i, v in enumerate([1, 2, 3, 4])])
-    for case, y in zip(log.cases, [4.0, 3.0, 2.0, 1.0]):
-        case.years_in_treatment = y
+    log = replace(log, years_in_treatment=np.array([4.0, 3.0, 2.0, 1.0]))
     res = correlation_matrix(log, ["age", "years_in_treatment"])
     assert abs(res.matrix[0, 1] + 1.0) < 1e-12
 
@@ -327,8 +326,7 @@ def test_correlation_perfect_anticorrelation():
 def test_correlation_symmetric_unit_diagonal(rng):
     log = make_log([{"case_id": f"c{i}", "activities": list("abc"), "label": "L",
                      "age": int(rng.integers(20, 90))} for i in range(12)])
-    for case in log.cases:
-        case.years_in_treatment = float(rng.random())
+    log = replace(log, years_in_treatment=np.array([float(rng.random()) for _ in range(12)]))
     feats = ["activity", "age", "years_in_treatment", "num_executions"]
     res = correlation_matrix(log, feats)
     assert np.allclose(res.matrix, res.matrix.T, atol=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from xlog import seqnet
 from xlog.encode import Split
 from xlog.seqnet import (
-    SeqNetModel, _lstm_cell, build_model, evaluate, forward, grad_check,
+    SeqNetModel, _lstm_step, _scan_weights, build_model, evaluate, forward, grad_check,
     grid_search, loss_and_grads, train,
 )
 
@@ -31,9 +31,21 @@ def toy_model(arch, rng_seed=3, nodes=7, cat_sizes=(5, 4), n_num=2, n_classes=3)
 
 # ------------------------------------------------------------- lstm cell
 
+def lstm_cell(W, b, x_t, h, c):
+    """One step of the scan's cell on (M, H) states, from a ``W`` (D + H, 4H)
+    with rows input then hidden and columns the gates i, f, o, g; returns the
+    new ``(c, h)``."""
+    D = x_t.shape[1]
+    Ws, bs = _scan_weights(W, b)
+    z = x_t @ Ws[:D] + bs
+    c_new, tc, h_new = np.empty_like(h), np.empty_like(h), np.empty_like(h)
+    _lstm_step(z, Ws[D:], h, c, c_new, tc, h_new, np.empty_like(z))
+    return c_new, h_new
+
+
 def test_lstm_cell_zero_everything_gives_zero_state():
-    _, _, c, h = _lstm_cell(np.zeros((3, 8)), np.zeros(8), np.zeros((1, 1)),
-                            np.zeros((1, 2)), np.zeros((1, 2)))
+    c, h = lstm_cell(np.zeros((3, 8)), np.zeros(8), np.zeros((1, 1)),
+                     np.zeros((1, 2)), np.zeros((1, 2)))
     assert np.all(c == 0.0) and np.all(h == 0.0)
 
 
@@ -44,7 +56,7 @@ def test_lstm_cell_saturated_gates_preserve_memory(rng):
     C0 = np.asarray([[0.4, -1.2, 2.0]])
     c, h = C0.copy(), np.zeros((1, H))
     for _ in range(5):
-        _, _, c, h = _lstm_cell(W, b, rng.random((1, 2)), h, c)
+        c, h = lstm_cell(W, b, rng.random((1, 2)), h, c)
     assert np.array_equal(c, C0)
 
 
@@ -53,8 +65,8 @@ def test_lstm_cell_matches_hand_computed_scalar_cell():
     W = np.asarray([[0.5, -0.3, 0.8, 1.0],
                     [0.2, 0.6, -0.4, 0.1]])
     b = np.asarray([0.1, -0.2, 0.3, 0.0])
-    _, _, c, h = _lstm_cell(W, b, np.asarray([[0.7]]), np.asarray([[-0.5]]),
-                            np.asarray([[0.25]]))
+    c, h = lstm_cell(W, b, np.asarray([[0.7]]), np.asarray([[-0.5]]),
+                     np.asarray([[0.25]]))
     assert c[0, 0] == pytest.approx(0.417751, abs=5e-7)
     assert h[0, 0] == pytest.approx(0.293388, abs=5e-7)
 
@@ -65,12 +77,6 @@ def test_forward_rejects_non_finite(arch, rng):
     X[2, 0, 3] = np.nan
     with pytest.raises(FloatingPointError):
         forward(toy_model(arch), X, mask)
-
-
-def test_sigmoid_matches_masked_two_branch_form():
-    x = np.concatenate([np.linspace(-800.0, 800.0, 4001), [0.0, -0.0, 1e-300, -1e-300]])
-    assert np.array_equal(seqnet.sigmoid(x), _oracle_sigmoid(x))
-    assert np.all(np.isfinite(seqnet.sigmoid(x)))
 
 
 # --------------------------------------------------------------- forward
@@ -257,13 +263,14 @@ def test_grad_check_rejects_bad_epsilon(rng):
 # ------------------------------------------------------------ grid search
 
 def _order_dataset():
+    from ingest_oracle import table_of
     from xlog import encode, eventlog, synth
     spec = synth.SyntheticSpec(
         classes=[synth.ClassSpec("uvw", ["tok_u", "tok_v", "tok_w"], 80),
                  synth.ClassSpec("wvu", ["tok_w", "tok_v", "tok_u"], 80)],
         noise_vocab=8, min_length=5, max_length=8)
-    log, _ = synth.generate_synthetic(spec, seed=11)
-    labels = np.asarray([c.diagnosis_code for c in log.cases])
+    log = table_of(synth.generate_synthetic(spec, seed=11)[0])
+    labels = np.asarray(log.diagnosis_code)
     split = encode.stratified_split(labels, 0.2, seed=13)
     vocab = encode.build_vocab(log, list(eventlog.DYNAMIC_CATEGORICAL)
                                + list(eventlog.STATIC_CATEGORICAL))

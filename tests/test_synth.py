@@ -65,6 +65,17 @@ def test_generate_rejects_bad_specs():
         generate_synthetic(basic_spec(age_rule=AgeRule(label="Z")), seed=0)
 
 
+def test_generate_rejects_a_value_that_log_to_csv_cannot_write():
+    # cells are written unquoted, so a comma would shift the later columns
+    for bad in ("a,b", 'a"b', "a\nb", "a\rb"):
+        for spec in (basic_spec(classes=[ClassSpec(bad, ["m"], 10), ClassSpec("B", ["n"], 10)]),
+                     basic_spec(classes=[ClassSpec("A", [bad], 10), ClassSpec("B", ["n"], 10)]),
+                     basic_spec(treatments=["T1", bad])):
+            with pytest.raises(ValueError, match="comma") as err:
+                generate_synthetic(spec, seed=0)
+            assert repr(bad) in str(err.value)
+
+
 def test_spec_json_roundtrip():
     text = json.dumps({
         "classes": [{"label": "A", "motif": ["x"], "cases": 5},
@@ -83,7 +94,7 @@ def test_csv_roundtrip_through_parse(tmp_path):
     path.write_text(synth.log_to_csv(log), encoding="utf-8")
     back = parse_log(path, synth.DEFAULT_SCHEMA)
     assert len(back.cases) == len(log.cases)
-    assert back.n_events() == log.n_events()
+    assert back.n_events() == sum(len(c.events) for c in log.cases)
     orig = {c.case_id: c for c in log.cases}
     for case in back.cases:
         ref = orig[case.case_id]

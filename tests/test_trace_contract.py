@@ -5,7 +5,7 @@ a rename or a format change must fail here, not at benchmark time."""
 import json
 from pathlib import Path
 
-from xlog import cli
+from xlog import cli, eventlog, synth
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +46,20 @@ def test_traced_bench_writes_untraced_bytes_and_records_seqnet_spans(tmp_path, m
     for name, per_row in (("latent/projection.csv", 3), ("explain/pdp_age.csv", 2)):
         rows, values = checks._csv_numbers(str(plain / name))
         assert rows and len(values) == per_row * len(rows), name
+
+
+def test_make_inputs_blanks_exactly_the_planted_cases(tmp_path, monkeypatch):
+    # the benchmark blanks labels by assigning to synth's ``log.cases[i]``
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    w = workloads.tiny(workloads.WORKLOADS["ingest_impute"])
+    planted = workloads.make_inputs(w, 11, str(tmp_path))
+    table = eventlog.parse_log(tmp_path / "events.csv", synth.DEFAULT_SCHEMA)
+    spec = synth.SyntheticSpec.from_json(json.dumps(workloads.synth_spec(w)))
+    labels = {c.case_id: c.diagnosis_code
+              for c in synth.generate_synthetic(spec, seed=11)[0].cases}
+    assert planted and len(planted) < len(labels)
+    assert dict(zip(table.case_ids, table.diagnosis_code)) == {
+        cid: None if cid in planted else lab for cid, lab in labels.items()}
+    assert all(planted[cid] == labels[cid] for cid in planted)
