@@ -203,8 +203,10 @@ def perturb(instance, X, n_samples: int, seed: int, categorical):
     """Draw LIME-style perturbations around one instance.
 
     Categorical columns keep the instance value with probability 0.5, else
-    redraw from the column's empirical background distribution; numeric
-    columns get gaussian noise scaled by the background standard deviation.
+    take the value of a background row drawn uniformly; numeric columns get
+    gaussian noise scaled by the background standard deviation. Each kind is
+    one whole-matrix draw, in this order: the keep mask and the background
+    rows over the categorical columns, then the numeric noise.
     Returns (samples, Z): Z is the binary interpretable representation, 1
     where a sample agrees with the instance (exactly for categoricals, within
     half a background standard deviation for numerics). Row 0 is always the
@@ -213,27 +215,26 @@ def perturb(instance, X, n_samples: int, seed: int, categorical):
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     X = np.asarray(X, dtype=float)
+    if len(X) == 0:
+        raise ValueError("empty background")
     instance = np.asarray(instance, dtype=float)
-    n_features = X.shape[1]
     categorical = np.asarray(categorical, dtype=bool)
+    ci, ni = np.flatnonzero(categorical), np.flatnonzero(~categorical)
     rng = np.random.default_rng(seed)
-    samples = np.tile(instance, (n_samples, 1))
-    sd = np.zeros(n_features)
-    for j in range(n_features):
-        col = X[:, j]
-        if categorical[j]:
-            keep = rng.random(n_samples) < 0.5
-            draws = rng.choice(col, size=n_samples, replace=True)
-            samples[~keep, j] = draws[~keep]
-        else:
-            # per column: X.std(axis=0) sums in another order and moves last bits
-            sd[j] = float(col.std())
-            samples[:, j] = instance[j] + sd[j] * rng.standard_normal(n_samples)
+    samples = np.empty((n_samples, X.shape[1]))
+    keep = rng.integers(0, 2, size=(n_samples, len(ci)), dtype=bool)
+    rows = rng.integers(1, len(X) + 1, size=(n_samples, len(ci)))
+    rows *= ~keep  # a kept entry reads row 0, the instance; multiplying avoids a masked write
+    del keep
+    pool = np.vstack([instance[ci], X[:, ci]])
+    samples[:, ci] = pool[rows, np.arange(len(ci))]
+    del rows
+    sd = X[:, ni].std(axis=0)
+    samples[:, ni] = instance[ni] + sd * rng.standard_normal((n_samples, len(ni)))
     samples[0] = instance
-    numeric = ~categorical
-    Z = np.empty((n_samples, n_features))
+    Z = np.empty(samples.shape)
     np.equal(samples, instance, out=Z)  # the categorical test; numeric columns follow
-    Z[:, numeric] = np.abs(samples[:, numeric] - instance[numeric]) <= 0.5 * sd[numeric]
+    Z[:, ni] = np.abs(samples[:, ni] - instance[ni]) <= 0.5 * sd
     return samples, Z
 
 

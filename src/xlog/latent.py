@@ -196,24 +196,31 @@ def kmeans(X, k: int, seed: int, restarts: int = 20):
 
 def silhouette_score(X, labels) -> float:
     """Mean silhouette over all points; single-member clusters score 0.
-    Distances are computed ``SILHOUETTE_BLOCK_ROWS`` rows at a time."""
+    Distances are computed ``SILHOUETTE_BLOCK_ROWS`` rows at a time, and each
+    block sums its distances to one cluster at once, over a C-ordered copy of
+    that cluster's columns so every row sum rounds as a per-row sum does."""
     X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
-    uniq = np.unique(labels)
+    uniq, own, sizes = np.unique(np.asarray(labels), return_inverse=True,
+                                 return_counts=True)
     if len(uniq) < 2:
         return 0.0
+    members = [own == c for c in range(len(uniq))]
     scores = np.zeros(len(X))
     for start in range(0, len(X), SILHOUETTE_BLOCK_ROWS):
         block = X[start:start + SILHOUETTE_BLOCK_ROWS]
         d = np.sqrt(((block[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-        for i, row in enumerate(d, start):
-            same = labels == labels[i]
-            n_same = same.sum()
-            if n_same <= 1:
-                continue
-            a = row[same].sum() / (n_same - 1)
-            b = min(row[labels == c].mean() for c in uniq if c != labels[i])
-            scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+        sums = np.stack([np.ascontiguousarray(d[:, m]).sum(axis=1) for m in members],
+                        axis=1)  # (rows, clusters)
+        rows, mine = np.arange(len(block)), own[start:start + len(block)]
+        n_same = sizes[mine]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = sums[rows, mine] / (n_same - 1)
+            means = sums / sizes
+            means[rows, mine] = np.inf
+            b = means.min(axis=1)
+            top = np.maximum(a, b)
+            score = np.where(top > 0, (b - a) / top, 0.0)
+        scores[start:start + len(block)] = np.where(n_same > 1, score, 0.0)
     return float(scores.mean())
 
 

@@ -214,7 +214,8 @@ def test_perturb_categorical_keep_rate_matches_analytic():
 
 
 def perturb_oracle(instance, X, n_samples, seed, categorical):
-    """``perturb`` as first written: std computed twice, Z built per column."""
+    """``perturb`` as first written: one column at a time, each categorical
+    column drawing its keep mask and then ``rng.choice`` from its values."""
     X = np.asarray(X, dtype=float)
     instance = np.asarray(instance, dtype=float)
     n_features = X.shape[1]
@@ -231,31 +232,130 @@ def perturb_oracle(instance, X, n_samples, seed, categorical):
             sd = float(col.std())
             samples[:, j] = instance[j] + sd * rng.standard_normal(n_samples)
     samples[0] = instance
-    Z = np.empty((n_samples, n_features))
-    for j in range(n_features):
+    return samples, z_of(samples, instance, X, categorical)
+
+
+def z_of(samples, instance, X, categorical):
+    """The interpretable representation by its definition, one column at a
+    time: exact agreement for categoricals, within half a background standard
+    deviation for numerics."""
+    Z = np.empty(samples.shape)
+    for j in range(samples.shape[1]):
         if categorical[j]:
             Z[:, j] = (samples[:, j] == instance[j]).astype(float)
         else:
             sd = float(X[:, j].std())
             Z[:, j] = (np.abs(samples[:, j] - instance[j]) <= 0.5 * sd).astype(float)
-    return samples, Z
+    return Z
 
 
-def test_perturb_bitwise_equals_oracle():
+def perturb_cases(count):
+    """Seeded backgrounds mixing categorical, numeric and constant numeric
+    columns, with the instance sometimes off the background."""
     gen = np.random.default_rng(21)
-    for case in range(60):
+    for case in range(count):
         rows, F = int(gen.integers(1, 40)), int(gen.integers(1, 30))
         kind = gen.integers(0, 3, size=F)  # categorical, numeric, zero-variance numeric
         X = np.where(kind == 0, gen.integers(0, 4, size=(rows, F)),
                      gen.normal(50.0, 20.0, size=(rows, F)))
         X[:, kind == 2] = gen.normal(size=int(np.sum(kind == 2)))
         inst = X[int(gen.integers(rows))].copy()
-        if case % 3 == 0:
-            inst[kind == 1] += gen.normal(size=int(np.sum(kind == 1)))  # off-background
-        n = int(gen.integers(1, 300))
-        got = perturb(inst, X, n, seed=case, categorical=kind == 0)
-        want = perturb_oracle(inst, X, n, seed=case, categorical=kind == 0)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        if case % 3 == 0:  # off-background: a numeric shift and an unseen category
+            inst[kind == 1] += gen.normal(size=int(np.sum(kind == 1)))
+            inst[kind == 0] = np.where(gen.random(int(np.sum(kind == 0))) < 0.3, 9.0,
+                                       inst[kind == 0])
+        yield case, X, inst, kind == 0
+
+
+#: half-width of every sampling bound below, in standard errors. The
+#: distribution test makes about 1700 such checks; at 5 a correct sampler fails
+#: one of them with probability about 1e-3 (at 4, about 0.1)
+SIGMAS = 5.0
+
+
+def assert_perturb_distribution(samples, Z, X, inst, categorical):
+    """Row 0 is the instance, Z follows its definition exactly, and every
+    column's draws follow the sampling scheme within ``SIGMAS`` standard
+    errors: a categorical column takes value v at rate 0.5·[v = instance] +
+    0.5·p_bg(v), so it keeps the instance at 0.5 + 0.5·p_bg(instance); a
+    numeric column's noise has mean 0 and the background standard deviation."""
+    n = len(samples) - 1  # row 0 is fixed, not drawn
+    assert np.array_equal(samples[0], inst)
+    assert np.array_equal(Z, z_of(samples, inst, X, categorical))
+    for j in range(X.shape[1]):
+        col, drawn = X[:, j], samples[1:, j]
+        if categorical[j]:
+            values = np.union1d(col, inst[j])
+            assert np.all(np.isin(drawn, values))
+            for v in values:
+                p = 0.5 * (v == inst[j]) + 0.5 * np.mean(col == v)
+                rate = np.mean(drawn == v)
+                assert abs(rate - p) <= SIGMAS * math.sqrt(p * (1 - p) / n), (j, v)
+            p_keep = 0.5 + 0.5 * np.mean(col == inst[j])
+            assert abs(Z[1:, j].mean() - p_keep) <= SIGMAS * math.sqrt(p_keep * (1 - p_keep) / n)
+        else:
+            sd, noise = float(col.std()), drawn - inst[j]
+            if np.ptp(col) == 0.0:  # sd is 0 or the mean's rounding residue
+                assert np.all(np.abs(noise) <= 8.0 * sd + np.spacing(abs(inst[j])))
+                continue
+            assert abs(noise.mean()) <= SIGMAS * sd / math.sqrt(n)
+            # the sample standard deviation of n normals has relative error ~1/sqrt(2n)
+            assert abs(noise.std() / sd - 1.0) <= SIGMAS / math.sqrt(2 * n)
+
+
+def test_perturb_distribution_matches_column_oracle():
+    # the bounds hold for the column-at-a-time oracle too, so they pin the
+    # sampling scheme both share rather than either one's draws
+    for case, X, inst, categorical in perturb_cases(24):
+        for fn in (perturb, perturb_oracle):
+            samples, Z = fn(inst, X, 3000, seed=case, categorical=categorical)
+            assert samples.shape == Z.shape == (3000, X.shape[1])
+            assert_perturb_distribution(samples, Z, X, inst, categorical)
+
+
+def test_perturb_same_seed_same_output_and_seeds_differ():
+    for case, X, inst, categorical in perturb_cases(10):
+        a = perturb(inst, X, 50, seed=case, categorical=categorical)
+        b = perturb(inst, X, 50, seed=case, categorical=categorical)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    X = np.random.default_rng(0).normal(size=(20, 5))
+    a, _ = perturb(X[0], X, 50, seed=1, categorical=[False] * 5)
+    b, _ = perturb(X[0], X, 50, seed=2, categorical=[False] * 5)
+    assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("is_categorical", [False, True])
+def test_perturb_one_kind_of_column(is_categorical):
+    gen = np.random.default_rng(3)
+    X = (gen.integers(0, 5, size=(60, 4)).astype(float) if is_categorical
+         else gen.normal(10.0, 2.0, size=(60, 4)))
+    samples, Z = perturb(X[4], X, 4000, seed=8, categorical=[is_categorical] * 4)
+    assert_perturb_distribution(samples, Z, X, X[4], [is_categorical] * 4)
+
+
+def test_perturb_single_sample_is_the_instance():
+    X = np.random.default_rng(5).integers(0, 3, size=(10, 3)).astype(float)
+    inst = np.asarray([7.0, X[0, 1], 0.5])
+    samples, Z = perturb(inst, X, 1, seed=0, categorical=[True, True, False])
+    assert np.array_equal(samples, inst[None, :])
+    assert np.array_equal(Z, np.ones((1, 3)))
+
+
+def test_perturb_single_background_row():
+    X = np.asarray([[2.0, 1.0, 3.5]])
+    inst = np.asarray([2.0, 0.0, 3.5])
+    samples, Z = perturb(inst, X, 400, seed=6, categorical=[True, True, False])
+    assert np.all(samples[:, 0] == 2.0) and np.all(Z[:, 0] == 1.0)
+    assert set(samples[:, 1]) == {0.0, 1.0}  # the instance's value or the one row's
+    assert np.array_equal(Z[:, 1], (samples[:, 1] == 0.0).astype(float))
+    assert np.all(samples[:, 2] == 3.5) and np.all(Z[:, 2] == 1.0)  # sd 0
+
+
+def test_perturb_rejects_empty_background_and_no_samples():
+    with pytest.raises(ValueError, match="empty background"):
+        perturb(np.zeros(2), np.zeros((0, 2)), 10, seed=0, categorical=[True, False])
+    with pytest.raises(ValueError, match="n_samples"):
+        perturb(np.zeros(2), np.zeros((3, 2)), 0, seed=0, categorical=[True, False])
 
 
 def test_kernel_weight_reference_points():

@@ -201,6 +201,22 @@ def test_silhouette_equals_full_matrix_oracle(n, dim, k):
     assert silhouette_score(X, names) == oracle_silhouette_score(X, names)
 
 
+def test_silhouette_equals_oracle_in_random_sweep():
+    # the per-cluster sums must round exactly as the oracle's per-row sums do;
+    # n is log-uniform over [2, 700] so that the oracle's row loop stays cheap
+    gen = np.random.default_rng(300)
+    for case in range(300):
+        n = int(np.exp(gen.uniform(np.log(2), np.log(701))))
+        k, dim = int(gen.integers(2, 7)), int(gen.integers(1, 6))
+        X = gen.normal(size=(n, dim)) * gen.uniform(0.1, 10.0)
+        labels = gen.integers(0, k, size=n)
+        if case % 4 == 0:
+            labels[0] = k  # a single-member cluster
+        if case % 2:
+            labels = np.asarray([f"c{v}" for v in labels])
+        assert silhouette_score(X, labels) == oracle_silhouette_score(X, labels), case
+
+
 def test_silhouette_memory_is_bounded_at_5000_points():
     # the full distance matrix alone is 200 MB here; blocks of 256 rows stay near 40 MB
     rng = np.random.default_rng(5000)
