@@ -445,7 +445,7 @@ def cmd_bench(run) -> int:
     explain_args = ["explain", "--data", data, "--checkpoint",
                     os.path.join(out, "forest", "forest.json"), "--target", age_class,
                     "--out", os.path.join(out, "explain")]
-    parser = build_parser()
+    parser = _parser()
     for argv in (
             ["synth", "--spec", spec_path, "--out", synth_dir],
             ["ingest", "--csv", os.path.join(synth_dir, "events.csv"),
@@ -494,9 +494,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
+def _parser() -> _Parser:
+    """The parser ``main`` reuses: parsing leaves no state in it."""
+    return build_parser()
+
+
+@functools.cache
 def _options(command) -> dict:
     """The options ``build_parser`` declares for ``command``."""
-    return build_parser().options()["command"].choices[command].options()
+    return _parser().options()["command"].choices[command].options()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with Run(args) as run:  # partial failure removes partial files
             return args.func(run)

@@ -204,7 +204,8 @@ def perturb(instance, X, n_samples: int, seed: int, categorical):
 
     Categorical columns keep the instance value with probability 0.5, else
     take the value of a background row drawn uniformly; numeric columns get
-    gaussian noise scaled by the background standard deviation. Each kind is
+    gaussian noise scaled by the background standard deviation, which is
+    exactly 0 for a column that is constant in the background. Each kind is
     one whole-matrix draw, in this order: the keep mask and the background
     rows over the categorical columns, then the numeric noise.
     Returns (samples, Z): Z is the binary interpretable representation, 1
@@ -230,6 +231,7 @@ def perturb(instance, X, n_samples: int, seed: int, categorical):
     samples[:, ci] = pool[rows, np.arange(len(ci))]
     del rows
     sd = X[:, ni].std(axis=0)
+    sd[np.ptp(X[:, ni], axis=0) == 0] = 0.0  # std() of equal values can round to 1 ulp
     samples[:, ni] = instance[ni] + sd * rng.standard_normal((n_samples, len(ni)))
     samples[0] = instance
     Z = np.empty(samples.shape)

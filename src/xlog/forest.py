@@ -51,38 +51,54 @@ class Tree:
     histogram: np.ndarray  # (nodes, classes) float64 class counts of the node's rows
 
 
-def _best_split(X, rows, y, n_classes, feature_subset, min_leaf):
+def _best_split(XT, rows, y, n_classes, feature_subset, min_leaf):
     """Best (score, feature, threshold) over the subset for the node holding
-    ``rows`` of ``X`` (labels ``y``); None when no valid candidate exists.
-    Score is sum(count^2)/n per side, a monotone transform of negative
-    weighted child impurity that is exact on integer class counts. Gini
-    decrease is never negative, and zero-gain splits are taken (a consistent
-    dataset is always memorized, XOR included).
+    ``rows`` of the tree's feature-major matrix ``XT`` (labels ``y``); None
+    when no valid candidate exists. Score is sum(count^2)/n per side, a
+    monotone transform of negative weighted child impurity that is exact on
+    integer class counts. Gini decrease is never negative, and zero-gain
+    splits are taken (a consistent dataset is always memorized, XOR
+    included).
 
-    The subset is scored in blocks of features whose cumulative class counts
-    fit ``SPLIT_BLOCK_BYTES``. Within a block every feature's rows are sorted
-    at once; candidate i splits after sorted position i."""
+    The subset is searched in blocks of features whose cumulative class
+    counts fit ``SPLIT_BLOCK_BYTES``. A block gathers the node's values of
+    its features, one contiguous row per feature, drops the features that
+    are constant at the node and sorts the rest at once. Candidate (j, i)
+    splits feature j after sorted position i. Only the positions where the
+    sorted value changes and both sides keep ``min_leaf`` rows are scored:
+    the class counts there do not depend on the order of tied values, so the
+    sort need not be stable. ``np.nonzero`` lists the candidates
+    feature-major, so the first maximum is at the lowest feature, then the
+    lowest threshold."""
     n = len(y)
     parent_counts = np.bincount(y, minlength=n_classes)
-    n_left = np.arange(1, n)[:, None]
-    too_small = (n_left < min_leaf) | (n - n_left < min_leaf)
-    classes = np.arange(n_classes)
+    lo, hi = min_leaf - 1, n - min_leaf  # valid i: lo <= i < hi
+    classes = np.arange(n_classes)[:, None]
     width = max(1, SPLIT_BLOCK_BYTES // (8 * n * n_classes))
     best = None  # (score, feature, threshold)
     for start in range(0, len(feature_subset), width):
         block = feature_subset[start:start + width]
-        cols = X[np.ix_(rows, block)]
-        order = np.argsort(cols, axis=0, kind="stable")
-        v = np.take_along_axis(cols, order, axis=0)
-        left = np.cumsum(y[order][:, :, None] == classes, axis=0)[:-1]
+        cols = XT[block[:, None], rows]
+        varies = (cols != cols[:, :1]).any(axis=1)
+        if not varies.all():
+            block, cols = block[varies], cols[varies]
+            if not len(block):
+                continue
+        order = np.argsort(cols, axis=1)
+        v = cols.ravel()[order + (np.arange(len(block)) * n)[:, None]]
+        j, i = np.nonzero(v[:, lo:hi] != v[:, lo + 1:hi + 1])
+        if not len(j):
+            continue
+        i += lo
+        left = np.cumsum(y[order][:, None, :] == classes, axis=2)[j, :, i]
         right = parent_counts - left
-        score = (np.sum(left * left, axis=2) / n_left
-                 + np.sum(right * right, axis=2) / (n - n_left))
-        score[(v[:-1] == v[1:]) | too_small] = -np.inf
-        k = int(np.argmax(score.T))  # feature-major: first max = lowest feature, then threshold
-        j, i = divmod(k, n - 1)
-        if score[i, j] > -np.inf and (best is None or score[i, j] > best[0]):
-            best = (float(score[i, j]), int(block[j]), float((v[i, j] + v[i + 1, j]) / 2.0))
+        n_left = i + 1
+        score = (np.einsum("kc,kc->k", left, left) / n_left
+                 + np.einsum("kc,kc->k", right, right) / (n - n_left))
+        k = int(np.argmax(score))
+        if best is None or score[k] > best[0]:
+            f, p = j[k], i[k]
+            best = (float(score[k]), int(block[f]), float((v[f, p] + v[f, p + 1]) / 2.0))
     return best
 
 
@@ -94,6 +110,7 @@ def fit_tree(X, Y, max_features: int, rng: np.random.Generator,
     A fresh feature subset of size ``max_features`` is drawn from ``rng`` at
     each node; growth stops on purity, fewer than ``2 * min_leaf`` rows,
     ``max_depth``, or when no candidate split exists in the drawn subset.
+    ``X`` may not hold NaN.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=np.int64)
@@ -101,10 +118,13 @@ def fit_tree(X, Y, max_features: int, rng: np.random.Generator,
         raise ValueError("X must be a non-empty 2-D matrix")
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
+    if np.isnan(X).any():  # a NaN threshold would send every row right, forever
+        raise ValueError("X holds NaN")
     if n_classes is None:
         n_classes = int(Y.max()) + 1
     n_features = X.shape[1]
     m = min(max_features, n_features)
+    XT = np.ascontiguousarray(X.T)  # a node's rows of one feature are one gather
     nodes, histogram = [], []  # nodes[i] = [feature, threshold, left, right]
     # The left child is pushed last, so it is popped next and gets id node+1;
     # nodes draw their subsets from rng in pre-order, left before right.
@@ -121,12 +141,12 @@ def fit_tree(X, Y, max_features: int, rng: np.random.Generator,
         if pure or len(rows) < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
             continue
         subset = np.sort(rng.choice(n_features, size=m, replace=False))
-        best = _best_split(X, rows, y, n_classes, subset, min_leaf)
+        best = _best_split(XT, rows, y, n_classes, subset, min_leaf)
         if best is None:
             continue
         _, f, thr = best
         nodes[node][:3] = f, thr, node + 1
-        go_left = X[rows, f] <= thr
+        go_left = XT[f, rows] <= thr
         stack.append((rows[~go_left], depth + 1, node))
         stack.append((rows[go_left], depth + 1, LEAF))
     feature, threshold, left, right = zip(*nodes)
@@ -169,11 +189,12 @@ def fit_forest(X, Y, n_estimators: int, max_features: int, seed: int,
         feature_names = [f"x{j}" for j in range(f)]
     if label_names is None:
         label_names = [str(c) for c in range(n_classes)]
+    XT = np.ascontiguousarray(X.T)  # a tree's sample XT[:, sample].T is then feature-major
     trees = []
     for t in range(n_estimators):
         rng = np.random.default_rng(seed + t)
         sample = rng.integers(0, n, size=n)
-        trees.append(fit_tree(X[sample], Y[sample], min(max_features, f), rng,
+        trees.append(fit_tree(XT[:, sample].T, Y[sample], min(max_features, f), rng,
                               min_leaf=min_leaf, n_classes=n_classes))
     return ForestModel(trees=trees, n_estimators=n_estimators,
                        max_features=min(max_features, f), seed=seed,

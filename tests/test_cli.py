@@ -461,6 +461,26 @@ def test_missing_required_flag_fails(tmp_path):
         run("synth", "--out", tmp_path / "x")
 
 
+def test_main_reuses_its_parser_and_a_failed_parse_leaves_no_state(tmp_path, monkeypatch):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
+    seen = []
+    real_run = cli.Run
+
+    def spy(args):
+        seen.append(args)
+        return real_run(args)
+
+    monkeypatch.setattr(cli, "Run", spy)
+    with pytest.raises(SystemExit):  # --seed parsed, then --spec lacks its value
+        run("synth", "--seed", 5, "--spec")
+    argv = ["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")]
+    assert run(*argv) == 0
+    assert vars(seen[0]) == vars(cli.build_parser().parse_args(argv))
+    assert seen[0].seed is None  # hashed as omitted, then defaulted by Run
+    assert cli._parser() is cli._parser()
+
+
 def test_failure_removes_partial_files(tmp_path, monkeypatch):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC), encoding="utf-8")

@@ -205,6 +205,15 @@ def test_perturb_zero_variance_numeric_always_matches(rng):
     assert np.all(Z[:, 0] == 1.0)
 
 
+def test_perturb_constant_numeric_column_has_no_noise():
+    # the std of 30 copies of -0.6635 rounds to about 1e-16, not 0
+    X = np.column_stack([np.full(30, -0.6635), np.arange(30.0)])
+    assert X[:, 0].std() > 0
+    samples, Z = perturb(X[3], X, 500, seed=2, categorical=[False, False])
+    assert np.all(samples[:, 0] == -0.6635)
+    assert np.all(Z[:, 0] == 1.0)
+
+
 def test_perturb_categorical_keep_rate_matches_analytic():
     # keep rate = 0.5 + 0.5 * p_bg(value); here p_bg = 0.5
     X = np.concatenate([np.zeros(500), np.ones(500)])[:, None]

@@ -224,7 +224,10 @@ def oracle_arrays(root):
 
 
 def random_case(r):
-    """A small labelled matrix with many duplicate values and constant columns."""
+    """A small labelled matrix with many duplicate values and constant columns;
+    one draw in four is wide and shaped like the flat encoding."""
+    if r.random() < 0.25:
+        return wide_case(r)
     n = int(r.integers(2, 90))
     F = int(r.integers(1, 9))
     C = int(r.integers(2, 5))
@@ -237,9 +240,40 @@ def random_case(r):
     return X, Y, C
 
 
+def wide_case(r):
+    """Like the 388-column flat encoding: most columns are constant or sparse
+    0/1 indicators, a few take a handful of levels or are continuous. Rows
+    repeat, so deep nodes hold rows on which the drawn features are all
+    constant."""
+    n = int(r.integers(2, 90))
+    F = int(r.integers(12, 40))
+    C = int(r.integers(2, 5))
+    kind = r.choice(4, size=F, p=[0.3, 0.45, 0.1, 0.15])
+    X = np.zeros((n, F))
+    X[:, kind == 0] = r.integers(0, 2, size=np.count_nonzero(kind == 0))
+    binary = kind == 1
+    X[:, binary] = r.random((n, np.count_nonzero(binary))) < r.uniform(0.02, 0.5)
+    X[:, kind == 2] = r.integers(0, 4, size=(n, np.count_nonzero(kind == 2)))
+    X[:, kind == 3] = np.round(r.random((n, np.count_nonzero(kind == 3))) * 60.0)
+    X[r.random((n, F)) < 0.1] *= -1.0  # -0.0 ties with 0.0
+    X = X[r.integers(0, n, size=n)]  # duplicated rows
+    Y = r.integers(0, C, size=n)
+    return X, Y, C
+
+
 @pytest.mark.parametrize("block_bytes", [forest.SPLIT_BLOCK_BYTES, 1, 2000])
 def test_array_trees_equal_recursive_oracle(block_bytes, monkeypatch):
     monkeypatch.setattr(forest, "SPLIT_BLOCK_BYTES", block_bytes)
+    searched = []  # per split search: were all drawn features constant on rows that differ?
+    search = forest._best_split
+
+    def spy(XT, rows, y, n_classes, subset, min_leaf):
+        cols = XT[:, rows]
+        constant = cols == cols[:, :1]
+        searched.append(bool(constant[subset].all() and not constant.all()))
+        return search(XT, rows, y, n_classes, subset, min_leaf)
+
+    monkeypatch.setattr(forest, "_best_split", spy)
     r = np.random.default_rng(4401)
     seen = set()
     for trial in range(150):
@@ -255,8 +289,9 @@ def test_array_trees_equal_recursive_oracle(block_bytes, monkeypatch):
         assert tree_equal(tree, oracle_arrays(oracle)), trial
         Xt = np.vstack([X, r.integers(-1, 9, size=(20, F)) / 2.0])
         assert np.array_equal(tree_proba(tree, Xt), oracle_predict_proba([oracle], C, Xt))
-        seen.add((C, min_leaf, max_depth is None, len(tree.feature) > 3))
-    assert len(seen) >= 20  # the draws cover the grid of settings
+        seen.add((C, min_leaf, max_depth is None, len(tree.feature) > 3, F > 8))
+    assert len(seen) >= 24  # the draws cover the grid of settings, narrow and wide
+    assert any(searched)
 
 
 @pytest.mark.parametrize("block_bytes", [forest.SPLIT_BLOCK_BYTES, 1])
@@ -320,6 +355,16 @@ def test_full_width_split_search_memory_is_bounded():
         tracemalloc.stop()
     assert len(tree.feature) > 7
     assert peak < 4 * 2**20, peak
+
+
+def test_nan_input_is_rejected():
+    # a NaN threshold sends every row right, so the split repeats without end
+    X = np.asarray([[np.nan], [np.nan], [np.nan], [1.0]])
+    Y = np.asarray([0, 1, 0, 1])
+    with pytest.raises(ValueError, match="NaN"):
+        fit_tree(X, Y, max_features=1, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="NaN"):
+        fit_forest(X, Y, n_estimators=2, max_features=1, seed=0)
 
 
 def test_gini_examples():
