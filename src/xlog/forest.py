@@ -69,7 +69,10 @@ def _best_split(XT, rows, y, n_classes, feature_subset, min_leaf):
     the class counts there do not depend on the order of tied values, so the
     sort need not be stable. ``np.nonzero`` lists the candidates
     feature-major, so the first maximum is at the lowest feature, then the
-    lowest threshold."""
+    lowest threshold. The threshold is the midpoint of the two values a < b
+    around the split, or a where the midpoint rounds onto b (adjacent floats)
+    or leaves [a, b) by overflow or infinities; every threshold then sends
+    both sides' rows apart. ``min_leaf`` must be at least 1."""
     n = len(y)
     parent_counts = np.bincount(y, minlength=n_classes)
     lo, hi = min_leaf - 1, n - min_leaf  # valid i: lo <= i < hi
@@ -97,8 +100,11 @@ def _best_split(XT, rows, y, n_classes, feature_subset, min_leaf):
                  + np.einsum("kc,kc->k", right, right) / (n - n_left))
         k = int(np.argmax(score))
         if best is None or score[k] > best[0]:
-            f, p = j[k], i[k]
-            best = (float(score[k]), int(block[f]), float((v[f, p] + v[f, p + 1]) / 2.0))
+            a, b = float(v[j[k], i[k]]), float(v[j[k], i[k] + 1])  # Python floats: no overflow warning
+            thr = (a + b) / 2.0
+            if not a <= thr < b:  # rounded onto b, or overflowed: would not split
+                thr = a
+            best = (float(score[k]), int(block[j[k]]), thr)
     return best
 
 
@@ -110,7 +116,8 @@ def fit_tree(X, Y, max_features: int, rng: np.random.Generator,
     A fresh feature subset of size ``max_features`` is drawn from ``rng`` at
     each node; growth stops on purity, fewer than ``2 * min_leaf`` rows,
     ``max_depth``, or when no candidate split exists in the drawn subset.
-    ``X`` may not hold NaN.
+    ``X`` may not hold NaN; infinities are split like other values.
+    ``min_leaf`` below 1 acts as 1: every side of a split holds a row.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=np.int64)
@@ -120,6 +127,7 @@ def fit_tree(X, Y, max_features: int, rng: np.random.Generator,
         raise ValueError("max_features must be >= 1")
     if np.isnan(X).any():  # a NaN threshold would send every row right, forever
         raise ValueError("X holds NaN")
+    min_leaf = max(min_leaf, 1)
     if n_classes is None:
         n_classes = int(Y.max()) + 1
     n_features = X.shape[1]

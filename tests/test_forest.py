@@ -290,7 +290,8 @@ def test_array_trees_equal_recursive_oracle(block_bytes, monkeypatch):
         Xt = np.vstack([X, r.integers(-1, 9, size=(20, F)) / 2.0])
         assert np.array_equal(tree_proba(tree, Xt), oracle_predict_proba([oracle], C, Xt))
         seen.add((C, min_leaf, max_depth is None, len(tree.feature) > 3, F > 8))
-    assert len(seen) >= 24  # the draws cover the grid of settings, narrow and wide
+    assert len({k[:4] for k in seen}) >= 20  # the draws cover the grid of settings
+    assert len(seen) >= 24  # ... and reach much of it with both narrow and wide inputs
     assert any(searched)
 
 
@@ -365,6 +366,45 @@ def test_nan_input_is_rejected():
         fit_tree(X, Y, max_features=1, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="NaN"):
         fit_forest(X, Y, n_estimators=2, max_features=1, seed=0)
+
+
+@pytest.mark.parametrize("lower, upper", [
+    (1.0, np.inf),                                              # midpoint inf
+    (-np.inf, np.inf),                                          # midpoint nan
+    (1e308, 1.7e308),                                           # sum overflows
+    (-1.7e308, -1e308),
+    (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),  # rounds onto upper
+])
+def test_split_separates_rows_where_the_midpoint_does_not(lower, upper):
+    # a threshold outside [lower, upper) sends every row one way, so the
+    # split repeats without end; the lower value splits them instead
+    X = np.asarray([[lower], [upper], [lower], [upper]])
+    Y = np.asarray([0, 1, 0, 1])
+    with np.errstate(all="raise"):
+        tree = fit_tree(X, Y, max_features=1, rng=np.random.default_rng(0))
+    assert tree.feature.tolist() == [0, LEAF, LEAF]
+    assert tree.threshold[0] == lower
+    model = fit_forest(X, Y, n_estimators=3, max_features=1, seed=0)
+    assert np.array_equal(predict(model, X), Y)
+
+
+@pytest.mark.parametrize("min_leaf", [0, -2])
+def test_min_leaf_below_one_grows_the_min_leaf_one_trees(min_leaf):
+    r = np.random.default_rng(31)
+    for trial in range(20):
+        X, Y, C = random_case(r)
+        F = X.shape[1]
+        max_features = int(r.integers(1, F + 1))
+        tree = fit_tree(X, Y, max_features, np.random.default_rng(trial),
+                        min_leaf=min_leaf, n_classes=C)
+        one = fit_tree(X, Y, max_features, np.random.default_rng(trial), n_classes=C)
+        oracle = oracle_fit_tree(X, Y, max_features, np.random.default_rng(trial),
+                                 min_leaf=min_leaf, n_classes=C)
+        assert tree_equal(tree, one), trial
+        assert tree_equal(tree, oracle_arrays(oracle)), trial
+    model = fit_forest(X, Y, 3, F, seed=0, min_leaf=min_leaf)
+    assert all(tree_equal(a, oracle_arrays(b)) for a, b in
+               zip(model.trees, oracle_fit_forest(X, Y, 3, F, seed=0, min_leaf=min_leaf)))
 
 
 def test_gini_examples():
