@@ -372,10 +372,21 @@ def cmd_explain(run) -> int:
 
 # ----------------------------------------------------------------- project
 
+def _parse_bottleneck_grid(spec: str):
+    """Comma-separated feeder widths; a ``SystemExit`` naming the first entry
+    that is not an integer of at least 2, and the expected form."""
+    for part in spec.split(","):
+        if not part.strip().isdecimal() or int(part) < 2:
+            raise SystemExit(f"--bottleneck-grid entry {part!r} is not an integer >= 2; "
+                             "the form is WIDTH,WIDTH,..., e.g. 4,8")
+    return [int(part) for part in spec.split(",")]
+
+
 def cmd_project(run) -> int:
     cfg = run.cfg
     _require(cfg, "data", "checkpoint", "out")
     out = cfg["out"]
+    candidates = _parse_bottleneck_grid(str(cfg["bottleneck_grid"]))
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
     try:
         model = seqnet.load_checkpoint(cfg["checkpoint"])
@@ -383,7 +394,6 @@ def cmd_project(run) -> int:
         raise SystemExit("project needs a seqnet checkpoint; train --model lstm") from exc
     acts = latent.capture_activations(model, seq, layer=cfg["layer"])
     k = cfg["k"] if cfg["k"] is not None else len(seq.label_names)
-    candidates = [int(s) for s in str(cfg["bottleneck_grid"]).split(",")]
     rows, projections, reports = latent.grid_search_ae(
         acts, candidates, epochs=cfg["epochs"], lr=cfg["lr"], seed=run.seed, k=k)
     run.write_json(run.path(out, "ae_grid.json"),

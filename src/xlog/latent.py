@@ -58,9 +58,14 @@ class Autoencoder:
     diverged: bool = False
 
 
-def _ae_forward(params, Z):
+def _encode(params, Z):
+    """The encoder half: feeder activations and 2-D codes of inputs ``Z``."""
     h1 = np.tanh(Z @ params["enc1_W"] + params["enc1_b"])
-    code = h1 @ params["enc2_W"] + params["enc2_b"]
+    return h1, h1 @ params["enc2_W"] + params["enc2_b"]
+
+
+def _ae_forward(params, Z):
+    h1, code = _encode(params, Z)
     h2 = np.tanh(code @ params["dec1_W"] + params["dec1_b"])
     recon = h2 @ params["dec2_W"] + params["dec2_b"]
     return h1, code, h2, recon
@@ -151,9 +156,7 @@ def project(ae: Autoencoder, acts: ActivationMatrix) -> LatentProjection:
     if X.shape[1] != ae.input_mean.shape[0]:
         raise ValueError(f"activation width {X.shape[1]} does not match autoencoder "
                          f"input {ae.input_mean.shape[0]}")
-    Z = (X - ae.input_mean) / ae.input_scale
-    h1 = np.tanh(Z @ ae.params["enc1_W"] + ae.params["enc1_b"])
-    code = h1 @ ae.params["enc2_W"] + ae.params["enc2_b"]
+    _, code = _encode(ae.params, (X - ae.input_mean) / ae.input_scale)
     return LatentProjection(coordinates=code, true_labels=acts.true_labels,
                             predicted_labels=acts.predicted_labels,
                             label_names=acts.label_names, case_ids=acts.case_ids)

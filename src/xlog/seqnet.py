@@ -7,10 +7,10 @@ runs a second cell over the sequence reversed within its mask, stacked with
 the first in one loop, and concatenates both final states. Training and
 inference share one forward pass and one LSTM scan over rows sorted longest
 first, which steps at each timestep only the rows still inside their
-sequence. Training embeds and projects the batch once and keeps per-step
-caches for BPTT; inference embeds and projects blocks of steps and keeps
-only the running state, so its memory does not grow with the number of
-timesteps.
+sequence. One routine embeds each direction's source steps and projects
+them: training calls it once for the whole batch and keeps per-step caches
+for BPTT; inference calls it on blocks of steps and keeps only the running
+state, so its memory does not grow with the number of timesteps.
 """
 
 from __future__ import annotations
@@ -176,9 +176,12 @@ def _table(model: SeqNetModel):
 
 def _embed(table, idx, X_num):
     """C-ordered input vectors (..., D): the ``table`` rows of ``idx``, column
-    by column, then the numeric features ``X_num``."""
-    cat = table[idx].reshape(idx.shape[:-1] + (-1,))
-    return np.concatenate([cat, X_num], axis=-1) if X_num.shape[-1] else cat
+    by column, then the numeric features ``X_num``, built in one buffer."""
+    CE = idx.shape[-1] * table.shape[1]
+    out = np.empty(idx.shape[:-1] + (CE + X_num.shape[-1],))
+    out[..., :CE].reshape(idx.shape + table.shape[1:])[...] = table[idx]  # a view
+    out[..., CE:] = X_num
+    return out
 
 
 def _pool(table, idx, X_num, lengths):
@@ -191,14 +194,14 @@ def _pool(table, idx, X_num, lengths):
 
 def _embedding_grads(model: SeqNetModel, idx, dX, grads):
     """Add each embedding table's gradient to ``grads``, given the gradient
-    ``dX`` (..., >= C*E) on input vectors whose categorical part was read at
+    ``dX`` (..., C*E) on the categorical part of input vectors read at
     stacked-table rows ``idx`` (..., C): one bincount per embedding
     dimension covers every table."""
-    E, C = model.embed_dim, idx.shape[-1]
-    if not C:
+    E = model.embed_dim
+    if not idx.shape[-1]:
         return
     sizes = [model.cat_sizes[c] + 1 for c in model.cat_columns]
-    rows, w = idx.ravel(), dX[..., :C * E].reshape(-1, E)
+    rows, w = idx.ravel(), dX.reshape(-1, E)
     dT = np.stack([np.bincount(rows, weights=w[:, e], minlength=sum(sizes))
                    for e in range(E)], axis=1)
     for k, part in enumerate(np.split(dT, np.cumsum(sizes)[:-1])):
@@ -339,14 +342,17 @@ def _forward(model: SeqNetModel, X, mask, keep):
 
     Dense pooling sums each row's true prefix in time order, so extra
     padded steps leave it unchanged to the last bit. Recurrent rows are
-    sorted longest first and read time-major; the input projection
-    ``x @ W[:D] + b`` is one matmul call outside the time loop. With ``keep``
-    (training) the batch is embedded and projected at once and the cache
-    holds everything ``loss_and_grads`` reads. Without it (inference)
-    recurrent inputs are embedded and projected in blocks of steps of
-    ``SCAN_BYTES`` and dense inputs pooled in blocks of rows of
-    ``POOL_BYTES``, so memory is O(M * (D + H)) beyond input-sized
-    temporaries, never O(M * T * H)."""
+    sorted longest first and read time-major. One helper, ``project``,
+    embeds each direction's source steps and makes their input projection
+    ``x @ W[:D] + b`` outside the time loop, in one matmul call that runs
+    one small GEMM per (direction, step): one GEMM over all T*M rows is
+    split across BLAS threads, whose buffers then stay resident (1.5 MB
+    more peak RSS over 15 seqnet_latent passes). With ``keep`` (training)
+    it projects every step of the batch at once, and the cache holds
+    everything ``loss_and_grads`` reads. Without it (inference) it
+    projects blocks of steps of ``SCAN_BYTES``, and dense inputs are pooled
+    in blocks of rows of ``POOL_BYTES``, so memory is O(M * (D + H))
+    beyond input-sized temporaries, never O(M * T * H)."""
     X, mask, lengths = _prepare(model, X, mask)
     p, dirs, table = model.params, _directions(model.arch), _table(model)
     M, T, D = X.shape[0], X.shape[1], model.input_dim
@@ -367,43 +373,30 @@ def _forward(model: SeqNetModel, X, mask, keep):
         # each direction's source step of every (step, sorted row); the
         # backward cell reads each row's true prefix reversed
         t = np.arange(T)[:, None]
-        src = [np.where(t < L, L - 1 - t, t) if backward else None for _, _, backward in dirs]
+        pos = np.stack([np.where(t < L, L - 1 - t, t) if backward else np.broadcast_to(t, (T, M))
+                        for _, _, backward in dirs])
         W, b = _scan_weights(np.stack([p[w] for w, _, _ in dirs]),
                              np.stack([p[bb] for _, bb, _ in dirs]))
-        if keep:
-            # embed the batch once in time order and project it per
-            # direction; a reversed direction gathers its projection. The
-            # matmul over the (T, M, D) stack runs one small GEMM per step:
-            # one GEMM over all T*M rows is split across BLAS threads, whose
-            # buffers then stay resident (1.5 MB more peak RSS over 15
-            # seqnet_latent passes)
-            ix = idx[order, t]
-            inputs = _embed(table, ix, X_num[order, t])
-            flat = [None if s is None else (s * M + np.arange(M)).ravel() for s in src]
-            G = np.empty((K, T, M, 4 * H))
-            for k, f in enumerate(flat):
-                if f is None:
-                    np.matmul(inputs, W[k, :D], out=G[k])
-                else:
-                    np.take(np.matmul(inputs, W[k, :D]).reshape(-1, 4 * H), f, axis=0,
-                            out=G[k].reshape(-1, 4 * H), mode="clip")
+
+        def project(t0, t1):
+            """Each direction's stacked-table rows, input vectors and input
+            projections, (K, t1 - t0, n, .), at steps t0 .. t1 - 1 of the
+            n rows running at t0."""
+            rows, at = order[:running[t0]], pos[:, t0:t1, :running[t0]]
+            ix = idx[rows, at]
+            inputs = _embed(table, ix, X_num[rows, at])
+            G = np.matmul(inputs, W[:, None, :D])
             G += b[:, None, None]
+            return ix, inputs, G
+
+        if keep:
+            ix, inputs, G = project(0, T)
             G[:, np.arange(M) >= np.asarray(running[:T])[:, None]] = 0.0
             blocks = [(0, G)]
-            cache.update(idx=ix, inputs=inputs, flat=flat, G=G, order=order,
-                         running=running)
+            cache.update(idx=ix, inputs=inputs, G=G, order=order, running=running)
         else:
-            pos = np.stack([np.broadcast_to(t, (T, M)) if s is None else s for s in src])
-
-            def project(t0, t1):
-                rows, at = order[:running[t0]], pos[:, t0:t1, :running[t0]]
-                G = np.matmul(_embed(table, idx[rows, at], X_num[rows, at]).reshape(K, -1, D),
-                              W[:, :D]).reshape(at.shape + (4 * H,))
-                G += b[:, None, None]
-                return t0, G
-
             steps = max(1, SCAN_BYTES // (8 * K * max(M, 1) * (D + 4 * H)))
-            blocks = (project(t0, min(T, t0 + steps)) for t0 in range(0, T, steps))
+            blocks = ((t0, project(t0, min(T, t0 + steps))[2]) for t0 in range(0, T, steps))
         C, TC, Hs = _lstm_scan(W[:, D:], blocks, running, keep)
         if keep:
             cache.update(C=C, TC=TC, Hs=Hs)
@@ -468,17 +461,10 @@ def loss_and_grads(model: SeqNetModel, X, mask, Y):
         T = dZ.shape[1]
         dW = np.empty_like(W)
         _sum_step_products(cache.pop("Hs")[:, :T], dZ, dW[:, D:])
+        _sum_step_products(cache.pop("inputs"), dZ, dW[:, :D])
         db = dZ.sum(axis=(1, 2))
-        inputs = cache.pop("inputs")
-        dInputs = None
-        for k, f in enumerate(cache["flat"]):
-            # the gather that reversed a direction's projection is its own inverse
-            dP = dZ[k] if f is None else \
-                np.take(dZ[k].reshape(-1, 4 * H), f, axis=0, mode="clip").reshape(T, M, 4 * H)
-            _sum_step_products(inputs, dP, dW[k, :D])
-            dIn = np.matmul(dP, W[k, :E].T)
-            dInputs = dIn if dInputs is None else np.add(dInputs, dIn, out=dInputs)
-        del inputs
+        # C-ordered weights: the per-step GEMMs ran slower on the transposed view
+        dInputs = np.matmul(dZ, np.ascontiguousarray(W[:, None, :E].swapaxes(-1, -2)))
         back = np.argsort(cols)
         for k, (w, b, _) in enumerate(dirs):
             grads[w], grads[b] = dW[k][:, back], db[k][back]

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,19 @@ def test_train_malformed_grid_entry_names_entry_and_form(pipeline, model, grid, 
     with pytest.raises(SystemExit, match=f"grid entry '{grid}' is not of the form {form}"):
         run("train", "--data", pipeline / "data", "--model", model, "--grid", grid,
             "--out", out)
+    assert files_under(out) == []
+
+
+@pytest.mark.parametrize("grid, entry", [("4,x", "x"), ("4,,8", ""), ("x", "x"), ("4,1", "1")])
+def test_project_malformed_bottleneck_grid_names_entry_and_form(pipeline, grid, entry):
+    # every entry is checked before anything is loaded, so the checkpoint
+    # need not exist and no width is fitted before a later one fails
+    out = pipeline / "malformed"
+    message = f"--bottleneck-grid entry '{entry}' is not an integer >= 2; " \
+        "the form is WIDTH,WIDTH,..., e.g. 4,8"
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        run("project", "--data", pipeline / "data", "--checkpoint", pipeline / "none.xlg",
+            "--bottleneck-grid", grid, "--out", out)
     assert files_under(out) == []
 
 
