@@ -27,7 +27,7 @@ vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
                            + list(eventlog.STATIC_CATEGORICAL))
 
 # one row per case: first L events concatenated positionally, statics appended
-flat = encode.encode_flat(clean, vocab, L=9, split=split)
+flat = encode.encode_flat(encode.encode_sequences(clean, vocab, 9, split))
 print("flat matrix:", flat.X.shape, "columns like", flat.feature_names[:3], "...")
 
 tr, te = flat.take(split.train_indices), flat.take(split.test_indices)

@@ -24,7 +24,7 @@ labels = np.asarray(clean.diagnosis_code)
 split = encode.stratified_split(labels, 0.2, seed=3)
 vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
                            + list(eventlog.STATIC_CATEGORICAL))
-flat = encode.encode_flat(clean, vocab, L=9, split=split)
+flat = encode.encode_flat(encode.encode_sequences(clean, vocab, 9, split))
 tr = flat.take(split.train_indices)
 model = forest.fit_forest(tr.X, tr.Y, 300, 8, seed=5,
                           feature_names=flat.feature_names,

@@ -142,7 +142,7 @@ def cmd_ingest(run) -> int:
     vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
                                + list(eventlog.STATIC_CATEGORICAL))
     seq = encode.encode_sequences(clean, vocab, cfg["window"], split)
-    flat = encode.flatten_sequences(seq)
+    flat = encode.encode_flat(seq)
     out = cfg["out"]
     for name, dataset in (("sequences.xlg", seq), ("flat.xlg", flat)):
         run.written += [run.path(out, name), run.path(out, name + ".json")]
@@ -159,12 +159,16 @@ def cmd_ingest(run) -> int:
 # ------------------------------------------------------------------- train
 
 def _grid_ints(part: str, bits, form: str):
-    """The two integers of a ``--grid`` entry split into ``bits``; a
-    ``SystemExit`` naming the entry and the expected form otherwise."""
+    """The two integers, each at least 1, of a ``--grid`` entry split into
+    ``bits``; a ``SystemExit`` naming the entry and the expected form
+    otherwise."""
     try:
         a, b = (int(v) for v in bits)  # a wrong count raises ValueError too
+        if min(a, b) < 1:
+            raise ValueError
     except ValueError:
-        raise SystemExit(f"grid entry {part!r} is not of the form {form}") from None
+        raise SystemExit(f"grid entry {part!r} is not of the form {form}, "
+                         "with integers >= 1") from None
     return a, b
 
 
@@ -324,14 +328,12 @@ def cmd_explain(run) -> int:
                          f"in [0, {len(flat.Y)})")
 
     def explain_one(i):
-        target = cfg["target"] if cfg["target"] is not None \
-            else int(np.argmax(predictor(flat.X[i:i + 1])[0]))
         return explain.lime_explain(
-            predictor, flat.X[i], flat.X, class_index=target, K=cfg["k_features"],
+            predictor, flat.X[i], flat.X, cfg["target"], K=cfg["k_features"],
             n_samples=cfg["n_samples"], sigma=cfg["sigma"], seed=run.seed,
             categorical=flat.categorical, feature_names=flat.feature_names,
             instance_id=flat.case_ids[i] if flat.case_ids else str(i),
-            class_label=flat.label_names[target])
+            label_names=flat.label_names)
 
     if method == "lime":
         _require(cfg, "instance")
@@ -391,7 +393,7 @@ def cmd_project(run) -> int:
     try:
         model = seqnet.load_checkpoint(cfg["checkpoint"])
     except ValueError as exc:
-        raise SystemExit("project needs a seqnet checkpoint; train --model lstm") from exc
+        raise SystemExit(f"project needs a seqnet checkpoint ({exc}); train --model lstm") from exc
     acts = latent.capture_activations(model, seq, layer=cfg["layer"])
     k = cfg["k"] if cfg["k"] is not None else len(seq.label_names)
     rows, projections, reports = latent.grid_search_ae(

@@ -3,11 +3,13 @@
 Layout: 4 magic bytes, u32 array count, then per array a u16 name length,
 the UTF-8 name, a u8 dtype code, a u8 rank, u64 dims, and the raw
 little-endian row-major payload. float64 is the canonical dtype; int64 and
-bool (stored as u8) are supported for labels and masks.
+bool (stored as u8) are supported for labels and masks. ``save`` and
+``load`` pair a container with the JSON manifest of its other fields.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -72,3 +74,22 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             arr = arr.astype(bool)
         out[name] = arr
     return out
+
+
+def save(path, arrays: dict[str, np.ndarray], manifest: dict) -> None:
+    """Write ``arrays`` to ``path`` and ``manifest`` beside it as JSON in
+    ``path.json`` (``indent=2``, no trailing newline)."""
+    save_arrays(path, arrays)
+    with open(str(path) + ".json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2)
+
+
+def load(path) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and the manifest of a ``save`` pair. The manifest is read
+    first: ``ValueError`` naming ``path`` when it has none."""
+    try:
+        with open(str(path) + ".json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{path} has no manifest {path}.json") from None
+    return load_arrays(path), manifest

@@ -8,7 +8,6 @@ padding/unknown tokens in every categorical vocabulary.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -115,13 +114,12 @@ class SequenceDataset:
         )
 
     def save(self, path, meta: dict | None = None) -> None:
-        container.save_arrays(path, {"X": self.X, "mask": self.mask, "Y": self.Y})
-        _write_manifest(path, self, meta)
+        container.save(path, {"X": self.X, "mask": self.mask, "Y": self.Y}, _manifest(
+            self, {"cat_sizes": self.cat_sizes, "T": self.T}, meta))
 
     @classmethod
     def load(cls, path) -> "SequenceDataset":
-        arrays = container.load_arrays(path)
-        meta = _read_manifest(path)
+        arrays, meta = container.load(path)
         return cls(X=arrays["X"], mask=arrays["mask"], Y=arrays["Y"],
                    T=arrays["X"].shape[1], label_names=meta["label_names"],
                    feature_names=meta["feature_names"], cat_sizes=meta["cat_sizes"],
@@ -146,35 +144,23 @@ class FlatDataset:
         )
 
     def save(self, path, meta: dict | None = None) -> None:
-        container.save_arrays(path, {"X": self.X, "Y": self.Y})
-        _write_manifest(path, self, meta)
+        container.save(path, {"X": self.X, "Y": self.Y},
+                       _manifest(self, {"categorical": self.categorical}, meta))
 
     @classmethod
     def load(cls, path) -> "FlatDataset":
-        arrays = container.load_arrays(path)
-        meta = _read_manifest(path)
+        arrays, meta = container.load(path)
         return cls(X=arrays["X"], Y=arrays["Y"], feature_names=meta["feature_names"],
                    label_names=meta["label_names"], categorical=meta["categorical"],
                    case_ids=meta.get("case_ids", []))
 
 
-def _write_manifest(path, ds, meta: dict | None = None) -> None:
-    payload = {"label_names": ds.label_names, "feature_names": ds.feature_names,
-               "case_ids": ds.case_ids}
-    if isinstance(ds, SequenceDataset):
-        payload["cat_sizes"] = ds.cat_sizes
-        payload["T"] = ds.T
-    else:
-        payload["categorical"] = ds.categorical
-    if meta:
-        payload["meta"] = meta
-    with open(str(path) + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-
-
-def _read_manifest(path) -> dict:
-    with open(str(path) + ".json", encoding="utf-8") as fh:
-        return json.load(fh)
+def _manifest(ds, fields: dict, meta: dict | None) -> dict:
+    """A dataset's manifest: its names and case ids, its own ``fields``, and
+    the run's ``meta`` block when one is given."""
+    manifest = {"label_names": ds.label_names, "feature_names": ds.feature_names,
+                "case_ids": ds.case_ids, **fields}
+    return manifest | {"meta": meta} if meta else manifest
 
 
 def _label_space(t: EventTable) -> tuple[list[str], dict[str, int]]:
@@ -267,22 +253,14 @@ def encode_sequences(log: EventTable, vocab: Vocabulary, T: int,
                            case_ids=list(log.case_ids))
 
 
-def encode_flat(log: EventTable, vocab: Vocabulary, L: int,
-                split: "Split | None" = None) -> FlatDataset:
-    """Concatenate the first ``L`` events positionally, then append statics.
+def encode_flat(seq: SequenceDataset) -> FlatDataset:
+    """The flat encoding of an encoded tensor: the first ``seq.T`` events
+    concatenated positionally, then the statics.
 
     The dynamic block is position-major (all features of event 0, then event
     1, ...), padded with index 0 beyond the case length. Column names follow
     ``<feature>_<sequence_number>``.
     """
-    if L < 1:
-        raise ValueError("window length L must be >= 1")
-    return flatten_sequences(encode_sequences(log, vocab, L, split))
-
-
-def flatten_sequences(seq: SequenceDataset) -> FlatDataset:
-    """The flat encoding of an already encoded tensor (see ``encode_flat``);
-    its window is ``seq.T``."""
     L, n_dyn = seq.T, len(DYNAMIC_FEATURES)
     names = [f"{feat}_{t}" for t in range(L) for feat in DYNAMIC_FEATURES]
     names += list(STATIC_FEATURES)

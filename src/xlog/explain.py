@@ -354,12 +354,14 @@ class Explanation:
 LIME_RIDGE = 1e-3
 
 
-def lime_explain(predictor, instance, X, class_index: int, K: int,
+def lime_explain(predictor, instance, X, class_index: int | None = None, *, K: int,
                  n_samples: int = 5000, sigma: float | None = None,
                  seed: int = 0, categorical=None, feature_names=None,
-                 instance_id: str = "0", class_label: str | None = None) -> Explanation:
+                 instance_id: str = "0", label_names=None) -> Explanation:
     """Local surrogate: perturb, weight by kernel similarity, select K
-    features, then weighted least squares with ``LIME_RIDGE`` regularization."""
+    features, then weighted least squares with ``LIME_RIDGE`` regularization.
+    Without ``class_index``, explain the class predicted for sample row 0,
+    the instance, in the same predictor call."""
     if K < 1:
         raise ValueError("K must be >= 1")
     X = np.asarray(X, dtype=float)
@@ -372,9 +374,12 @@ def lime_explain(predictor, instance, X, class_index: int, K: int,
     if sigma is None:
         sigma = 0.75 * np.sqrt(n_features)
     samples, Z = perturb(instance, X, n_samples, seed, categorical)
-    y = predictor(samples)[:, class_index]
+    probs = predictor(samples)
+    if class_index is None:
+        class_index = int(np.argmax(probs[0]))
+    y = probs[:, class_index]
     w = kernel_weight(_cosine_distance_to_ones(Z), sigma)
-    label = class_label if class_label is not None else str(class_index)
+    label = str(class_index) if label_names is None else label_names[class_index]
     wmean = float(np.sum(w * y) / np.sum(w))
     sst = float(np.sum(w * (y - wmean) ** 2))
     if sst <= 1e-12 * float(np.sum(w)):  # predictor constant around the instance

@@ -37,7 +37,7 @@ def capture_activations(model: seqnet.SeqNetModel, data: SequenceDataset,
     pass over the data."""
     if layer not in (0, 1):
         raise ValueError(f"layer id {layer} out of range (0 or 1)")
-    summary = seqnet.hidden_summary(model, data.X, data.mask, 0)
+    summary = seqnet.hidden_summary(model, data.X, data.mask)
     _, act, _, probs = seqnet.head(model, summary)
     return ActivationMatrix(values=summary if layer == 0 else act, layer=layer,
                             true_labels=np.asarray(data.Y, dtype=np.int64),

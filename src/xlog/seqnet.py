@@ -15,9 +15,7 @@ state, so its memory does not grow with the number of timesteps.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -412,12 +410,9 @@ def forward(model: SeqNetModel, X, mask) -> np.ndarray:
     return _forward(model, X, mask, False)[3]
 
 
-def hidden_summary(model: SeqNetModel, X, mask, layer: int = 0) -> np.ndarray:
-    """Layer 0: the recurrent (or pooled) summary vector; layer 1: the dense
-    ReLU activations."""
-    if layer not in (0, 1):
-        raise ValueError(f"layer id {layer} out of range (0 or 1)")
-    return _forward(model, X, mask, False)[layer]
+def hidden_summary(model: SeqNetModel, X, mask) -> np.ndarray:
+    """The recurrent (or pooled) summary vector of each sequence."""
+    return _forward(model, X, mask, False)[0]
 
 
 def _cross_entropy(logits, Y):
@@ -529,61 +524,13 @@ def train(model: SeqNetModel, X, mask, Y, epochs: int, lr: float, seed: int,
 class EvalReport:
     accuracy: float
     loss: float
-    confusion: np.ndarray
-
-    def to_dict(self):
-        return {"accuracy": self.accuracy, "loss": self.loss,
-                "confusion": [[int(v) for v in row] for row in self.confusion]}
 
 
 def evaluate(model: SeqNetModel, X, mask, Y) -> EvalReport:
     Y = np.asarray(Y, dtype=np.int64)
     _, _, logits, probs, _ = _forward(model, X, mask, False)
-    loss = _cross_entropy(logits, Y)
-    pred = np.argmax(probs, axis=1)
-    C = model.n_classes
-    confusion = np.zeros((C, C), dtype=np.int64)
-    np.add.at(confusion, (Y, pred), 1)
-    return EvalReport(accuracy=float(np.mean(pred == Y)), loss=loss,
-                      confusion=confusion)
-
-
-def grad_check(model: SeqNetModel, X, mask, Y, epsilon: float = 1e-5,
-               n_coords: int = 60, seed: int = 0) -> float:
-    """Max relative error between analytic gradients and central finite
-    differences over a random coordinate subsample covering every array."""
-    if not (0.0 < epsilon <= 1e-2):
-        raise ValueError("epsilon must be in (0, 1e-2]")
-    _, grads = loss_and_grads(model, X, mask, Y)
-    rng = np.random.default_rng(seed)
-    names = sorted(model.params)
-    coords = []
-    for name in names:
-        size = model.params[name].size
-        take = min(size, max(3, n_coords // len(names)))
-        for flat in rng.choice(size, size=take, replace=False):
-            coords.append((name, int(flat)))
-    while len(coords) < n_coords:
-        name = names[int(rng.integers(len(names)))]
-        coords.append((name, int(rng.integers(model.params[name].size))))
-    worst = 0.0
-    for name, flat in coords:
-        arr = model.params[name]
-        old = arr.flat[flat]
-        arr.flat[flat] = old + epsilon
-        loss_up = _loss_only(model, X, mask, Y)
-        arr.flat[flat] = old - epsilon
-        loss_dn = _loss_only(model, X, mask, Y)
-        arr.flat[flat] = old
-        numeric = (loss_up - loss_dn) / (2 * epsilon)
-        analytic = grads[name].flat[flat]
-        denom = max(abs(analytic), abs(numeric), 1e-6)
-        worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
-
-
-def _loss_only(model, X, mask, Y):
-    return _cross_entropy(_forward(model, X, mask, False)[2], np.asarray(Y, dtype=np.int64))
+    return EvalReport(accuracy=float(np.mean(np.argmax(probs, axis=1) == Y)),
+                      loss=_cross_entropy(logits, Y))
 
 
 def grid_search(space, dataset, split, seed: int, lr: float = 0.5):
@@ -623,44 +570,20 @@ def grid_search(space, dataset, split, seed: int, lr: float = 0.5):
 
 
 def save_checkpoint(path, model: SeqNetModel, meta: dict | None = None) -> None:
-    """XLG1 parameter container plus a JSON hyperparameter manifest, stamped
-    with the run's ``meta`` block when one is given."""
-    container.save_arrays(path, model.params)
-    manifest = {
-        "kind": "seqnet", "arch": model.arch, "nodes": model.nodes,
-        "feature_names": model.feature_names, "cat_sizes": model.cat_sizes,
-        "label_names": model.label_names, "seed": model.seed,
-        "embed_dim": model.embed_dim, "hyper": model.hyper,
-        "curve": {
-            "epochs": model.curve.epochs, "train_loss": model.curve.train_loss,
-            "train_acc": model.curve.train_acc, "val_loss": model.curve.val_loss,
-            "val_acc": model.curve.val_acc, "diverged": model.curve.diverged,
-        },
-    }
-    if meta:
-        manifest["meta"] = meta
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+    """XLG1 parameter container plus a JSON manifest of every other model
+    field, stamped with the run's ``meta`` block when one is given."""
+    stored = {f.name: getattr(model, f.name) for f in fields(model)
+              if f.name not in ("params", "curve")}
+    manifest = {"kind": "seqnet", **stored, "curve": asdict(model.curve)}
+    container.save(path, model.params, manifest | {"meta": meta} if meta else manifest)
 
 
 def load_checkpoint(path) -> SeqNetModel:
     """Read a ``save_checkpoint`` pair; ``ValueError`` unless the manifest is
     a seqnet's."""
-    try:
-        with open(str(path) + ".json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        if os.path.exists(path):  # some other file, such as forest.json
-            raise ValueError(f"{path} is not a seqnet checkpoint") from None
-        raise
+    params, manifest = container.load(path)
     if not isinstance(manifest, dict) or manifest.get("kind") != "seqnet":
         raise ValueError(f"{path} is not a seqnet checkpoint")
-    curve = TrainingCurve(**{k: v for k, v in manifest["curve"].items()})
-    model = SeqNetModel(arch=manifest["arch"], nodes=manifest["nodes"],
-                        feature_names=manifest["feature_names"],
-                        cat_sizes=manifest["cat_sizes"],
-                        label_names=manifest["label_names"], seed=manifest["seed"],
-                        embed_dim=manifest["embed_dim"], hyper=manifest["hyper"],
-                        curve=curve)
-    model.params = container.load_arrays(path)
-    return model
+    stored = {f.name: manifest[f.name] for f in fields(SeqNetModel)
+              if f.name not in ("params", "curve")}
+    return SeqNetModel(**stored, params=params, curve=TrainingCurve(**manifest["curve"]))

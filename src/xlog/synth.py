@@ -9,7 +9,7 @@ manifest of the planted truth so downstream checks can assert against it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,14 +45,15 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticSpec":
+        """A spec from its JSON object; an omitted key takes the field's
+        default, and an unknown key is rejected by name."""
         d = json.loads(text)
-        rule = AgeRule(**d["age_rule"]) if d.get("age_rule") else None
-        return cls(classes=[ClassSpec(**c) for c in d["classes"]],
-                   noise_vocab=d.get("noise_vocab", 12),
-                   min_length=d.get("min_length", 6),
-                   max_length=d.get("max_length", 12),
-                   age_rule=rule, age_low=d.get("age_low", 30),
-                   treatments=d.get("treatments", ["T1", "T2"]))
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown spec key(s): {', '.join(map(repr, unknown))}")
+        d["classes"] = [ClassSpec(**c) for c in d["classes"]]
+        d["age_rule"] = AgeRule(**d["age_rule"]) if d.get("age_rule") else None
+        return cls(**d)
 
     def validate(self) -> None:
         # log_to_csv writes cells unquoted, so such a cell would shift its row

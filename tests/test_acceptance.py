@@ -13,6 +13,7 @@ import pytest
 
 from xlog import cli, encode, eventlog, explain, forest, latent, seqnet, synth
 
+from gradcheck import grad_check
 from ingest_oracle import table_of
 from test_forest import brute_force_best_split
 
@@ -68,8 +69,7 @@ def test_c02_gradient_check_every_layer():
         Y = rng.integers(0, 3, size=6)
         model = seqnet.build_model(arch, 7, [f"f{i}" for i in range(4)],
                                    [5, 4, 0, 0], ["a", "b", "c"], seed=3)
-        worst[arch] = seqnet.grad_check(model, X, mask, Y, epsilon=1e-5,
-                                        n_coords=120, seed=1)
+        worst[arch] = grad_check(model, X, mask, Y, epsilon=1e-5, n_coords=120, seed=1)
     elapsed = time.time() - started
     report("c02", "gradient-check",
            max(worst.values()) < 1e-4 and elapsed < 60.0,
@@ -208,7 +208,7 @@ def test_c07_planted_signal_pipeline():
     vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
                                + list(eventlog.STATIC_CATEGORICAL))
     seq = encode.encode_sequences(clean, vocab, 9, split)
-    flat = encode.encode_flat(clean, vocab, 9, split)
+    flat = encode.encode_flat(seq)
 
     ftr, fte = flat.take(split.train_indices), flat.take(split.test_indices)
     model = forest.fit_forest(ftr.X, ftr.Y, 300, 8, seed=5,

@@ -100,16 +100,18 @@ def test_ingest_builds_no_case_or_event_objects(tmp_path, monkeypatch):
 
 
 def test_ingest_manifest_failure_leaves_no_container(tmp_path, monkeypatch):
-    from xlog import encode
+    from xlog import container
+    real = container.save
 
-    def boom(*args, **kwargs):
+    def save_then_fail(*args, **kwargs):
+        real(*args, **kwargs)  # the container and its manifest are on disk
         raise OSError("disk full")
 
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
     assert run("synth", "--spec", spec_path, "--seed", 3,
                "--out", tmp_path / "synth") == 0
-    monkeypatch.setattr(encode, "_write_manifest", boom)
+    monkeypatch.setattr(container, "save", save_then_fail)
     out = tmp_path / "data"
     assert run("ingest", "--csv", tmp_path / "synth" / "events.csv",
                "--schema", tmp_path / "synth" / "schema.json",
@@ -187,10 +189,16 @@ def test_train_seqnet_grid_entry_must_name_the_model(pipeline, model, grid, name
     ("forest", "60x8x3", "ESTIMATORSxMAX_FEATURES"),
     ("forest", "lstm:6:2", "ESTIMATORSxMAX_FEATURES"),
     ("lstm", "lstm:6", "ARCH:NODES:EPOCHS or NODESxEPOCHS"),
+    ("forest", "0x8", "ESTIMATORSxMAX_FEATURES"),
+    ("forest", "8x0", "ESTIMATORSxMAX_FEATURES"),
+    ("lstm", "lstm:0:2", "ARCH:NODES:EPOCHS or NODESxEPOCHS"),
+    ("lstm", "lstm:-2:1", "ARCH:NODES:EPOCHS or NODESxEPOCHS"),
+    ("lstm", "lstm:3:1,lstm:3:0", "ARCH:NODES:EPOCHS or NODESxEPOCHS"),
 ])
 def test_train_malformed_grid_entry_names_entry_and_form(pipeline, model, grid, form):
-    out = pipeline / "malformed"
-    with pytest.raises(SystemExit, match=f"grid entry '{grid}' is not of the form {form}"):
+    # the last entry is the bad one; every entry is checked before training
+    out, entry = pipeline / "malformed", grid.split(",")[-1]
+    with pytest.raises(SystemExit, match=f"grid entry '{entry}' is not of the form {form}"):
         run("train", "--data", pipeline / "data", "--model", model, "--grid", grid,
             "--out", out)
     assert files_under(out) == []

@@ -165,7 +165,7 @@ def test_encode_count_clamped_at_zero_on_unseen_low():
 def test_encode_flat_positional_layout_and_padding():
     log = make_log([("c1", ["A", "B"], "L1"), ("c2", ["B"], "L2")])
     vocab = build_vocab(log, ["activity"])
-    ds = encode_flat(log, vocab, L=3)
+    ds = encode_flat(encode_sequences(log, vocab, T=3))
     a0 = ds.feature_names.index("activity_0")
     a1 = ds.feature_names.index("activity_1")
     a2 = ds.feature_names.index("activity_2")
@@ -177,7 +177,7 @@ def test_encode_flat_positional_layout_and_padding():
 def test_encode_flat_l1_has_one_dynamic_block_plus_statics():
     log = small_log()
     vocab = build_vocab(log, CATS)
-    ds = encode_flat(log, vocab, L=1)
+    ds = encode_flat(encode_sequences(log, vocab, T=1))
     from xlog.encode import DYNAMIC_FEATURES, STATIC_FEATURES
     assert ds.X.shape[1] == len(DYNAMIC_FEATURES) + len(STATIC_FEATURES)
 
@@ -186,7 +186,7 @@ def test_encode_flat_matches_sequence_flattening():
     log = small_log()
     vocab = build_vocab(log, CATS)
     seq = encode_sequences(log, vocab, T=3)
-    flat = encode_flat(log, vocab, L=3)
+    flat = encode_flat(seq)
     from xlog.encode import DYNAMIC_FEATURES
     n_dyn = len(DYNAMIC_FEATURES)
     for m in range(len(log.cases)):
@@ -253,7 +253,7 @@ def test_dataset_save_load_roundtrip(tmp_path):
     log = small_log()
     vocab = build_vocab(log, CATS)
     seq = encode_sequences(log, vocab, T=3)
-    flat = encode_flat(log, vocab, L=3)
+    flat = encode_flat(seq)
     seq.save(tmp_path / "seq.xlg", meta={"seed": 0})
     flat.save(tmp_path / "flat.xlg")
     seq2 = SequenceDataset.load(tmp_path / "seq.xlg")
@@ -272,7 +272,7 @@ def test_dataset_json_fixture_roundtrip(tmp_path):
     log = small_log()
     vocab = build_vocab(log, CATS)
     seq = encode_sequences(log, vocab, T=3)
-    flat = encode_flat(log, vocab, L=3)
+    flat = encode_flat(seq)
     seq.save(tmp_path / "seq.xlg", meta={"seed": 0})
     flat.save(tmp_path / "flat.xlg")
     seq_manifest = json.loads((tmp_path / "seq.xlg.json").read_text(encoding="utf-8"))

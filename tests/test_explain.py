@@ -425,6 +425,32 @@ def test_lime_deterministic_under_fixed_seed(rng):
     assert a.fidelity == b.fidelity
 
 
+def test_lime_without_target_explains_the_predicted_class_in_one_call(rng):
+    # forest rows are predicted independently, so the instance's row in the
+    # sample batch predicts what a one-row call does
+    X = rng.integers(0, 4, size=(90, 5)).astype(float)
+    Y = (X[:, 0] + X[:, 1] > 3).astype(int) + (X[:, 2] > 2)
+    model = forest.fit_forest(X, Y, 10, 3, seed=1)
+    calls = []
+
+    def predictor(A):
+        calls.append(len(A))
+        return forest.predict_proba(model, A)
+
+    names = ["low", "mid", "high"]
+    targets = set()
+    for i in range(12):
+        predicted = int(np.argmax(forest.predict_proba(model, X[i:i + 1])[0]))
+        targets.add(predicted)
+        kw = dict(K=2, n_samples=300, seed=i, categorical=[True] * 5, label_names=names)
+        calls.clear()
+        omitted = lime_explain(predictor, X[i], X, **kw)
+        assert calls == [300]
+        assert omitted.to_dict() == lime_explain(predictor, X[i], X, predicted, **kw).to_dict()
+        assert omitted.target_class == names[predicted]
+    assert len(targets) > 1
+
+
 def test_lime_constant_predictor_flagged(rng):
     bg = rng.integers(0, 2, size=(40, 3)).astype(float)
     def predictor(X):

@@ -52,14 +52,14 @@ def test_capture_bilstm_concatenates_both_directions():
     rng = np.random.default_rng(1)
     X, mask, Y = random_batch(rng, M=5)
     model = toy_model("bilstm", nodes=6)
-    full = seqnet.hidden_summary(model, X, mask, 0)
+    full = seqnet.hidden_summary(model, X, mask)
     # forward half equals an LSTM run with the forward cell alone
     fwd_only = toy_model("lstm", nodes=6)
     for k in ("emb_0", "emb_1"):
         fwd_only.params[k] = model.params[k].copy()
     fwd_only.params["lstm_W"] = model.params["lstm_W_fwd"].copy()
     fwd_only.params["lstm_b"] = model.params["lstm_b_fwd"].copy()
-    assert np.array_equal(full[:, :6], seqnet.hidden_summary(fwd_only, X, mask, 0))
+    assert np.array_equal(full[:, :6], seqnet.hidden_summary(fwd_only, X, mask))
 
 
 def test_capture_identical_rows_identical_activations():

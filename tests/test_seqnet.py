@@ -4,9 +4,11 @@ import pytest
 from xlog import seqnet
 from xlog.encode import Split
 from xlog.seqnet import (
-    SeqNetModel, _lstm_step, _scan_weights, build_model, evaluate, forward, grad_check,
-    grid_search, loss_and_grads, train,
+    SeqNetModel, _lstm_step, _scan_weights, build_model, evaluate, forward, grid_search,
+    loss_and_grads, train,
 )
+
+from gradcheck import grad_check
 
 
 def random_batch(rng, M=6, T=5, cat_sizes=(5, 4), n_num=2, n_classes=3):
@@ -110,7 +112,7 @@ def test_bilstm_palindrome_with_tied_weights_has_equal_direction_states(rng):
     X[0, :, 0] = seqpal
     X[0, :, 1] = [0.2, 0.7, 0.5, 0.7, 0.2]
     mask = np.ones((1, 5), dtype=bool)
-    summary = seqnet.hidden_summary(model, X, mask, layer=0)
+    summary = seqnet.hidden_summary(model, X, mask)
     H = model.nodes
     assert np.allclose(summary[0, :H], summary[0, H:], atol=1e-12)
 
@@ -138,15 +140,6 @@ def test_forward_rejects_a_mask_that_is_not_a_prefix(arch, rng):
     mask[0, 1] = True  # one true event after a padded step
     with pytest.raises(ValueError, match="prefix"):
         forward(toy_model(arch), X, mask)
-
-
-def test_hidden_summary_layer_ids(rng):
-    X, mask, _ = random_batch(rng)
-    model = toy_model("bilstm", nodes=4)
-    assert seqnet.hidden_summary(model, X, mask, 0).shape[1] == 8
-    assert seqnet.hidden_summary(model, X, mask, 1).shape[1] == 4
-    with pytest.raises(ValueError):
-        seqnet.hidden_summary(model, X, mask, 2)
 
 
 # ----------------------------------------------------------------- train
@@ -342,14 +335,13 @@ def test_grid_search_expresses_reference_configurations(rng):
         assert m.nodes == nodes
 
 
-def test_evaluate_confusion_matrix_properties(rng):
+def test_evaluate_scores_forward_predictions(rng):
     X, mask, Y = random_batch(rng, M=20)
     model = toy_model("dense")
     rep = evaluate(model, X, mask, Y)
-    assert rep.confusion.sum() == 20
-    per_class = np.bincount(Y, minlength=3)
-    assert np.array_equal(rep.confusion.sum(axis=1), per_class)
-    assert rep.accuracy == pytest.approx(np.trace(rep.confusion) / 20)
+    probs = forward(model, X, mask)
+    assert rep.accuracy == np.mean(np.argmax(probs, axis=1) == Y)
+    assert rep.loss == pytest.approx(-np.mean(np.log(probs[np.arange(20), Y])))
     assert rep.loss >= 0.0
 
 
@@ -611,8 +603,9 @@ def test_rewrite_matches_caching_oracle_within_tolerance(block_bytes, monkeypatc
         probs = forward(model, X, mask)
         assert_close(probs, probs0, trial)
         assert_same_labels(np.argmax(probs, axis=1), probs0, trial)
-        assert_close(seqnet.hidden_summary(model, X, mask, 0), cache0["summary"], trial)
-        assert_close(seqnet.hidden_summary(model, X, mask, 1), cache0["act"], trial)
+        summary = seqnet.hidden_summary(model, X, mask)
+        assert_close(summary, cache0["summary"], trial)
+        assert_close(seqnet.head(model, summary)[1], cache0["act"], trial)
         assert_close(evaluate(model, X, mask, Y).loss, loss0, trial)
     for arch in seqnet.ARCHS:
         for tag in ("one row", "a row of T", "all rows < T", "width 1"):
@@ -656,7 +649,7 @@ def test_numeric_only_dense_matches_oracle_layout():
         Y = rng.integers(0, 2, size=M)
         model = build_model("dense", 1, ["a", "b"], [0, 0], ["y", "n"], seed=trial)
         _, _, probs0, cache0 = _oracle_loss_and_grads(model, X, mask, Y)
-        _, acts, _, probs = seqnet.head(model, seqnet.hidden_summary(model, X, mask, 0))
+        _, acts, _, probs = seqnet.head(model, seqnet.hidden_summary(model, X, mask))
         assert np.array_equal(probs, forward(model, X, mask)), trial
         assert_close(probs, probs0, trial)
         assert_close(acts, cache0["act"], trial)
@@ -674,8 +667,8 @@ def test_dense_pooling_is_exactly_padding_invariant():
         extra = int(rng.integers(1, 30))
         X2 = np.concatenate([X, rng.normal(0.0, 2.0, size=(5, extra, 1))], axis=1)
         mask2 = np.concatenate([mask, np.zeros((5, extra), dtype=bool)], axis=1)
-        s1 = seqnet.hidden_summary(model, X, mask, 0)
-        assert np.array_equal(s1, seqnet.hidden_summary(model, X2, mask2, 0)), trial
+        s1 = seqnet.hidden_summary(model, X, mask)
+        assert np.array_equal(s1, seqnet.hidden_summary(model, X2, mask2)), trial
         assert np.array_equal(s1, seqnet._forward(model, X2, mask2, True)[0]), trial
 
 
@@ -707,7 +700,7 @@ def test_inference_memory_stays_off_the_time_axis():
     model = toy_model("bilstm", nodes=32, cat_sizes=(30, 20, 12, 9, 6), n_num=5)
     tracemalloc.start()
     try:
-        summary = seqnet.hidden_summary(model, X, mask, 0)
+        summary = seqnet.hidden_summary(model, X, mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -88,6 +88,15 @@ def test_spec_json_roundtrip():
     assert spec.age_rule.threshold == 65
 
 
+def test_spec_json_takes_field_defaults_and_rejects_unknown_keys():
+    classes = [{"label": "A", "motif": ["x"], "cases": 5}]
+    assert SyntheticSpec.from_json(json.dumps({"classes": classes})) == SyntheticSpec(
+        classes=[ClassSpec("A", ["x"], 5)])
+    text = json.dumps({"classes": classes, "noise_vocabulary": 40, "max_len": 9})
+    with pytest.raises(ValueError, match="'max_len', 'noise_vocabulary'"):
+        SyntheticSpec.from_json(text)
+
+
 def test_csv_roundtrip_through_parse(tmp_path):
     log, _ = generate_synthetic(basic_spec(), seed=7)
     path = tmp_path / "events.csv"

@@ -3,6 +3,7 @@ arguments by parameter name, and its output checks read xlog's report files;
 a rename or a format change must fail here, not at benchmark time."""
 
 import json
+import os
 from pathlib import Path
 
 from xlog import cli, eventlog, synth
@@ -63,3 +64,32 @@ def test_make_inputs_blanks_exactly_the_planted_cases(tmp_path, monkeypatch):
     assert dict(zip(table.case_ids, table.diagnosis_code)) == {
         cid: None if cid in planted else lab for cid, lab in labels.items()}
     assert all(planted[cid] == labels[cid] for cid in planted)
+
+
+def test_every_traced_function_is_entered_by_a_tiny_pass_of_each_workload(tmp_path, monkeypatch):
+    # a traced name that no pass enters reads 0 in every benchmark run, so
+    # it measures nothing; seqnet.forward has no caller in the pipeline yet
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run as perfbench_run
+    import tracing
+    import workloads
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for w in map(workloads.tiny, workloads.WORKLOADS.values()):
+            runner = perfbench_run.Runner(w, 5, str(tmp_path / w.name), tracer)
+            inputs = os.path.join(runner.work, "inputs0")
+            tracer.active = True
+            try:
+                planted = workloads.make_inputs(w, 5, inputs)
+            finally:
+                tracer.active = False
+            runner.datasets.append({"inputs": inputs, "planted": planted})
+            runner.run_pass(0, traced=True)
+            assert runner.failed == 0 and not runner.errors, (w.name, runner.errors)
+    finally:
+        tracer.uninstall()
+    entered = {span[0] for span in tracer.spans}
+    traced = {f"{mod}.{fn}" for mod, fns in tracing.TRACED.items() for fn in fns}
+    assert traced - entered <= {"seqnet.forward"}
