@@ -230,13 +230,13 @@ def _train_forest(run):
     out = cfg["out"]
     folds = _kfold_indices(tr.Y, cfg["cv_k"], run.seed)
     fits = [np.setdiff1d(np.arange(len(tr.Y)), va) for va in folds]
+    models = iter(forest.fit_forests(
+        tr.X, tr.Y, [(fit, n_est, max_feat) for n_est, max_feat in space for fit in fits],
+        seed=run.seed, min_leaf=cfg["min_leaf"]))
     rows = []
     for n_est, max_feat in space:
-        accs = []
-        for va, fit in zip(folds, fits):
-            model = forest.fit_forest(tr.X[fit], tr.Y[fit], n_est, max_feat,
-                                      seed=run.seed, min_leaf=cfg["min_leaf"])
-            accs.append(float(np.mean(forest.predict(model, tr.X[va]) == tr.Y[va])))
+        accs = [float(np.mean(forest.predict(next(models), tr.X[va]) == tr.Y[va]))
+                for va in folds]
         rows.append({"estimators": n_est, "max_features": max_feat,
                      "cv_accuracy": float(np.mean(accs)), "best": False})
     rows.sort(key=lambda r: (-r["cv_accuracy"], r["estimators"]))

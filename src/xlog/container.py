@@ -47,32 +47,36 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read an XLG1 file back into a dict of arrays (bool arrays restored)."""
+    """Read an XLG1 file back into a dict of arrays (bool arrays restored).
+    Each payload is read straight into its array. A file shorter than its
+    header declares raises ``ContainerError`` naming the path, the array and
+    the missing byte count."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise ContainerError(f"{path}: bad magic {blob[:4]!r}")
-    (count,) = struct.unpack_from("<I", blob, 4)
-    off = 8
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + nlen].decode("utf-8")
-        off += nlen
-        code, ndim = struct.unpack_from("<BB", blob, off)
-        off += 2
-        if code not in _DTYPE_CODES:
-            raise ContainerError(f"{path}: unknown dtype code {code}")
-        shape = struct.unpack_from(f"<{ndim}Q", blob, off)
-        off += 8 * ndim
-        dtype = np.dtype(_DTYPE_CODES[code])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        arr = np.frombuffer(blob[off : off + nbytes], dtype=dtype).reshape(shape).copy()
-        off += nbytes
-        if code == 2:
-            arr = arr.astype(bool)
-        out[name] = arr
+        def read(buffer, what):
+            got = fh.readinto(buffer)
+            if got < len(buffer):
+                raise ContainerError(f"{path}: truncated in {what}: "
+                                     f"{len(buffer) - got} bytes missing")
+            return buffer
+
+        def unpack(fmt, what):
+            return struct.unpack(fmt, read(bytearray(struct.calcsize(fmt)), what))
+
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise ContainerError(f"{path}: bad magic {magic!r}")
+        (count,) = unpack("<I", "the array count")
+        out: dict[str, np.ndarray] = {}
+        for i in range(count):
+            (nlen,) = unpack("<H", f"the name of array {i}")
+            name = read(bytearray(nlen), f"the name of array {i}").decode("utf-8")
+            code, ndim = unpack("<BB", f"the header of array {name!r}")
+            if code not in _DTYPE_CODES:
+                raise ContainerError(f"{path}: unknown dtype code {code}")
+            shape = unpack(f"<{ndim}Q", f"the header of array {name!r}")
+            arr = np.empty(shape, dtype=_DTYPE_CODES[code])
+            read(arr.reshape(-1).view(np.uint8), f"array {name!r}")
+            out[name] = arr.astype(bool) if code == 2 else arr
     return out
 
 

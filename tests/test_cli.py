@@ -369,6 +369,24 @@ def test_project_rejects_forest_checkpoint(trained):
             "--out", trained / "bad")
 
 
+@pytest.mark.parametrize("cut_file, argv", [
+    (("lstm", "seqnet.xlg"), ["project", "--checkpoint", ("lstm", "seqnet.xlg")]),
+    (("data", "flat.xlg"), ["explain", "--checkpoint", ("forest", "forest.json"),
+                            "--method", "surrogate"]),
+])
+def test_truncated_container_names_the_damage(trained, capsys, cut_file, argv):
+    # the numpy error used to be a ValueError, so a cut checkpoint was blamed
+    # for not being a seqnet checkpoint
+    path = trained.joinpath(*cut_file)
+    path.write_bytes(path.read_bytes()[:-3])
+    argv = [trained.joinpath(*a) if isinstance(a, tuple) else a for a in argv]
+    assert run(*argv, "--data", trained / "data", "--out", trained / "bad") == 1
+    err = capsys.readouterr().err
+    assert f"{path}: truncated in array " in err and ": 3 bytes missing" in err
+    assert "needs a seqnet checkpoint" not in err
+    assert not (trained / "bad").exists()
+
+
 def test_seqnet_checkpoint_manifest_carries_run_meta(trained):
     manifest = json.loads((trained / "lstm" / "seqnet.xlg.json").read_text())
     table = json.loads((trained / "lstm" / "train_table.json").read_text())

@@ -249,6 +249,29 @@ def test_container_rejects_bad_magic(tmp_path):
         container.load_arrays(path)
 
 
+def test_truncated_container_names_path_array_and_missing_bytes(tmp_path, rng):
+    # a short file used to raise numpy's bare "buffer size must be a multiple
+    # of element size", or struct.error inside a header
+    path = tmp_path / "data.xlg"
+    container.save_arrays(path, {"X": rng.random((4, 3)), "Y": np.arange(4, dtype=np.int64)})
+    blob = path.read_bytes()
+    y_header = 2 + 1 + 2 + 8  # name length, name, dtype and rank, one dim
+    for cut, where, missing in [
+        (3, "array 'Y'", 3),
+        (32, "array 'Y'", 32),
+        (32 + 8, "the header of array 'Y'", 8),
+        (32 + y_header - 1, "the name of array 1", 1),
+        (32 + y_header + 5, "array 'X'", 5),
+        (len(blob) - 6, "the array count", 2),
+    ]:
+        path.write_bytes(blob[:len(blob) - cut])
+        with pytest.raises(container.ContainerError) as err:
+            container.load_arrays(path)
+        message = str(err.value)
+        assert message.startswith(f"{path}: truncated in {where}: "), (cut, message)
+        assert message.endswith(f": {missing} bytes missing"), (cut, message)
+
+
 def test_dataset_save_load_roundtrip(tmp_path):
     log = small_log()
     vocab = build_vocab(log, CATS)

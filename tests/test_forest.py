@@ -7,7 +7,7 @@ import pytest
 
 from xlog import forest
 from xlog.forest import (
-    LEAF, ForestModel, Tree, fit_forest, fit_tree, gini, gini_importance,
+    LEAF, ForestModel, Tree, fit_forest, fit_forests, fit_tree, gini, gini_importance,
     predict, predict_proba, tree_proba,
 )
 
@@ -223,6 +223,21 @@ def oracle_arrays(root):
                 np.asarray(right), np.asarray(histogram))
 
 
+def loop_tree_proba(tree, X):
+    """One tree's leaf class frequencies, walked for that tree alone: the
+    per-tree loop that the flat forest walk replaced."""
+    node = np.zeros(len(X), dtype=np.int64)
+    rows = np.arange(len(X))
+    while rows.size:
+        at = node[rows]
+        inner = tree.feature[at] != LEAF
+        rows, at = rows[inner], at[inner]
+        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+    h = tree.histogram[node]
+    return h / h.sum(axis=1, keepdims=True)
+
+
 def random_case(r):
     """A small labelled matrix with many duplicate values and constant columns;
     one draw in four is wide and shaped like the flat encoding."""
@@ -264,16 +279,18 @@ def wide_case(r):
 @pytest.mark.parametrize("block_bytes", [forest.SPLIT_BLOCK_BYTES, 1, 2000])
 def test_array_trees_equal_recursive_oracle(block_bytes, monkeypatch):
     monkeypatch.setattr(forest, "SPLIT_BLOCK_BYTES", block_bytes)
-    searched = []  # per split search: were all drawn features constant on rows that differ?
-    search = forest._best_split
+    searched = []  # per node searched: were all drawn features constant on rows that differ?
+    search = forest._split_nodes
+    X = None
 
-    def spy(XT, rows, y, n_classes, subset, min_leaf):
-        cols = XT[:, rows]
-        constant = cols == cols[:, :1]
-        searched.append(bool(constant[subset].all() and not constant.all()))
-        return search(XT, rows, y, n_classes, subset, min_leaf)
+    def spy(binned, Y, rows, subsets, parents, min_leaf):
+        for node_rows, subset in zip(rows, subsets):
+            cols = X[node_rows]
+            constant = (cols == cols[:1]).all(axis=0)
+            searched.append(bool(constant[subset].all() and not constant.all()))
+        return search(binned, Y, rows, subsets, parents, min_leaf)
 
-    monkeypatch.setattr(forest, "_best_split", spy)
+    monkeypatch.setattr(forest, "_split_nodes", spy)
     r = np.random.default_rng(4401)
     seen = set()
     for trial in range(150):
@@ -321,6 +338,97 @@ def test_forest_predictions_and_importance_equal_oracle(block_bytes, monkeypatch
         assert report.all_leaves == all_leaves
 
 
+def depth_of(tree):
+    depth, deepest, stack = {0: 0}, 0, [0]
+    while stack:
+        node = stack.pop()
+        deepest = max(deepest, depth[node])
+        if tree.feature[node] != LEAF:
+            for child in (tree.left[node], tree.right[node]):
+                depth[child] = depth[node] + 1
+                stack.append(child)
+    return deepest
+
+
+@pytest.mark.parametrize("block_bytes", [forest.SPLIT_BLOCK_BYTES, 1, 3000])
+def test_fit_forests_equal_separate_fit_forest_calls(block_bytes, monkeypatch):
+    # a budget of 1 byte grows one tree at a time and scores one segment per chunk
+    monkeypatch.setattr(forest, "SPLIT_BLOCK_BYTES", block_bytes)
+    r = np.random.default_rng(2024)
+    X, _, _ = wide_case(r)
+    while len(X) < 40:
+        X, _, _ = wide_case(r)
+    n, F = X.shape
+    Y = r.integers(0, 3, size=n)
+    Y[:3] = 2
+    halves = [np.arange(0, n, 2), np.arange(1, n, 2)]
+    no_top = np.flatnonzero(Y != 2)  # a fold that lacks the top class
+    cells = [(rows, n_est, mf) for rows in (*halves, no_top)
+             for n_est, mf in ((4, 3), (1, F), (2, F + 5))]
+    cells.append((np.arange(n), 3, 7))
+    for min_leaf in (1, 3):
+        models = fit_forests(X, Y, cells, seed=11, min_leaf=min_leaf)
+        assert len(models) == len(cells)
+        for (rows, n_est, mf), model in zip(cells, models):
+            alone = fit_forest(X[rows], Y[rows], n_est, mf, seed=11, min_leaf=min_leaf)
+            assert forest.to_json(model) == forest.to_json(alone)
+            assert model.n_classes == (2 if rows is no_top else 3)
+            oracle = oracle_fit_forest(X[rows], Y[rows], n_est, mf, seed=11, min_leaf=min_leaf)
+            assert all(tree_equal(a, oracle_arrays(b)) for a, b in zip(model.trees, oracle))
+
+
+def test_forest_of_shallow_and_deep_trees_equals_oracle():
+    # feature 0 separates the classes; feature 1 orders alternating labels, so
+    # a node that draws it peels rows. With one feature per node, some trees
+    # stop after one split and others grow long chains, and the lockstep
+    # rounds finish the trees at very different times.
+    n = 64
+    X = np.column_stack([np.arange(n) % 2, np.arange(n)]).astype(float)
+    Y = np.arange(n) % 2
+    model = fit_forest(X, Y, 12, 1, seed=3)
+    depths = [depth_of(t) for t in model.trees]
+    assert min(depths) == 1 and max(depths) >= 6, depths
+    oracle = oracle_fit_forest(X, Y, 12, 1, seed=3)
+    assert all(tree_equal(a, oracle_arrays(b)) for a, b in zip(model.trees, oracle))
+    _, deep = fit_forests(X, Y, [(np.arange(n), 2, 2), (np.arange(n), 12, 1)], seed=3)
+    assert all(tree_equal(a, b) for a, b in zip(deep.trees, model.trees))
+    assert np.array_equal(predict_proba(model, X), oracle_predict_proba(oracle, 2, X))
+
+
+def test_infinities_and_signed_zeros_split_like_large_finite_values():
+    # the oracle halves a + inf to inf, so it runs on a copy with the
+    # infinities replaced by +-1e6; the trees must match it node for node,
+    # and -0.0 and 0.0 must stay one value. Each threshold follows the
+    # midpoint rule on the true values a < b around it at its node: where
+    # the midpoint is infinite or NaN it falls back to a.
+    levels = np.asarray([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf])
+    r = np.random.default_rng(808)
+    for trial in range(40):
+        n, F = int(r.integers(4, 60)), int(r.integers(1, 5))
+        X = levels[r.integers(0, len(levels), size=(n, F))]
+        Y = r.integers(0, 3, size=n)
+        finite = np.where(np.isinf(X), np.copysign(1e6, X), X)
+        max_features = int(r.integers(1, F + 1))
+        with np.errstate(all="raise"):
+            tree = fit_tree(X, Y, max_features, np.random.default_rng(trial), n_classes=3)
+        oracle = oracle_arrays(oracle_fit_tree(finite, Y, max_features,
+                                               np.random.default_rng(trial), n_classes=3))
+        for key in ("feature", "left", "right", "histogram"):
+            assert np.array_equal(getattr(tree, key), getattr(oracle, key)), (trial, key)
+        stack = [(0, np.arange(n))]
+        while stack:
+            node, rows = stack.pop()
+            f = tree.feature[node]
+            if f == LEAF:
+                continue
+            go_left = X[rows, f] <= tree.threshold[node]
+            a, b = X[rows[go_left], f].max(), X[rows[~go_left], f].min()
+            with np.errstate(invalid="ignore"):
+                mid = (a + b) / 2.0
+            assert tree.threshold[node] == (mid if a <= mid < b else a), (trial, node)
+            stack += [(tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])]
+
+
 def test_deep_chain_fits_predicts_and_round_trips():
     # alternating labels along one feature: every split peels a single row,
     # so the tree is a chain far deeper than the interpreter's recursion limit
@@ -358,6 +466,50 @@ def test_full_width_split_search_memory_is_bounded():
     assert peak < 4 * 2**20, peak
 
 
+def test_fit_forests_memory_is_bounded_at_a_wide_many_tree_shape():
+    # 240 trees on 600 rows of the flat encoding's width: the lockstep grower
+    # holds at most a budget's worth of row indices and of split-search keys,
+    # never every tree's sample or a round's (node, feature, row) block at
+    # once. Growing all 240 trees together peaks near 7.7 MB above the models.
+    r = np.random.default_rng(12)
+    n, F = 600, 388
+    X = np.zeros((n, F))
+    X[:, 100:300] = r.random((n, 200)) < 0.1  # sparse indicators
+    X[:, 300:360] = r.integers(0, 4, size=(n, 60))
+    X[:, 360:] = np.round(r.random((n, 28)) * 60.0)
+    Y = r.integers(0, 3, size=n)
+    cells = [(np.arange(0, n, 2), 60, 20), (np.arange(1, n, 2), 60, 20),
+             (np.arange(0, n, 2), 60, 40), (np.arange(1, n, 2), 60, 40)]
+    tracemalloc.start()
+    try:
+        models = fit_forests(X, Y, cells, seed=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(m.trees) for m in models) == 240
+    assert peak - held < 6 * 2**20, (peak, held)
+
+
+def test_predict_proba_memory_is_bounded_for_many_trees_and_rows():
+    # the walk holds a budget's worth of (tree, row) pairs, not 300 x 5000
+    r = np.random.default_rng(13)
+    X = r.random((400, 12))
+    Y = (X[:, 0] + 0.3 * r.random(400) > 0.6).astype(np.int64) + (X[:, 1] > 0.5)
+    model = fit_forest(X, Y, n_estimators=300, max_features=4, seed=2)
+    Xt = r.random((5000, 12))
+    tracemalloc.start()
+    try:
+        proba = predict_proba(model, Xt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes = sum(len(t.feature) for t in model.trees)
+    flat = nodes * (4 * 8 + 8 * model.n_classes)  # the concatenated node arrays
+    assert peak < flat + 3 * 2**20, (peak, flat)
+    expected = sum(loop_tree_proba(t, Xt) for t in model.trees) / len(model.trees)
+    assert np.array_equal(proba, expected)
+
+
 def test_nan_input_is_rejected():
     # a NaN threshold sends every row right, so the split repeats without end
     X = np.asarray([[np.nan], [np.nan], [np.nan], [1.0]])
@@ -366,6 +518,19 @@ def test_nan_input_is_rejected():
         fit_tree(X, Y, max_features=1, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="NaN"):
         fit_forest(X, Y, n_estimators=2, max_features=1, seed=0)
+
+
+def test_labels_must_fit_the_class_count_and_the_rows():
+    # one bincount key space holds every class of a round, so a label at or
+    # above n_classes would be counted in the next bin
+    X = np.asarray([[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match="n_classes=2"):
+        fit_tree(X, np.asarray([0, 1, 2]), max_features=1, rng=np.random.default_rng(0),
+                 n_classes=2)
+    with pytest.raises(ValueError, match="one label"):
+        fit_forest(X, np.asarray([0, 1]), n_estimators=1, max_features=1, seed=0)
+    with pytest.raises(ValueError, match="one label"):
+        fit_forests(X, np.asarray([0, -1, 1]), [(np.arange(3), 1, 1)], seed=0)
 
 
 @pytest.mark.parametrize("lower, upper", [
