@@ -204,55 +204,90 @@ def perturb(instance, X, n_samples: int, seed: int, categorical):
 
     Categorical columns keep the instance value with probability 0.5, else
     take the value of a background row drawn uniformly; numeric columns get
-    gaussian noise scaled by the background standard deviation, which is
-    exactly 0 for a column that is constant in the background. Each kind is
-    one whole-matrix draw, in this order: the keep mask and the background
-    rows over the categorical columns, then the numeric noise.
-    Returns (samples, Z): Z is the binary interpretable representation, 1
-    where a sample agrees with the instance (exactly for categoricals, within
-    half a background standard deviation for numerics). Row 0 is always the
-    unperturbed instance.
+    gaussian noise scaled by the background standard deviation. A column is
+    dead when it is constant in the background and the instance holds that
+    value; a numeric column that is constant in the background is always
+    dead, as its scale is 0. Every sample holds the instance's value in a
+    dead column, so dead columns take no draw and get no column of Z.
+
+    Two draws over the live columns, each one column after another, in this
+    order: one integer r per categorical cell, uniform on [1 - N, N] for N
+    background rows, where r <= 0 keeps the instance and r > 0 takes
+    background row r; then the numeric noise. Returns (samples, Z, live):
+    ``live`` holds the indices of the live columns in ascending order, and
+    Z (n_samples, len(live)) is the binary interpretable representation over
+    them, 1 where a sample agrees with the instance (exactly for
+    categoricals, within half a background standard deviation for numerics).
+    Row 0 is always the unperturbed instance. Both matrices are built column
+    by column, so they are Fortran-ordered.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"background must be a 2-D matrix, got shape {X.shape}")
     if len(X) == 0:
         raise ValueError("empty background")
     instance = np.asarray(instance, dtype=float)
     categorical = np.asarray(categorical, dtype=bool)
-    ci, ni = np.flatnonzero(categorical), np.flatnonzero(~categorical)
+    if instance.shape != (X.shape[1],) or categorical.shape != (X.shape[1],):
+        raise ValueError(f"instance {instance.shape} and categorical {categorical.shape} "
+                         f"need one entry per column of X ({X.shape[1]})")
+    low = X.min(axis=0)
+    live = np.flatnonzero((low != X.max(axis=0)) | (categorical & (instance != low)))
+    is_cat = categorical[live]
+    lc, ln = live[is_cat], live[~is_cat]
+    N, Lc = len(X), len(lc)
     rng = np.random.default_rng(seed)
-    samples = np.empty((n_samples, X.shape[1]))
-    keep = rng.integers(0, 2, size=(n_samples, len(ci)), dtype=bool)
-    rows = rng.integers(1, len(X) + 1, size=(n_samples, len(ci)))
-    rows *= ~keep  # a kept entry reads row 0, the instance; multiplying avoids a masked write
-    del keep
-    pool = np.vstack([instance[ci], X[:, ci]])
-    samples[:, ci] = pool[rows, np.arange(len(ci))]
-    del rows
-    sd = X[:, ni].std(axis=0)
-    sd[np.ptp(X[:, ni], axis=0) == 0] = 0.0  # std() of equal values can round to 1 ulp
-    samples[:, ni] = instance[ni] + sd * rng.standard_normal((n_samples, len(ni)))
-    samples[0] = instance
-    Z = np.empty(samples.shape)
-    np.equal(samples, instance, out=Z)  # the categorical test; numeric columns follow
-    Z[:, ni] = np.abs(samples[:, ni] - instance[ni]) <= 0.5 * sd
-    return samples, Z
+    # one row per live categorical column: the instance's value, then the
+    # background's; a cell reads position max(r, 0) of its column's row
+    r = rng.integers(1 - N, N + 1, size=(Lc, n_samples))
+    np.maximum(r, 0, out=r)
+    r[:, 0] = 0
+    r += np.arange(0, Lc * (N + 1), N + 1)[:, None]
+    pool = np.empty((Lc, N + 1))
+    pool[:, 0] = instance[lc]
+    pool[:, 1:] = X[:, lc].T
+    cat_values = pool.take(r)  # flat indices into the C-ordered pool
+    del r, pool
+    sd = X[:, ln].std(axis=0)[:, None]
+    num_values = instance[ln, None] + sd * rng.standard_normal((len(ln), n_samples))
+    num_values[:, 0] = instance[ln]
+    agree = np.empty((len(live), n_samples), dtype=bool)  # categorical, then numeric
+    np.equal(cat_values, instance[lc, None], out=agree[:Lc])
+    np.less_equal(np.abs(num_values - instance[ln, None]), 0.5 * sd, out=agree[Lc:])
+    samples = np.empty((X.shape[1], n_samples))  # transposed
+    samples[:] = instance[:, None]  # the dead columns' values; the live ones follow
+    samples[lc] = cat_values
+    samples[ln] = num_values
+    del cat_values, num_values
+    # column k of Z is row rank[k] of ``agree``
+    rank = np.where(is_cat, np.cumsum(is_cat) - 1, Lc + np.cumsum(~is_cat) - 1)
+    return samples.T, agree[rank].T.astype(float, order="F"), live
+
+
+def _check_sigma(sigma) -> None:
+    if not 0 < sigma < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
 
 
 def kernel_weight(distance, sigma: float):
     """exp(-d^2 / sigma^2) similarity weight."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    _check_sigma(sigma)
     d = np.asarray(distance, dtype=float)
     return np.exp(-(d ** 2) / sigma ** 2)
 
 
-def _cosine_distance_to_ones(Z):
-    norms = np.sqrt((Z * Z).sum(axis=1))
-    ref = np.sqrt(Z.shape[1])
+def _cosine_distance_to_ones(Z, n_dead: int):
+    """Cosine distance from each row of ``[Z, 1, …, 1]``, binary Z with
+    ``n_dead`` all-ones columns appended, to the all-ones vector. A row with
+    s ones has norm sqrt(s), so its cosine is s / (sqrt(s) sqrt(width)); s is
+    an exact integer, so this equals the sum over the full matrix bit for
+    bit. An all-zero row is at distance 1."""
+    s = Z.sum(axis=1) + n_dead
+    norms = np.sqrt(s)
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos = Z.sum(axis=1) / (norms * ref)
+        cos = s / (norms * np.sqrt(Z.shape[1] + n_dead))
     cos = np.where(norms == 0, 0.0, cos)
     return 1.0 - cos
 
@@ -360,25 +395,30 @@ def lime_explain(predictor, instance, X, class_index: int | None = None, *, K: i
                  instance_id: str = "0", label_names=None) -> Explanation:
     """Local surrogate: perturb, weight by kernel similarity, select K
     features, then weighted least squares with ``LIME_RIDGE`` regularization.
-    Without ``class_index``, explain the class predicted for sample row 0,
-    the instance, in the same predictor call."""
+    Only the live columns of ``perturb`` are candidates, so at most
+    min(K, live) features are selected. Without ``class_index``, explain the
+    class predicted for sample row 0, the instance, in the same predictor
+    call."""
     if K < 1:
         raise ValueError("K must be >= 1")
     X = np.asarray(X, dtype=float)
-    instance = np.asarray(instance, dtype=float)
     n_features = X.shape[1]
     if categorical is None:
         categorical = [True] * n_features
     if feature_names is None:
         feature_names = [f"x{j}" for j in range(n_features)]
+    elif len(feature_names) != n_features:
+        raise ValueError(f"{len(feature_names)} feature names for {n_features} columns")
     if sigma is None:
         sigma = 0.75 * np.sqrt(n_features)
-    samples, Z = perturb(instance, X, n_samples, seed, categorical)
+    _check_sigma(sigma)
+    samples, Z, live = perturb(instance, X, n_samples, seed, categorical)
     probs = predictor(samples)
+    del samples
     if class_index is None:
         class_index = int(np.argmax(probs[0]))
     y = probs[:, class_index]
-    w = kernel_weight(_cosine_distance_to_ones(Z), sigma)
+    w = kernel_weight(_cosine_distance_to_ones(Z, n_features - len(live)), sigma)
     label = str(class_index) if label_names is None else label_names[class_index]
     wmean = float(np.sum(w * y) / np.sum(w))
     sst = float(np.sum(w * (y - wmean) ** 2))
@@ -388,7 +428,7 @@ def lime_explain(predictor, instance, X, class_index: int | None = None, *, K: i
                            kernel_width=float(sigma), degenerate=True)
     cols = _forward_select(Z, y, w, K, LIME_RIDGE)
     intercept, coefs, sse = _wls(Z[:, cols], y, w, LIME_RIDGE)
-    weights = {feature_names[j]: float(c) for j, c in zip(cols, coefs)}
+    weights = {feature_names[live[j]]: float(c) for j, c in zip(cols, coefs)}
     return Explanation(instance_id=instance_id, target_class=label,
                        weights=weights, intercept=intercept,
                        fidelity=1.0 - sse / sst, kernel_width=float(sigma))

@@ -308,6 +308,17 @@ def test_explain_rejects_bad_instance_or_target(trained, flags, message):
     assert files_under(out) == []
 
 
+def test_explain_rejects_a_sigma_that_is_not_finite_and_positive(trained, capsys):
+    out = trained / "bad_sigma"
+    for sigma in ("nan", "inf", "-1"):
+        assert run("explain", "--data", trained / "data",
+                   "--checkpoint", trained / "forest" / "forest.json", "--method", "lime",
+                   "--instance", "0,1", "--n-samples", 50, f"--sigma={sigma}",
+                   "--out", out) == 1
+        assert "sigma must be finite and > 0" in capsys.readouterr().err
+        assert files_under(out) == []
+
+
 def test_explain_submodular_pick(trained):
     out = trained / "pick"
     target = 1  # cls_b, the age-rule class

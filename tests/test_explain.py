@@ -192,39 +192,42 @@ def test_surrogate_fidelity_never_uses_ground_truth(rng):
 def test_perturb_sample_zero_is_instance(rng):
     X = rng.integers(0, 3, size=(50, 4)).astype(float)
     inst = X[7]
-    samples, Z = perturb(inst, X, 100, seed=3, categorical=[True] * 4)
+    samples, Z, _ = perturb(inst, X, 100, seed=3, categorical=[True] * 4)
     assert np.array_equal(samples[0], inst)
     assert np.all(Z[0] == 1.0)
 
 
 def test_perturb_zero_variance_numeric_always_matches(rng):
+    # a numeric column constant in the background is dead, whatever the
+    # instance holds there: its scale is 0
     X = np.column_stack([np.full(30, 2.5), rng.random(30)])
-    inst = X[0]
-    samples, Z = perturb(inst, X, 200, seed=1, categorical=[False, False])
-    assert np.all(samples[:, 0] == 2.5)
-    assert np.all(Z[:, 0] == 1.0)
+    for inst in (X[0], np.asarray([7.0, 0.5])):
+        samples, Z, live = perturb(inst, X, 200, seed=1, categorical=[False, False])
+        assert np.all(samples[:, 0] == inst[0])
+        assert list(live) == [1] and Z.shape == (200, 1)
 
 
 def test_perturb_constant_numeric_column_has_no_noise():
     # the std of 30 copies of -0.6635 rounds to about 1e-16, not 0
     X = np.column_stack([np.full(30, -0.6635), np.arange(30.0)])
     assert X[:, 0].std() > 0
-    samples, Z = perturb(X[3], X, 500, seed=2, categorical=[False, False])
+    samples, Z, live = perturb(X[3], X, 500, seed=2, categorical=[False, False])
     assert np.all(samples[:, 0] == -0.6635)
-    assert np.all(Z[:, 0] == 1.0)
+    assert list(live) == [1] and Z.shape == (500, 1)
 
 
 def test_perturb_categorical_keep_rate_matches_analytic():
     # keep rate = 0.5 + 0.5 * p_bg(value); here p_bg = 0.5
     X = np.concatenate([np.zeros(500), np.ones(500)])[:, None]
     inst = np.asarray([1.0])
-    _, Z = perturb(inst, X, 10000, seed=5, categorical=[True])
+    _, Z, _ = perturb(inst, X, 10000, seed=5, categorical=[True])
     assert Z[:, 0].mean() == pytest.approx(0.75, abs=0.02)
 
 
 def perturb_oracle(instance, X, n_samples, seed, categorical):
     """``perturb`` as first written: one column at a time, each categorical
-    column drawing its keep mask and then ``rng.choice`` from its values."""
+    column drawing its keep mask and then ``rng.choice`` from its values.
+    Every column is live: Z has one column per column of X."""
     X = np.asarray(X, dtype=float)
     instance = np.asarray(instance, dtype=float)
     n_features = X.shape[1]
@@ -241,7 +244,14 @@ def perturb_oracle(instance, X, n_samples, seed, categorical):
             sd = float(col.std())
             samples[:, j] = instance[j] + sd * rng.standard_normal(n_samples)
     samples[0] = instance
-    return samples, z_of(samples, instance, X, categorical)
+    return samples, z_of(samples, instance, X, categorical), np.arange(n_features)
+
+
+def dead_columns(X, instance, categorical):
+    """The dead-column rule, one column at a time: constant in the
+    background, and held by the instance unless the column is numeric."""
+    return np.asarray([np.ptp(X[:, j]) == 0 and (not categorical[j] or instance[j] == X[0, j])
+                       for j in range(X.shape[1])], dtype=bool)
 
 
 def z_of(samples, instance, X, categorical):
@@ -259,39 +269,47 @@ def z_of(samples, instance, X, categorical):
 
 
 def perturb_cases(count):
-    """Seeded backgrounds mixing categorical, numeric and constant numeric
-    columns, with the instance sometimes off the background."""
+    """Seeded backgrounds mixing categorical, numeric, constant numeric and
+    constant categorical columns, with the instance sometimes off the
+    background. The constant columns are dead unless the instance leaves a
+    constant categorical column's value."""
     gen = np.random.default_rng(21)
     for case in range(count):
         rows, F = int(gen.integers(1, 40)), int(gen.integers(1, 30))
-        kind = gen.integers(0, 3, size=F)  # categorical, numeric, zero-variance numeric
-        X = np.where(kind == 0, gen.integers(0, 4, size=(rows, F)),
+        # categorical, numeric, zero-variance numeric, constant categorical
+        kind = gen.integers(0, 4, size=F)
+        categorical = (kind == 0) | (kind == 3)
+        X = np.where(categorical, gen.integers(0, 4, size=(rows, F)),
                      gen.normal(50.0, 20.0, size=(rows, F)))
         X[:, kind == 2] = gen.normal(size=int(np.sum(kind == 2)))
+        X[:, kind == 3] = gen.integers(0, 4, size=int(np.sum(kind == 3)))
         inst = X[int(gen.integers(rows))].copy()
         if case % 3 == 0:  # off-background: a numeric shift and an unseen category
             inst[kind == 1] += gen.normal(size=int(np.sum(kind == 1)))
-            inst[kind == 0] = np.where(gen.random(int(np.sum(kind == 0))) < 0.3, 9.0,
-                                       inst[kind == 0])
-        yield case, X, inst, kind == 0
+            inst[categorical] = np.where(gen.random(int(np.sum(categorical))) < 0.3, 9.0,
+                                         inst[categorical])
+        yield case, X, inst, categorical
 
 
 #: half-width of every sampling bound below, in standard errors. The
-#: distribution test makes about 1700 such checks; at 5 a correct sampler fails
+#: distribution test makes about 1600 such checks; at 5 a correct sampler fails
 #: one of them with probability about 1e-3 (at 4, about 0.1)
 SIGMAS = 5.0
 
 
-def assert_perturb_distribution(samples, Z, X, inst, categorical):
-    """Row 0 is the instance, Z follows its definition exactly, and every
+def assert_perturb_distribution(samples, Z, live, X, inst, categorical):
+    """Row 0 is the instance, the columns outside ``live`` equal the instance
+    exactly, Z follows its definition exactly over ``live``, and every live
     column's draws follow the sampling scheme within ``SIGMAS`` standard
     errors: a categorical column takes value v at rate 0.5·[v = instance] +
     0.5·p_bg(v), so it keeps the instance at 0.5 + 0.5·p_bg(instance); a
     numeric column's noise has mean 0 and the background standard deviation."""
     n = len(samples) - 1  # row 0 is fixed, not drawn
     assert np.array_equal(samples[0], inst)
-    assert np.array_equal(Z, z_of(samples, inst, X, categorical))
-    for j in range(X.shape[1]):
+    dead = np.setdiff1d(np.arange(X.shape[1]), live)
+    assert np.array_equal(samples[:, dead], np.broadcast_to(inst[dead], (n + 1, len(dead))))
+    assert np.array_equal(Z, z_of(samples, inst, X, categorical)[:, live])
+    for k, j in enumerate(live):
         col, drawn = X[:, j], samples[1:, j]
         if categorical[j]:
             values = np.union1d(col, inst[j])
@@ -301,7 +319,7 @@ def assert_perturb_distribution(samples, Z, X, inst, categorical):
                 rate = np.mean(drawn == v)
                 assert abs(rate - p) <= SIGMAS * math.sqrt(p * (1 - p) / n), (j, v)
             p_keep = 0.5 + 0.5 * np.mean(col == inst[j])
-            assert abs(Z[1:, j].mean() - p_keep) <= SIGMAS * math.sqrt(p_keep * (1 - p_keep) / n)
+            assert abs(Z[1:, k].mean() - p_keep) <= SIGMAS * math.sqrt(p_keep * (1 - p_keep) / n)
         else:
             sd, noise = float(col.std()), drawn - inst[j]
             if np.ptp(col) == 0.0:  # sd is 0 or the mean's rounding residue
@@ -314,22 +332,30 @@ def assert_perturb_distribution(samples, Z, X, inst, categorical):
 
 def test_perturb_distribution_matches_column_oracle():
     # the bounds hold for the column-at-a-time oracle too, so they pin the
-    # sampling scheme both share rather than either one's draws
+    # sampling scheme both share rather than either one's draws; perturb
+    # draws over the live columns only, and keeps every dead column
+    dead_seen = live_constant_seen = 0
     for case, X, inst, categorical in perturb_cases(24):
+        dead = dead_columns(X, inst, categorical)
         for fn in (perturb, perturb_oracle):
-            samples, Z = fn(inst, X, 3000, seed=case, categorical=categorical)
-            assert samples.shape == Z.shape == (3000, X.shape[1])
-            assert_perturb_distribution(samples, Z, X, inst, categorical)
+            samples, Z, live = fn(inst, X, 3000, seed=case, categorical=categorical)
+            assert samples.shape == (3000, X.shape[1]) and Z.shape == (3000, len(live))
+            assert_perturb_distribution(samples, Z, live, X, inst, categorical)
+            if fn is perturb:
+                assert np.array_equal(live, np.flatnonzero(~dead))
+        dead_seen += int(dead.sum())
+        live_constant_seen += int(np.sum(~dead & (np.ptp(X, axis=0) == 0)))
+    assert dead_seen > 50 and live_constant_seen > 3
 
 
 def test_perturb_same_seed_same_output_and_seeds_differ():
     for case, X, inst, categorical in perturb_cases(10):
         a = perturb(inst, X, 50, seed=case, categorical=categorical)
         b = perturb(inst, X, 50, seed=case, categorical=categorical)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
     X = np.random.default_rng(0).normal(size=(20, 5))
-    a, _ = perturb(X[0], X, 50, seed=1, categorical=[False] * 5)
-    b, _ = perturb(X[0], X, 50, seed=2, categorical=[False] * 5)
+    a, _, _ = perturb(X[0], X, 50, seed=1, categorical=[False] * 5)
+    b, _, _ = perturb(X[0], X, 50, seed=2, categorical=[False] * 5)
     assert not np.array_equal(a, b)
 
 
@@ -338,26 +364,30 @@ def test_perturb_one_kind_of_column(is_categorical):
     gen = np.random.default_rng(3)
     X = (gen.integers(0, 5, size=(60, 4)).astype(float) if is_categorical
          else gen.normal(10.0, 2.0, size=(60, 4)))
-    samples, Z = perturb(X[4], X, 4000, seed=8, categorical=[is_categorical] * 4)
-    assert_perturb_distribution(samples, Z, X, X[4], [is_categorical] * 4)
+    samples, Z, live = perturb(X[4], X, 4000, seed=8, categorical=[is_categorical] * 4)
+    assert list(live) == [0, 1, 2, 3]
+    assert_perturb_distribution(samples, Z, live, X, X[4], [is_categorical] * 4)
 
 
 def test_perturb_single_sample_is_the_instance():
     X = np.random.default_rng(5).integers(0, 3, size=(10, 3)).astype(float)
     inst = np.asarray([7.0, X[0, 1], 0.5])
-    samples, Z = perturb(inst, X, 1, seed=0, categorical=[True, True, False])
+    samples, Z, live = perturb(inst, X, 1, seed=0, categorical=[True, True, False])
     assert np.array_equal(samples, inst[None, :])
-    assert np.array_equal(Z, np.ones((1, 3)))
+    assert np.array_equal(Z, np.ones((1, len(live))))
 
 
 def test_perturb_single_background_row():
+    # every column of one row is constant: only the categorical column the
+    # instance leaves stays live
     X = np.asarray([[2.0, 1.0, 3.5]])
     inst = np.asarray([2.0, 0.0, 3.5])
-    samples, Z = perturb(inst, X, 400, seed=6, categorical=[True, True, False])
-    assert np.all(samples[:, 0] == 2.0) and np.all(Z[:, 0] == 1.0)
+    samples, Z, live = perturb(inst, X, 400, seed=6, categorical=[True, True, False])
+    assert list(live) == [1]
+    assert np.all(samples[:, 0] == 2.0)
     assert set(samples[:, 1]) == {0.0, 1.0}  # the instance's value or the one row's
-    assert np.array_equal(Z[:, 1], (samples[:, 1] == 0.0).astype(float))
-    assert np.all(samples[:, 2] == 3.5) and np.all(Z[:, 2] == 1.0)  # sd 0
+    assert np.array_equal(Z[:, 0], (samples[:, 1] == 0.0).astype(float))
+    assert np.all(samples[:, 2] == 3.5)  # sd 0
 
 
 def test_perturb_rejects_empty_background_and_no_samples():
@@ -365,14 +395,54 @@ def test_perturb_rejects_empty_background_and_no_samples():
         perturb(np.zeros(2), np.zeros((0, 2)), 10, seed=0, categorical=[True, False])
     with pytest.raises(ValueError, match="n_samples"):
         perturb(np.zeros(2), np.zeros((3, 2)), 0, seed=0, categorical=[True, False])
+    with pytest.raises(ValueError, match="2-D"):
+        perturb(np.zeros(2), np.zeros(2), 10, seed=0, categorical=[True, False])
+
+
+def test_perturb_and_lime_reject_lengths_that_miss_the_columns():
+    # a short ``categorical`` used to leave uninitialized memory in the
+    # samples it did not cover, and hand it to the predictor
+    X = np.random.default_rng(4).normal(size=(20, 4))
+    calls = []
+
+    def predictor(A):
+        calls.append(len(A))
+        return two_class(np.full(len(A), 0.5))
+
+    bad = [dict(categorical=[False, False]), dict(categorical=[False] * 5),
+           dict(instance=X[0, :3]), dict(instance=np.append(X[0], 1.0))]
+    for kw in bad:
+        args = {"instance": X[0], "categorical": [False] * 4, **kw}
+        with pytest.raises(ValueError, match="one entry per column"):
+            perturb(args["instance"], X, 5, 0, args["categorical"])
+        with pytest.raises(ValueError, match="one entry per column"):
+            lime_explain(predictor, args["instance"], X, 1, K=2, n_samples=5,
+                         categorical=args["categorical"])
+    with pytest.raises(ValueError, match="3 feature names for 4 columns"):
+        lime_explain(predictor, X[0], X, 1, K=2, n_samples=5,
+                     feature_names=["a", "b", "c"])
+    assert calls == []
 
 
 def test_kernel_weight_reference_points():
     assert kernel_weight(0.0, 2.0) == 1.0
     assert float(kernel_weight(2.0, 2.0)) == pytest.approx(math.exp(-1.0))  # ~0.3679
     assert float(kernel_weight(4.0, 2.0)) == pytest.approx(math.exp(-4.0))  # ~0.0183
-    with pytest.raises(ValueError):
-        kernel_weight(1.0, 0.0)
+    for sigma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            kernel_weight(1.0, sigma)
+
+
+def test_lime_checks_sigma_before_perturbing_or_predicting(monkeypatch):
+    X = np.random.default_rng(2).integers(0, 3, size=(30, 3)).astype(float)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before sigma was checked")
+
+    monkeypatch.setattr(explain, "perturb", refuse)
+    for sigma in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            lime_explain(refuse, X[0], X, 1, K=2, n_samples=20, sigma=sigma)
 
 
 def test_lime_selects_driving_binary_feature(rng):
@@ -405,7 +475,8 @@ def test_lime_sigma_infinity_matches_unweighted_least_squares(rng):
     inst = np.ones(3)
     exp = lime_explain(predictor, inst, bg, class_index=1, K=3,
                        n_samples=1500, sigma=1e9, seed=2, categorical=[True] * 3)
-    samples, Z = perturb(inst, bg, 1500, seed=2, categorical=[True] * 3)
+    samples, Z, live = perturb(inst, bg, 1500, seed=2, categorical=[True] * 3)
+    assert list(live) == [0, 1, 2]
     y = predictor(samples)[:, 1]
     A = np.hstack([np.ones((1500, 1)), Z])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -508,6 +579,127 @@ def test_forward_select_equals_per_candidate_oracle():
         wide += Z.shape[1] >= len(Z)
         full += K >= Z.shape[1]
     assert wide > 100 and full > 50
+
+
+def cosine_distance_oracle(Z):
+    """The kernel distance as first written, over the full Z: the cosine
+    distance from each row to the all-ones vector, 1 for an all-zero row."""
+    norms = np.sqrt((Z * Z).sum(axis=1))
+    ref = np.sqrt(Z.shape[1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = Z.sum(axis=1) / (norms * ref)
+    cos = np.where(norms == 0, 0.0, cos)
+    return 1.0 - cos
+
+
+def test_kernel_over_live_columns_is_bit_identical_to_the_full_z():
+    gen = np.random.default_rng(12)
+    for case in range(300):
+        n, L, n_dead = (int(v) for v in gen.integers([1, 0, 0], [60, 40, 40]))
+        Z = (gen.random((n, L)) < gen.uniform()).astype(float)
+        full = np.hstack([Z, np.ones((n, n_dead))])[:, gen.permutation(L + n_dead)]
+        got = explain._cosine_distance_to_ones(Z, n_dead)
+        want = cosine_distance_oracle(full)
+        assert np.array_equal(got, want), case
+        sigma = 0.75 * math.sqrt(max(L + n_dead, 1))
+        assert np.array_equal(kernel_weight(got, sigma), kernel_weight(want, sigma)), case
+    # on perturb's own draws, against Z over every column by its definition
+    for case, X, inst, categorical in perturb_cases(24):
+        samples, Z, live = perturb(inst, X, 300, seed=case, categorical=categorical)
+        full = z_of(samples, inst, X, categorical)
+        assert np.all(np.delete(full, live, axis=1) == 1.0)
+        assert np.array_equal(explain._cosine_distance_to_ones(Z, X.shape[1] - len(live)),
+                              cosine_distance_oracle(full)), case
+
+
+def test_selection_over_live_columns_equals_the_oracle_on_the_full_z():
+    # a dead column is all ones, a copy of the intercept, so while K does not
+    # exceed the informative live columns no greedy step picks one, and the
+    # selection over the live columns alone is the oracle's on the full Z
+    for case in range(200):
+        gen = np.random.default_rng([41, case])
+        n, L, n_dead = (int(v) for v in gen.integers([30, 1, 1], [120, 20, 30]))
+        informative = int(gen.integers(1, L + 1))
+        K = int(gen.integers(1, informative + 1))
+        Z = (gen.random((n, L)) < gen.uniform(0.2, 0.9)).astype(float)
+        Z[:2] = [[0.0], [1.0]]  # no live column is constant
+        beta = np.zeros(L)
+        beta[gen.choice(L, informative, replace=False)] = (
+            gen.choice([-1.0, 1.0], informative) * gen.uniform(0.2, 1.0, informative))
+        y = Z @ beta + 0.01 * gen.normal(size=n)
+        w = np.exp(-gen.uniform(0, 2, n) ** 2)
+        order = gen.permutation(L + n_dead)
+        full = np.hstack([Z, np.ones((n, n_dead))])[:, order]
+        live = np.flatnonzero(order < L)
+        want = sorted(forward_select_oracle(full, y, w, K, explain.LIME_RIDGE))
+        got = explain._forward_select(full[:, live], y, w, K, explain.LIME_RIDGE)
+        assert list(live[got]) == want, case
+
+
+def test_lime_selects_only_live_columns_when_k_exceeds_them():
+    gen = np.random.default_rng(5)
+    bg = gen.integers(0, 3, size=(80, 8)).astype(float)
+    bg[:, [1, 4]] = 2.0  # constant categorical columns the instance holds
+    bg[:, 6] = 0.25      # a constant numeric column
+    bg[:, 7] = gen.normal(size=80)
+    categorical = [True] * 6 + [False, False]
+
+    def predictor(A):
+        return two_class(0.5 + A @ np.asarray([0.05, 0.1, -0.04, 0.03, 0.1, 0.02, 0.1, 0.01]) / 4)
+
+    names = [f"f{j}" for j in range(8)]
+    for K in (5, 8):
+        exp = lime_explain(predictor, bg[3], bg, 1, K=K, n_samples=600, seed=1,
+                           categorical=categorical, feature_names=names)
+        assert list(exp.weights) == ["f0", "f2", "f3", "f5", "f7"]
+
+
+def test_lime_instance_with_every_column_dead_is_degenerate_after_one_call():
+    bg = np.tile([1.0, 4.0, 0.5], (25, 1))
+    calls = []
+
+    def predictor(A):
+        calls.append(A.copy())
+        return two_class(0.2 + 0.1 * A[:, 0] + 0.05 * A[:, 2])
+
+    for inst in (bg[0], np.asarray([1.0, 4.0, 9.0])):  # a constant numeric column is dead
+        calls.clear()
+        exp = lime_explain(predictor, inst, bg, None, K=2, n_samples=50, seed=0,
+                           categorical=[True, True, False])
+        assert exp.degenerate and exp.weights == {}
+        assert len(calls) == 1 and np.array_equal(calls[0], np.tile(inst, (50, 1)))
+
+
+def test_lime_peak_memory_on_a_wide_background():
+    # the shape of a flat encoding of a 64-step window: 300 rows, 322
+    # categorical columns of which 51 are constant, 66 numeric columns of
+    # which 64 are constant; 500 samples. The sampler that drew every
+    # column, as whole matrices, peaked at 5.0 MB here, and at 4.75 MB on
+    # the flat encoding of a synthetic log of that shape
+    import tracemalloc
+    gen = np.random.default_rng(9)
+    numeric = np.zeros(388, dtype=bool)
+    numeric[5:384:6] = True
+    numeric[-2:] = True
+    X = gen.integers(0, 60, size=(300, 388)).astype(float)
+    X[:, numeric] = gen.normal(size=(300, int(numeric.sum())))
+    constant = np.r_[np.flatnonzero(~numeric)[::6][:51], np.flatnonzero(numeric)[:64]]
+    X[:, constant] = X[0, constant]
+    beta = gen.normal(scale=0.001, size=388)
+
+    def predictor(A):
+        return two_class(0.5 + A @ beta)
+
+    kw = dict(K=5, n_samples=500, seed=3, categorical=list(~numeric))
+    lime_explain(predictor, X[7], X, 1, **kw)  # first-call allocations
+    tracemalloc.start()
+    try:
+        exp = lime_explain(predictor, X[7], X, 1, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(exp.weights) == 5
+    assert peak <= 4.75e6, peak
 
 
 def test_lime_age_rule_shows_age_with_positive_weight():
