@@ -77,6 +77,8 @@ class Run:
                 cfg[key] = action.default
             elif action.type is not None:
                 cfg[key] = action.type(cfg[key])
+        if cfg["seed"] < 0:
+            raise SystemExit(f"--seed must be >= 0, got {cfg['seed']}")
         self.cfg = cfg
         self.seed = cfg["seed"]
         self.written: list[str] = []
@@ -200,18 +202,14 @@ def _parse_seqnet_grid(spec: str, model: str):
 def _kfold_indices(Y, k, seed):
     """Each class's rows, shuffled, dealt round-robin from fold 0; so no fold
     is empty exactly when ``k`` is at most the largest class's row count."""
-    largest = int(np.unique(Y, return_counts=True)[1].max())
+    shuffles = encode.class_shuffles(Y, seed)
+    largest = max(len(idx) for idx in shuffles)
     if not 2 <= k <= largest:
         raise ValueError(f"--cv-k must be between 2 and {largest} (the largest class's "
                          f"training rows), got {k}")
-    rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
-    for label in np.unique(Y):
-        idx = np.flatnonzero(Y == label)
-        idx = idx[rng.permutation(len(idx))]
-        for i, j in enumerate(idx):
-            folds[i % k].append(int(j))
-    return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
+    rows = np.concatenate(shuffles)
+    fold = np.concatenate([np.arange(len(idx)) % k for idx in shuffles])
+    return [np.sort(rows[fold == f]) for f in range(k)]
 
 
 def _load_split(data_dir) -> encode.Split:
@@ -311,6 +309,8 @@ def _load_predictor(checkpoint):
 def cmd_explain(run) -> int:
     cfg = run.cfg
     _require(cfg, "data", "checkpoint", "method", "out")
+    if cfg["max_candidates"] < 1:
+        raise SystemExit(f"--max-candidates must be >= 1, got {cfg['max_candidates']}")
     out = cfg["out"]
     flat = encode.FlatDataset.load(os.path.join(cfg["data"], "flat.xlg"))
     n_classes = len(flat.label_names)

@@ -67,26 +67,29 @@ class Split:
     test_indices: np.ndarray
 
 
+def class_shuffles(Y, seed: int) -> list[np.ndarray]:
+    """Each class's row indices in a random order, classes in sorted label
+    order, every permutation drawn from one generator seeded with ``seed``."""
+    Y = np.asarray(Y)
+    rng = np.random.default_rng(seed)
+    classes = [np.flatnonzero(Y == label) for label in np.unique(Y)]
+    return [idx[rng.permutation(len(idx))] for idx in classes]
+
+
 def stratified_split(Y, test_fraction: float, seed: int) -> Split:
-    """Per-class shuffled split; deterministic for a fixed seed."""
+    """Per-class shuffled split: the first round(size * test_fraction) rows of
+    each class's shuffle, kept between 0 and size - 1, are the test rows."""
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must be in (0, 1)")
     Y = np.asarray(Y)
-    rng = np.random.default_rng(seed)
-    train, test = [], []
-    for label in np.unique(Y):
-        idx = np.flatnonzero(Y == label)
+    is_test = np.zeros(len(Y), dtype=bool)
+    for idx in class_shuffles(Y, seed):
         if len(idx) < 2:
-            raise ValueError(f"class {label!r} has a single member; cannot split")
-        idx = idx[rng.permutation(len(idx))]
+            raise ValueError(f"class {Y[idx[0]]!r} has a single member; cannot split")
         n_test = int(np.floor(len(idx) * test_fraction + 0.5))
-        n_test = min(max(n_test, 0), len(idx) - 1)
-        test.extend(idx[:n_test])
-        train.extend(idx[n_test:])
-    return Split(
-        train_indices=np.sort(np.asarray(train, dtype=np.int64)),
-        test_indices=np.sort(np.asarray(test, dtype=np.int64)),
-    )
+        is_test[idx[:min(n_test, len(idx) - 1)]] = True
+    return Split(train_indices=np.flatnonzero(~is_test),
+                 test_indices=np.flatnonzero(is_test))
 
 
 @dataclass

@@ -54,13 +54,17 @@ def _resolve(feature, feature_names):
     return j, (feature_names[j] if feature_names else f"x{j}")
 
 
-def _ice_matrix(predictor, X, j, grid, class_index):
-    rows = []
-    for g in grid:
-        Xg = X.copy()
-        Xg[:, j] = g
-        rows.append(predictor(Xg)[:, class_index])
-    return np.stack(rows, axis=1)  # (instances, grid)
+def _sweep(predictor, X, j, values, class_index):
+    """Class ``class_index`` probabilities (rows, m) of ``X`` with column
+    ``j`` set to each column of the (m,) or (rows, m) ``values`` in turn: one
+    predictor call per column, over one reused copy of ``X``."""
+    values = np.broadcast_to(values, (len(X), values.shape[-1]))
+    Xs = X.copy()
+    out = np.empty(values.shape)
+    for k in range(values.shape[1]):
+        Xs[:, j] = values[:, k]
+        out[:, k] = predictor(Xs)[:, class_index]
+    return out
 
 
 def ice(predictor, X, feature, grid=None, class_index: int = 0,
@@ -76,7 +80,7 @@ def ice(predictor, X, feature, grid=None, class_index: int = 0,
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be non-empty and strictly increasing")
     extrapolated = bool(grid.min() < X[:, j].min() or grid.max() > X[:, j].max())
-    values = _ice_matrix(predictor, X, j, grid, class_index)
+    values = _sweep(predictor, X, j, grid, class_index)
     return CurveSet(kind="ICE", feature=name, grid=grid, values=values,
                     target_class=class_index, extrapolated=extrapolated)
 
@@ -98,7 +102,9 @@ def ale(predictor, X, feature, n_intervals: int = 10, class_index: int = 0,
     Per interval, the mean prediction difference between its upper and lower
     boundary over the rows whose value falls inside; differences accumulate
     and the curve is centered to mean zero. Intervals left empty after
-    boundary deduplication merge into their left neighbor.
+    boundary deduplication merge into their left neighbor. Two predictor
+    calls put every row at its own interval's bounds, so a row's prediction
+    must not depend on the other rows of a call, as the forest's does not.
     """
     X = np.asarray(X, dtype=float)
     if n_intervals < 1:
@@ -111,16 +117,15 @@ def ale(predictor, X, feature, n_intervals: int = 10, class_index: int = 0,
     k_eff = len(bounds) - 1
     merged = (n_intervals - k_eff)
     which = np.clip(np.searchsorted(bounds, vals, side="left"), 1, k_eff)
+    lo_hi = _sweep(predictor, X, j, bounds[which[:, None] - [1, 0]], class_index)
+    diff = lo_hi[:, 1] - lo_hi[:, 0]
     effects = np.zeros(k_eff)
     for k in range(1, k_eff + 1):
-        rows = np.flatnonzero(which == k)
-        if rows.size == 0:
+        inside = diff[which == k]
+        if inside.size == 0:
             merged += 1
             continue
-        hi = X[rows].copy(); hi[:, j] = bounds[k]
-        lo = X[rows].copy(); lo[:, j] = bounds[k - 1]
-        diff = predictor(hi)[:, class_index] - predictor(lo)[:, class_index]
-        effects[k - 1] = float(diff.mean())
+        effects[k - 1] = float(inside.mean())
     values = np.concatenate([[0.0], np.cumsum(effects)])
     values = values - values.mean()
     return CurveSet(kind="ALE", feature=name, grid=bounds, values=values,
@@ -379,8 +384,8 @@ class Explanation:
                 "degenerate": self.degenerate}
 
     def to_svg(self, meta: str = "") -> str:
-        items = sorted(self.weights.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
-        return svgplot.barh_chart([k for k, _ in items], [v for _, v in items],
+        names = self.ranked_features()
+        return svgplot.barh_chart(names, [self.weights[k] for k in names],
                                   title=f"local weights for class {self.target_class}",
                                   meta=meta)
 

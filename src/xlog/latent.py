@@ -23,7 +23,6 @@ SILHOUETTE_BLOCK_ROWS = 256
 @dataclass
 class ActivationMatrix:
     values: np.ndarray          # (M, width of intercepted layer)
-    layer: int
     true_labels: np.ndarray     # (M,) int
     predicted_labels: np.ndarray
     label_names: list[str]
@@ -39,7 +38,7 @@ def capture_activations(model: seqnet.SeqNetModel, data: SequenceDataset,
         raise ValueError(f"layer id {layer} out of range (0 or 1)")
     summary = seqnet.hidden_summary(model, data.X, data.mask)
     _, act, _, probs = seqnet.head(model, summary)
-    return ActivationMatrix(values=summary if layer == 0 else act, layer=layer,
+    return ActivationMatrix(values=summary if layer == 0 else act,
                             true_labels=np.asarray(data.Y, dtype=np.int64),
                             predicted_labels=np.argmax(probs, axis=1),
                             label_names=list(data.label_names),
@@ -49,8 +48,6 @@ def capture_activations(model: seqnet.SeqNetModel, data: SequenceDataset,
 @dataclass
 class Autoencoder:
     params: dict[str, np.ndarray]
-    n1: int
-    seed: int
     input_mean: np.ndarray
     input_scale: float
     error_curve: list[float] = field(default_factory=list)
@@ -73,30 +70,27 @@ def _ae_forward(params, Z):
 
 def fit_autoencoder(acts: ActivationMatrix, n1: int, epochs: int = 400,
                     lr: float = 0.05, seed: int = 0) -> Autoencoder:
-    """Minimize mean squared reconstruction error by full-batch gradient
-    descent. Inputs are centered and globally scaled internally (stored on the
-    model); the error curve is reported in original units."""
+    """Minimize mean squared reconstruction error by full-batch
+    ``seqnet.descend`` steps. Inputs are centered and globally scaled
+    internally (stored on the model); the error curve is in original units."""
     if n1 < 2:
         raise ValueError("n1 must be >= 2")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
     X = np.asarray(acts.values, dtype=float)
     mean = X.mean(axis=0)
     scale = float(np.sqrt(np.mean((X - mean) ** 2))) or 1.0
     Z = (X - mean) / scale
     D = X.shape[1]
     rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        r = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-r, r, size=shape)
-
+    uniform = seqnet.init_uniform
     params = {
-        "enc1_W": uniform((D, n1), D), "enc1_b": np.zeros(n1),
-        "enc2_W": uniform((n1, 2), n1), "enc2_b": np.zeros(2),
-        "dec1_W": uniform((2, n1), 2), "dec1_b": np.zeros(n1),
-        "dec2_W": uniform((n1, D), n1), "dec2_b": np.zeros(D),
+        "enc1_W": uniform(rng, (D, n1), D), "enc1_b": np.zeros(n1),
+        "enc2_W": uniform(rng, (n1, 2), n1), "enc2_b": np.zeros(2),
+        "dec1_W": uniform(rng, (2, n1), 2), "dec1_b": np.zeros(n1),
+        "dec2_W": uniform(rng, (n1, D), n1), "dec2_b": np.zeros(D),
     }
-    ae = Autoencoder(params=params, n1=n1, seed=seed, input_mean=mean,
-                     input_scale=scale)
+    ae = Autoencoder(params=params, input_mean=mean, input_scale=scale)
     M = len(Z)
     snapshot = {k: v.copy() for k, v in params.items()}
     for _ in range(epochs):
@@ -122,9 +116,7 @@ def fit_autoencoder(acts: ActivationMatrix, n1: int, epochs: int = 400,
         dh1 = (dcode @ params["enc2_W"].T) * (1.0 - h1 * h1)
         g["enc1_W"] = Z.T @ dh1
         g["enc1_b"] = dh1.sum(axis=0)
-        seqnet.clip_global(g, seqnet.CLIP_NORM)
-        for k in params:
-            params[k] -= lr * g[k]
+        seqnet.descend(params, g, lr)
     _, _, _, recon = _ae_forward(ae.params, Z)
     ae.final_mse = float(np.mean((recon - Z) ** 2)) * scale * scale
     return ae
@@ -138,7 +130,6 @@ class LatentProjection:
     label_names: list[str]
     case_ids: list[str] = field(default_factory=list)
     clusters: np.ndarray | None = None
-    purity: float = float("nan")
 
     def table(self) -> tuple[list[str], list]:
         """CSV header and one row per case."""
@@ -227,15 +218,6 @@ def silhouette_score(X, labels) -> float:
     return float(scores.mean())
 
 
-def _purity(clusters, true_labels, k) -> float:
-    correct = 0
-    for c in range(k):
-        members = true_labels[clusters == c]
-        if len(members):
-            correct += int(np.bincount(members).max())
-    return correct / len(true_labels)
-
-
 @dataclass
 class ClusterReport:
     k: int
@@ -255,27 +237,24 @@ def analyze_misclassifications(proj: LatentProjection, k: int,
                                seed: int = 0) -> ClusterReport:
     """Cluster the 2-D coordinates (k-means, 20 seeded restarts, best inertia)
     and list, per cluster, the instances whose predicted label differs from
-    the cluster's majority true label."""
+    the cluster's majority true label (its first most frequent, "" for an
+    empty cluster). Purity is the share of instances whose true label is
+    their cluster's majority. All of it is read from one table of counts per
+    (cluster, true label)."""
     labels, _, _ = kmeans(proj.coordinates, k, seed=seed)
     proj.clusters = labels
-    proj.purity = _purity(labels, proj.true_labels, k)
-    majority, sizes, suspects = [], [], {}
-    for c in range(k):
-        members = np.flatnonzero(labels == c)
-        sizes.append(len(members))
-        if len(members) == 0:
-            majority.append("")
-            suspects[c] = []
-            continue
-        maj = int(np.bincount(proj.true_labels[members]).argmax())
-        majority.append(proj.label_names[maj])
-        ids = []
-        for i in members:
-            if proj.predicted_labels[i] != maj:
-                ids.append(proj.case_ids[i] if proj.case_ids else str(i))
-        suspects[c] = ids
-    return ClusterReport(k=k, purity=proj.purity, majority_label=majority,
-                         cluster_sizes=sizes, misclassified=suspects)
+    n_labels = int(proj.true_labels.max()) + 1
+    counts = np.bincount(labels * n_labels + proj.true_labels,
+                         minlength=k * n_labels).reshape(k, n_labels)
+    sizes = counts.sum(axis=1)
+    majority = counts.argmax(axis=1)
+    off = np.flatnonzero(proj.predicted_labels != majority[labels])
+    ids = proj.case_ids or [str(i) for i in range(len(labels))]
+    return ClusterReport(
+        k=k, purity=int(counts.max(axis=1).sum()) / len(labels),
+        majority_label=[proj.label_names[m] if n else "" for m, n in zip(majority, sizes)],
+        cluster_sizes=sizes.tolist(),
+        misclassified={c: [ids[i] for i in off[labels[off] == c]] for c in range(k)})
 
 
 @dataclass

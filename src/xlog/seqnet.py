@@ -122,9 +122,15 @@ def _directions(arch: str):
                        ("lstm_W_bwd", "lstm_b_bwd", True)]}.get(arch, [])
 
 
+def init_uniform(rng, shape, fan_in):
+    """Draws from uniform(-r, r) with r = 1/sqrt(fan_in)."""
+    r = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-r, r, size=shape)
+
+
 def build_model(arch: str, nodes: int, feature_names, cat_sizes, label_names,
                 seed: int, embed_dim: int = EMBED_DIM) -> SeqNetModel:
-    """Seeded uniform(-r, r) init with r = 1/sqrt(fan-in); biases zero."""
+    """Seeded ``init_uniform`` weights; biases zero."""
     if arch not in ARCHS:
         raise ValueError(f"unknown architecture {arch!r}")
     model = SeqNetModel(arch=arch, nodes=nodes, feature_names=list(feature_names),
@@ -132,13 +138,8 @@ def build_model(arch: str, nodes: int, feature_names, cat_sizes, label_names,
                         seed=seed, embed_dim=embed_dim)
     rng = np.random.default_rng(seed)
     p = model.params
-
-    def uniform(shape, fan_in):
-        r = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-r, r, size=shape)
-
     for k, col in enumerate(model.cat_columns):
-        p[f"emb_{k}"] = uniform((model.cat_sizes[col] + 1, embed_dim), embed_dim)
+        p[f"emb_{k}"] = init_uniform(rng, (model.cat_sizes[col] + 1, embed_dim), embed_dim)
     D, H = model.input_dim, nodes
 
     def lstm_bias():
@@ -147,12 +148,12 @@ def build_model(arch: str, nodes: int, feature_names, cat_sizes, label_names,
         return b
 
     for w, b, _ in _directions(arch):
-        p[w] = uniform((D + H, 4 * H), D + H)
+        p[w] = init_uniform(rng, (D + H, 4 * H), D + H)
         p[b] = lstm_bias()
     R = model.summary_width()
-    p["dense_W"] = uniform((R, nodes), R)
+    p["dense_W"] = init_uniform(rng, (R, nodes), R)
     p["dense_b"] = np.full(nodes, 0.01)  # start ReLU units alive
-    p["out_W"] = uniform((nodes, model.n_classes), nodes)
+    p["out_W"] = init_uniform(rng, (nodes, model.n_classes), nodes)
     p["out_b"] = np.zeros(model.n_classes)
     return model
 
@@ -467,15 +468,15 @@ def loss_and_grads(model: SeqNetModel, X, mask, Y):
     return loss, grads
 
 
-def clip_global(grads, max_norm):
-    """Scale every gradient in place so their joint L2 norm is at most
-    ``max_norm``; the norm sums the arrays in the dict's order."""
+def descend(params, grads, lr):
+    """One gradient-descent step in place: scale every gradient so their joint
+    L2 norm, summed in the dict's order, is at most ``CLIP_NORM``, then
+    ``p -= lr * g`` for every parameter."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-    return grads
+    for k, g in grads.items():
+        if total > CLIP_NORM:
+            g *= CLIP_NORM / total
+        params[k] -= lr * g
 
 
 def train(model: SeqNetModel, X, mask, Y, epochs: int, lr: float, seed: int,
@@ -500,9 +501,7 @@ def train(model: SeqNetModel, X, mask, Y, epochs: int, lr: float, seed: int,
         for start in range(0, n, BATCH_SIZE):
             idx = order[start:start + BATCH_SIZE]
             _, grads = loss_and_grads(model, X[idx], mask[idx], Y[idx])
-            clip_global(grads, CLIP_NORM)
-            for k, g in grads.items():
-                model.params[k] -= lr * g
+            descend(model.params, grads, lr)
         report = evaluate(model, X, mask, Y)
         if not np.isfinite(report.loss):
             model.params = snapshot

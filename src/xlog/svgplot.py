@@ -42,6 +42,13 @@ def _header(width, height, title, meta):
     return lines
 
 
+def _span(values):
+    """(low, high) of ``values`` for an axis: (0, 1) when there are none, and
+    high = low + 1 when all are equal."""
+    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+    return lo, (lo + 1.0 if hi == lo else hi)
+
+
 def barh_chart(labels, values, title="", meta="", width=640) -> str:
     """Horizontal bar chart; negative values extend left of a zero axis."""
     n = len(labels)
@@ -85,12 +92,8 @@ def line_chart(x, series: dict[str, list], title="", meta="", width=640, height=
     top, bottom, left, right = 30, 40, 60, 20
     xs = list(x)
     all_y = [v for ys in series.values() for v in ys if math.isfinite(v)]
-    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
-    y_lo, y_hi = (min(all_y), max(all_y)) if all_y else (0.0, 1.0)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _span(xs)
+    y_lo, y_hi = _span(all_y)
     pw, ph = width - left - right, height - top - bottom
 
     def px(v):
@@ -127,12 +130,8 @@ def scatter_chart(x, y, color_labels, marker_labels=None, title="", meta="",
     ``marker_labels`` (circle when it matches the color label, cross otherwise)."""
     top, bottom, left, right = 30, 40, 50, 130
     xs, ys = list(x), list(y)
-    x_lo, x_hi = (min(xs), max(xs)) if xs else (0, 1)
-    y_lo, y_hi = (min(ys), max(ys)) if ys else (0, 1)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _span(xs)
+    y_lo, y_hi = _span(ys)
     pw, ph = width - left - right, height - top - bottom
     classes = sorted(set(color_labels), key=str)
     color_of = {c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(classes)}

@@ -292,7 +292,7 @@ def test_c09_latent_blob_purity_and_planted_outlier():
         y = np.repeat(np.arange(3), 50)
         X[0] = centers[2]  # class-0 instance planted inside blob 2
         acts = latent.ActivationMatrix(
-            values=X, layer=0, true_labels=y, predicted_labels=y.copy(),
+            values=X, true_labels=y, predicted_labels=y.copy(),
             label_names=["c0", "c1", "c2"],
             case_ids=[f"p{i:03d}" for i in range(len(y))])
         ae = latent.fit_autoencoder(acts, n1=8, epochs=400, lr=0.05, seed=seed)

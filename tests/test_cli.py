@@ -297,8 +297,10 @@ def test_explain_names_files_from_the_encoded_case_id(pipeline):
     (["--instance", "0", "--target", 9], r"--target 9 is not a class index in \[0, 2\)"),
     (["--instance", "0", "--target", -1], r"--target -1 is not a class index"),
     (["--instance", ","], r"--instance ',' names no case id or row index"),
+    (["--method", "pick", "--target", 1, "--max-candidates", -1],
+     r"--max-candidates must be >= 1, got -1"),
 ], ids=["case-id", "negative-row", "row-past-end", "target", "negative-target",
-        "empty-list"])
+        "empty-list", "max-candidates"])
 def test_explain_rejects_bad_instance_or_target(trained, flags, message):
     out = trained / "bad_lime"
     with pytest.raises(SystemExit, match=message):
@@ -463,6 +465,15 @@ def test_project_rejects_k_zero(trained, capsys):
     assert files_under(out) == []
 
 
+def test_project_rejects_epochs_below_one(trained, capsys):
+    out = trained / "epochs"
+    assert run("project", "--data", trained / "data",
+               "--checkpoint", trained / "lstm" / "seqnet.xlg",
+               "--epochs", -3, "--bottleneck-grid", 4, "--out", out) == 1
+    assert "epochs must be >= 1" in capsys.readouterr().err
+    assert files_under(out) == []
+
+
 def test_project_rejects_non_planar_bottleneck(trained):
     # --bottleneck is gone, and an option prefix is not taken for the full name
     base = ["--data", trained / "data", "--out", trained / "nope"]
@@ -590,6 +601,48 @@ def test_explicit_zero_reaches_library_range_check(trained, command, flag):
                 "--checkpoint", trained / "forest" / "forest.json", "--n-samples", 50]
     assert run(*argv, *flag, "--seed", 1, "--out", out) == 1
     assert files_under(out) == []
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest", "train", "explain", "project",
+                                     "bench"])
+def test_negative_seed_is_rejected_naming_the_option(pipeline, command):
+    data, out = pipeline / "data", pipeline / "neg"
+    argv = {"synth": ["--spec", pipeline / "spec.json"],
+            "ingest": ["--csv", pipeline / "synth" / "events.csv",
+                       "--schema", pipeline / "synth" / "schema.json", "--min-class", 4],
+            "train": ["--data", data, "--model", "forest", "--grid", "5x4", "--cv-k", 2],
+            "explain": ["--data", data, "--checkpoint", out / "forest.json",
+                        "--method", "surrogate"],
+            "project": ["--data", data, "--checkpoint", out / "seqnet.xlg"],
+            "bench": []}[command]
+    with pytest.raises(SystemExit, match="--seed must be >= 0, got -1"):
+        run(command, *argv, "--seed", -1, "--out", out)
+    assert files_under(out) == []
+
+
+def kfold_oracle(Y, k, seed):
+    """The folds by dealing each class's shuffled rows into lists one by one."""
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    for label in np.unique(Y):
+        idx = np.flatnonzero(Y == label)
+        idx = idx[rng.permutation(len(idx))]
+        for i, j in enumerate(idx):
+            folds[i % k].append(int(j))
+    return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
+
+
+def test_kfold_indices_equal_the_round_robin_oracle():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        Y = rng.integers(0, int(rng.integers(1, 5)), size=int(rng.integers(4, 60)))
+        largest = int(np.bincount(Y).max())
+        for k in sorted({2, min(3, largest), largest}):
+            folds = cli._kfold_indices(Y, k, seed)
+            want = kfold_oracle(Y, k, seed)
+            assert len(folds) == k
+            for got, expect in zip(folds, want):
+                assert got.dtype == np.int64 and np.array_equal(got, expect), (seed, k)
 
 
 def test_omitted_options_take_declared_defaults_after_hashing(tmp_path):

@@ -218,6 +218,34 @@ def test_split_partition_properties(rng):
     assert np.intersect1d(sp.train_indices, sp.test_indices).size == 0
 
 
+def stratified_split_oracle(Y, test_fraction, seed):
+    """The split by a loop over the classes that extends two index lists."""
+    rng = np.random.default_rng(seed)
+    train, test = [], []
+    for label in np.unique(Y):
+        idx = np.flatnonzero(Y == label)
+        idx = idx[rng.permutation(len(idx))]
+        n_test = int(np.floor(len(idx) * test_fraction + 0.5))
+        n_test = min(max(n_test, 0), len(idx) - 1)
+        test.extend(idx[:n_test])
+        train.extend(idx[n_test:])
+    return (np.sort(np.asarray(train, dtype=np.int64)),
+            np.sort(np.asarray(test, dtype=np.int64)))
+
+
+def test_split_equals_the_per_class_loop_oracle():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(2, 30, size=int(rng.integers(1, 6)))
+        Y = rng.permutation(np.repeat([f"L{i}" for i in range(len(sizes))], sizes))
+        fraction = float(rng.choice([0.05, 0.2, 0.25, 0.5, 0.9]))
+        sp = stratified_split(Y, fraction, seed)
+        train, test = stratified_split_oracle(Y, fraction, seed)
+        assert sp.train_indices.dtype == sp.test_indices.dtype == np.int64
+        assert np.array_equal(sp.train_indices, train), seed
+        assert np.array_equal(sp.test_indices, test), seed
+
+
 def test_split_rejects_singleton_class():
     Y = np.asarray(["a", "a", "b"])
     with pytest.raises(ValueError, match="b"):

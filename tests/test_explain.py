@@ -132,6 +132,91 @@ def test_ale_merges_duplicate_quantile_boundaries():
     assert len(curve.values) == len(curve.grid)
 
 
+def ice_matrix_oracle(predictor, X, j, grid, class_index):
+    """ICE by one copy of the background per grid point."""
+    rows = []
+    for g in grid:
+        Xg = X.copy()
+        Xg[:, j] = g
+        rows.append(predictor(Xg)[:, class_index])
+    return np.stack(rows, axis=1)
+
+
+def ale_oracle(predictor, X, j, n_intervals, class_index):
+    """ALE by two predictor calls per non-empty interval, each over a copy of
+    that interval's rows only; returns (grid, values, merged intervals)."""
+    vals = X[:, j]
+    bounds = np.unique(np.quantile(vals, np.linspace(0, 1, n_intervals + 1)))
+    k_eff = len(bounds) - 1
+    merged = n_intervals - k_eff
+    which = np.clip(np.searchsorted(bounds, vals, side="left"), 1, k_eff)
+    effects = np.zeros(k_eff)
+    for k in range(1, k_eff + 1):
+        rows = np.flatnonzero(which == k)
+        if rows.size == 0:
+            merged += 1
+            continue
+        hi = X[rows].copy(); hi[:, j] = bounds[k]
+        lo = X[rows].copy(); lo[:, j] = bounds[k - 1]
+        diff = predictor(hi)[:, class_index] - predictor(lo)[:, class_index]
+        effects[k - 1] = float(diff.mean())
+    values = np.concatenate([[0.0], np.cumsum(effects)])
+    return bounds, values - values.mean(), merged
+
+
+def curve_case(seed):
+    """A seeded background and a forest fit on it. Column 0 is continuous,
+    column 1 takes 4 integer values (duplicate quantile bounds), and column 2
+    has two tight clumps far apart (intervals with no rows)."""
+    rng = np.random.default_rng(seed)
+    n = 40 + 10 * seed
+    X = np.column_stack([rng.random(n), rng.integers(0, 4, n),
+                         np.where(np.arange(n) < n // 2, 0.0, 10.0) + 1e-3 * rng.random(n)])
+    Y = (X[:, 0] + 0.3 * X[:, 1] + 0.1 * X[:, 2] + 0.2 * rng.random(n) > 1.2).astype(int)
+    model = forest.fit_forest(X, Y, n_estimators=6, max_features=2, seed=seed)
+    return X, lambda Z: forest.predict_proba(model, Z)
+
+
+def test_curves_equal_the_per_grid_point_and_per_interval_oracles():
+    merges = set()
+    for seed in range(4):
+        X, predictor = curve_case(seed)
+        before = X.copy()
+        for j in range(X.shape[1]):
+            grid = np.unique(np.quantile(X[:, j], np.linspace(0, 1, 7)))
+            want = ice_matrix_oracle(predictor, X, j, grid, 1)
+            assert np.array_equal(ice(predictor, X, j, grid, 1).values, want)
+            assert np.array_equal(pdp(predictor, X, j, grid, 1).values, want.mean(axis=0))
+            for n_intervals in (3, 7, 12):
+                curve = ale(predictor, X, j, n_intervals=n_intervals, class_index=1)
+                bounds, values, merged = ale_oracle(predictor, X, j, n_intervals, 1)
+                assert np.array_equal(curve.grid, bounds)
+                assert np.array_equal(curve.values, values), (seed, j, n_intervals)
+                assert curve.merged_intervals == merged
+                if merged > n_intervals - (len(bounds) - 1):
+                    merges.add("empty interval")
+                elif merged:
+                    merges.add("duplicate bound")
+        assert np.array_equal(X, before)  # the sweeps work on a copy
+    assert merges == {"empty interval", "duplicate bound"}
+
+
+def test_ice_calls_the_predictor_once_per_grid_point_and_ale_twice():
+    X, predictor = curve_case(0)
+    calls = []
+
+    def counted(Z):
+        calls.append(len(Z))
+        return predictor(Z)
+
+    grid = np.linspace(0.0, 1.0, 5)
+    ice(counted, X, 0, grid, 1)
+    assert calls == [len(X)] * len(grid)
+    calls.clear()
+    curve = ale(counted, X, 0, n_intervals=8, class_index=1)
+    assert len(curve.grid) == 9 and calls == [len(X)] * 2
+
+
 # ------------------------------------------------------------- surrogate
 
 def test_surrogate_tree_recovers_representable_black_box(rng):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ def make_blobs(rng, n_per=40, dim=20, k=3, spread=4.0):
 
 def blob_acts(rng, predicted=None, **kw):
     X, y = make_blobs(rng, **kw)
-    return ActivationMatrix(values=X, layer=0, true_labels=y,
+    return ActivationMatrix(values=X, true_labels=y,
                             predicted_labels=y.copy() if predicted is None else predicted,
                             label_names=[f"c{i}" for i in range(int(y.max()) + 1)],
                             case_ids=[f"p{i:03d}" for i in range(len(y))])
@@ -80,7 +81,7 @@ def test_capture_identical_rows_identical_activations():
 def test_autoencoder_fits_planar_data_below_1e3(rng):
     Z = rng.uniform(-0.5, 0.5, size=(120, 2))
     A = rng.normal(size=(2, 12)) * 0.5
-    acts = ActivationMatrix(values=Z @ A, layer=0,
+    acts = ActivationMatrix(values=Z @ A,
                             true_labels=np.zeros(120, dtype=int),
                             predicted_labels=np.zeros(120, dtype=int),
                             label_names=["only"])
@@ -111,6 +112,12 @@ def test_autoencoder_error_nonincreasing_within_transient(rng):
 def test_autoencoder_requires_n1_at_least_two(rng):
     with pytest.raises(ValueError):
         fit_autoencoder(blob_acts(rng, n_per=5), n1=1)
+
+
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_autoencoder_requires_at_least_one_epoch(rng, epochs):
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        fit_autoencoder(blob_acts(rng, n_per=5), n1=4, epochs=epochs)
 
 
 # ----------------------------------------------------------------- project
@@ -252,7 +259,7 @@ def test_analyze_planted_outlier_is_listed(rng):
     # move one class-0 instance into the middle of blob 2
     X[0] = X[y == 2].mean(axis=0)
     predicted = y.copy()
-    acts = ActivationMatrix(values=X, layer=0, true_labels=y,
+    acts = ActivationMatrix(values=X, true_labels=y,
                             predicted_labels=predicted,
                             label_names=["c0", "c1", "c2"],
                             case_ids=[f"p{i:03d}" for i in range(len(y))])
@@ -267,6 +274,52 @@ def test_analyze_k1_purity_is_majority_fraction(rng):
     proj = project(fit_autoencoder(acts, n1=4, epochs=30, lr=0.05, seed=0), acts)
     report = analyze_misclassifications(proj, k=1, seed=0)
     assert report.purity == pytest.approx(18 / 30)
+
+
+def cluster_report_oracle(proj, labels, k) -> dict:
+    """The cluster report of ``labels`` by a purity loop over the clusters and
+    a majority and suspect loop over each cluster's members."""
+    correct = 0
+    for c in range(k):
+        members = proj.true_labels[labels == c]
+        if len(members):
+            correct += int(np.bincount(members).max())
+    majority, sizes, suspects = [], [], {}
+    for c in range(k):
+        members = np.flatnonzero(labels == c)
+        sizes.append(len(members))
+        if len(members) == 0:
+            majority.append("")
+            suspects[str(c)] = []
+            continue
+        maj = int(np.bincount(proj.true_labels[members]).argmax())
+        majority.append(proj.label_names[maj])
+        suspects[str(c)] = [proj.case_ids[i] if proj.case_ids else str(i)
+                            for i in members if proj.predicted_labels[i] != maj]
+    return {"k": k, "purity": correct / len(proj.true_labels), "majority_label": majority,
+            "cluster_sizes": sizes, "misclassified": suspects}
+
+
+def test_cluster_report_equals_the_per_member_oracle(monkeypatch):
+    real = latent.kmeans
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(8, 60)), int(rng.integers(1, 6))
+        names = [f"c{i}" for i in range(4)]
+        used = rng.choice(4, size=int(rng.integers(1, 4)), replace=False)  # gaps, ties
+        proj = latent.LatentProjection(
+            coordinates=rng.normal(size=(n, 2)), true_labels=rng.choice(used, size=n),
+            predicted_labels=rng.integers(0, 4, size=n), label_names=names,
+            case_ids=[f"p{i}" for i in range(n)] if seed % 2 else [])
+        if seed % 3 == 0 and k > 1:  # cluster 1 left empty
+            forced = rng.choice([c for c in range(k) if c != 1], size=n)
+            monkeypatch.setattr(latent, "kmeans", lambda X, k, seed: (forced, None, None))
+        report = analyze_misclassifications(proj, k=k, seed=seed)
+        monkeypatch.setattr(latent, "kmeans", real)
+        want = cluster_report_oracle(proj, proj.clusters, k)
+        assert json.dumps(report.to_dict()) == json.dumps(want), seed
+        if seed % 3 == 0 and k > 1:
+            assert report.cluster_sizes[1] == 0 and report.majority_label[1] == ""
 
 
 def test_analyze_rejects_bad_k(rng):
@@ -297,7 +350,7 @@ def test_grid_search_ae_reports_the_clusters_that_ranked_each_candidate(rng):
         labels, _, _ = kmeans(proj.coordinates, 3, seed=3 + i)
         assert np.array_equal(proj.clusters, labels)
         assert row.silhouette == silhouette_score(proj.coordinates, proj.clusters)
-        assert report.purity == proj.purity
+        assert report.purity == cluster_report_oracle(proj, labels, 3)["purity"]
         assert report.cluster_sizes == np.bincount(labels, minlength=3).tolist()
 
 
@@ -306,7 +359,7 @@ def test_grid_search_ae_similar_mse_ranked_by_silhouette(rng):
     A = rng.normal(size=(2, 10)) * 0.5
     y = np.repeat(np.arange(3), 30)
     vals = Z @ A + y[:, None] * 2.0
-    acts = ActivationMatrix(values=vals, layer=0, true_labels=y,
+    acts = ActivationMatrix(values=vals, true_labels=y,
                             predicted_labels=y.copy(), label_names=["a", "b", "c"])
     rows, _, _ = grid_search_ae(acts, [4, 8, 16], epochs=250, lr=0.05, seed=1)
     assert rows[0].silhouette == max(r.silhouette for r in rows)
