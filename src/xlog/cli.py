@@ -309,8 +309,9 @@ def _load_predictor(checkpoint):
 def cmd_explain(run) -> int:
     cfg = run.cfg
     _require(cfg, "data", "checkpoint", "method", "out")
-    if cfg["max_candidates"] < 1:
-        raise SystemExit(f"--max-candidates must be >= 1, got {cfg['max_candidates']}")
+    for flag, value in (("--max-candidates", cfg["max_candidates"]), ("--budget", cfg["budget"])):
+        if value < 1:
+            raise SystemExit(f"{flag} must be >= 1, got {value}")
     out = cfg["out"]
     flat = encode.FlatDataset.load(os.path.join(cfg["data"], "flat.xlg"))
     n_classes = len(flat.label_names)
@@ -389,13 +390,17 @@ def cmd_project(run) -> int:
     _require(cfg, "data", "checkpoint", "out")
     out = cfg["out"]
     candidates = _parse_bottleneck_grid(str(cfg["bottleneck_grid"]))
+    if cfg["k"] is not None and cfg["k"] < 1:
+        raise SystemExit(f"--k must be >= 1, got {cfg['k']}")
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
+    k = cfg["k"] if cfg["k"] is not None else len(seq.label_names)
+    if k > len(seq.Y):
+        raise SystemExit(f"--k {k} exceeds the {len(seq.Y)} cases in sequences.xlg")
     try:
         model = seqnet.load_checkpoint(cfg["checkpoint"])
     except ValueError as exc:
         raise SystemExit(f"project needs a seqnet checkpoint ({exc}); train --model lstm") from exc
     acts = latent.capture_activations(model, seq, layer=cfg["layer"])
-    k = cfg["k"] if cfg["k"] is not None else len(seq.label_names)
     rows, projections, reports = latent.grid_search_ae(
         acts, candidates, epochs=cfg["epochs"], lr=cfg["lr"], seed=run.seed, k=k)
     run.write_json(run.path(out, "ae_grid.json"),

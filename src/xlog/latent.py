@@ -18,6 +18,8 @@ from .encode import SequenceDataset
 
 #: rows whose distances to every point ``silhouette_score`` holds at once
 SILHOUETTE_BLOCK_ROWS = 256
+#: bytes of the (restarts, k, points) distance block one k-means group holds
+KMEANS_BLOCK_BYTES = 2**19
 
 
 @dataclass
@@ -157,35 +159,89 @@ def project(ae: Autoencoder, acts: ActivationMatrix) -> LatentProjection:
 
 def kmeans(X, k: int, seed: int, restarts: int = 20):
     """At most 100 Lloyd iterations from each of ``restarts`` seeded random
-    initializations; returns (labels, centers, inertia) of the best restart."""
+    initializations; returns (labels, centers, inertia) of the best restart,
+    the first with the least inertia.
+
+    Restart ``r`` starts from ``default_rng(seed + r)``. The restarts advance
+    in lockstep, in groups whose (restarts, k, points) distance block fits
+    ``KMEANS_BLOCK_BYTES``; a restart leaves its group at the first step that
+    keeps its labels. A step sums the squared per-dimension distances in
+    column order, labels each point with its first nearest center, and takes
+    each center as the in-order sum of its members over their count. That
+    is what ``members.mean(axis=0)`` computes for 2 or more dimensions, so
+    results match a per-restart loop bit for bit; for one dimension numpy's
+    mean sums pairwise, and a center may differ in its last bit. A restart
+    with an empty cluster in a step replays that step cluster by cluster:
+    the empty cluster takes the point farthest from its own center."""
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be a 2-D (points, dimensions) array, got {X.ndim}-D")
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > len(X):
         raise ValueError(f"k={k} exceeds {len(X)} points")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if not np.isfinite(X).all():
+        raise ValueError("X has a NaN or infinite coordinate")
+    n, dims = X.shape
+    group = max(1, min(restarts, KMEANS_BLOCK_BYTES // (k * n * 8)))
+    weights = np.tile(np.ascontiguousarray(X.T), group)  # (dims, group * n): columns per restart
+    XT = weights[:, :n]
+    d2_buf, term_buf = np.empty((group, k, n)), np.empty((group, k, n))
     best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        centers = X[rng.choice(len(X), size=k, replace=False)].copy()
-        labels = np.zeros(len(X), dtype=np.int64)
+    for first in range(0, restarts, group):
+        rs = range(first, min(first + group, restarts))
+        centers = np.stack([X[np.random.default_rng(seed + r).choice(n, size=k, replace=False)]
+                            for r in rs])  # (restarts, k, dims)
+        labels = np.zeros((len(rs), n), dtype=np.int64)
+        active = np.arange(len(rs))
         for _ in range(100):
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = np.argmin(d2, axis=1)
-            for c in range(k):
-                members = X[new_labels == c]
-                if len(members):
-                    centers[c] = members.mean(axis=0)
-                else:
-                    far = int(np.argmax(d2[np.arange(len(X)), new_labels]))
-                    centers[c] = X[far]
-                    new_labels[far] = c
-            if np.array_equal(new_labels, labels):
+            A = len(active)
+            C, d2, term = centers[active], d2_buf[:A], term_buf[:A]
+            np.square(np.subtract(XT[0], C[:, :, 0, None], out=d2), out=d2)
+            for j in range(1, dims):
+                d2 += np.square(np.subtract(XT[j], C[:, :, j, None], out=term), out=term)
+            new = np.zeros((A, n), dtype=np.int64)   # first nearest center, as argmin
+            nearest = d2[:, 0].copy()
+            for c in range(1, k):
+                closer = d2[:, c] < nearest
+                new += closer * (c - new)
+                np.minimum(nearest, d2[:, c], out=nearest)
+            keys = (np.arange(A)[:, None] * k + new).ravel()
+            counts = np.bincount(keys, minlength=A * k).reshape(A, k)
+            sums = np.stack([np.bincount(keys, weights[j, :A * n], A * k) for j in range(dims)],
+                            axis=1).reshape(A, k, dims)
+            with np.errstate(invalid="ignore"):
+                C = sums / counts[:, :, None]
+            for i in np.flatnonzero(counts.min(axis=1) == 0):
+                _refill_empty(X, d2[i], new[i], C[i])
+            centers[active] = C
+            moved = ~(new == labels[active]).all(axis=1)
+            labels[active[moved]] = new[moved]
+            active = active[moved]
+            if not len(active):
                 break
-            labels = new_labels
-        inertia = float(((X - centers[labels]) ** 2).sum())
-        if best is None or inertia < best[2]:
-            best = (labels.copy(), centers.copy(), inertia)
+        for i in range(len(rs)):
+            inertia = float(((X - centers[i][labels[i]]) ** 2).sum())
+            if best is None or inertia < best[2]:
+                best = (labels[i].copy(), centers[i].copy(), inertia)
     return best
+
+
+def _refill_empty(X, d2, labels, centers):
+    """One restart's step, cluster by cluster, when a cluster came out empty:
+    a member mean for each non-empty cluster, and for each empty one the
+    point farthest from its own center (``d2`` is (k, points)), which leaves
+    its cluster before the later clusters are averaged."""
+    for c in range(len(centers)):
+        members = X[labels == c]
+        if len(members):
+            centers[c] = members.mean(axis=0)
+        else:
+            far = int(np.argmax(d2[labels, np.arange(len(X))]))
+            centers[c] = X[far]
+            labels[far] = c
 
 
 def silhouette_score(X, labels) -> float:

@@ -299,9 +299,16 @@ def test_explain_names_files_from_the_encoded_case_id(pipeline):
     (["--instance", ","], r"--instance ',' names no case id or row index"),
     (["--method", "pick", "--target", 1, "--max-candidates", -1],
      r"--max-candidates must be >= 1, got -1"),
+    (["--method", "pick", "--target", 1, "--budget", 0], r"--budget must be >= 1, got 0"),
 ], ids=["case-id", "negative-row", "row-past-end", "target", "negative-target",
-        "empty-list", "max-candidates"])
-def test_explain_rejects_bad_instance_or_target(trained, flags, message):
+        "empty-list", "max-candidates", "budget"])
+def test_explain_rejects_bad_instance_or_target(trained, monkeypatch, flags, message):
+    from xlog import explain
+
+    def no_explanation(*args, **kwargs):
+        raise RuntimeError("explained an instance before rejecting the options")
+
+    monkeypatch.setattr(explain, "lime_explain", no_explanation)
     out = trained / "bad_lime"
     with pytest.raises(SystemExit, match=message):
         run("explain", "--data", trained / "data",
@@ -456,13 +463,34 @@ def test_project_grid_mode(trained, monkeypatch):
     assert len(calls) == 2  # one clustering per candidate, none repeated on the winner
 
 
-def test_project_rejects_k_zero(trained, capsys):
+def no_autoencoder(*args, **kwargs):
+    raise RuntimeError("fitted an autoencoder before rejecting --k")
+
+
+def test_project_rejects_k_zero(trained, monkeypatch):
+    from xlog import latent
+    monkeypatch.setattr(latent, "fit_autoencoder", no_autoencoder)
     out = trained / "k0"
+    with pytest.raises(SystemExit, match=r"--k must be >= 1, got 0"):
+        run("project", "--data", trained / "data",
+            "--checkpoint", trained / "lstm" / "seqnet.xlg",
+            "--k", 0, "--bottleneck-grid", 4, "--epochs", 5, "--out", out)
+    assert files_under(out) == []
+
+
+def test_project_rejects_k_above_the_case_count(trained, monkeypatch):
+    from xlog import latent
+    monkeypatch.setattr(latent, "fit_autoencoder", no_autoencoder)
+    out = trained / "k33"
+    with pytest.raises(SystemExit, match=r"--k 33 exceeds the 32 cases in sequences.xlg"):
+        run("project", "--data", trained / "data",
+            "--checkpoint", trained / "lstm" / "seqnet.xlg",
+            "--k", 33, "--bottleneck-grid", 4, "--epochs", 5, "--out", out)
+    assert files_under(out) == []
     assert run("project", "--data", trained / "data",
                "--checkpoint", trained / "lstm" / "seqnet.xlg",
-               "--k", 0, "--bottleneck-grid", 4, "--epochs", 5, "--out", out) == 1
-    assert "k must be >= 1" in capsys.readouterr().err
-    assert files_under(out) == []
+               "--k", 32, "--bottleneck-grid", 4, "--epochs", 5, "--out", out) == 1
+    assert files_under(out) == []  # k = 32 passes the check and stops at the autoencoder
 
 
 def test_project_rejects_epochs_below_one(trained, capsys):

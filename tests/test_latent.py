@@ -157,6 +157,124 @@ def test_project_separates_blobs_with_good_silhouette(rng):
 
 # ------------------------------------------------------------------ kmeans
 
+def oracle_kmeans(X, k, seed, restarts=20, trace=None):
+    """The per-restart k-means that the lockstep one replaced, kept as the
+    reference it must equal bit for bit. ``trace``, if given, receives one
+    (Lloyd steps, empty clusters refilled) pair per restart."""
+    X = np.asarray(X, dtype=float)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > len(X):
+        raise ValueError(f"k={k} exceeds {len(X)} points")
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng(seed + r)
+        centers = X[rng.choice(len(X), size=k, replace=False)].copy()
+        labels = np.zeros(len(X), dtype=np.int64)
+        steps = empties = 0
+        for _ in range(100):
+            steps += 1
+            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = np.argmin(d2, axis=1)
+            for c in range(k):
+                members = X[new_labels == c]
+                if len(members):
+                    centers[c] = members.mean(axis=0)
+                else:
+                    empties += 1
+                    far = int(np.argmax(d2[np.arange(len(X)), new_labels]))
+                    centers[c] = X[far]
+                    new_labels[far] = c
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        if trace is not None:
+            trace.append((steps, empties))
+        inertia = float(((X - centers[labels]) ** 2).sum())
+        if best is None or inertia < best[2]:
+            best = (labels.copy(), centers.copy(), inertia)
+    return best
+
+
+def assert_same_kmeans(got, want, case=None):
+    assert got[0].dtype == want[0].dtype, case
+    assert np.array_equal(got[0], want[0]), case
+    assert np.array_equal(got[1], want[1]), case
+    assert got[2] == want[2], case
+
+
+def test_kmeans_equals_per_restart_oracle_bit_for_bit():
+    # n is log-uniform over [3, 600]; every third input is rounded (ties) and
+    # every third is a few distinct points repeated (empty clusters)
+    gen = np.random.default_rng(2020)
+    refills, staggered = 0, 0
+    for case in range(120):
+        n = int(np.exp(gen.uniform(np.log(3), np.log(601))))
+        dims, restarts = 2 + (case // 6) % 2, 20 if case % 2 else 1
+        k = int(gen.integers(1, min(6, n) + 1))
+        X = gen.normal(size=(n, dims)) * gen.uniform(0.1, 10.0)
+        if case % 3 == 1:
+            X = np.round(X)
+        elif case % 3 == 2:
+            X = X[gen.integers(0, k + n // 10, size=n)]
+        trace = []
+        want = oracle_kmeans(X, k, seed=case, restarts=restarts, trace=trace)
+        assert_same_kmeans(kmeans(X, k, seed=case, restarts=restarts), want, case)
+        refills += sum(e for _, e in trace)
+        staggered += len({s for s, _ in trace}) > 1
+    assert refills > 0      # the empty-cluster replay ran
+    assert staggered > 10   # restarts left their group at different steps
+
+
+def test_kmeans_equals_oracle_when_fewer_distinct_points_than_clusters():
+    # some cluster is empty at every step, so no restart settles in 100 steps
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(3, 2))[rng.integers(0, 3, size=40)]
+    trace = []
+    want = oracle_kmeans(X, 5, seed=1, restarts=5, trace=trace)
+    assert_same_kmeans(kmeans(X, 5, seed=1, restarts=5), want)
+    assert all(steps == 100 and empties >= 100 for steps, empties in trace)
+
+
+def test_kmeans_equals_oracle_when_restarts_exceed_one_group(monkeypatch):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(200, 2)) + rng.integers(0, 4, size=200)[:, None] * 3.0
+    monkeypatch.setattr(latent, "KMEANS_BLOCK_BYTES", 7 * 4 * 200 * 8)  # groups of 7
+    assert_same_kmeans(kmeans(X, 4, seed=3), oracle_kmeans(X, 4, seed=3))
+
+
+def test_kmeans_one_column_matches_oracle_within_rounding():
+    # numpy's one-column mean sums pairwise, the lockstep sums in order
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(300, 1)) + rng.integers(0, 3, size=300)[:, None] * 50.0
+        got, want = kmeans(X, 3, seed=seed), oracle_kmeans(X, 3, seed=seed)
+        assert np.array_equal(got[0], want[0])
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
+        assert got[2] == pytest.approx(want[2], rel=1e-12)
+
+
+def test_kmeans_memory_is_bounded_by_the_group_budget():
+    # 20 restarts of an (8, 8192) block would hold 10 MiB, 20x the budget; the
+    # oracle's peak does not grow with its restarts, so one restart is its least
+    n, k = 8192, 8
+    assert 20 * k * n * 8 >= 10 * latent.KMEANS_BLOCK_BYTES
+    rng = np.random.default_rng(0)
+    angle = np.arange(k) * 2 * np.pi / k
+    X = rng.normal(size=(n, 2)) + 100 * np.c_[np.cos(angle), np.sin(angle)][
+        rng.integers(0, k, size=n)]
+    peaks = []
+    for run in (lambda: oracle_kmeans(X, k, seed=0, restarts=1),
+                lambda: kmeans(X, k, seed=0, restarts=20)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+
+
 def test_kmeans_best_of_restarts_beats_single_restart(rng):
     X, _ = make_blobs(rng, n_per=30, dim=2, k=3)
     _, _, best = kmeans(X, 3, seed=11, restarts=20)
@@ -174,6 +292,21 @@ def test_kmeans_rejects_k_above_m(rng):
 def test_kmeans_rejects_k_below_one(rng, k):
     with pytest.raises(ValueError, match="k must be >= 1"):
         kmeans(rng.random((5, 2)), k, seed=0)
+
+
+@pytest.mark.parametrize("X, kw, message", [
+    ([[0.0, 1.0], [1.0, 1.0], [2.0, 2.0]], {"restarts": 0}, r"restarts must be >= 1, got 0"),
+    ([[0.0, 1.0], [1.0, 1.0], [2.0, 2.0]], {"restarts": -2}, r"restarts must be >= 1, got -2"),
+    ([0.0, 1.0, 2.0], {}, r"X must be a 2-D \(points, dimensions\) array, got 1-D"),
+    ([[0.0, np.nan], [1.0, 1.0], [2.0, 2.0]], {}, r"X has a NaN or infinite coordinate"),
+], ids=["no-restart", "negative-restarts", "one-d", "nan"])
+def test_kmeans_rejects_what_it_cannot_cluster_before_any_draw(monkeypatch, X, kw, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a random start")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=message):
+        kmeans(np.asarray(X), 2, seed=0, **kw)
 
 
 def oracle_silhouette_score(X, labels) -> float:
