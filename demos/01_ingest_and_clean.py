@@ -2,6 +2,7 @@
 round-trip it through CSV, clean it, and look at feature correlations."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 
@@ -35,7 +36,7 @@ print(f"parsed {len(parsed.case_ids)} cases, {parsed.n_events()} events;",
 clean, report = eventlog.clean_log(parsed, min_class_count=4)
 print("imputed labels:", report.imputed_labels)
 print("kept classes:", sorted(report.kept_classes))
-print("class counts:", clean.class_counts)
+print("class counts:", dict(sorted(Counter(clean.diagnosis_code).items())))
 
 # Pearson correlations over event rows (categoricals rank-encoded)
 features = ["activity", "age", "years_in_treatment", "diagnosis_code"]

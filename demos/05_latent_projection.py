@@ -51,10 +51,10 @@ for c, ids in rep.misclassified.items():
     print(f"cluster {c} (majority {label}, {rep.cluster_sizes[c]} cases): "
           f"{len(ids)} suspects {ids[:5]}")
 
-names = proj.label_names
+names = acts.label_names
 svg = svgplot.scatter_chart(proj.coordinates[:, 0], proj.coordinates[:, 1],
-                            [names[i] for i in proj.true_labels],
-                            [names[i] for i in proj.predicted_labels],
+                            [names[i] for i in acts.true_labels],
+                            [names[i] for i in acts.predicted_labels],
                             title="latent projection (x = prediction differs)")
 with open("demo_projection.svg", "w", encoding="utf-8") as fh:
     fh.write(svg)

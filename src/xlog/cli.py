@@ -57,26 +57,42 @@ def parse_config_file(path) -> dict:
 PATH_KEYS = frozenset({"config", "out", "csv", "schema", "data", "checkpoint", "spec"})
 
 
+def _config_value(key, value, action):
+    """A config-file value parsed from its text and checked against the
+    option's choices, as argparse parses and checks the same flag; a
+    ``SystemExit`` naming the key otherwise."""
+    try:
+        parsed = (action.type or str)(str(value))
+    except ValueError:
+        raise SystemExit(f"config key {key!r}: invalid {action.type.__name__} value "
+                         f"{value!r}") from None
+    if action.choices is not None and parsed not in action.choices:
+        raise SystemExit(f"config key {key!r}: invalid choice {parsed!r} (choose from "
+                         f"{', '.join(map(repr, action.choices))})")
+    return parsed
+
+
 class Run:
-    """Tracks effective config, output files, and metadata stamping. The hash
-    covers the options as given; omitted ones then take their declared default.
-    Used as a context manager, it removes the files it wrote when its body
-    raises, and lets the exception through."""
+    """Tracks effective config, output files, and metadata stamping. A config
+    value is parsed as its flag is, and flags win. The hash covers the options
+    as given; omitted ones then take their declared default. Used as a context
+    manager, it removes the files it wrote when its body raises, and lets the
+    exception through."""
 
     def __init__(self, args):
         options = _options(args.command)
         cfg = parse_config_file(args.config) if args.config else {}
-        for key in options:
-            flag = getattr(args, key)
-            cfg[key] = flag if flag is not None else cfg.get(key)
+        for key, action in options.items():
+            value = getattr(args, key)
+            if value is None and cfg.get(key) is not None:
+                value = _config_value(key, cfg[key], action)
+            cfg[key] = value
         hashed = {k: cfg[k] for k in sorted(cfg) if k not in PATH_KEYS}
         blob = json.dumps(hashed, sort_keys=True, default=str)
         self.config_hash = hashlib.sha256(blob.encode()).hexdigest()[:16]
         for key, action in options.items():
             if cfg[key] is None:
                 cfg[key] = action.default
-            elif action.type is not None:
-                cfg[key] = action.type(cfg[key])
         if cfg["seed"] < 0:
             raise SystemExit(f"--seed must be >= 0, got {cfg['seed']}")
         self.cfg = cfg
@@ -131,6 +147,11 @@ def _require(cfg, *keys):
             raise SystemExit(f"missing required option --{key.replace('_', '-')}")
 
 
+def _require_lr(cfg):
+    if not 0 < cfg["lr"] < float("inf"):
+        raise SystemExit(f"--lr must be finite and > 0, got {cfg['lr']}")
+
+
 # ------------------------------------------------------------------ ingest
 
 def cmd_ingest(run) -> int:
@@ -140,6 +161,9 @@ def cmd_ingest(run) -> int:
         schema = {k: v for k, v in json.load(fh).items() if k != "meta"}
     log = eventlog.parse_log(cfg["csv"], schema)
     clean, report = eventlog.clean_log(log, min_class_count=cfg["min_class"])
+    if not report.kept_classes:
+        raise SystemExit(f"--min-class {cfg['min_class']} keeps no class; the largest has "
+                         f"{max(report.dropped_classes.values(), default=0)} cases")
     split = encode.stratified_split(np.asarray(clean.diagnosis_code), cfg["split"], run.seed)
     vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
                                + list(eventlog.STATIC_CATEGORICAL))
@@ -260,6 +284,7 @@ def _train_forest(run):
 def _train_seqnet(run):
     cfg = run.cfg
     space = _parse_seqnet_grid(cfg["grid"], cfg["model"])
+    _require_lr(cfg)
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
     rows, models = seqnet.grid_search(space, seq, _load_split(cfg["data"]),
                                       seed=run.seed, lr=cfg["lr"])
@@ -288,11 +313,7 @@ def _train_seqnet(run):
 
 def cmd_train(run) -> int:
     _require(run.cfg, "data", "model", "grid", "out")
-    if run.cfg["model"] == "forest":
-        return _train_forest(run)
-    if run.cfg["model"] in ("dense", "lstm", "bilstm", "seqnet"):
-        return _train_seqnet(run)
-    raise SystemExit(f"unknown model {run.cfg['model']!r}")
+    return (_train_forest if run.cfg["model"] == "forest" else _train_seqnet)(run)
 
 
 # ----------------------------------------------------------------- explain
@@ -333,12 +354,12 @@ def cmd_explain(run) -> int:
             predictor, flat.X[i], flat.X, cfg["target"], K=cfg["k_features"],
             n_samples=cfg["n_samples"], sigma=cfg["sigma"], seed=run.seed,
             categorical=flat.categorical, feature_names=flat.feature_names,
-            instance_id=flat.case_ids[i] if flat.case_ids else str(i),
+            instance_id=flat.case_ids[i],
             label_names=flat.label_names)
 
     if method == "lime":
         _require(cfg, "instance")
-        rows = [row_of(raw) for raw in filter(None, str(cfg["instance"]).split(","))]
+        rows = [row_of(raw) for raw in filter(None, cfg["instance"].split(","))]
         if not rows:
             raise SystemExit(f"--instance {cfg['instance']!r} names no case id or row index")
         for i in rows:
@@ -365,11 +386,9 @@ def cmd_explain(run) -> int:
         stem = f"{method}_{feat}"
         run.write_csv(run.path(out, stem + ".csv"), *curve.table())
         run.write_text(run.path(out, stem + ".svg"), curve.to_svg(meta=run.meta_line))
-    elif method == "surrogate":
+    else:  # surrogate
         _, report = explain.fit_global_surrogate(predictor, flat.X, cfg["surrogate_kind"])
         run.write_json(run.path(out, "surrogate_report.json"), dataclasses.asdict(report))
-    else:
-        raise SystemExit(f"unknown explain method {method!r}")
     return 0
 
 
@@ -389,9 +408,10 @@ def cmd_project(run) -> int:
     cfg = run.cfg
     _require(cfg, "data", "checkpoint", "out")
     out = cfg["out"]
-    candidates = _parse_bottleneck_grid(str(cfg["bottleneck_grid"]))
+    candidates = _parse_bottleneck_grid(cfg["bottleneck_grid"])
     if cfg["k"] is not None and cfg["k"] < 1:
         raise SystemExit(f"--k must be >= 1, got {cfg['k']}")
+    _require_lr(cfg)
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
     k = cfg["k"] if cfg["k"] is not None else len(seq.label_names)
     if k > len(seq.Y):
@@ -407,11 +427,11 @@ def cmd_project(run) -> int:
                    {"rows": [dataclasses.asdict(r) for r in rows]})
     proj, report = projections[0], reports[0]
     run.write_csv(run.path(out, "projection.csv"), *proj.table())
-    names = proj.label_names
+    names = acts.label_names
     run.write_text(run.path(out, "projection.svg"), svgplot.scatter_chart(
         proj.coordinates[:, 0], proj.coordinates[:, 1],
-        [names[i] for i in proj.true_labels],
-        [names[i] for i in proj.predicted_labels],
+        [names[i] for i in acts.true_labels],
+        [names[i] for i in acts.predicted_labels],
         title=f"latent projection ({model.arch}, width {acts.values.shape[1]})",
         meta=run.meta_line))
     run.write_json(run.path(out, "cluster_report.json"),

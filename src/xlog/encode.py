@@ -9,7 +9,7 @@ padding/unknown tokens in every categorical vocabulary.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,20 +101,12 @@ class SequenceDataset:
     label_names: list[str]
     feature_names: list[str]
     cat_sizes: list[int]     # vocabulary size per feature, 0 for numeric
-    case_ids: list[str] = field(default_factory=list)
-
-    @property
-    def F(self) -> int:
-        return self.X.shape[2]
+    case_ids: list[str]
 
     def take(self, indices) -> "SequenceDataset":
         idx = np.asarray(indices)
-        return SequenceDataset(
-            X=self.X[idx], mask=self.mask[idx], Y=self.Y[idx], T=self.T,
-            label_names=self.label_names, feature_names=self.feature_names,
-            cat_sizes=self.cat_sizes,
-            case_ids=[self.case_ids[i] for i in idx] if self.case_ids else [],
-        )
+        return replace(self, X=self.X[idx], mask=self.mask[idx], Y=self.Y[idx],
+                       case_ids=[self.case_ids[i] for i in idx])
 
     def save(self, path, meta: dict | None = None) -> None:
         container.save(path, {"X": self.X, "mask": self.mask, "Y": self.Y}, _manifest(
@@ -126,7 +118,7 @@ class SequenceDataset:
         return cls(X=arrays["X"], mask=arrays["mask"], Y=arrays["Y"],
                    T=arrays["X"].shape[1], label_names=meta["label_names"],
                    feature_names=meta["feature_names"], cat_sizes=meta["cat_sizes"],
-                   case_ids=meta.get("case_ids", []))
+                   case_ids=meta["case_ids"])
 
 
 @dataclass
@@ -136,15 +128,12 @@ class FlatDataset:
     feature_names: list[str]
     label_names: list[str]
     categorical: list[bool]  # per column
-    case_ids: list[str] = field(default_factory=list)
+    case_ids: list[str]
 
     def take(self, indices) -> "FlatDataset":
         idx = np.asarray(indices)
-        return FlatDataset(
-            X=self.X[idx], Y=self.Y[idx], feature_names=self.feature_names,
-            label_names=self.label_names, categorical=self.categorical,
-            case_ids=[self.case_ids[i] for i in idx] if self.case_ids else [],
-        )
+        return replace(self, X=self.X[idx], Y=self.Y[idx],
+                       case_ids=[self.case_ids[i] for i in idx])
 
     def save(self, path, meta: dict | None = None) -> None:
         container.save(path, {"X": self.X, "Y": self.Y},
@@ -155,7 +144,7 @@ class FlatDataset:
         arrays, meta = container.load(path)
         return cls(X=arrays["X"], Y=arrays["Y"], feature_names=meta["feature_names"],
                    label_names=meta["label_names"], categorical=meta["categorical"],
-                   case_ids=meta.get("case_ids", []))
+                   case_ids=meta["case_ids"])
 
 
 def _manifest(ds, fields: dict, meta: dict | None) -> dict:

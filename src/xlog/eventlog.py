@@ -125,11 +125,6 @@ class EventTable:
                 self.case_ids, bounds, bounds[1:], self.age, self.diagnosis_code,
                 self.treatment_code, self.combination_id, self.years_in_treatment.tolist()))
 
-    @property
-    def class_counts(self) -> dict[str, int]:
-        counts = Counter(lab for lab in self.diagnosis_code if lab is not None)
-        return dict(sorted(counts.items()))
-
     def n_events(self) -> int:
         return int(self.offsets[-1])
 

@@ -145,7 +145,6 @@ class SurrogateReport:
 @dataclass
 class LinearSurrogate:
     coef: np.ndarray       # (F + 1, C), first row is the intercept
-    kind: str = "linear"
 
     def predict_proba(self, X):
         X = np.asarray(X, dtype=float)
@@ -155,7 +154,6 @@ class LinearSurrogate:
 @dataclass
 class TreeSurrogate:
     tree: forest_mod.Tree
-    kind: str = "tree"
 
     def predict_proba(self, X):
         return forest_mod.tree_proba(self.tree, np.asarray(X, dtype=float))

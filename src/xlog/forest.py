@@ -343,10 +343,6 @@ class ForestModel:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.label_names)
-
 
 def fit_forests(X, Y, cells, seed: int, min_leaf: int = 1) -> list[ForestModel]:
     """One forest per ``(rows, n_estimators, max_features)`` of ``cells``,

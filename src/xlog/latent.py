@@ -28,7 +28,7 @@ class ActivationMatrix:
     true_labels: np.ndarray     # (M,) int
     predicted_labels: np.ndarray
     label_names: list[str]
-    case_ids: list[str] = field(default_factory=list)
+    case_ids: list[str]
 
 
 def capture_activations(model: seqnet.SeqNetModel, data: SequenceDataset,
@@ -126,33 +126,27 @@ def fit_autoencoder(acts: ActivationMatrix, n1: int, epochs: int = 400,
 
 @dataclass
 class LatentProjection:
+    acts: ActivationMatrix       # the cases, labels and activations projected
     coordinates: np.ndarray      # (M, 2)
-    true_labels: np.ndarray
-    predicted_labels: np.ndarray
-    label_names: list[str]
-    case_ids: list[str] = field(default_factory=list)
-    clusters: np.ndarray | None = None
+    clusters: np.ndarray         # (M,) k-means cluster of each case
 
     def table(self) -> tuple[list[str], list]:
         """CSV header and one row per case."""
-        rows = [[self.case_ids[i] if self.case_ids else i, x, y,
-                 self.label_names[self.true_labels[i]],
-                 self.label_names[self.predicted_labels[i]],
-                 self.clusters[i] if self.clusters is not None else ""]
+        acts, names = self.acts, self.acts.label_names
+        rows = [[acts.case_ids[i], x, y, names[acts.true_labels[i]],
+                 names[acts.predicted_labels[i]], self.clusters[i]]
                 for i, (x, y) in enumerate(self.coordinates)]
         return ["id", "x", "y", "true", "predicted", "cluster"], rows
 
 
-def project(ae: Autoencoder, acts: ActivationMatrix) -> LatentProjection:
-    """Encoder forward pass only; purely a function of (ae, acts)."""
+def project(ae: Autoencoder, acts: ActivationMatrix) -> np.ndarray:
+    """The (M, 2) codes of the encoder forward pass; purely a function of
+    (ae, acts)."""
     X = np.asarray(acts.values, dtype=float)
     if X.shape[1] != ae.input_mean.shape[0]:
         raise ValueError(f"activation width {X.shape[1]} does not match autoencoder "
                          f"input {ae.input_mean.shape[0]}")
-    _, code = _encode(ae.params, (X - ae.input_mean) / ae.input_scale)
-    return LatentProjection(coordinates=code, true_labels=acts.true_labels,
-                            predicted_labels=acts.predicted_labels,
-                            label_names=acts.label_names, case_ids=acts.case_ids)
+    return _encode(ae.params, (X - ae.input_mean) / ae.input_scale)[1]
 
 
 # ----------------------------------------------------------------- k-means
@@ -289,28 +283,28 @@ class ClusterReport:
                 "misclassified": {str(c): ids for c, ids in self.misclassified.items()}}
 
 
-def analyze_misclassifications(proj: LatentProjection, k: int,
-                               seed: int = 0) -> ClusterReport:
-    """Cluster the 2-D coordinates (k-means, 20 seeded restarts, best inertia)
-    and list, per cluster, the instances whose predicted label differs from
-    the cluster's majority true label (its first most frequent, "" for an
-    empty cluster). Purity is the share of instances whose true label is
-    their cluster's majority. All of it is read from one table of counts per
-    (cluster, true label)."""
-    labels, _, _ = kmeans(proj.coordinates, k, seed=seed)
-    proj.clusters = labels
-    n_labels = int(proj.true_labels.max()) + 1
-    counts = np.bincount(labels * n_labels + proj.true_labels,
+def analyze_misclassifications(acts: ActivationMatrix, coordinates, k: int,
+                               seed: int = 0) -> tuple[np.ndarray, ClusterReport]:
+    """Cluster the (M, 2) ``coordinates`` of ``acts``'s cases (k-means, 20
+    seeded restarts, best inertia) and list, per cluster, the cases whose
+    predicted label differs from the cluster's majority true label (its first
+    most frequent, "" for an empty cluster). Purity is the share of cases
+    whose true label is their cluster's majority. All of it is read from one
+    table of counts per (cluster, true label). Returns the clusters and the
+    report."""
+    labels, _, _ = kmeans(coordinates, k, seed=seed)
+    n_labels = int(acts.true_labels.max()) + 1
+    counts = np.bincount(labels * n_labels + acts.true_labels,
                          minlength=k * n_labels).reshape(k, n_labels)
     sizes = counts.sum(axis=1)
     majority = counts.argmax(axis=1)
-    off = np.flatnonzero(proj.predicted_labels != majority[labels])
-    ids = proj.case_ids or [str(i) for i in range(len(labels))]
-    return ClusterReport(
+    off = np.flatnonzero(acts.predicted_labels != majority[labels])
+    return labels, ClusterReport(
         k=k, purity=int(counts.max(axis=1).sum()) / len(labels),
-        majority_label=[proj.label_names[m] if n else "" for m, n in zip(majority, sizes)],
+        majority_label=[acts.label_names[m] if n else "" for m, n in zip(majority, sizes)],
         cluster_sizes=sizes.tolist(),
-        misclassified={c: [ids[i] for i in off[labels[off] == c]] for c in range(k)})
+        misclassified={c: [acts.case_ids[i] for i in off[labels[off] == c]]
+                       for c in range(k)})
 
 
 @dataclass
@@ -335,11 +329,12 @@ def grid_search_ae(acts: ActivationMatrix, candidates, epochs: int = 400,
     rows, projections, reports = [], [], []
     for i, n1 in enumerate(candidates):
         ae = fit_autoencoder(acts, n1=n1, epochs=epochs, lr=lr, seed=seed + i)
-        proj = project(ae, acts)
-        reports.append(analyze_misclassifications(proj, k, seed=seed + i))
-        sil = silhouette_score(proj.coordinates, proj.clusters)
+        coordinates = project(ae, acts)
+        clusters, report = analyze_misclassifications(acts, coordinates, k, seed=seed + i)
+        sil = silhouette_score(coordinates, clusters)
         rows.append(AEGridRow(n1=n1, mse=ae.final_mse, silhouette=sil))
-        projections.append(proj)
+        projections.append(LatentProjection(acts, coordinates, clusters))
+        reports.append(report)
     order = sorted(range(len(rows)), key=lambda j: (-rows[j].silhouette, rows[j].mse, j))
     rows[order[0]].best = True
     return ([rows[j] for j in order], [projections[j] for j in order],

@@ -296,8 +296,8 @@ def test_c09_latent_blob_purity_and_planted_outlier():
             label_names=["c0", "c1", "c2"],
             case_ids=[f"p{i:03d}" for i in range(len(y))])
         ae = latent.fit_autoencoder(acts, n1=8, epochs=400, lr=0.05, seed=seed)
-        proj = latent.project(ae, acts)
-        rep = latent.analyze_misclassifications(proj, k=3, seed=seed)
+        coords = latent.project(ae, acts)
+        _, rep = latent.analyze_misclassifications(acts, coords, k=3, seed=seed)
         purities.append(rep.purity)
         listed = any("p000" in ids for ids in rep.misclassified.values())
         outlier_found = outlier_found and listed

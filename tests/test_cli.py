@@ -686,6 +686,8 @@ def test_omitted_options_take_declared_defaults_after_hashing(tmp_path):
     assert omitted.seed == 0 and omitted.cfg["seed"] == 0
     assert omitted.config_hash != explicit.config_hash  # hashed as given
     assert configured.cfg["window"] == 12 and configured.cfg["split"] == 0.25
+    flagged = cli.Run(parser.parse_args([*base, "--window", "12", "--split", "0.25"]))
+    assert configured.config_hash == flagged.config_hash  # "12" parsed as --window 12 is
 
 
 def test_train_has_no_split_flag_but_config_split_key_works(pipeline):
@@ -732,3 +734,115 @@ def test_fit_forest_clamps_max_features_to_width(rng=np.random.default_rng(0)):
     Y = rng.integers(0, 2, size=20)
     model = forest.fit_forest(X, Y, n_estimators=2, max_features=100, seed=0)
     assert model.max_features == 5
+
+
+# ------------------------------------------------- config values and --lr
+
+@pytest.fixture(scope="module")
+def bench(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bench")
+    assert run("bench", "--seed", 11, "--out", out) == 0
+    return out
+
+
+def no_fit(*args, **kwargs):
+    raise RuntimeError("trained before rejecting an option")
+
+
+def test_every_bench_stage_from_a_config_file_writes_its_flag_run_bytes(bench, tmp_path,
+                                                                         monkeypatch):
+    """Each stage's flags, written as ``key = value`` lines (paths moved to a
+    new root), reproduce the flag run's artifacts byte for byte."""
+    stages, real_run = [], cli.Run
+
+    def spy(args):
+        if args.command != "bench":
+            stages.append(args)
+        return real_run(args)
+
+    monkeypatch.setattr(cli, "Run", spy)
+    flags = tmp_path / "flags"
+    assert run("bench", "--seed", 11, "--out", flags) == 0
+    monkeypatch.setattr(cli, "Run", real_run)
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "bench_spec.json").write_bytes((flags / "bench_spec.json").read_bytes())
+    for i, args in enumerate(stages):
+        given = {k: v for k, v in vars(args).items()
+                 if v is not None and k not in ("command", "config", "func")}
+        text = "".join(f"{k} = {str(v).replace(str(flags), str(configs))}\n"
+                       for k, v in given.items())
+        (tmp_path / f"{i}.cfg").write_text(text, encoding="utf-8")
+        assert run(args.command, "--config", tmp_path / f"{i}.cfg") == 0, text
+    assert [a.command for a in stages] == ["synth", "ingest", "train", "train", "explain",
+                                           "explain", "project"]
+    written = [p.relative_to(flags) for p in files_under(flags)
+               if p.name != "bench_summary.json"]
+    assert [p.relative_to(configs) for p in files_under(configs)] == written
+    for rel in written:
+        assert (configs / rel).read_bytes() == (flags / rel).read_bytes(), rel
+    assert (configs / "latent" / "ae_grid.json").read_bytes() == \
+        (bench / "latent" / "ae_grid.json").read_bytes()
+
+
+def test_config_feature_is_a_name_as_the_flag_is(bench, tmp_path, capsys):
+    base = ["explain", "--data", bench / "data", "--checkpoint",
+            bench / "forest" / "forest.json", "--method", "pdp"]
+    (tmp_path / "run.cfg").write_text("feature = 3\n", encoding="utf-8")
+    for argv in ([*base, "--feature", 3], [*base, "--config", tmp_path / "run.cfg"]):
+        assert run(*argv, "--out", tmp_path / "o") == 1
+        assert "unknown feature '3'" in capsys.readouterr().err
+    assert files_under(tmp_path / "o") == []
+
+
+@pytest.mark.parametrize("line, message", [
+    ("grid = 40", "grid entry '40' is not of the form ESTIMATORSxMAX_FEATURES"),
+    ("model = foo", "config key 'model': invalid choice 'foo' (choose from 'forest', "),
+    ("cv_k = 2.5", "config key 'cv_k': invalid int value 2.5"),
+    ("seed = 1.9", "config key 'seed': invalid int value 1.9"),
+], ids=["grid", "model", "cv_k", "seed"])
+def test_config_train_values_are_checked_as_flags(bench, tmp_path, monkeypatch, line, message):
+    from xlog import forest
+    monkeypatch.setattr(forest, "fit_forests", no_fit)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = forest\ngrid = 10x4\n{line}\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        run("train", "--config", cfg, "--data", bench / "data", "--out", tmp_path / "o")
+    assert files_under(tmp_path / "o") == []
+
+
+def test_config_k_is_an_integer_as_the_flag_is(bench, tmp_path, monkeypatch):
+    from xlog import latent
+    monkeypatch.setattr(latent, "fit_autoencoder", no_autoencoder)
+    (tmp_path / "run.cfg").write_text("k = 2.9\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match=re.escape("config key 'k': invalid int value 2.9")):
+        run("project", "--config", tmp_path / "run.cfg", "--data", bench / "data",
+            "--checkpoint", bench / "lstm" / "seqnet.xlg", "--out", tmp_path / "o")
+    with pytest.raises(SystemExit):
+        run("project", "--k", "2.9", "--data", bench / "data",
+            "--checkpoint", bench / "lstm" / "seqnet.xlg", "--out", tmp_path / "o")
+    assert files_under(tmp_path / "o") == []
+
+
+@pytest.mark.parametrize("lr", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_network_lr_must_be_finite_and_positive(bench, tmp_path, monkeypatch, lr, source):
+    from xlog import latent, seqnet
+    monkeypatch.setattr(seqnet, "train", no_fit)
+    monkeypatch.setattr(latent, "fit_autoencoder", no_fit)
+    (tmp_path / "run.cfg").write_text(f"lr = {lr}\n", encoding="utf-8")
+    given = ["--lr", lr] if source == "flag" else ["--config", tmp_path / "run.cfg"]
+    for argv in (["train", "--model", "lstm", "--grid", "4x2"],
+                 ["project", "--checkpoint", bench / "lstm" / "seqnet.xlg", "--epochs", 5]):
+        with pytest.raises(SystemExit, match=f"--lr must be finite and > 0, got {float(lr)}"):
+            run(*argv, *given, "--data", bench / "data", "--out", tmp_path / "o")
+    assert files_under(tmp_path / "o") == []
+
+
+def test_ingest_min_class_that_keeps_no_class_names_the_option(bench, tmp_path):
+    with pytest.raises(SystemExit, match=re.escape(
+            "--min-class 999 keeps no class; the largest has 30 cases")):
+        run("ingest", "--csv", bench / "synth" / "events.csv",
+            "--schema", bench / "synth" / "schema.json", "--min-class", 999,
+            "--out", tmp_path / "o")
+    assert files_under(tmp_path / "o") == []

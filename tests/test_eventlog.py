@@ -148,14 +148,14 @@ def test_clean_reproduces_table1_filtering():
     cleaned, report = clean_log(log, min_class_count=30)
     assert report.kept_classes == {"M11", "M13", "M14", "M16", "106"}
     assert set(report.dropped_classes) == {"M12", "M15", "821", "822", "823", "839"}
-    assert cleaned.class_counts == {k: v for k, v in TABLE1.items()
-                                    if v >= 30}
+    assert Counter(cleaned.diagnosis_code) == {k: v for k, v in TABLE1.items()
+                                               if v >= 30}
 
 
 def test_clean_conserves_case_count():
     log = table1_log()
     cleaned, report = clean_log(log, min_class_count=30)
-    kept = sum(cleaned.class_counts.values())
+    kept = len(cleaned.case_ids)
     dropped_cls = sum(report.dropped_classes.values())
     assert kept + dropped_cls + report.dropped_cases == len(log.cases)
 

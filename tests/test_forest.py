@@ -327,7 +327,7 @@ def test_forest_predictions_and_importance_equal_oracle(block_bytes, monkeypatch
         for tree, node in zip(model.trees, oracle):
             assert tree_equal(tree, oracle_arrays(node)), trial
         Xt = np.vstack([X, r.random((15, F)) * 4.0])
-        expected = oracle_predict_proba(oracle, model.n_classes, Xt)
+        expected = oracle_predict_proba(oracle, len(model.label_names), Xt)
         assert np.array_equal(predict_proba(model, Xt), expected)
         back = forest.from_json(forest.to_json(model))
         assert all(tree_equal(a, b) for a, b in zip(back.trees, model.trees))
@@ -372,7 +372,7 @@ def test_fit_forests_equal_separate_fit_forest_calls(block_bytes, monkeypatch):
         for (rows, n_est, mf), model in zip(cells, models):
             alone = fit_forest(X[rows], Y[rows], n_est, mf, seed=11, min_leaf=min_leaf)
             assert forest.to_json(model) == forest.to_json(alone)
-            assert model.n_classes == (2 if rows is no_top else 3)
+            assert len(model.label_names) == (2 if rows is no_top else 3)
             oracle = oracle_fit_forest(X[rows], Y[rows], n_est, mf, seed=11, min_leaf=min_leaf)
             assert all(tree_equal(a, oracle_arrays(b)) for a, b in zip(model.trees, oracle))
 
@@ -504,7 +504,7 @@ def test_predict_proba_memory_is_bounded_for_many_trees_and_rows():
     finally:
         tracemalloc.stop()
     nodes = sum(len(t.feature) for t in model.trees)
-    flat = nodes * (4 * 8 + 8 * model.n_classes)  # the concatenated node arrays
+    flat = nodes * (4 * 8 + 8 * len(model.label_names))  # the concatenated node arrays
     assert peak < flat + 3 * 2**20, (peak, flat)
     expected = sum(loop_tree_proba(t, Xt) for t in model.trees) / len(model.trees)
     assert np.array_equal(proba, expected)

@@ -71,7 +71,7 @@ def test_capture_identical_rows_identical_activations():
     ds = SequenceDataset(X=X, mask=mask, Y=Y, T=X.shape[1],
                          label_names=["a", "b", "c"],
                          feature_names=[f"f{i}" for i in range(4)],
-                         cat_sizes=[5, 4, 0, 0])
+                         cat_sizes=[5, 4, 0, 0], case_ids=["a", "b", "c", "d"])
     acts = capture_activations(toy_model("lstm"), ds, layer=0)
     assert np.array_equal(acts.values[1], acts.values[2])
 
@@ -84,7 +84,7 @@ def test_autoencoder_fits_planar_data_below_1e3(rng):
     acts = ActivationMatrix(values=Z @ A,
                             true_labels=np.zeros(120, dtype=int),
                             predicted_labels=np.zeros(120, dtype=int),
-                            label_names=["only"])
+                            label_names=["only"], case_ids=[str(i) for i in range(120)])
     ae = fit_autoencoder(acts, n1=8, epochs=600, lr=0.1, seed=0)
     assert ae.final_mse < 1e-3
 
@@ -127,17 +127,17 @@ def test_project_shapes_and_purity_of_functional_output(rng):
     ae = fit_autoencoder(acts, n1=4, epochs=50, lr=0.05, seed=4)
     p1 = project(ae, acts)
     p2 = project(ae, acts)
-    assert p1.coordinates.shape == (30, 2)
-    assert np.all(np.isfinite(p1.coordinates))
-    assert np.array_equal(p1.coordinates, p2.coordinates)  # bitwise pure
+    assert p1.shape == (30, 2)
+    assert np.all(np.isfinite(p1))
+    assert np.array_equal(p1, p2)  # bitwise pure
 
 
 def test_project_duplicate_rows_duplicate_coordinates(rng):
     acts = blob_acts(rng, n_per=10)
     acts.values[3] = acts.values[4]
     ae = fit_autoencoder(acts, n1=4, epochs=50, lr=0.05, seed=5)
-    proj = project(ae, acts)
-    assert np.array_equal(proj.coordinates[3], proj.coordinates[4])
+    coords = project(ae, acts)
+    assert np.array_equal(coords[3], coords[4])
 
 
 def test_project_rejects_width_mismatch(rng):
@@ -150,9 +150,9 @@ def test_project_rejects_width_mismatch(rng):
 def test_project_separates_blobs_with_good_silhouette(rng):
     acts = blob_acts(rng, n_per=50, spread=4.0)
     ae = fit_autoencoder(acts, n1=8, epochs=400, lr=0.05, seed=7)
-    proj = project(ae, acts)
-    labels, _, _ = kmeans(proj.coordinates, 3, seed=0)
-    assert silhouette_score(proj.coordinates, labels) > 0.5
+    coords = project(ae, acts)
+    labels, _, _ = kmeans(coords, 3, seed=0)
+    assert silhouette_score(coords, labels) > 0.5
 
 
 # ------------------------------------------------------------------ kmeans
@@ -381,8 +381,8 @@ def test_silhouette_well_separated_near_one():
 
 def test_analyze_pure_blobs_purity_one_no_suspects(rng):
     acts = blob_acts(rng, n_per=20, dim=2, spread=8.0)
-    proj = project(fit_autoencoder(acts, n1=4, epochs=300, lr=0.05, seed=8), acts)
-    report = analyze_misclassifications(proj, k=3, seed=1)
+    coords = project(fit_autoencoder(acts, n1=4, epochs=300, lr=0.05, seed=8), acts)
+    _, report = analyze_misclassifications(acts, coords, k=3, seed=1)
     assert report.purity == 1.0
     assert all(len(v) == 0 for v in report.misclassified.values())
 
@@ -397,24 +397,24 @@ def test_analyze_planted_outlier_is_listed(rng):
                             label_names=["c0", "c1", "c2"],
                             case_ids=[f"p{i:03d}" for i in range(len(y))])
     ae = fit_autoencoder(acts, n1=8, epochs=400, lr=0.05, seed=9)
-    report = analyze_misclassifications(project(ae, acts), k=3, seed=2)
+    _, report = analyze_misclassifications(acts, project(ae, acts), k=3, seed=2)
     assert any("p000" in ids for ids in report.misclassified.values())
 
 
 def test_analyze_k1_purity_is_majority_fraction(rng):
     acts = blob_acts(rng, n_per=10, dim=2)
     acts.true_labels = np.asarray([0] * 18 + [1] * 12)
-    proj = project(fit_autoencoder(acts, n1=4, epochs=30, lr=0.05, seed=0), acts)
-    report = analyze_misclassifications(proj, k=1, seed=0)
+    coords = project(fit_autoencoder(acts, n1=4, epochs=30, lr=0.05, seed=0), acts)
+    _, report = analyze_misclassifications(acts, coords, k=1, seed=0)
     assert report.purity == pytest.approx(18 / 30)
 
 
-def cluster_report_oracle(proj, labels, k) -> dict:
+def cluster_report_oracle(acts, labels, k) -> dict:
     """The cluster report of ``labels`` by a purity loop over the clusters and
     a majority and suspect loop over each cluster's members."""
     correct = 0
     for c in range(k):
-        members = proj.true_labels[labels == c]
+        members = acts.true_labels[labels == c]
         if len(members):
             correct += int(np.bincount(members).max())
     majority, sizes, suspects = [], [], {}
@@ -425,11 +425,10 @@ def cluster_report_oracle(proj, labels, k) -> dict:
             majority.append("")
             suspects[str(c)] = []
             continue
-        maj = int(np.bincount(proj.true_labels[members]).argmax())
-        majority.append(proj.label_names[maj])
-        suspects[str(c)] = [proj.case_ids[i] if proj.case_ids else str(i)
-                            for i in members if proj.predicted_labels[i] != maj]
-    return {"k": k, "purity": correct / len(proj.true_labels), "majority_label": majority,
+        maj = int(np.bincount(acts.true_labels[members]).argmax())
+        majority.append(acts.label_names[maj])
+        suspects[str(c)] = [acts.case_ids[i] for i in members if acts.predicted_labels[i] != maj]
+    return {"k": k, "purity": correct / len(acts.true_labels), "majority_label": majority,
             "cluster_sizes": sizes, "misclassified": suspects}
 
 
@@ -440,16 +439,17 @@ def test_cluster_report_equals_the_per_member_oracle(monkeypatch):
         n, k = int(rng.integers(8, 60)), int(rng.integers(1, 6))
         names = [f"c{i}" for i in range(4)]
         used = rng.choice(4, size=int(rng.integers(1, 4)), replace=False)  # gaps, ties
-        proj = latent.LatentProjection(
-            coordinates=rng.normal(size=(n, 2)), true_labels=rng.choice(used, size=n),
+        coords = rng.normal(size=(n, 2))
+        acts = ActivationMatrix(
+            values=coords, true_labels=rng.choice(used, size=n),
             predicted_labels=rng.integers(0, 4, size=n), label_names=names,
-            case_ids=[f"p{i}" for i in range(n)] if seed % 2 else [])
+            case_ids=[f"p{i}" for i in range(n)])
         if seed % 3 == 0 and k > 1:  # cluster 1 left empty
             forced = rng.choice([c for c in range(k) if c != 1], size=n)
             monkeypatch.setattr(latent, "kmeans", lambda X, k, seed: (forced, None, None))
-        report = analyze_misclassifications(proj, k=k, seed=seed)
+        clusters, report = analyze_misclassifications(acts, coords, k=k, seed=seed)
         monkeypatch.setattr(latent, "kmeans", real)
-        want = cluster_report_oracle(proj, proj.clusters, k)
+        want = cluster_report_oracle(acts, clusters, k)
         assert json.dumps(report.to_dict()) == json.dumps(want), seed
         if seed % 3 == 0 and k > 1:
             assert report.cluster_sizes[1] == 0 and report.majority_label[1] == ""
@@ -457,11 +457,11 @@ def test_cluster_report_equals_the_per_member_oracle(monkeypatch):
 
 def test_analyze_rejects_bad_k(rng):
     acts = blob_acts(rng, n_per=4, dim=2)
-    proj = project(fit_autoencoder(acts, n1=4, epochs=10, lr=0.05, seed=0), acts)
+    coords = project(fit_autoencoder(acts, n1=4, epochs=10, lr=0.05, seed=0), acts)
     with pytest.raises(ValueError):
-        analyze_misclassifications(proj, k=0)
+        analyze_misclassifications(acts, coords, k=0)
     with pytest.raises(ValueError):
-        analyze_misclassifications(proj, k=1000)
+        analyze_misclassifications(acts, coords, k=1000)
 
 
 # -------------------------------------------------------------- grid search
@@ -483,7 +483,8 @@ def test_grid_search_ae_reports_the_clusters_that_ranked_each_candidate(rng):
         labels, _, _ = kmeans(proj.coordinates, 3, seed=3 + i)
         assert np.array_equal(proj.clusters, labels)
         assert row.silhouette == silhouette_score(proj.coordinates, proj.clusters)
-        assert report.purity == cluster_report_oracle(proj, labels, 3)["purity"]
+        assert proj.acts is acts
+        assert report.purity == cluster_report_oracle(acts, labels, 3)["purity"]
         assert report.cluster_sizes == np.bincount(labels, minlength=3).tolist()
 
 
@@ -493,7 +494,8 @@ def test_grid_search_ae_similar_mse_ranked_by_silhouette(rng):
     y = np.repeat(np.arange(3), 30)
     vals = Z @ A + y[:, None] * 2.0
     acts = ActivationMatrix(values=vals, true_labels=y,
-                            predicted_labels=y.copy(), label_names=["a", "b", "c"])
+                            predicted_labels=y.copy(), label_names=["a", "b", "c"],
+                            case_ids=[str(i) for i in range(90)])
     rows, _, _ = grid_search_ae(acts, [4, 8, 16], epochs=250, lr=0.05, seed=1)
     assert rows[0].silhouette == max(r.silhouette for r in rows)
     assert sum(r.best for r in rows) == 1
@@ -514,10 +516,13 @@ def test_grid_search_ae_rejects_empty(rng):
 
 def test_projection_csv_layout(rng):
     acts = blob_acts(rng, n_per=5, dim=2)
-    proj = project(fit_autoencoder(acts, n1=4, epochs=10, lr=0.05, seed=0), acts)
-    analyze_misclassifications(proj, k=2, seed=0)
-    header, rows = proj.table()
+    coords = project(fit_autoencoder(acts, n1=4, epochs=10, lr=0.05, seed=0), acts)
+    clusters, _ = analyze_misclassifications(acts, coords, k=2, seed=0)
+    header, rows = latent.LatentProjection(acts, coords, clusters).table()
     assert header == ["id", "x", "y", "true", "predicted", "cluster"]
     assert len(rows) == 15
-    assert [r[1:3] for r in rows] == proj.coordinates.tolist()
-    assert [r[5] for r in rows] == proj.clusters.tolist()
+    assert [r[0] for r in rows] == acts.case_ids
+    assert [r[1:3] for r in rows] == coords.tolist()
+    assert [r[3:5] for r in rows] == [[f"c{t}", f"c{p}"] for t, p in
+                                      zip(acts.true_labels, acts.predicted_labels)]
+    assert [r[5] for r in rows] == clusters.tolist()

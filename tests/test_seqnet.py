@@ -624,7 +624,8 @@ def test_capture_activations_one_pass_matches_oracle_within_tolerance(monkeypatc
         _, _, probs0, cache0 = _oracle_loss_and_grads(model, X, mask, Y)
         ds = SequenceDataset(X=X, mask=mask, Y=Y, T=X.shape[1],
                              label_names=model.label_names,
-                             feature_names=model.feature_names, cat_sizes=model.cat_sizes)
+                             feature_names=model.feature_names, cat_sizes=model.cat_sizes,
+                             case_ids=[str(i) for i in range(len(Y))])
         for layer, want in ((0, cache0["summary"]), (1, cache0["act"])):
             calls.clear()
             acts = latent.capture_activations(model, ds, layer=layer)
