@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from urllib.parse import quote
 
@@ -26,29 +27,22 @@ from . import __version__, encode, eventlog, explain, forest, latent, seqnet, sv
 
 
 def parse_config_file(path) -> dict:
-    """Minimal key = value format: strings (optionally quoted), numbers,
-    booleans; '#' starts a comment."""
+    """``key = value`` lines, each value kept as text for its option to parse.
+    Matching quotes around a value are dropped, and '#' starts a comment
+    only outside them."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            if not raw.split("#", 1)[0].strip():
                 continue
-            if "=" not in line:
+            m = re.fullmatch(r"""([^=#]*?)\s*=\s*("[^"]*"|'[^']*'|[^#]*?)\s*(#.*)?""",
+                             raw.strip())
+            if m is None:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if val.startswith(('"', "'")) and val.endswith(val[0]) and len(val) >= 2:
-                out[key] = val[1:-1]
-            elif val.lower() in ("true", "false"):
-                out[key] = val.lower() == "true"
-            else:
-                try:
-                    out[key] = int(val)
-                except ValueError:
-                    try:
-                        out[key] = float(val)
-                    except ValueError:
-                        out[key] = val
+            key, val = m[1], m[2]
+            if len(val) >= 2 and val[0] in "\"'" and val[-1] == val[0]:
+                val = val[1:-1]
+            out[key] = val
     return out
 
 
@@ -57,15 +51,15 @@ def parse_config_file(path) -> dict:
 PATH_KEYS = frozenset({"config", "out", "csv", "schema", "data", "checkpoint", "spec"})
 
 
-def _config_value(key, value, action):
+def _config_value(key, text, action):
     """A config-file value parsed from its text and checked against the
     option's choices, as argparse parses and checks the same flag; a
     ``SystemExit`` naming the key otherwise."""
     try:
-        parsed = (action.type or str)(str(value))
+        parsed = (action.type or str)(text)
     except ValueError:
         raise SystemExit(f"config key {key!r}: invalid {action.type.__name__} value "
-                         f"{value!r}") from None
+                         f"{text}") from None
     if action.choices is not None and parsed not in action.choices:
         raise SystemExit(f"config key {key!r}: invalid choice {parsed!r} (choose from "
                          f"{', '.join(map(repr, action.choices))})")
@@ -84,11 +78,11 @@ class Run:
         cfg = parse_config_file(args.config) if args.config else {}
         for key, action in options.items():
             value = getattr(args, key)
-            if value is None and cfg.get(key) is not None:
+            if value is None and key in cfg:
                 value = _config_value(key, cfg[key], action)
             cfg[key] = value
         hashed = {k: cfg[k] for k in sorted(cfg) if k not in PATH_KEYS}
-        blob = json.dumps(hashed, sort_keys=True, default=str)
+        blob = json.dumps(hashed, sort_keys=True)
         self.config_hash = hashlib.sha256(blob.encode()).hexdigest()[:16]
         for key, action in options.items():
             if cfg[key] is None:
@@ -147,6 +141,12 @@ def _require(cfg, *keys):
             raise SystemExit(f"missing required option --{key.replace('_', '-')}")
 
 
+def _require_at_least_1(cfg, *keys):
+    for key in keys:
+        if cfg[key] is not None and cfg[key] < 1:
+            raise SystemExit(f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
+
+
 def _require_lr(cfg):
     if not 0 < cfg["lr"] < float("inf"):
         raise SystemExit(f"--lr must be finite and > 0, got {cfg['lr']}")
@@ -157,6 +157,9 @@ def _require_lr(cfg):
 def cmd_ingest(run) -> int:
     cfg = run.cfg
     _require(cfg, "csv", "schema", "out")
+    _require_at_least_1(cfg, "window", "min_class")
+    if not 0 < cfg["split"] < 1:
+        raise SystemExit(f"--split must be in (0, 1), got {cfg['split']}")
     with open(cfg["schema"], encoding="utf-8") as fh:
         schema = {k: v for k, v in json.load(fh).items() if k != "meta"}
     log = eventlog.parse_log(cfg["csv"], schema)
@@ -330,9 +333,7 @@ def _load_predictor(checkpoint):
 def cmd_explain(run) -> int:
     cfg = run.cfg
     _require(cfg, "data", "checkpoint", "method", "out")
-    for flag, value in (("--max-candidates", cfg["max_candidates"]), ("--budget", cfg["budget"])):
-        if value < 1:
-            raise SystemExit(f"{flag} must be >= 1, got {value}")
+    _require_at_least_1(cfg, "max_candidates", "budget")
     out = cfg["out"]
     flat = encode.FlatDataset.load(os.path.join(cfg["data"], "flat.xlg"))
     n_classes = len(flat.label_names)
@@ -409,8 +410,7 @@ def cmd_project(run) -> int:
     _require(cfg, "data", "checkpoint", "out")
     out = cfg["out"]
     candidates = _parse_bottleneck_grid(cfg["bottleneck_grid"])
-    if cfg["k"] is not None and cfg["k"] < 1:
-        raise SystemExit(f"--k must be >= 1, got {cfg['k']}")
+    _require_at_least_1(cfg, "k")
     _require_lr(cfg)
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
     k = cfg["k"] if cfg["k"] is not None else len(seq.label_names)
@@ -591,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("project", cmd_project, "autoencoder latent projection of hidden layers")
     p.add_argument("--data")
     p.add_argument("--checkpoint")
-    p.add_argument("--layer", type=int, default=0, help="recurrent layer to capture")
+    p.add_argument("--layer", type=int, choices=[0, 1], default=0,
+                   help="recurrent layer to capture")
     p.add_argument("--bottleneck-grid", default="8",
                    help="comma list of feeder widths n1 to grid-search")
     p.add_argument("--k", type=int, help="k-means clusters; omitted: the number of classes")

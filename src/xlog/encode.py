@@ -31,7 +31,6 @@ class Vocabulary:
     """Per-feature token -> index maps; index 0 is never assigned to a token."""
 
     maps: dict[str, dict[str, int]] = field(default_factory=dict)
-    unknown_tokens: int = 0  # tokens seen at encode time that were absent here
 
     def index(self, feature: str, token: str) -> int:
         return self.maps.get(feature, {}).get(token, 0)
@@ -97,11 +96,15 @@ class SequenceDataset:
     X: np.ndarray            # (M, T, F) float64
     mask: np.ndarray         # (M, T) bool, true entries form a prefix
     Y: np.ndarray            # (M,) int64
-    T: int
     label_names: list[str]
     feature_names: list[str]
     cat_sizes: list[int]     # vocabulary size per feature, 0 for numeric
     case_ids: list[str]
+
+    @property
+    def T(self) -> int:
+        """The window length: events kept per case."""
+        return self.X.shape[1]
 
     def take(self, indices) -> "SequenceDataset":
         idx = np.asarray(indices)
@@ -116,9 +119,8 @@ class SequenceDataset:
     def load(cls, path) -> "SequenceDataset":
         arrays, meta = container.load(path)
         return cls(X=arrays["X"], mask=arrays["mask"], Y=arrays["Y"],
-                   T=arrays["X"].shape[1], label_names=meta["label_names"],
-                   feature_names=meta["feature_names"], cat_sizes=meta["cat_sizes"],
-                   case_ids=meta["case_ids"])
+                   label_names=meta["label_names"], feature_names=meta["feature_names"],
+                   cat_sizes=meta["cat_sizes"], case_ids=meta["case_ids"])
 
 
 @dataclass
@@ -183,13 +185,6 @@ def _scale(values: np.ndarray, lo: float, hi: float, clamp_zero: bool) -> np.nda
     return v
 
 
-def _lookup(vocab: Vocabulary, feat: str, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Vocabulary index of each token, and whether it is a non-empty token the
-    vocabulary lacks."""
-    idx = np.array([vocab.index(feat, tok) for tok in tokens], dtype=np.int64)
-    return idx, (idx == 0) & np.array([bool(tok) for tok in tokens], dtype=bool)
-
-
 def encode_sequences(log: EventTable, vocab: Vocabulary, T: int,
                      split: "Split | None" = None) -> SequenceDataset:
     """Pad/truncate each case to ``T`` events (keep-first) and emit the
@@ -218,29 +213,23 @@ def encode_sequences(log: EventTable, vocab: Vocabulary, T: int,
     case_of = np.repeat(cases, n)
     step = rows - np.repeat(log.offsets[:-1], n)
 
-    unknown = 0
     statics = np.zeros((M, len(STATIC_FEATURES)))
     for col, feat in enumerate(STATIC_CATEGORICAL):
-        idx, unseen = _lookup(vocab, feat, getattr(log, feat))
-        statics[:, col] = idx
-        unknown += int(unseen.sum())
+        statics[:, col] = [vocab.index(feat, tok) for tok in getattr(log, feat)]
     for col, feat in enumerate(STATIC_NUMERIC, start=len(STATIC_CATEGORICAL)):
         values = np.array([float(v) for v in getattr(log, feat)])
         statics[:, col] = _scale(values, *stats[feat], clamp_zero=False)
     events = np.empty((len(rows), F))
     for col, feat in enumerate(DYNAMIC_CATEGORICAL):
-        idx, unseen = _lookup(vocab, feat, log.tokens[feat])
-        codes = log.codes[feat][rows]
-        events[:, col] = idx[codes]
-        unknown += int(unseen[codes].sum())
+        idx = np.array([vocab.index(feat, tok) for tok in log.tokens[feat]], dtype=np.int64)
+        events[:, col] = idx[log.codes[feat][rows]]
     events[:, len(DYNAMIC_CATEGORICAL)] = _scale(
         log.num_executions[rows], *stats["num_executions"], clamp_zero=True)
     events[:, len(DYNAMIC_FEATURES):] = statics[case_of]
     # padded timesteps keep statics at zero; masked out downstream
     X = np.zeros((M, T, F))
     X[case_of, step] = events
-    vocab.unknown_tokens = unknown
-    return SequenceDataset(X=X, mask=mask, Y=Y, T=T, label_names=label_names,
+    return SequenceDataset(X=X, mask=mask, Y=Y, label_names=label_names,
                            feature_names=feature_names, cat_sizes=cat_sizes,
                            case_ids=list(log.case_ids))
 

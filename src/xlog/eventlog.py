@@ -1,4 +1,4 @@
-"""Case-centric event log ingestion, cleaning and summary statistics.
+"""Case-centric event log ingestion and cleaning.
 
 A log is a set of cases (one per patient / process instance); each case is an
 ordered sequence of timestamped activity events plus static attributes. Input
@@ -488,64 +488,3 @@ def clean_log(log: EventTable, min_class_count: int) -> tuple[EventTable, Cleani
                       spread_features=[], issues=dict(log.issues))
     return cleaned.take([i for i, lab in enumerate(labels) if lab in report.kept_classes]), report
 
-
-@dataclass
-class CorrelationResult:
-    features: list[str]
-    matrix: np.ndarray
-    zero_variance: list[str]
-
-
-#: per-case fields; each event row repeats its case's value
-_CASE_FIELDS = ("age", "years_in_treatment", "diagnosis_code", "treatment_code", "combination_id")
-
-
-def _feature_rows(t: EventTable, features: list[str]) -> np.ndarray:
-    """One row per event; categoricals encoded by frequency rank (1 = most common)."""
-    cat_fields = set(DYNAMIC_CATEGORICAL) | set(STATIC_CATEGORICAL) | {"diagnosis_code"}
-    lengths = np.diff(t.offsets)
-    columns = []
-    for feat in features:
-        if feat in DYNAMIC_CATEGORICAL:
-            codes, tokens = t.codes[feat], t.tokens[feat]
-        elif feat in cat_fields:
-            case_codes, tokens = _codes([v if v is not None else "" for v in getattr(t, feat)])
-            codes = np.repeat(case_codes, lengths)
-        elif feat in _CASE_FIELDS:
-            columns.append(np.repeat(np.array([float(v) for v in getattr(t, feat)]), lengths))
-            continue
-        else:
-            columns.append(np.asarray(getattr(t, feat), dtype=float))
-            continue
-        counts = np.bincount(codes, minlength=len(tokens)).tolist()
-        order = sorted((k for k in range(len(tokens)) if counts[k]),
-                       key=lambda k: (-counts[k], str(tokens[k])))
-        rank = np.zeros(len(tokens))
-        rank[order] = np.arange(1, len(order) + 1)
-        columns.append(rank[codes])
-    return np.asarray(columns, dtype=float).T
-
-
-def correlation_matrix(log: EventTable, features: list[str]) -> CorrelationResult:
-    """Pearson correlation over event rows; unit diagonal, symmetric.
-
-    Zero-variance features get zero off-diagonal entries and are flagged.
-    """
-    if len(log.case_ids) < 2:
-        raise ValueError("need at least 2 cases")
-    X = _feature_rows(log, features)
-    n, f = X.shape
-    X = X - X.mean(axis=0)
-    sd = X.std(axis=0)
-    flat = [features[j] for j in range(f) if sd[j] == 0.0]
-    safe = np.where(sd == 0.0, 1.0, sd)
-    Z = X / safe
-    M = (Z.T @ Z) / n
-    for j in range(f):
-        if sd[j] == 0.0:
-            M[j, :] = 0.0
-            M[:, j] = 0.0
-    M = (M + M.T) / 2.0
-    np.fill_diagonal(M, 1.0)
-    np.clip(M, -1.0, 1.0, out=M)
-    return CorrelationResult(features=list(features), matrix=M, zero_variance=flat)

@@ -332,12 +332,15 @@ def fit_tree(X, Y, max_features: int, rng: np.random.Generator,
 @dataclass
 class ForestModel:
     trees: list[Tree]
-    n_estimators: int
     max_features: int
     seed: int
     feature_names: list[str]
     label_names: list[str]
     min_leaf: int = 1
+
+    @property
+    def n_estimators(self) -> int:
+        return len(self.trees)
 
     @property
     def n_features(self) -> int:
@@ -368,9 +371,8 @@ def fit_forests(X, Y, cells, seed: int, min_leaf: int = 1) -> list[ForestModel]:
                 yield rows[rng.integers(0, len(rows), size=len(rows))], rng, m, n_classes
 
     trees = iter(_grow(X, Y, bootstrap(), min_leaf))
-    return [ForestModel(trees=[next(trees) for _ in range(n_estimators)],
-                        n_estimators=n_estimators, max_features=m, seed=seed,
-                        feature_names=[f"x{j}" for j in range(n_features)],
+    return [ForestModel(trees=[next(trees) for _ in range(n_estimators)], max_features=m,
+                        seed=seed, feature_names=[f"x{j}" for j in range(n_features)],
                         label_names=[str(c) for c in range(n_classes)], min_leaf=min_leaf)
             for _, n_estimators, m, n_classes in forests]
 
@@ -533,8 +535,6 @@ def from_json(text: str) -> ForestModel:
                   np.asarray(t["right"], dtype=np.int64),
                   np.asarray(t["histogram"], dtype=float).reshape(-1, n_classes))
              for t in d["trees"]]
-    return ForestModel(
-        trees=trees,
-        n_estimators=d["n_estimators"], max_features=d["max_features"],
-        seed=d["seed"], feature_names=d["feature_names"],
-        label_names=d["label_names"], min_leaf=d["min_leaf"])
+    return ForestModel(trees=trees, max_features=d["max_features"], seed=d["seed"],
+                       feature_names=d["feature_names"], label_names=d["label_names"],
+                       min_leaf=d["min_leaf"])

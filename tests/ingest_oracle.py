@@ -271,7 +271,7 @@ def _numeric_stats(log, split):
 
 
 def encode_sequences(log, vocab, T, split=None):
-    """One Python pass per case and event; sets ``vocab.unknown_tokens``."""
+    """One Python pass per case and event."""
     label_names = sorted({c.diagnosis_code for c in log.cases if c.diagnosis_code is not None})
     label_idx = {lab: i for i, lab in enumerate(label_names)}
     stats = _numeric_stats(log, split)
@@ -282,17 +282,13 @@ def encode_sequences(log, vocab, T, split=None):
     X = np.zeros((M, T, F))
     mask = np.zeros((M, T), dtype=bool)
     Y = np.zeros(M, dtype=np.int64)
-    unknown = 0
     for m, case in enumerate(log.cases):
         Y[m] = label_idx[case.diagnosis_code]
         n = min(len(case.events), T)
         mask[m, :n] = True
         statics = []
         for feat in STATIC_CATEGORICAL:
-            idx = vocab.index(feat, getattr(case, feat))
-            if idx == 0 and getattr(case, feat):
-                unknown += 1
-            statics.append(float(idx))
+            statics.append(float(vocab.index(feat, getattr(case, feat))))
         statics.append(_scale(float(case.age), *stats["age"], clamp_zero=False))
         statics.append(_scale(case.years_in_treatment, *stats["years_in_treatment"],
                               clamp_zero=False))
@@ -300,16 +296,12 @@ def encode_sequences(log, vocab, T, split=None):
             ev = case.events[t]
             col = 0
             for feat in DYNAMIC_CATEGORICAL:
-                idx = vocab.index(feat, getattr(ev, feat))
-                if idx == 0 and getattr(ev, feat):
-                    unknown += 1
-                X[m, t, col] = float(idx)
+                X[m, t, col] = float(vocab.index(feat, getattr(ev, feat)))
                 col += 1
             X[m, t, col] = _scale(float(ev.num_executions), *stats["num_executions"],
                                   clamp_zero=True)
             col += 1
             X[m, t, col:] = statics
-    vocab.unknown_tokens = unknown
-    return SequenceDataset(X=X, mask=mask, Y=Y, T=T, label_names=label_names,
+    return SequenceDataset(X=X, mask=mask, Y=Y, label_names=label_names,
                            feature_names=feature_names, cat_sizes=cat_sizes,
                            case_ids=[c.case_id for c in log.cases])

@@ -522,14 +522,34 @@ def test_config_file_parsing(tmp_path):
     cfg.write_text("""
 # comment
 seed = 7
-window = 12
+window = 12  # a comment after a value
 split = 0.25
 model = "forest"
 flag = true
+instance = 'case#1'  # '#' inside quotes is text
+feature = 1e3
+empty =
 """, encoding="utf-8")
     parsed = parse_config_file(cfg)
-    assert parsed == {"seed": 7, "window": 12, "split": 0.25,
-                      "model": "forest", "flag": True}
+    assert parsed == {"seed": "7", "window": "12", "split": "0.25", "model": "forest",
+                      "flag": "true", "instance": "case#1", "feature": "1e3", "empty": ""}
+
+
+@pytest.mark.parametrize("line, key, text", [
+    ("instance = 0012", "instance", "0012"),
+    ("feature = 1e3", "feature", "1e3"),
+    ("instance = true", "instance", "true"),
+    ('instance = "case#1"', "instance", "case#1"),
+], ids=["leading-zeros", "exponent", "boolean-word", "quoted-hash"])
+def test_config_string_value_keeps_its_text_as_the_flag_does(tmp_path, line, key, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    parser = cli.build_parser()
+    base = ["explain", "--data", "d", "--checkpoint", "c", "--method", "lime", "--out", "o"]
+    configured = cli.Run(parser.parse_args([*base, "--config", str(cfg)]))
+    flagged = cli.Run(parser.parse_args([*base, f"--{key}", text]))
+    assert configured.cfg[key] == flagged.cfg[key] == text
+    assert configured.config_hash == flagged.config_hash
 
 
 def test_config_file_flags_override(tmp_path):
@@ -614,19 +634,12 @@ def files_under(path):
     return sorted(p for p in path.rglob("*") if p.is_file()) if path.exists() else []
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("ingest", ["--window", 0]),
-    ("explain", ["--sigma", 0]),
-    ("explain", ["--n-samples", 0]),
-], ids=["window", "sigma", "n-samples"])
-def test_explicit_zero_reaches_library_range_check(trained, command, flag):
+@pytest.mark.parametrize("flag", [["--sigma", 0], ["--n-samples", 0]],
+                         ids=["sigma", "n-samples"])
+def test_explicit_zero_reaches_library_range_check(trained, flag):
     out = trained / "zero"
-    if command == "ingest":
-        argv = ["ingest", "--csv", trained / "synth" / "events.csv",
-                "--schema", trained / "synth" / "schema.json", "--min-class", 4]
-    else:
-        argv = ["explain", "--data", trained / "data", "--method", "lime", "--instance", 0,
-                "--checkpoint", trained / "forest" / "forest.json", "--n-samples", 50]
+    argv = ["explain", "--data", trained / "data", "--method", "lime", "--instance", 0,
+            "--checkpoint", trained / "forest" / "forest.json", "--n-samples", 50]
     assert run(*argv, *flag, "--seed", 1, "--out", out) == 1
     assert files_under(out) == []
 
@@ -845,4 +858,40 @@ def test_ingest_min_class_that_keeps_no_class_names_the_option(bench, tmp_path):
         run("ingest", "--csv", bench / "synth" / "events.csv",
             "--schema", bench / "synth" / "schema.json", "--min-class", 999,
             "--out", tmp_path / "o")
+    assert files_under(tmp_path / "o") == []
+
+
+def no_load(*args, **kwargs):
+    raise RuntimeError("loaded an input before rejecting an option")
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--window", 0], "--window must be >= 1, got 0"),
+    (["--split", 0], "--split must be in (0, 1), got 0.0"),
+    (["--split", 1.5], "--split must be in (0, 1), got 1.5"),
+    (["--min-class", 0], "--min-class must be >= 1, got 0"),
+], ids=["window", "split-0", "split-1.5", "min-class"])
+def test_ingest_range_flags_are_checked_before_anything_loads(bench, tmp_path, monkeypatch,
+                                                              flag, message):
+    from xlog import eventlog
+    monkeypatch.setattr(eventlog, "parse_log", no_load)
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        run("ingest", "--csv", bench / "synth" / "events.csv",
+            "--schema", bench / "synth" / "schema.json", *flag, "--out", tmp_path / "o")
+    assert files_under(tmp_path / "o") == []
+
+
+def test_project_layer_is_checked_before_anything_loads(bench, tmp_path, monkeypatch, capsys):
+    from xlog import seqnet
+    monkeypatch.setattr(seqnet, "load_checkpoint", no_load)
+    (tmp_path / "run.cfg").write_text("layer = 2\n", encoding="utf-8")
+    base = ["project", "--data", bench / "data", "--checkpoint", bench / "lstm" / "seqnet.xlg",
+            "--out", tmp_path / "o"]
+    with pytest.raises(SystemExit) as exc:
+        run(*base, "--layer", 2)
+    assert exc.value.code == 2
+    assert "argument --layer: invalid choice: 2 (choose from 0, 1)" in capsys.readouterr().err
+    with pytest.raises(SystemExit, match=re.escape(
+            "config key 'layer': invalid choice 2 (choose from 0, 1)")):
+        run(*base, "--config", tmp_path / "run.cfg")
     assert files_under(tmp_path / "o") == []

@@ -9,7 +9,7 @@ import pytest
 from xlog import eventlog
 from xlog.eventlog import (
     CannotImputeError, EmptyLogError, SchemaError,
-    clean_log, correlation_matrix, parse_log,
+    clean_log, parse_log,
 )
 
 from conftest import make_log
@@ -304,47 +304,6 @@ def test_clean_imputes_medium_scale_in_bounded_memory():
     assert report.imputed_labels + report.dropped_cases == 600
     assert len(cleaned.cases) == 3000 - report.dropped_cases
     assert peak < 32 * 2**20, peak
-
-
-def test_correlation_self_and_linear():
-    log = make_log([{"case_id": f"c{i}", "activities": ["a"], "label": "L",
-                     "age": 20 + i} for i in range(5)])
-    log = replace(log, years_in_treatment=2.0 * (20 + np.arange(5.0)))  # y = 2x
-    res = correlation_matrix(log, ["age", "years_in_treatment"])
-    assert res.matrix[0, 0] == 1.0 and res.matrix[1, 1] == 1.0
-    assert abs(res.matrix[0, 1] - 1.0) < 1e-12
-
-
-def test_correlation_perfect_anticorrelation():
-    log = make_log([{"case_id": f"c{i}", "activities": ["a"], "label": "L",
-                     "age": v} for i, v in enumerate([1, 2, 3, 4])])
-    log = replace(log, years_in_treatment=np.array([4.0, 3.0, 2.0, 1.0]))
-    res = correlation_matrix(log, ["age", "years_in_treatment"])
-    assert abs(res.matrix[0, 1] + 1.0) < 1e-12
-
-
-def test_correlation_symmetric_unit_diagonal(rng):
-    log = make_log([{"case_id": f"c{i}", "activities": list("abc"), "label": "L",
-                     "age": int(rng.integers(20, 90))} for i in range(12)])
-    log = replace(log, years_in_treatment=np.array([float(rng.random()) for _ in range(12)]))
-    feats = ["activity", "age", "years_in_treatment", "num_executions"]
-    res = correlation_matrix(log, feats)
-    assert np.allclose(res.matrix, res.matrix.T, atol=1e-12)
-    assert np.allclose(np.diag(res.matrix), 1.0)
-
-
-def test_correlation_flags_zero_variance():
-    log = make_log([("c1", ["a"], "L"), ("c2", ["a"], "L")])
-    res = correlation_matrix(log, ["num_executions", "age"])
-    assert "num_executions" in res.zero_variance
-    assert res.matrix[0, 1] == 0.0
-    assert res.matrix[0, 0] == 1.0
-
-
-def test_correlation_needs_two_cases():
-    log = make_log([("c1", ["a"], "L")])
-    with pytest.raises(ValueError):
-        correlation_matrix(log, ["age"])
 
 
 BPI_PATH = os.environ.get("XLOG_BPI2011_CSV", "")

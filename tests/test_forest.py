@@ -52,7 +52,7 @@ def leaf_tree(histogram):
 def one_tree_forest(X, Y, max_features, seed):
     """A forest of the one tree ``fit_tree`` grows on all rows of ``X``."""
     tree = fit_tree(X, Y, max_features, np.random.default_rng(seed))
-    return ForestModel(trees=[tree], n_estimators=1, max_features=max_features, seed=seed,
+    return ForestModel(trees=[tree], max_features=max_features, seed=seed,
                        feature_names=[f"x{j}" for j in range(X.shape[1])],
                        label_names=[str(c) for c in range(int(Y.max()) + 1)])
 
@@ -688,12 +688,11 @@ def test_predict_proba_rows_sum_to_one(rng):
 def test_predict_proba_unanimous_and_averaging():
     leaf0 = leaf_tree([3.0, 0.0])
     leaf1 = leaf_tree([0.0, 5.0])
-    agree = ForestModel(trees=[leaf0, leaf_tree([2.0, 0.0])],
-                        n_estimators=2, max_features=1, seed=0,
+    agree = ForestModel(trees=[leaf0, leaf_tree([2.0, 0.0])], max_features=1, seed=0,
                         feature_names=["x0"], label_names=["a", "b"])
     assert np.array_equal(predict_proba(agree, np.zeros((1, 1))), [[1.0, 0.0]])
-    split = ForestModel(trees=[leaf0, leaf1], n_estimators=2, max_features=1,
-                        seed=0, feature_names=["x0"], label_names=["a", "b"])
+    split = ForestModel(trees=[leaf0, leaf1], max_features=1, seed=0,
+                        feature_names=["x0"], label_names=["a", "b"])
     assert np.array_equal(predict_proba(split, np.zeros((1, 1))), [[0.5, 0.5]])
 
 

@@ -143,8 +143,8 @@ def test_columnar_ingest_matches_object_oracle_on_messy_csvs(tmp_path, monkeypat
                 assert got_arr.tobytes() == want_arr.tobytes(), (k, name)
             assert (ds.label_names, ds.case_ids, ds.cat_sizes) == \
                 (want_ds.label_names, want_ds.case_ids, want_ds.cat_sizes), k
-            assert vocab.unknown_tokens == want_vocab.unknown_tokens, k
-        seen["unknown"] += want_vocab.unknown_tokens > 0
+        full = build_vocab(clean, CATS)  # tokens it holds and ``vocab`` lacks are unknown
+        seen["unknown"] += any(full.maps[f].keys() - vocab.maps[f].keys() for f in CATS)
         seen["encoded"] += 1
     # the generator reaches every path it is meant to exercise
     for key in ("empty", "canonical", "unparseable_rows", "unparseable_timestamps", "spread",

@@ -34,7 +34,7 @@ def test_capture_width_matches_lstm_hidden():
     rng = np.random.default_rng(0)
     X, mask, Y = random_batch(rng, M=7)
     from xlog.encode import SequenceDataset
-    ds = SequenceDataset(X=X, mask=mask, Y=Y, T=X.shape[1],
+    ds = SequenceDataset(X=X, mask=mask, Y=Y,
                          label_names=["a", "b", "c"],
                          feature_names=[f"f{i}" for i in range(4)],
                          cat_sizes=[5, 4, 0, 0],
@@ -68,7 +68,7 @@ def test_capture_identical_rows_identical_activations():
     X, mask, Y = random_batch(rng, M=4)
     X[2], mask[2] = X[1], mask[1]
     from xlog.encode import SequenceDataset
-    ds = SequenceDataset(X=X, mask=mask, Y=Y, T=X.shape[1],
+    ds = SequenceDataset(X=X, mask=mask, Y=Y,
                          label_names=["a", "b", "c"],
                          feature_names=[f"f{i}" for i in range(4)],
                          cat_sizes=[5, 4, 0, 0], case_ids=["a", "b", "c", "d"])

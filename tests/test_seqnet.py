@@ -622,7 +622,7 @@ def test_capture_activations_one_pass_matches_oracle_within_tolerance(monkeypatc
     for trial in range(12):
         model, X, mask, Y = _oracle_case(rng, trial)
         _, _, probs0, cache0 = _oracle_loss_and_grads(model, X, mask, Y)
-        ds = SequenceDataset(X=X, mask=mask, Y=Y, T=X.shape[1],
+        ds = SequenceDataset(X=X, mask=mask, Y=Y,
                              label_names=model.label_names,
                              feature_names=model.feature_names, cat_sizes=model.cat_sizes,
                              case_ids=[str(i) for i in range(len(Y))])

@@ -5,23 +5,22 @@ is either dead or kept only for tests, and should go."""
 import ast
 import csv
 import pathlib
+import re
 import sys
 
 import xlog
 from xlog import cli
 
 SRC = pathlib.Path(xlog.__file__).resolve().parent
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
-#: defs that no subcommand enters, each kept for a named reader outside ``src``
+#: defs that no subcommand enters, each kept only because ``perfbench/`` uses it
 ALLOWED = {
     # perfbench builds and counts its inputs through the object form
     "eventlog.EventTable.cases",
     "eventlog.EventTable.n_events",
     # perfbench traces it, and the tests compare the scan against it
     "seqnet.forward",
-    # the README's correlation map, drawn by demo 01
-    "eventlog.correlation_matrix",
-    "eventlog._feature_rows",
 }
 
 
@@ -80,6 +79,13 @@ def commands(tmp):
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
     run("ingest", "--csv", tmp / "events.csv", "--schema", bench / "synth" / "schema.json",
         "--min-class", 4, "--window", 9, "--out", tmp / "ingest")
+
+
+def test_every_allowed_def_is_named_in_perfbench():
+    """An entry stays on the allowlist only while the benchmark uses it."""
+    sources = "\n".join(p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py")))
+    assert sorted(name for name in ALLOWED
+                  if not re.search(rf"\b{name.rsplit('.', 1)[1]}\b", sources)) == []
 
 
 def test_every_def_in_src_is_entered_by_a_command(tmp_path):
