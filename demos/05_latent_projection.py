@@ -25,11 +25,12 @@ split = encode.stratified_split(labels, 0.2, seed=3)
 vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
                            + list(eventlog.STATIC_CATEGORICAL))
 seq = encode.encode_sequences(clean, vocab, T=9, split=split)
-tr = seq.take(split.train_indices)
+tr, te = seq.take(split.train_indices), seq.take(split.test_indices)
 
 model = seqnet.build_model("lstm", 20, seq.feature_names, seq.cat_sizes,
                            seq.label_names, seed=7)
-seqnet.train(model, tr.X, tr.mask, tr.Y, epochs=120, lr=0.5, seed=7)
+seqnet.train(model, tr.X, tr.mask, tr.Y, epochs=120, lr=0.5, seed=7,
+             validation=(te.X, te.mask, te.Y))
 
 # capture the last true-masked hidden state of every case
 acts = latent.capture_activations(model, seq, layer=0)

@@ -248,6 +248,7 @@ def _load_split(data_dir) -> encode.Split:
 
 def _train_forest(run):
     cfg = run.cfg
+    _require_at_least_1(cfg, "min_leaf")
     space = _parse_forest_grid(cfg["grid"])
     flat = encode.FlatDataset.load(os.path.join(cfg["data"], "flat.xlg"))
     split = _load_split(cfg["data"])
@@ -302,11 +303,10 @@ def _train_seqnet(run):
     seqnet.save_checkpoint(run.path(out, "seqnet.xlg"), best, meta=run.meta)
     curve = best.curve
     run.write_csv(run.path(out, "curve.csv"),
-                  ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"], curve.rows())
-    series = {"train_loss": curve.train_loss, "train_acc": curve.train_acc}
-    if curve.val_loss:
-        series["val_loss"] = curve.val_loss
-        series["val_acc"] = curve.val_acc
+                  ["epoch", "train_loss", "train_acc", "val_loss", "val_acc", "grad_norm",
+                   "clip_rate"], curve.rows())
+    series = {"train_loss": curve.train_loss, "train_acc": curve.train_acc,
+              "val_loss": curve.val_loss, "val_acc": curve.val_acc}
     run.write_text(run.path(out, "curve.svg"),
                    svgplot.line_chart(curve.epochs, series,
                                       title="loss/accuracy vs epoch",
@@ -410,7 +410,7 @@ def cmd_project(run) -> int:
     _require(cfg, "data", "checkpoint", "out")
     out = cfg["out"]
     candidates = _parse_bottleneck_grid(cfg["bottleneck_grid"])
-    _require_at_least_1(cfg, "k")
+    _require_at_least_1(cfg, "k", "epochs")
     _require_lr(cfg)
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
     k = cfg["k"] if cfg["k"] is not None else len(seq.label_names)

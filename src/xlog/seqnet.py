@@ -71,13 +71,13 @@ class TrainingCurve:
     train_acc: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
+    grad_norm: list[float] = field(default_factory=list)
+    clip_rate: list[float] = field(default_factory=list)
     diverged: bool = False
 
     def rows(self):
-        for k in range(len(self.epochs)):
-            yield (self.epochs[k], self.train_loss[k], self.train_acc[k],
-                   self.val_loss[k] if self.val_loss else "",
-                   self.val_acc[k] if self.val_acc else "")
+        return zip(self.epochs, self.train_loss, self.train_acc, self.val_loss,
+                   self.val_acc, self.grad_norm, self.clip_rate)
 
 
 @dataclass
@@ -416,18 +416,22 @@ def hidden_summary(model: SeqNetModel, X, mask) -> np.ndarray:
     return _forward(model, X, mask, False)[0]
 
 
-def _cross_entropy(logits, Y):
+def _row_losses(logits, Y):
+    """Each row's cross-entropy of class ``Y`` under softmax ``logits``."""
     shift = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shift).sum(axis=1))
-    return float(np.mean(lse - shift[np.arange(len(Y)), Y]))
+    return lse - shift[np.arange(len(Y)), Y]
 
 
 def loss_and_grads(model: SeqNetModel, X, mask, Y):
-    """Mean cross-entropy and exact gradients for every parameter."""
+    """Mean cross-entropy, exact gradients for every parameter, and the
+    per-row ``(losses, hits)`` behind the mean: each row's cross-entropy and
+    whether its most probable class is ``Y``."""
     Y = np.asarray(Y, dtype=np.int64)
     summary, act, logits, probs, cache = _forward(model, X, mask, True)
     p, M = model.params, len(Y)
-    loss = _cross_entropy(logits, Y)
+    rows = _row_losses(logits, Y)
+    loss = float(np.mean(rows))
     dlogits = probs.copy()
     dlogits[np.arange(M), Y] -= 1.0
     dlogits /= M
@@ -465,28 +469,38 @@ def loss_and_grads(model: SeqNetModel, X, mask, Y):
         for k, (w, b, _) in enumerate(dirs):
             grads[w], grads[b] = dW[k][:, back], db[k][back]
     _embedding_grads(model, cache["idx"], dInputs, grads)
-    return loss, grads
+    return loss, grads, (rows, np.argmax(probs, axis=1) == Y)
 
 
 def descend(params, grads, lr):
     """One gradient-descent step in place: scale every gradient so their joint
     L2 norm, summed in the dict's order, is at most ``CLIP_NORM``, then
-    ``p -= lr * g`` for every parameter."""
+    ``p -= lr * g`` for every parameter. Returns the norm before clipping."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     for k, g in grads.items():
         if total > CLIP_NORM:
             g *= CLIP_NORM / total
         params[k] -= lr * g
+    return float(total)
 
 
 def train(model: SeqNetModel, X, mask, Y, epochs: int, lr: float, seed: int,
-          validation=None) -> SeqNetModel:
+          validation) -> SeqNetModel:
     """Gradient descent on mean cross-entropy over mini-batches of
     ``BATCH_SIZE`` with global-norm clipping; deterministic under a fixed
     seed. Records the per-epoch curve.
 
-    Divergence (non-finite loss) aborts, keeping the last finite epoch's
-    parameters and flagging the curve.
+    An epoch's train loss and accuracy are the means over every training
+    row, in row order, of the values its batch computed at the parameters
+    before that batch's step, as Keras's ``fit`` reports them; the training
+    set is not scored again. ``validation`` = (X, mask, Y) is scored with
+    ``evaluate`` at the end of each epoch. ``grad_norm`` is the mean of the
+    epoch's pre-clip gradient norms and ``clip_rate`` the share of its
+    batches that were clipped.
+
+    An epoch diverged when its train loss, its held-out loss or any
+    parameter is not finite. Training then stops, keeping the parameters of
+    the last epoch that did not diverge and flagging the curve.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -494,28 +508,32 @@ def train(model: SeqNetModel, X, mask, Y, epochs: int, lr: float, seed: int,
     rng = np.random.default_rng(seed)
     model.hyper.update({"epochs": epochs, "lr": lr, "train_seed": seed,
                         "batch_size": BATCH_SIZE})
-    n = len(Y)
+    n, curve = len(Y), model.curve
+    row_loss, row_hit = np.empty(n), np.empty(n, dtype=bool)
     snapshot = {k: v.copy() for k, v in model.params.items()}
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
+        norms = []
         for start in range(0, n, BATCH_SIZE):
             idx = order[start:start + BATCH_SIZE]
-            _, grads = loss_and_grads(model, X[idx], mask[idx], Y[idx])
-            descend(model.params, grads, lr)
-        report = evaluate(model, X, mask, Y)
-        if not np.isfinite(report.loss):
+            _, grads, (row_loss[idx], row_hit[idx]) = loss_and_grads(
+                model, X[idx], mask[idx], Y[idx])
+            norms.append(descend(model.params, grads, lr))
+        loss = float(np.mean(row_loss))
+        held = evaluate(model, *validation)
+        if not (np.isfinite(loss) and np.isfinite(held.loss)
+                and all(np.all(np.isfinite(v)) for v in model.params.values())):
             model.params = snapshot
-            model.curve.diverged = True
+            curve.diverged = True
             break
         snapshot = {k: v.copy() for k, v in model.params.items()}
-        model.curve.epochs.append(epoch)
-        model.curve.train_loss.append(report.loss)
-        model.curve.train_acc.append(report.accuracy)
-        if validation is not None:
-            vX, vmask, vY = validation
-            vrep = evaluate(model, vX, vmask, vY)
-            model.curve.val_loss.append(vrep.loss)
-            model.curve.val_acc.append(vrep.accuracy)
+        curve.epochs.append(epoch)
+        curve.train_loss.append(loss)
+        curve.train_acc.append(float(np.mean(row_hit)))
+        curve.val_loss.append(held.loss)
+        curve.val_acc.append(held.accuracy)
+        curve.grad_norm.append(float(np.mean(norms)))
+        curve.clip_rate.append(float(np.mean(np.asarray(norms) > CLIP_NORM)))
     return model
 
 
@@ -529,7 +547,7 @@ def evaluate(model: SeqNetModel, X, mask, Y) -> EvalReport:
     Y = np.asarray(Y, dtype=np.int64)
     _, _, logits, probs, _ = _forward(model, X, mask, False)
     return EvalReport(accuracy=float(np.mean(np.argmax(probs, axis=1) == Y)),
-                      loss=_cross_entropy(logits, Y))
+                      loss=float(np.mean(_row_losses(logits, Y))))
 
 
 def grid_search(space, dataset, split, seed: int, lr: float = 0.5):

@@ -16,7 +16,7 @@ def grad_check(model: seqnet.SeqNetModel, X, mask, Y, epsilon: float = 1e-5,
     differences over a random coordinate subsample covering every array."""
     if not (0.0 < epsilon <= 1e-2):
         raise ValueError("epsilon must be in (0, 1e-2]")
-    _, grads = seqnet.loss_and_grads(model, X, mask, Y)
+    _, grads, _ = seqnet.loss_and_grads(model, X, mask, Y)
     rng = np.random.default_rng(seed)
     names = sorted(model.params)
     coords = []

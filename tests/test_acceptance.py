@@ -219,7 +219,8 @@ def test_c07_planted_signal_pipeline():
     str_, ste = seq.take(split.train_indices), seq.take(split.test_indices)
     net = seqnet.build_model("lstm", 20, seq.feature_names, seq.cat_sizes,
                              seq.label_names, seed=7)
-    seqnet.train(net, str_.X, str_.mask, str_.Y, epochs=120, lr=0.5, seed=7)
+    seqnet.train(net, str_.X, str_.mask, str_.Y, epochs=120, lr=0.5, seed=7,
+                 validation=(ste.X, ste.mask, ste.Y))
     lstm_acc = seqnet.evaluate(net, ste.X, ste.mask, ste.Y).accuracy
 
     predictor = lambda X: forest.predict_proba(model, X)
@@ -273,7 +274,8 @@ def test_c08_order_sensitivity_recurrent_beats_dense():
     for arch, nodes, epochs in (("lstm", 20, 150), ("dense", 25, 150)):
         model = seqnet.build_model(arch, nodes, seq.feature_names, seq.cat_sizes,
                                    seq.label_names, seed=7)
-        seqnet.train(model, tr.X, tr.mask, tr.Y, epochs=epochs, lr=0.5, seed=7)
+        seqnet.train(model, tr.X, tr.mask, tr.Y, epochs=epochs, lr=0.5, seed=7,
+                     validation=(te.X, te.mask, te.Y))
         accs[arch] = seqnet.evaluate(model, te.X, te.mask, te.Y).accuracy
     report("c08", "order-sensitivity",
            accs["lstm"] >= 0.9 and accs["dense"] <= 0.6,

@@ -493,12 +493,18 @@ def test_project_rejects_k_above_the_case_count(trained, monkeypatch):
     assert files_under(out) == []  # k = 32 passes the check and stops at the autoencoder
 
 
-def test_project_rejects_epochs_below_one(trained, capsys):
+def test_project_rejects_epochs_below_one(trained, monkeypatch):
+    from xlog import encode, seqnet
+    monkeypatch.setattr(encode.SequenceDataset, "load", no_load)
+    monkeypatch.setattr(seqnet, "load_checkpoint", no_load)
     out = trained / "epochs"
-    assert run("project", "--data", trained / "data",
-               "--checkpoint", trained / "lstm" / "seqnet.xlg",
-               "--epochs", -3, "--bottleneck-grid", 4, "--out", out) == 1
-    assert "epochs must be >= 1" in capsys.readouterr().err
+    (trained / "epochs.cfg").write_text("epochs = 0\n", encoding="utf-8")
+    for given, value in ((["--epochs", -3], -3), (["--epochs", 0], 0),
+                         (["--config", trained / "epochs.cfg"], 0)):
+        with pytest.raises(SystemExit, match=re.escape(f"--epochs must be >= 1, got {value}")):
+            run("project", "--data", trained / "data",
+                "--checkpoint", trained / "lstm" / "seqnet.xlg",
+                *given, "--bottleneck-grid", 4, "--out", out)
     assert files_under(out) == []
 
 
@@ -878,6 +884,18 @@ def test_ingest_range_flags_are_checked_before_anything_loads(bench, tmp_path, m
     with pytest.raises(SystemExit, match=re.escape(message)):
         run("ingest", "--csv", bench / "synth" / "events.csv",
             "--schema", bench / "synth" / "schema.json", *flag, "--out", tmp_path / "o")
+    assert files_under(tmp_path / "o") == []
+
+
+@pytest.mark.parametrize("min_leaf", [0, -5])
+def test_train_min_leaf_is_checked_before_anything_loads(bench, tmp_path, monkeypatch,
+                                                         min_leaf):
+    from xlog import encode, forest
+    monkeypatch.setattr(encode.FlatDataset, "load", no_load)
+    monkeypatch.setattr(forest, "fit_forests", no_fit)
+    with pytest.raises(SystemExit, match=re.escape(f"--min-leaf must be >= 1, got {min_leaf}")):
+        run("train", "--model", "forest", "--grid", "5x4", "--min-leaf", min_leaf,
+            "--data", bench / "data", "--out", tmp_path / "o")
     assert files_under(tmp_path / "o") == []
 
 

@@ -148,7 +148,7 @@ def test_train_zero_learning_rate_is_a_no_op(rng):
     X, mask, Y = random_batch(rng)
     model = toy_model("lstm")
     before = {k: v.copy() for k, v in model.params.items()}
-    train(model, X, mask, Y, epochs=3, lr=0.0, seed=1)
+    train(model, X, mask, Y, epochs=3, lr=0.0, seed=1, validation=(X, mask, Y))
     for k in before:
         assert np.array_equal(model.params[k], before[k])
     assert len(set(model.curve.train_loss)) == 1
@@ -165,7 +165,7 @@ def test_train_solves_separable_toy_sequences(arch):
     X[:, 1:, 0] = rng.integers(3, 5, size=(M, T - 1))
     mask = np.ones((M, T), dtype=bool)
     model = build_model(arch, 8, ["tok"], [4], ["c0", "c1"], seed=2)
-    train(model, X, mask, Y, epochs=200, lr=0.5, seed=2)
+    train(model, X, mask, Y, epochs=200, lr=0.5, seed=2, validation=(X, mask, Y))
     assert evaluate(model, X, mask, Y).accuracy == 1.0
 
 
@@ -174,7 +174,7 @@ def test_train_same_seed_bitwise_identical(rng):
     runs = []
     for _ in range(2):
         model = toy_model("lstm", rng_seed=4)
-        train(model, X, mask, Y, epochs=5, lr=0.3, seed=9)
+        train(model, X, mask, Y, epochs=5, lr=0.3, seed=9, validation=(X, mask, Y))
         runs.append(model)
     for k in runs[0].params:
         assert np.array_equal(runs[0].params[k], runs[1].params[k])
@@ -186,7 +186,7 @@ def test_train_divergence_aborts_with_last_good_epoch(rng):
     X, mask, Y = random_batch(rng, M=12)
     model = toy_model("dense")
     with np.errstate(all="ignore"):
-        train(model, X, mask, Y, epochs=50, lr=1e200, seed=0)
+        train(model, X, mask, Y, epochs=50, lr=1e200, seed=0, validation=(X, mask, Y))
     assert model.curve.diverged
     assert np.all(np.isfinite(model.params["dense_W"]))
     assert len(model.curve.epochs) < 50
@@ -197,6 +197,80 @@ def test_train_records_validation_curve(rng):
     model = toy_model("lstm")
     train(model, X, mask, Y, epochs=4, lr=0.1, seed=1, validation=(X, mask, Y))
     assert len(model.curve.val_loss) == len(model.curve.epochs) == 4
+
+
+def test_train_requires_a_validation_set(rng):
+    X, mask, Y = random_batch(rng)
+    with pytest.raises(TypeError, match="validation"):
+        train(toy_model("dense"), X, mask, Y, epochs=1, lr=0.1, seed=0)
+
+
+def test_train_curve_is_the_row_mean_of_each_batch_before_its_step():
+    # 40 rows are a batch of 32 and one of 8; replay the epoch on a copy
+    import copy
+    rng = np.random.default_rng(21)
+    X, mask, Y = random_batch(rng, M=40)
+    model = toy_model("lstm")
+    replay = copy.deepcopy(model)
+    train(model, X, mask, Y, epochs=1, lr=0.3, seed=4, validation=(X, mask, Y))
+    order = np.random.default_rng(4).permutation(40)
+    loss, hit, norms = np.empty(40), np.empty(40, dtype=bool), []
+    for idx in (order[:32], order[32:]):
+        _, grads, (loss[idx], hit[idx]) = loss_and_grads(replay, X[idx], mask[idx], Y[idx])
+        norms.append(seqnet.descend(replay.params, grads, 0.3))
+    for k in model.params:
+        assert np.array_equal(model.params[k], replay.params[k])
+    curve = model.curve
+    assert curve.train_loss == [float(np.mean(loss))]
+    assert curve.train_acc == [float(np.mean(hit))]
+    assert curve.grad_norm == [float(np.mean(norms))]
+    assert curve.clip_rate == [float(np.mean(np.asarray(norms) > seqnet.CLIP_NORM))]
+    # the first batch was scored before any step, so not at the final parameters
+    assert curve.train_loss[0] != evaluate(model, X, mask, Y).loss
+    assert curve.val_loss == [evaluate(model, X, mask, Y).loss]
+
+
+def test_train_records_pre_clip_gradient_norm_and_clip_rate(monkeypatch):
+    # a batch of 32 rows with gradient norm 10, clipped to 5, then one of
+    # 8 rows with norm 3, kept; only out_b has a gradient
+    rng = np.random.default_rng(0)
+    X, mask, Y = random_batch(rng, M=40, n_classes=2)
+    model = toy_model("dense", n_classes=2)
+    out_b = model.params["out_b"].copy()
+
+    def stub(m, X_, mask_, Y_):
+        g = np.array([6.0, 8.0]) if len(Y_) == 32 else np.array([0.0, 3.0])
+        return 0.5, {"out_b": g}, (np.full(len(Y_), 0.5), np.ones(len(Y_), dtype=bool))
+
+    monkeypatch.setattr(seqnet, "loss_and_grads", stub)
+    train(model, X, mask, Y, epochs=1, lr=1.0, seed=0, validation=(X, mask, Y))
+    assert model.curve.grad_norm == [6.5]
+    assert model.curve.clip_rate == [0.5]
+    assert np.array_equal(model.params["out_b"], out_b - [3.0, 4.0] - [0.0, 3.0])
+    assert (model.curve.train_loss, model.curve.train_acc) == ([0.5], [1.0])
+
+
+@pytest.mark.parametrize("arch", ["dense", "lstm"])
+def test_train_held_out_check_catches_a_diverging_last_step(rng, monkeypatch, arch):
+    # 12 rows are one batch, scored before the epoch's only step: the step
+    # leaves finite parameters, and only the held-out loss sees them blow up
+    X, mask, Y = random_batch(rng, M=12)
+    model = toy_model(arch)
+    before = {k: v.copy() for k, v in model.params.items()}
+    real, finite = seqnet.descend, []
+
+    def spy(params, grads, lr):
+        norm = real(params, grads, lr)
+        finite.append(all(np.all(np.isfinite(v)) for v in params.values()))
+        return norm
+
+    monkeypatch.setattr(seqnet, "descend", spy)
+    with np.errstate(all="ignore"):
+        train(model, X, mask, Y, epochs=1, lr=1e200, seed=0, validation=(X, mask, Y))
+    assert finite == [True]
+    assert model.curve.diverged and model.curve.epochs == []
+    for k in before:
+        assert np.array_equal(model.params[k], before[k])
 
 
 # ------------------------------------------------------------ grad check
@@ -212,7 +286,7 @@ def test_grad_check_every_layer_under_1e4(arch, rng):
 def test_grad_check_catches_corrupted_forget_gate(rng):
     X, mask, Y = random_batch(rng)
     model = toy_model("lstm")
-    loss, grads = loss_and_grads(model, X, mask, Y)
+    loss, grads, _ = loss_and_grads(model, X, mask, Y)
 
     class Corrupted(SeqNetModel):
         pass
@@ -224,10 +298,10 @@ def test_grad_check_catches_corrupted_forget_gate(rng):
     real = seqnet.loss_and_grads
 
     def corrupt(m, X_, mask_, Y_):
-        loss_, grads_ = real(m, X_, mask_, Y_)
+        loss_, grads_, rows_ = real(m, X_, mask_, Y_)
         H = m.nodes
         grads_["lstm_W"][:, H:2 * H] *= 1.5  # forget-gate block
-        return loss_, grads_
+        return loss_, grads_, rows_
 
     import xlog.seqnet as mod
     mod.loss_and_grads = corrupt
@@ -242,7 +316,7 @@ def test_grad_check_frozen_parameter_gradient_is_zero(rng):
     # tokens never hit embedding row 3 -> its gradient must be exactly zero
     X, mask, Y = random_batch(rng, cat_sizes=(2,), n_num=1)
     model = toy_model("lstm", cat_sizes=(5,), n_num=1)
-    _, grads = loss_and_grads(model, X, mask, Y)
+    _, grads, _ = loss_and_grads(model, X, mask, Y)
     assert np.all(grads["emb_0"][4] == 0.0)
     assert np.all(grads["emb_0"][5] == 0.0)
 
@@ -286,14 +360,15 @@ def test_grid_search_single_point_equals_direct_run(rng):
 
 
 def test_grid_search_reads_the_last_validation_point(monkeypatch):
-    # each configuration scans the test split once per epoch, never again
+    # each configuration scans the test split once per epoch and never
+    # scores its training rows
     ds, split = _order_dataset()
     real_evaluate, rows_seen = seqnet.evaluate, []
     monkeypatch.setattr(seqnet, "evaluate",
                         lambda m, X, *a: rows_seen.append(len(X)) or real_evaluate(m, X, *a))
     rows, models = grid_search([("lstm", 4, 2), ("dense", 3, 3)], ds, split, seed=5, lr=0.2)
-    n_tr, n_te = len(split.train_indices), len(split.test_indices)
-    assert sorted(rows_seen) == sorted([n_tr, n_te] * 5)
+    n_te = len(split.test_indices)
+    assert rows_seen == [n_te] * 5
     for row, model in zip(rows, models):
         assert (row["accuracy"], row["loss"]) == (model.curve.val_acc[-1],
                                                   model.curve.val_loss[-1])
@@ -348,12 +423,27 @@ def test_evaluate_scores_forward_predictions(rng):
 def test_checkpoint_roundtrip(tmp_path, rng):
     X, mask, Y = random_batch(rng)
     model = toy_model("bilstm")
-    train(model, X, mask, Y, epochs=2, lr=0.1, seed=3)
+    train(model, X, mask, Y, epochs=2, lr=0.1, seed=3, validation=(X, mask, Y))
     seqnet.save_checkpoint(tmp_path / "net.xlg", model)
     back = seqnet.load_checkpoint(tmp_path / "net.xlg")
     assert back.arch == "bilstm" and back.nodes == model.nodes
     assert np.array_equal(forward(back, X, mask), forward(model, X, mask))
+    assert back.curve == model.curve
+
+
+def test_checkpoint_without_gradient_columns_still_loads(tmp_path, rng):
+    import json
+    X, mask, Y = random_batch(rng)
+    model = toy_model("dense")
+    train(model, X, mask, Y, epochs=2, lr=0.1, seed=3, validation=(X, mask, Y))
+    seqnet.save_checkpoint(tmp_path / "net.xlg", model)
+    manifest = json.loads((tmp_path / "net.xlg.json").read_text())
+    for key in ("grad_norm", "clip_rate"):
+        del manifest["curve"][key]
+    (tmp_path / "net.xlg.json").write_text(json.dumps(manifest))
+    back = seqnet.load_checkpoint(tmp_path / "net.xlg")
     assert back.curve.train_loss == model.curve.train_loss
+    assert back.curve.grad_norm == back.curve.clip_rate == []
 
 
 # ------------------------------------------------ oracle: the caching code
@@ -595,8 +685,9 @@ def test_rewrite_matches_caching_oracle_within_tolerance(block_bytes, monkeypatc
                      (model.arch, "all rows < T") if lengths.max() < X.shape[1] else (),
                      (model.arch, "width 1") if model.input_dim == 1 else ()})
         loss0, grads0, probs0, cache0 = _oracle_loss_and_grads(model, X, mask, Y)
-        loss1, grads1 = loss_and_grads(model, X, mask, Y)
+        loss1, grads1, (rows1, _) = loss_and_grads(model, X, mask, Y)
         assert_close(loss1, loss0, trial)
+        assert_close(rows1, -np.log(probs0[np.arange(len(Y)), Y]), trial)
         assert sorted(grads1) == sorted(grads0)
         for k in grads0:
             assert_close(grads1[k], grads0[k], (trial, k))
