@@ -51,12 +51,30 @@ def parse_config_file(path) -> dict:
 PATH_KEYS = frozenset({"config", "out", "csv", "schema", "data", "checkpoint", "spec"})
 
 
+def _bounded(kind, low, high=float("inf")):
+    """An option type: ``kind`` parsed from text, then an int at least ``low``
+    or a float strictly between ``low`` and ``high``, else ``ArgumentTypeError``.
+    Named as ``kind``, so bad text still reads "invalid int value"."""
+    def parse(text):
+        value = kind(text)
+        if kind is int and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if kind is float and not low < value < high:
+            raise argparse.ArgumentTypeError(f"must be in ({low}, {high}), got {value}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _config_value(key, text, action):
     """A config-file value parsed from its text and checked against the
-    option's choices, as argparse parses and checks the same flag; a
-    ``SystemExit`` naming the key otherwise."""
+    option's type and choices, as argparse parses and checks the same flag;
+    a ``SystemExit`` naming the key otherwise."""
     try:
         parsed = (action.type or str)(text)
+    except argparse.ArgumentTypeError as exc:
+        raise SystemExit(f"config key {key!r}: {exc}") from None
     except ValueError:
         raise SystemExit(f"config key {key!r}: invalid {action.type.__name__} value "
                          f"{text}") from None
@@ -87,8 +105,6 @@ class Run:
         for key, action in options.items():
             if cfg[key] is None:
                 cfg[key] = action.default
-        if cfg["seed"] < 0:
-            raise SystemExit(f"--seed must be >= 0, got {cfg['seed']}")
         self.cfg = cfg
         self.seed = cfg["seed"]
         self.written: list[str] = []
@@ -141,25 +157,11 @@ def _require(cfg, *keys):
             raise SystemExit(f"missing required option --{key.replace('_', '-')}")
 
 
-def _require_at_least_1(cfg, *keys):
-    for key in keys:
-        if cfg[key] is not None and cfg[key] < 1:
-            raise SystemExit(f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
-
-
-def _require_lr(cfg):
-    if not 0 < cfg["lr"] < float("inf"):
-        raise SystemExit(f"--lr must be finite and > 0, got {cfg['lr']}")
-
-
 # ------------------------------------------------------------------ ingest
 
 def cmd_ingest(run) -> int:
     cfg = run.cfg
     _require(cfg, "csv", "schema", "out")
-    _require_at_least_1(cfg, "window", "min_class")
-    if not 0 < cfg["split"] < 1:
-        raise SystemExit(f"--split must be in (0, 1), got {cfg['split']}")
     with open(cfg["schema"], encoding="utf-8") as fh:
         schema = {k: v for k, v in json.load(fh).items() if k != "meta"}
     log = eventlog.parse_log(cfg["csv"], schema)
@@ -248,7 +250,6 @@ def _load_split(data_dir) -> encode.Split:
 
 def _train_forest(run):
     cfg = run.cfg
-    _require_at_least_1(cfg, "min_leaf")
     space = _parse_forest_grid(cfg["grid"])
     flat = encode.FlatDataset.load(os.path.join(cfg["data"], "flat.xlg"))
     split = _load_split(cfg["data"])
@@ -288,7 +289,6 @@ def _train_forest(run):
 def _train_seqnet(run):
     cfg = run.cfg
     space = _parse_seqnet_grid(cfg["grid"], cfg["model"])
-    _require_lr(cfg)
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
     rows, models = seqnet.grid_search(space, seq, _load_split(cfg["data"]),
                                       seed=run.seed, lr=cfg["lr"])
@@ -333,7 +333,6 @@ def _load_predictor(checkpoint):
 def cmd_explain(run) -> int:
     cfg = run.cfg
     _require(cfg, "data", "checkpoint", "method", "out")
-    _require_at_least_1(cfg, "max_candidates", "budget")
     out = cfg["out"]
     flat = encode.FlatDataset.load(os.path.join(cfg["data"], "flat.xlg"))
     n_classes = len(flat.label_names)
@@ -410,8 +409,6 @@ def cmd_project(run) -> int:
     _require(cfg, "data", "checkpoint", "out")
     out = cfg["out"]
     candidates = _parse_bottleneck_grid(cfg["bottleneck_grid"])
-    _require_at_least_1(cfg, "k", "epochs")
-    _require_lr(cfg)
     seq = encode.SequenceDataset.load(os.path.join(cfg["data"], "sequences.xlg"))
     k = cfg["k"] if cfg["k"] is not None else len(seq.label_names)
     if k > len(seq.Y):
@@ -543,7 +540,8 @@ def _options(command) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Every subcommand option, each declared once with its type and default."""
+    """Every subcommand option, each declared once with its type, range and default."""
+    count, rate = _bounded(int, 1), _bounded(float, 0)
     parser = _Parser(prog="xlog", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -551,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", help="key = value config file; flags override")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument("--seed", type=_bounded(int, 0), default=0, help="random seed")
         p.add_argument("--out")
         p.set_defaults(func=func)
         return p
@@ -559,17 +557,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("ingest", cmd_ingest, "parse, clean and encode a CSV event log")
     p.add_argument("--csv")
     p.add_argument("--schema")
-    p.add_argument("--min-class", type=int, default=30, help="fewest cases a kept class may have")
-    p.add_argument("--window", type=int, default=64, help="events kept per case")
-    p.add_argument("--split", type=float, default=0.2, help="test fraction per class")
+    p.add_argument("--min-class", type=count, default=30, help="fewest cases per kept class")
+    p.add_argument("--window", type=count, default=64, help="events kept per case")
+    p.add_argument("--split", type=_bounded(float, 0, 1), default=0.2, help="test share per class")
 
     p = command("train", cmd_train, "grid-search and train a classifier")
     p.add_argument("--data")
     p.add_argument("--model", choices=["forest", "dense", "lstm", "bilstm", "seqnet"])
     p.add_argument("--grid")
-    p.add_argument("--cv-k", type=int, default=5, help="forest cross-validation folds")
-    p.add_argument("--min-leaf", type=int, default=1, help="fewest rows per forest leaf")
-    p.add_argument("--lr", type=float, default=0.5, help="network learning rate")
+    p.add_argument("--cv-k", type=_bounded(int, 2), default=5, help="forest CV folds")
+    p.add_argument("--min-leaf", type=count, default=1, help="fewest rows per forest leaf")
+    p.add_argument("--lr", type=rate, default=0.5, help="network learning rate")
 
     p = command("explain", cmd_explain, "local/global explanations and curves")
     p.add_argument("--data")
@@ -579,14 +577,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int,
                    help="class index; omitted: the predicted class (lime) or 0 (curves)")
     p.add_argument("--feature", help="feature name (pdp, ice, ale)")
-    p.add_argument("--k-features", type=int, default=5, help="LIME features kept")
-    p.add_argument("--n-samples", type=int, default=5000, help="LIME perturbations")
-    p.add_argument("--sigma", type=float, help="LIME kernel width; omitted: 0.75*sqrt(columns)")
-    p.add_argument("--budget", type=int, default=3, help="explanations picked")
-    p.add_argument("--grid-points", type=int, default=10, help="ALE intervals")
+    p.add_argument("--k-features", type=count, default=5, help="LIME features kept")
+    p.add_argument("--n-samples", type=count, default=5000, help="LIME perturbations")
+    p.add_argument("--sigma", type=rate, help="LIME kernel width; omitted: 0.75*sqrt(columns)")
+    p.add_argument("--budget", type=count, default=3, help="explanations picked")
+    p.add_argument("--grid-points", type=count, default=10, help="ALE intervals")
     p.add_argument("--surrogate-kind", choices=["linear", "tree"], default="tree",
                    help="global surrogate model")
-    p.add_argument("--max-candidates", type=int, default=12, help="pick candidates")
+    p.add_argument("--max-candidates", type=count, default=12, help="pick candidates")
 
     p = command("project", cmd_project, "autoencoder latent projection of hidden layers")
     p.add_argument("--data")
@@ -595,9 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recurrent layer to capture")
     p.add_argument("--bottleneck-grid", default="8",
                    help="comma list of feeder widths n1 to grid-search")
-    p.add_argument("--k", type=int, help="k-means clusters; omitted: the number of classes")
-    p.add_argument("--epochs", type=int, default=400, help="autoencoder epochs")
-    p.add_argument("--lr", type=float, default=0.05, help="autoencoder learning rate")
+    p.add_argument("--k", type=count, help="k-means clusters; omitted: the number of classes")
+    p.add_argument("--epochs", type=count, default=400, help="autoencoder epochs")
+    p.add_argument("--lr", type=rate, default=0.05, help="autoencoder learning rate")
 
     p = command("synth", cmd_synth, "generate a synthetic event log with planted truth")
     p.add_argument("--spec")

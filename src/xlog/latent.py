@@ -321,7 +321,7 @@ def grid_search_ae(acts: ActivationMatrix, candidates, epochs: int = 400,
     ``seed + i``), cluster its plane once (``analyze_misclassifications``
     with ``seed + i``) and rank the candidates by the silhouette of those
     clusters (sparser wins). Returns the rows, projections and cluster
-    reports, all in rank order."""
+    reports, all in rank order; a diverged fit raises ``FloatingPointError``."""
     if not list(candidates):
         raise ValueError("empty candidate set")
     if k is None:
@@ -329,6 +329,8 @@ def grid_search_ae(acts: ActivationMatrix, candidates, epochs: int = 400,
     rows, projections, reports = [], [], []
     for i, n1 in enumerate(candidates):
         ae = fit_autoencoder(acts, n1=n1, epochs=epochs, lr=lr, seed=seed + i)
+        if ae.diverged:
+            raise FloatingPointError(f"autoencoder of width {n1} diverged; try a smaller --lr")
         coordinates = project(ae, acts)
         clusters, report = analyze_misclassifications(acts, coordinates, k, seed=seed + i)
         sil = silhouette_score(coordinates, clusters)

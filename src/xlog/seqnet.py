@@ -553,6 +553,7 @@ def evaluate(model: SeqNetModel, X, mask, Y) -> EvalReport:
 def grid_search(space, dataset, split, seed: int, lr: float = 0.5):
     """Train one model per (arch, nodes, epochs) configuration on the train
     split; rank held-out results by accuracy descending, then loss ascending.
+    A diverged model raises ``FloatingPointError`` naming entry and epoch.
 
     Returns (rows, models): rows are dicts shaped like the result table
     (architecture, nodes, epochs, accuracy, loss, best), models the trained
@@ -568,15 +569,13 @@ def grid_search(space, dataset, split, seed: int, lr: float = 0.5):
                             dataset.label_names, seed=seed)
         train(model, tr.X, tr.mask, tr.Y, epochs=epochs, lr=lr, seed=seed,
               validation=(te.X, te.mask, te.Y))
-        # the last validation point scored the final parameters on the test
-        # split; only when epoch 1 diverged is the curve empty
-        if model.curve.val_acc:
-            accuracy, loss = model.curve.val_acc[-1], model.curve.val_loss[-1]
-        else:
-            report = evaluate(model, te.X, te.mask, te.Y)
-            accuracy, loss = report.accuracy, report.loss
+        curve = model.curve
+        if curve.diverged:
+            raise FloatingPointError(f"grid entry {arch}:{nodes}:{epochs} diverged in epoch "
+                                     f"{len(curve.epochs) + 1}; try a smaller --lr")
+        # the last validation point scored the final parameters on the test split
         rows.append({"architecture": arch, "nodes": nodes, "epochs": epochs,
-                     "accuracy": accuracy, "loss": loss, "best": False})
+                     "accuracy": curve.val_acc[-1], "loss": curve.val_loss[-1], "best": False})
         models.append(model)
     order = sorted(range(len(rows)),
                    key=lambda k: (-rows[k]["accuracy"], rows[k]["loss"], k))

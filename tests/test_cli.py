@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -21,6 +23,19 @@ SPEC = {
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def rejection(*argv):
+    """How ``main`` rejects ``argv``: exit 2 and argparse's usage and error
+    lines for a bad flag, or exit 1 and the message for a failure after
+    parsing, whether main reports it or a ``SystemExit`` carries it."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    return (1, code) if isinstance(code, str) else (code, err.getvalue())
 
 
 @pytest.fixture
@@ -223,14 +238,19 @@ def test_parse_seqnet_grid_accepts_the_model_architecture():
         ("dense", 4, 2), ("bilstm", 4, 1), ("lstm", 6, 2)]
 
 
-@pytest.mark.parametrize("cv_k", [0, 1, 13, 40])
-def test_train_rejects_cv_k_outside_usable_range(pipeline, capsys, cv_k):
-    # each class has 12 training rows, so folds 2..12 are all non-empty
+@pytest.mark.parametrize("cv_k, code, message", [
+    (0, 2, "argument --cv-k: must be >= 2, got 0"),
+    (1, 2, "argument --cv-k: must be >= 2, got 1"),
+    (13, 1, "--cv-k must be between 2 and 12 (the largest class's training rows), got 13"),
+    (40, 1, "--cv-k must be between 2 and 12 (the largest class's training rows), got 40"),
+], ids=["0", "1", "13", "40"])
+def test_train_rejects_cv_k_outside_usable_range(pipeline, cv_k, code, message):
+    # the type rejects a k below 2; each class has 12 training rows, so folds
+    # 2..12 are all non-empty, and above that only the data can tell
     out = pipeline / "cvk"
-    assert run("train", "--data", pipeline / "data", "--model", "forest",
-               "--grid", "5x4", "--cv-k", cv_k, "--seed", 5, "--out", out) == 1
-    assert f"--cv-k must be between 2 and 12 (the largest class's training rows), " \
-        f"got {cv_k}" in capsys.readouterr().err
+    got_code, text = rejection("train", "--data", pipeline / "data", "--model", "forest",
+                               "--grid", "5x4", "--cv-k", cv_k, "--seed", 5, "--out", out)
+    assert got_code == code and message in text
     assert files_under(out) == []
 
 
@@ -298,8 +318,9 @@ def test_explain_names_files_from_the_encoded_case_id(pipeline):
     (["--instance", "0", "--target", -1], r"--target -1 is not a class index"),
     (["--instance", ","], r"--instance ',' names no case id or row index"),
     (["--method", "pick", "--target", 1, "--max-candidates", -1],
-     r"--max-candidates must be >= 1, got -1"),
-    (["--method", "pick", "--target", 1, "--budget", 0], r"--budget must be >= 1, got 0"),
+     r"argument --max-candidates: must be >= 1, got -1"),
+    (["--method", "pick", "--target", 1, "--budget", 0],
+     r"argument --budget: must be >= 1, got 0"),
 ], ids=["case-id", "negative-row", "row-past-end", "target", "negative-target",
         "empty-list", "max-candidates", "budget"])
 def test_explain_rejects_bad_instance_or_target(trained, monkeypatch, flags, message):
@@ -310,22 +331,17 @@ def test_explain_rejects_bad_instance_or_target(trained, monkeypatch, flags, mes
 
     monkeypatch.setattr(explain, "lime_explain", no_explanation)
     out = trained / "bad_lime"
-    with pytest.raises(SystemExit, match=message):
-        run("explain", "--data", trained / "data",
-            "--checkpoint", trained / "forest" / "forest.json", "--method", "lime",
-            *flags, "--n-samples", 50, "--out", out)
+    _, text = rejection("explain", "--data", trained / "data",
+                        "--checkpoint", trained / "forest" / "forest.json", "--method", "lime",
+                        *flags, "--n-samples", 50, "--out", out)
+    assert re.search(message, text)
     assert files_under(out) == []
 
 
-def test_explain_rejects_a_sigma_that_is_not_finite_and_positive(trained, capsys):
-    out = trained / "bad_sigma"
-    for sigma in ("nan", "inf", "-1"):
-        assert run("explain", "--data", trained / "data",
-                   "--checkpoint", trained / "forest" / "forest.json", "--method", "lime",
-                   "--instance", "0,1", "--n-samples", 50, f"--sigma={sigma}",
-                   "--out", out) == 1
-        assert "sigma must be finite and > 0" in capsys.readouterr().err
-        assert files_under(out) == []
+def test_explain_rejects_a_sigma_that_is_not_finite_and_positive(monkeypatch, tmp_path):
+    for sigma in ("nan", "inf", "-1", "0"):
+        assert_rejected_before_loading(monkeypatch, tmp_path, "explain", "--sigma", sigma,
+                                       f"in (0, inf), got {float(sigma)}", "flag")
 
 
 def test_explain_submodular_pick(trained):
@@ -467,15 +483,9 @@ def no_autoencoder(*args, **kwargs):
     raise RuntimeError("fitted an autoencoder before rejecting --k")
 
 
-def test_project_rejects_k_zero(trained, monkeypatch):
-    from xlog import latent
-    monkeypatch.setattr(latent, "fit_autoencoder", no_autoencoder)
-    out = trained / "k0"
-    with pytest.raises(SystemExit, match=r"--k must be >= 1, got 0"):
-        run("project", "--data", trained / "data",
-            "--checkpoint", trained / "lstm" / "seqnet.xlg",
-            "--k", 0, "--bottleneck-grid", 4, "--epochs", 5, "--out", out)
-    assert files_under(out) == []
+def test_project_rejects_k_zero(monkeypatch, tmp_path):
+    assert_rejected_before_loading(monkeypatch, tmp_path, "project", "--k", "0",
+                                   ">= 1, got 0", "flag")
 
 
 def test_project_rejects_k_above_the_case_count(trained, monkeypatch):
@@ -493,19 +503,10 @@ def test_project_rejects_k_above_the_case_count(trained, monkeypatch):
     assert files_under(out) == []  # k = 32 passes the check and stops at the autoencoder
 
 
-def test_project_rejects_epochs_below_one(trained, monkeypatch):
-    from xlog import encode, seqnet
-    monkeypatch.setattr(encode.SequenceDataset, "load", no_load)
-    monkeypatch.setattr(seqnet, "load_checkpoint", no_load)
-    out = trained / "epochs"
-    (trained / "epochs.cfg").write_text("epochs = 0\n", encoding="utf-8")
-    for given, value in ((["--epochs", -3], -3), (["--epochs", 0], 0),
-                         (["--config", trained / "epochs.cfg"], 0)):
-        with pytest.raises(SystemExit, match=re.escape(f"--epochs must be >= 1, got {value}")):
-            run("project", "--data", trained / "data",
-                "--checkpoint", trained / "lstm" / "seqnet.xlg",
-                *given, "--bottleneck-grid", 4, "--out", out)
-    assert files_under(out) == []
+def test_project_rejects_epochs_below_one(monkeypatch, tmp_path):
+    for text, source in (("-3", "flag"), ("0", "flag"), ("0", "config")):
+        assert_rejected_before_loading(monkeypatch, tmp_path, "project", "--epochs", text,
+                                       f">= 1, got {text}", source)
 
 
 def test_project_rejects_non_planar_bottleneck(trained):
@@ -638,33 +639,6 @@ def test_run_write_csv_cells_read_back_with_a_csv_reader(tmp_path):
 
 def files_under(path):
     return sorted(p for p in path.rglob("*") if p.is_file()) if path.exists() else []
-
-
-@pytest.mark.parametrize("flag", [["--sigma", 0], ["--n-samples", 0]],
-                         ids=["sigma", "n-samples"])
-def test_explicit_zero_reaches_library_range_check(trained, flag):
-    out = trained / "zero"
-    argv = ["explain", "--data", trained / "data", "--method", "lime", "--instance", 0,
-            "--checkpoint", trained / "forest" / "forest.json", "--n-samples", 50]
-    assert run(*argv, *flag, "--seed", 1, "--out", out) == 1
-    assert files_under(out) == []
-
-
-@pytest.mark.parametrize("command", ["synth", "ingest", "train", "explain", "project",
-                                     "bench"])
-def test_negative_seed_is_rejected_naming_the_option(pipeline, command):
-    data, out = pipeline / "data", pipeline / "neg"
-    argv = {"synth": ["--spec", pipeline / "spec.json"],
-            "ingest": ["--csv", pipeline / "synth" / "events.csv",
-                       "--schema", pipeline / "synth" / "schema.json", "--min-class", 4],
-            "train": ["--data", data, "--model", "forest", "--grid", "5x4", "--cv-k", 2],
-            "explain": ["--data", data, "--checkpoint", out / "forest.json",
-                        "--method", "surrogate"],
-            "project": ["--data", data, "--checkpoint", out / "seqnet.xlg"],
-            "bench": []}[command]
-    with pytest.raises(SystemExit, match="--seed must be >= 0, got -1"):
-        run(command, *argv, "--seed", -1, "--out", out)
-    assert files_under(out) == []
 
 
 def kfold_oracle(Y, k, seed):
@@ -843,21 +817,6 @@ def test_config_k_is_an_integer_as_the_flag_is(bench, tmp_path, monkeypatch):
     assert files_under(tmp_path / "o") == []
 
 
-@pytest.mark.parametrize("lr", ["nan", "-1", "0", "inf"])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_network_lr_must_be_finite_and_positive(bench, tmp_path, monkeypatch, lr, source):
-    from xlog import latent, seqnet
-    monkeypatch.setattr(seqnet, "train", no_fit)
-    monkeypatch.setattr(latent, "fit_autoencoder", no_fit)
-    (tmp_path / "run.cfg").write_text(f"lr = {lr}\n", encoding="utf-8")
-    given = ["--lr", lr] if source == "flag" else ["--config", tmp_path / "run.cfg"]
-    for argv in (["train", "--model", "lstm", "--grid", "4x2"],
-                 ["project", "--checkpoint", bench / "lstm" / "seqnet.xlg", "--epochs", 5]):
-        with pytest.raises(SystemExit, match=f"--lr must be finite and > 0, got {float(lr)}"):
-            run(*argv, *given, "--data", bench / "data", "--out", tmp_path / "o")
-    assert files_under(tmp_path / "o") == []
-
-
 def test_ingest_min_class_that_keeps_no_class_names_the_option(bench, tmp_path):
     with pytest.raises(SystemExit, match=re.escape(
             "--min-class 999 keeps no class; the largest has 30 cases")):
@@ -869,34 +828,6 @@ def test_ingest_min_class_that_keeps_no_class_names_the_option(bench, tmp_path):
 
 def no_load(*args, **kwargs):
     raise RuntimeError("loaded an input before rejecting an option")
-
-
-@pytest.mark.parametrize("flag, message", [
-    (["--window", 0], "--window must be >= 1, got 0"),
-    (["--split", 0], "--split must be in (0, 1), got 0.0"),
-    (["--split", 1.5], "--split must be in (0, 1), got 1.5"),
-    (["--min-class", 0], "--min-class must be >= 1, got 0"),
-], ids=["window", "split-0", "split-1.5", "min-class"])
-def test_ingest_range_flags_are_checked_before_anything_loads(bench, tmp_path, monkeypatch,
-                                                              flag, message):
-    from xlog import eventlog
-    monkeypatch.setattr(eventlog, "parse_log", no_load)
-    with pytest.raises(SystemExit, match=re.escape(message)):
-        run("ingest", "--csv", bench / "synth" / "events.csv",
-            "--schema", bench / "synth" / "schema.json", *flag, "--out", tmp_path / "o")
-    assert files_under(tmp_path / "o") == []
-
-
-@pytest.mark.parametrize("min_leaf", [0, -5])
-def test_train_min_leaf_is_checked_before_anything_loads(bench, tmp_path, monkeypatch,
-                                                         min_leaf):
-    from xlog import encode, forest
-    monkeypatch.setattr(encode.FlatDataset, "load", no_load)
-    monkeypatch.setattr(forest, "fit_forests", no_fit)
-    with pytest.raises(SystemExit, match=re.escape(f"--min-leaf must be >= 1, got {min_leaf}")):
-        run("train", "--model", "forest", "--grid", "5x4", "--min-leaf", min_leaf,
-            "--data", bench / "data", "--out", tmp_path / "o")
-    assert files_under(tmp_path / "o") == []
 
 
 def test_project_layer_is_checked_before_anything_loads(bench, tmp_path, monkeypatch, capsys):
@@ -912,4 +843,140 @@ def test_project_layer_is_checked_before_anything_loads(bench, tmp_path, monkeyp
     with pytest.raises(SystemExit, match=re.escape(
             "config key 'layer': invalid choice 2 (choose from 0, 1)")):
         run(*base, "--config", tmp_path / "run.cfg")
+    assert files_under(tmp_path / "o") == []
+
+
+# ------------------------------------------------------------ option ranges
+
+COMMANDS = ["synth", "ingest", "train", "explain", "project", "bench"]
+NOT_FINITE_AND_POSITIVE = ["nan", "inf", "-1", "0"]
+
+#: (command, option, bad text, the rule and value it is rejected with); every
+#: range that needs no data, on each command that declares the option
+RANGE_CASES = [
+    *[(command, "--seed", "-1", ">= 0, got -1") for command in COMMANDS],
+    ("ingest", "--window", "0", ">= 1, got 0"),
+    ("ingest", "--min-class", "0", ">= 1, got 0"),
+    ("ingest", "--split", "0", "in (0, 1), got 0.0"),
+    ("ingest", "--split", "1", "in (0, 1), got 1.0"),
+    ("ingest", "--split", "1.5", "in (0, 1), got 1.5"),
+    ("ingest", "--split", "nan", "in (0, 1), got nan"),
+    ("train", "--cv-k", "0", ">= 2, got 0"),
+    ("train", "--cv-k", "1", ">= 2, got 1"),
+    ("train", "--min-leaf", "0", ">= 1, got 0"),
+    ("train", "--min-leaf", "-5", ">= 1, got -5"),
+    *[("train", "--lr", text, f"in (0, inf), got {float(text)}")
+      for text in NOT_FINITE_AND_POSITIVE],
+    ("explain", "--k-features", "0", ">= 1, got 0"),
+    ("explain", "--n-samples", "0", ">= 1, got 0"),
+    ("explain", "--budget", "0", ">= 1, got 0"),
+    ("explain", "--grid-points", "0", ">= 1, got 0"),
+    ("explain", "--max-candidates", "-1", ">= 1, got -1"),
+    *[("explain", "--sigma", text, f"in (0, inf), got {float(text)}")
+      for text in NOT_FINITE_AND_POSITIVE],
+    ("project", "--k", "0", ">= 1, got 0"),
+    ("project", "--epochs", "0", ">= 1, got 0"),
+    ("project", "--epochs", "-3", ">= 1, got -3"),
+    *[("project", "--lr", text, f"in (0, inf), got {float(text)}")
+      for text in NOT_FINITE_AND_POSITIVE],
+]
+
+
+def assert_rejected_before_loading(monkeypatch, tmp_path, command, option, text, rule,
+                                   source, *extra):
+    """``command`` given ``option`` as ``text``, by flag or by config file
+    (``extra`` flags after the required ones), exits before any input loads
+    and writes nothing: a flag with exit 2 and argparse's ``argument
+    --opt: must be <rule>``, a config value with ``config key 'opt': must
+    be <rule>``."""
+    from xlog import encode, eventlog, forest, seqnet, synth
+    for owner, name in ((eventlog, "parse_log"), (encode.FlatDataset, "load"),
+                        (encode.SequenceDataset, "load"), (seqnet, "load_checkpoint"),
+                        (forest, "from_json"), (synth.SyntheticSpec, "from_json")):
+        monkeypatch.setattr(owner, name, no_load)
+    inputs, out = tmp_path / "inputs", tmp_path / "o"  # no input exists
+    required = {
+        "synth": ["--spec", inputs / "spec.json"],
+        "ingest": ["--csv", inputs / "events.csv", "--schema", inputs / "schema.json"],
+        "train": ["--data", inputs, "--model", "forest", "--grid", "5x4"],
+        "explain": ["--data", inputs, "--checkpoint", inputs / "forest.json",
+                    "--method", "lime", "--instance", "0"],
+        "project": ["--data", inputs, "--checkpoint", inputs / "seqnet.xlg"],
+        "bench": []}[command]
+    if source == "flag":
+        code, message = rejection(command, *required, *extra, option, text, "--out", out)
+        assert code == 2
+        assert message.endswith(f"xlog {command}: error: argument {option}: must be {rule}\n")
+    else:
+        key = option[2:].replace("-", "_")
+        (tmp_path / "run.cfg").write_text(f"{key} = {text}\n", encoding="utf-8")
+        assert rejection(command, *required, *extra, "--config", tmp_path / "run.cfg",
+                         "--out", out) == (1, f"config key {key!r}: must be {rule}")
+    assert files_under(out) == []
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, option, text, rule", RANGE_CASES,
+                         ids=[f"{c}:{o[2:]}={t}" for c, o, t, _ in RANGE_CASES])
+def test_range_option_is_rejected_before_anything_loads(monkeypatch, tmp_path, command,
+                                                        option, text, rule, source):
+    assert_rejected_before_loading(monkeypatch, tmp_path, command, option, text, rule, source)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_negative_seed_is_rejected_naming_the_option(monkeypatch, tmp_path, command):
+    assert_rejected_before_loading(monkeypatch, tmp_path, command, "--seed", "-1",
+                                   ">= 0, got -1", "flag")
+
+
+@pytest.mark.parametrize("lr", NOT_FINITE_AND_POSITIVE)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_network_lr_must_be_finite_and_positive(tmp_path, monkeypatch, lr, source):
+    for command, extra in (("train", ["--model", "lstm", "--grid", "4x2"]),
+                           ("project", ["--epochs", "5"])):
+        assert_rejected_before_loading(monkeypatch, tmp_path, command, "--lr", lr,
+                                       f"in (0, inf), got {float(lr)}", source, *extra)
+
+
+@pytest.mark.parametrize("option, text, rule", [
+    ("--window", "0", ">= 1, got 0"),
+    ("--split", "0", "in (0, 1), got 0.0"),
+    ("--split", "1.5", "in (0, 1), got 1.5"),
+    ("--min-class", "0", ">= 1, got 0"),
+], ids=["window", "split-0", "split-1.5", "min-class"])
+def test_ingest_range_flags_are_checked_before_anything_loads(tmp_path, monkeypatch,
+                                                              option, text, rule):
+    assert_rejected_before_loading(monkeypatch, tmp_path, "ingest", option, text, rule, "flag")
+
+
+@pytest.mark.parametrize("min_leaf", ["0", "-5"])
+def test_train_min_leaf_is_checked_before_anything_loads(tmp_path, monkeypatch, min_leaf):
+    assert_rejected_before_loading(monkeypatch, tmp_path, "train", "--min-leaf", min_leaf,
+                                   f">= 1, got {min_leaf}", "flag")
+
+
+#: numeric options whose range is not part of their type: --target's needs
+#: the class count, and --layer's is its choices
+UNBOUNDED = {"target", "layer"}
+
+
+def test_every_numeric_option_has_a_bounded_type():
+    for command in cli._parser().options()["command"].choices:
+        for dest, action in cli._options(command).items():
+            if getattr(action.type, "__name__", None) in ("int", "float"):
+                bounded = action.type.__qualname__.startswith("_bounded.")
+                assert bounded == (dest not in UNBOUNDED), (command, dest)
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("train", ["--model", "dense", "--grid", "dense:3:2"],
+     "grid entry dense:3:2 diverged in epoch 1; try a smaller --lr"),
+    ("project", ["--checkpoint", ("lstm", "seqnet.xlg"), "--epochs", 20],
+     "autoencoder of width 8 diverged; try a smaller --lr"),
+], ids=["train", "project"])
+def test_a_diverged_fit_fails_its_command(bench, tmp_path, command, argv, message):
+    argv = [bench.joinpath(*a) if isinstance(a, tuple) else a for a in argv]
+    with np.errstate(all="ignore"):
+        assert rejection(command, *argv, "--lr", "1e200", "--data", bench / "data",
+                         "--out", tmp_path / "o") == (1, f"xlog: error: {message}\n")
     assert files_under(tmp_path / "o") == []

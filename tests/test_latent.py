@@ -514,6 +514,12 @@ def test_grid_search_ae_rejects_empty(rng):
         grid_search_ae(blob_acts(rng, n_per=5), [], epochs=5)
 
 
+def test_grid_search_ae_raises_naming_a_width_that_diverged(rng):
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"^autoencoder of width 4 diverged; try a smaller --lr$"):
+        grid_search_ae(blob_acts(rng, n_per=10), [4, 8], epochs=20, lr=1e200)
+
+
 def test_projection_csv_layout(rng):
     acts = blob_acts(rng, n_per=5, dim=2)
     coords = project(fit_autoencoder(acts, n1=4, epochs=10, lr=0.05, seed=0), acts)

@@ -377,14 +377,12 @@ def test_grid_search_reads_the_last_validation_point(monkeypatch):
         assert (row["accuracy"], row["loss"]) == (rep.accuracy, rep.loss)
 
 
-def test_grid_search_scores_a_model_that_diverged_in_epoch_one():
+def test_grid_search_raises_naming_an_entry_that_diverged():
     ds, split = _order_dataset()
-    with np.errstate(all="ignore"):
-        rows, models = grid_search([("dense", 3, 2)], ds, split, seed=5, lr=1e200)
-    assert models[0].curve.diverged and not models[0].curve.val_acc
-    te = ds.take(split.test_indices)
-    rep = evaluate(models[0], te.X, te.mask, te.Y)
-    assert rows[0]["accuracy"] == rep.accuracy
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError,
+            match=r"^grid entry dense:3:2 diverged in epoch 1; try a smaller --lr$"):
+        grid_search([("dense", 3, 2)], ds, split, seed=5, lr=1e200)
 
 
 def test_grid_search_ranking_contract():
