@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from urllib.parse import quote
 
 import numpy as np
@@ -169,7 +170,14 @@ def cmd_ingest(run) -> int:
     if not report.kept_classes:
         raise SystemExit(f"--min-class {cfg['min_class']} keeps no class; the largest has "
                          f"{max(report.dropped_classes.values(), default=0)} cases")
-    split = encode.stratified_split(np.asarray(clean.diagnosis_code), cfg["split"], run.seed)
+    labels = np.asarray(clean.diagnosis_code)
+    split = encode.stratified_split(labels, cfg["split"], run.seed)
+    sizes = Counter(clean.diagnosis_code)
+    untested = sorted(set(sizes) - set(labels[split.test_indices].tolist()))
+    if untested:
+        raise SystemExit(f"--split {cfg['split']} leaves class {untested[0]!r} "
+                         f"({sizes[untested[0]]} cases) with no test case; each class "
+                         "needs split * cases >= 0.5")
     vocab = encode.build_vocab(clean, list(eventlog.DYNAMIC_CATEGORICAL)
                                + list(eventlog.STATIC_CATEGORICAL))
     seq = encode.encode_sequences(clean, vocab, cfg["window"], split)

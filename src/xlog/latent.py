@@ -20,6 +20,8 @@ from .encode import SequenceDataset
 SILHOUETTE_BLOCK_ROWS = 256
 #: bytes of the (restarts, k, points) distance block one k-means group holds
 KMEANS_BLOCK_BYTES = 2**19
+#: bytes of the widest (widths, cases, columns) buffer one autoencoder group holds
+AE_BLOCK_BYTES = 2**19
 
 
 @dataclass
@@ -59,69 +61,176 @@ class Autoencoder:
 
 def _encode(params, Z):
     """The encoder half: feeder activations and 2-D codes of inputs ``Z``."""
-    h1 = np.tanh(Z @ params["enc1_W"] + params["enc1_b"])
-    return h1, h1 @ params["enc2_W"] + params["enc2_b"]
+    h1 = Z @ params["enc1_W"]
+    h1 += params["enc1_b"]
+    np.tanh(h1, out=h1)
+    code = h1 @ params["enc2_W"]
+    code += params["enc2_b"]
+    return h1, code
 
 
 def _ae_forward(params, Z):
     h1, code = _encode(params, Z)
-    h2 = np.tanh(code @ params["dec1_W"] + params["dec1_b"])
-    recon = h2 @ params["dec2_W"] + params["dec2_b"]
+    h2 = code @ params["dec1_W"]
+    h2 += params["dec1_b"]
+    np.tanh(h2, out=h2)
+    recon = h2 @ params["dec2_W"]
+    recon += params["dec2_b"]
     return h1, code, h2, recon
 
 
-def fit_autoencoder(acts: ActivationMatrix, n1: int, epochs: int = 400,
-                    lr: float = 0.05, seed: int = 0) -> Autoencoder:
-    """Minimize mean squared reconstruction error by full-batch
-    ``seqnet.descend`` steps. Inputs are centered and globally scaled
-    internally (stored on the model); the error curve is in original units."""
-    if n1 < 2:
-        raise ValueError("n1 must be >= 2")
+#: (rows, columns) of each autoencoder parameter: "D" is the input width,
+#: "W" the feeder width, and a bias is one row. Flat buffers hold them in
+#: this order, the order back-propagation yields their gradients, so that
+#: ``seqnet.descend`` adds a model's squared sums as the per-width fit's
+#: gradient dict did; weights are drawn in forward order instead.
+_AE_LAYOUT = {"dec2_W": ("W", "D"), "dec2_b": (1, "D"), "dec1_W": (2, "W"), "dec1_b": (1, "W"),
+              "enc2_W": ("W", 2), "enc2_b": (1, 2), "enc1_W": ("D", "W"), "enc1_b": (1, "W")}
+
+
+def _shapes(D, W):
+    """Each parameter's (rows, columns) for input width ``D`` and feeder
+    width ``W``, in ``_AE_LAYOUT`` order."""
+    return {name: tuple({"D": D, "W": W}.get(d, d) for d in dims)
+            for name, dims in _AE_LAYOUT.items()}
+
+
+def _blocks(shapes):
+    """Each parameter's slice of a flat buffer's row, in ``shapes`` order."""
+    ends = np.cumsum([rows * cols for rows, cols in shapes.values()]).tolist()
+    return [slice(start, end) for start, end in zip([0] + ends, ends)]
+
+
+def _views(flat, shapes):
+    """Each parameter's view of a (models, size) buffer laid out as
+    ``shapes``, with the model on its leading axis."""
+    return {name: flat[:, block].reshape(len(flat), *shape)
+            for (name, shape), block in zip(shapes.items(), _blocks(shapes))}
+
+
+def _cut(views, g, n1):
+    """Views of model ``g``'s parameters cut from the padded width to
+    ``n1``, biases 1-D: the arrays of a lone autoencoder of width ``n1``."""
+    cut = {}
+    for name, dims in _AE_LAYOUT.items():
+        p = views[name][g][tuple(slice(n1) if d == "W" else slice(None) for d in dims)]
+        cut[name] = p[0] if dims[0] == 1 else p
+    return cut
+
+
+def _width_groups(widths, cases, inputs):
+    """Grid positions of ``widths`` in lockstep groups: runs of the widths in
+    sorted order (ties in grid order) whose widest is at most twice their
+    narrowest, and whose (group, cases, max(width, inputs)) float buffer
+    fits ``AE_BLOCK_BYTES``. A width too wide to share a block is alone."""
+    groups = []
+    for i in sorted(range(len(widths)), key=lambda i: (widths[i], i)):
+        group = groups[-1] if groups else []
+        if (group and widths[i] <= 2 * widths[group[0]]
+                and (len(group) + 1) * cases * max(widths[i], inputs) * 8 <= AE_BLOCK_BYTES):
+            group.append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+def fit_autoencoder(acts: ActivationMatrix, widths, epochs: int = 400,
+                    lr: float = 0.05, seed: int = 0) -> list[Autoencoder]:
+    """One autoencoder per bottleneck-feeder width in ``widths``, returned in
+    grid order, each minimizing mean squared reconstruction error by
+    full-batch ``seqnet.descend`` steps. Inputs are centered and globally
+    scaled internally (stored on each model); error curves are in original
+    units.
+
+    Width ``i`` draws its weights from ``default_rng(seed + i)``. The widths
+    descend in lockstep, in the groups of ``_width_groups``: a group's
+    widths are zero-padded to its widest and stacked on a leading model
+    axis, so one set of numpy calls steps the whole group, and each model is
+    clipped by its own gradient norm. Padded units stay exactly 0. A width
+    alone in its group has the bits of a fit of that width by itself; a
+    padded width also sums its zeros in the matrix products, which moves its
+    parameters, curve and codes in the last digits (within 1e-9 relative on
+    the test grids). A width whose error stops being finite keeps the
+    parameters of its last finite epoch and is flagged ``diverged``; the
+    others go on."""
+    widths = [int(n1) for n1 in widths]
+    if not widths:
+        raise ValueError("empty width grid")
+    if min(widths) < 2:
+        raise ValueError(f"every width must be >= 2, got {min(widths)}")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     X = np.asarray(acts.values, dtype=float)
     mean = X.mean(axis=0)
     scale = float(np.sqrt(np.mean((X - mean) ** 2))) or 1.0
     Z = (X - mean) / scale
-    D = X.shape[1]
-    rng = np.random.default_rng(seed)
-    uniform = seqnet.init_uniform
-    params = {
-        "enc1_W": uniform(rng, (D, n1), D), "enc1_b": np.zeros(n1),
-        "enc2_W": uniform(rng, (n1, 2), n1), "enc2_b": np.zeros(2),
-        "dec1_W": uniform(rng, (2, n1), 2), "dec1_b": np.zeros(n1),
-        "dec2_W": uniform(rng, (n1, D), n1), "dec2_b": np.zeros(D),
-    }
-    ae = Autoencoder(params=params, input_mean=mean, input_scale=scale)
-    M = len(Z)
-    snapshot = {k: v.copy() for k, v in params.items()}
-    for _ in range(epochs):
+    fits = [None] * len(widths)
+    for group in _width_groups(widths, *X.shape):
+        for i, (params, curve, mse) in zip(group, _fit_group(
+                Z, [widths[i] for i in group], [seed + i for i in group], epochs, lr)):
+            fits[i] = Autoencoder(params=params, input_mean=mean, input_scale=scale,
+                                  error_curve=(curve * scale * scale).tolist(),
+                                  final_mse=float(mse) * scale * scale,
+                                  diverged=len(curve) < epochs)
+    return fits
+
+
+def _fit_group(Z, widths, seeds, epochs, lr):
+    """Fit one lockstep group on the scaled inputs ``Z``. Per width: its
+    parameters, the errors of the epochs before it diverged (all of them if
+    it did not) and the error of its final parameters, in scaled units."""
+    (M, D), shapes = Z.shape, _shapes(Z.shape[1], max(widths))
+    blocks = _blocks(shapes)
+    theta = np.zeros((len(widths), blocks[-1].stop))
+    for g, (n1, seed) in enumerate(zip(widths, seeds)):
+        rng = np.random.default_rng(seed)
+        cut = _cut(_views(theta, shapes), g, n1)
+        for name in ("enc1_W", "enc2_W", "dec1_W", "dec2_W"):
+            cut[name][...] = seqnet.init_uniform(rng, cut[name].shape, cut[name].shape[0])
+    final, snapshot, gtheta = np.empty_like(theta), theta.copy(), np.empty_like(theta)
+    params, grads = _views(theta, shapes), _views(gtheta, shapes)
+    errors, stops = np.empty((epochs, len(widths))), np.full(len(widths), epochs)
+    live, epoch = np.arange(len(widths)), 0
+    while epoch < epochs:
         h1, code, h2, recon = _ae_forward(params, Z)
-        err = recon - Z
-        mse = float(np.mean(err * err))
-        if not np.isfinite(mse):
-            ae.params = snapshot
-            ae.diverged = True
-            break
-        snapshot = {k: v.copy() for k, v in params.items()}
-        ae.error_curve.append(mse * scale * scale)
-        dr = 2.0 * err / err.size
-        g = {}
-        g["dec2_W"] = h2.T @ dr
-        g["dec2_b"] = dr.sum(axis=0)
-        dh2 = (dr @ params["dec2_W"].T) * (1.0 - h2 * h2)
-        g["dec1_W"] = code.T @ dh2
-        g["dec1_b"] = dh2.sum(axis=0)
-        dcode = dh2 @ params["dec1_W"].T
-        g["enc2_W"] = h1.T @ dcode
-        g["enc2_b"] = dcode.sum(axis=0)
-        dh1 = (dcode @ params["enc2_W"].T) * (1.0 - h1 * h1)
-        g["enc1_W"] = Z.T @ dh1
-        g["enc1_b"] = dh1.sum(axis=0)
-        seqnet.descend(params, g, lr)
-    _, _, _, recon = _ae_forward(ae.params, Z)
-    ae.final_mse = float(np.mean((recon - Z) ** 2)) * scale * scale
-    return ae
+        err = recon
+        err -= Z
+        mse = np.add.reduce((err * err).reshape(len(live), -1), axis=1) / (M * D)
+        if not np.isfinite(mse).all():  # restore the diverged, go on with the rest
+            bad = ~np.isfinite(mse)
+            final[live[bad]], stops[live[bad]] = snapshot[bad], epoch
+            live, theta, snapshot = live[~bad], theta[~bad], snapshot[~bad]
+            gtheta = np.empty_like(theta)
+            params, grads = _views(theta, shapes), _views(gtheta, shapes)
+            if not len(live):
+                break
+            continue
+        np.copyto(snapshot, theta)
+        errors[epoch, live] = mse
+        dr = err
+        dr *= 2.0
+        dr /= M * D
+        np.matmul(h2.mT, dr, out=grads["dec2_W"])
+        np.sum(dr, axis=1, keepdims=True, out=grads["dec2_b"])
+        dh2 = dr @ params["dec2_W"].mT
+        dh2 *= np.subtract(1.0, np.square(h2, out=h2), out=h2)
+        np.matmul(code.mT, dh2, out=grads["dec1_W"])
+        np.sum(dh2, axis=1, keepdims=True, out=grads["dec1_b"])
+        dcode = dh2 @ params["dec1_W"].mT
+        np.matmul(h1.mT, dcode, out=grads["enc2_W"])
+        np.sum(dcode, axis=1, keepdims=True, out=grads["enc2_b"])
+        dh1 = dcode @ params["enc2_W"].mT
+        dh1 *= np.subtract(1.0, np.square(h1, out=h1), out=h1)
+        np.matmul(Z.T, dh1, out=grads["enc1_W"])
+        np.sum(dh1, axis=1, keepdims=True, out=grads["enc1_b"])
+        seqnet.descend(theta, gtheta, lr, blocks)
+        epoch += 1
+    final[live] = theta
+    views = _views(final, shapes)
+    _, _, _, recon = _ae_forward(views, Z)
+    mse = np.mean((recon - Z) ** 2, axis=(1, 2))
+    return [({k: v.copy() for k, v in _cut(views, g, n1).items()}, errors[:stops[g], g], mse[g])
+            for g, n1 in enumerate(widths)]
 
 
 @dataclass
@@ -240,9 +349,13 @@ def _refill_empty(X, d2, labels, centers):
 
 def silhouette_score(X, labels) -> float:
     """Mean silhouette over all points; single-member clusters score 0.
-    Distances are computed ``SILHOUETTE_BLOCK_ROWS`` rows at a time, and each
-    block sums its distances to one cluster at once, over a C-ordered copy of
-    that cluster's columns so every row sum rounds as a per-row sum does."""
+    Distances are computed ``SILHOUETTE_BLOCK_ROWS`` rows at a time into one
+    (rows, points) buffer that adds the squared differences one column at a
+    time, as ``kmeans`` does; below 8 columns that is the order numpy's
+    ``sum(axis=2)`` over a difference cube adds them in, so the distances
+    match it bit for bit. Each block then sums its distances to one cluster
+    at once, over a C-ordered copy of that cluster's columns so every row
+    sum rounds as a per-row sum does."""
     X = np.asarray(X, dtype=float)
     uniq, own, sizes = np.unique(np.asarray(labels), return_inverse=True,
                                  return_counts=True)
@@ -250,9 +363,15 @@ def silhouette_score(X, labels) -> float:
         return 0.0
     members = [own == c for c in range(len(uniq))]
     scores = np.zeros(len(X))
+    XT = np.ascontiguousarray(X.T)
+    d_buf, term_buf = (np.empty((min(SILHOUETTE_BLOCK_ROWS, len(X)), len(X))) for _ in range(2))
     for start in range(0, len(X), SILHOUETTE_BLOCK_ROWS):
         block = X[start:start + SILHOUETTE_BLOCK_ROWS]
-        d = np.sqrt(((block[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        d, term = d_buf[:len(block)], term_buf[:len(block)]
+        np.square(np.subtract(block[:, 0, None], XT[0], out=d), out=d)
+        for j in range(1, X.shape[1]):
+            d += np.square(np.subtract(block[:, j, None], XT[j], out=term), out=term)
+        np.sqrt(d, out=d)
         sums = np.stack([np.ascontiguousarray(d[:, m]).sum(axis=1) for m in members],
                         axis=1)  # (rows, clusters)
         rows, mine = np.arange(len(block)), own[start:start + len(block)]
@@ -317,20 +436,24 @@ class AEGridRow:
 
 def grid_search_ae(acts: ActivationMatrix, candidates, epochs: int = 400,
                    lr: float = 0.05, seed: int = 0, k: int | None = None):
-    """Fit one autoencoder per bottleneck-feeder width (candidate ``i`` with
-    ``seed + i``), cluster its plane once (``analyze_misclassifications``
-    with ``seed + i``) and rank the candidates by the silhouette of those
-    clusters (sparser wins). Returns the rows, projections and cluster
-    reports, all in rank order; a diverged fit raises ``FloatingPointError``."""
-    if not list(candidates):
-        raise ValueError("empty candidate set")
+    """Fit one autoencoder per bottleneck-feeder width in a single
+    ``fit_autoencoder`` call (candidate ``i`` with ``seed + i``; widths in
+    lockstep groups, so a multi-width grid matches separate fits within
+    1e-9 relative and a single width matches bit for bit), cluster each
+    plane once (``analyze_misclassifications`` with ``seed + i``) and rank
+    the candidates by the silhouette of those clusters (sparser wins).
+    Returns the rows, projections and cluster reports, all in rank order. An
+    empty grid raises ``ValueError``; a diverged fit raises
+    ``FloatingPointError`` naming the first diverged width in grid order."""
+    candidates = list(candidates)
     if k is None:
         k = len(set(acts.true_labels.tolist()))
-    rows, projections, reports = [], [], []
-    for i, n1 in enumerate(candidates):
-        ae = fit_autoencoder(acts, n1=n1, epochs=epochs, lr=lr, seed=seed + i)
+    fits = fit_autoencoder(acts, candidates, epochs=epochs, lr=lr, seed=seed)
+    for n1, ae in zip(candidates, fits):
         if ae.diverged:
             raise FloatingPointError(f"autoencoder of width {n1} diverged; try a smaller --lr")
+    rows, projections, reports = [], [], []
+    for i, (n1, ae) in enumerate(zip(candidates, fits)):
         coordinates = project(ae, acts)
         clusters, report = analyze_misclassifications(acts, coordinates, k, seed=seed + i)
         sil = silhouette_score(coordinates, clusters)

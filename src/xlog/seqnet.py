@@ -472,16 +472,31 @@ def loss_and_grads(model: SeqNetModel, X, mask, Y):
     return loss, grads, (rows, np.argmax(probs, axis=1) == Y)
 
 
-def descend(params, grads, lr):
+def descend(params, grads, lr, blocks=None):
     """One gradient-descent step in place: scale every gradient so their joint
     L2 norm, summed in the dict's order, is at most ``CLIP_NORM``, then
-    ``p -= lr * g`` for every parameter. Returns the norm before clipping."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    for k, g in grads.items():
-        if total > CLIP_NORM:
-            g *= CLIP_NORM / total
-        params[k] -= lr * g
-    return float(total)
+    ``p -= lr * g`` for every parameter. Returns the norm before clipping.
+
+    With ``blocks``, several models step in lockstep: ``params`` and
+    ``grads`` are (models, size) buffers, each row one model's parameters or
+    gradients laid end to end, and ``blocks`` holds each parameter's slice of
+    a row, in order. A model's norm adds up its per-parameter sums as the
+    dict's does, each model is clipped by its own norm, and the norms come
+    back as a (models,) array."""
+    if blocks is None:
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    else:
+        square = grads * grads
+        total = np.sqrt(sum(np.add.reduce(square[:, b], axis=1) for b in blocks))
+    scale = CLIP_NORM / np.fmax(total, CLIP_NORM)  # exactly 1.0 unless clipped; NaN is not
+    if blocks is None:
+        for k, g in grads.items():
+            g *= scale
+            params[k] -= lr * g
+        return float(total)
+    grads *= scale[:, None]
+    params -= lr * grads
+    return total
 
 
 def train(model: SeqNetModel, X, mask, Y, epochs: int, lr: float, seed: int,

@@ -297,7 +297,7 @@ def test_c09_latent_blob_purity_and_planted_outlier():
             values=X, true_labels=y, predicted_labels=y.copy(),
             label_names=["c0", "c1", "c2"],
             case_ids=[f"p{i:03d}" for i in range(len(y))])
-        ae = latent.fit_autoencoder(acts, n1=8, epochs=400, lr=0.05, seed=seed)
+        [ae] = latent.fit_autoencoder(acts, [8], epochs=400, lr=0.05, seed=seed)
         coords = latent.project(ae, acts)
         _, rep = latent.analyze_misclassifications(acts, coords, k=3, seed=seed)
         purities.append(rep.purity)

@@ -479,8 +479,8 @@ def test_project_grid_mode(trained, monkeypatch):
     assert len(calls) == 2  # one clustering per candidate, none repeated on the winner
 
 
-def no_autoencoder(*args, **kwargs):
-    raise RuntimeError("fitted an autoencoder before rejecting --k")
+def no_autoencoder(acts, widths, epochs, lr, seed):
+    raise RuntimeError(f"fitted autoencoders of widths {widths} before rejecting --k")
 
 
 def test_project_rejects_k_zero(monkeypatch, tmp_path):
@@ -488,7 +488,7 @@ def test_project_rejects_k_zero(monkeypatch, tmp_path):
                                    ">= 1, got 0", "flag")
 
 
-def test_project_rejects_k_above_the_case_count(trained, monkeypatch):
+def test_project_rejects_k_above_the_case_count(trained, monkeypatch, capsys):
     from xlog import latent
     monkeypatch.setattr(latent, "fit_autoencoder", no_autoencoder)
     out = trained / "k33"
@@ -501,6 +501,7 @@ def test_project_rejects_k_above_the_case_count(trained, monkeypatch):
                "--checkpoint", trained / "lstm" / "seqnet.xlg",
                "--k", 32, "--bottleneck-grid", 4, "--epochs", 5, "--out", out) == 1
     assert files_under(out) == []  # k = 32 passes the check and stops at the autoencoder
+    assert "fitted autoencoders of widths [4] before" in capsys.readouterr().err
 
 
 def test_project_rejects_epochs_below_one(monkeypatch, tmp_path):
@@ -696,7 +697,7 @@ def test_train_has_no_split_flag_but_config_split_key_works(pipeline):
 def test_bench_failure_in_late_stage_removes_every_file(tmp_path, monkeypatch):
     from xlog import latent
 
-    def boom(*args, **kwargs):
+    def boom(acts, widths, epochs, lr, seed):
         raise RuntimeError("autoencoder failed")
 
     monkeypatch.setattr(latent, "fit_autoencoder", boom)
@@ -815,6 +816,19 @@ def test_config_k_is_an_integer_as_the_flag_is(bench, tmp_path, monkeypatch):
         run("project", "--k", "2.9", "--data", bench / "data",
             "--checkpoint", bench / "lstm" / "seqnet.xlg", "--out", tmp_path / "o")
     assert files_under(tmp_path / "o") == []
+
+
+def test_ingest_split_that_leaves_a_class_untested_names_it(bench, tmp_path):
+    # 30 cases per class: round(30 * 0.01) is 0 test cases, round(30 * 0.017) is 1
+    argv = ["ingest", "--csv", bench / "synth" / "events.csv",
+            "--schema", bench / "synth" / "schema.json", "--min-class", 1]
+    assert rejection(*argv, "--split", 0.01, "--out", tmp_path / "o") == (
+        1, "--split 0.01 leaves class 'c_cervix' (30 cases) with no test case; "
+           "each class needs split * cases >= 0.5")
+    assert files_under(tmp_path / "o") == []
+    assert run(*argv, "--split", 0.017, "--out", tmp_path / "ok") == 0
+    split = json.loads((tmp_path / "ok" / "split.json").read_text())
+    assert len(split["test"]) == 3  # one per class
 
 
 def test_ingest_min_class_that_keeps_no_class_names_the_option(bench, tmp_path):

@@ -85,46 +85,227 @@ def test_autoencoder_fits_planar_data_below_1e3(rng):
                             true_labels=np.zeros(120, dtype=int),
                             predicted_labels=np.zeros(120, dtype=int),
                             label_names=["only"], case_ids=[str(i) for i in range(120)])
-    ae = fit_autoencoder(acts, n1=8, epochs=600, lr=0.1, seed=0)
+    [ae] = fit_autoencoder(acts, [8], epochs=600, lr=0.1, seed=0)
     assert ae.final_mse < 1e-3
 
 
 def test_autoencoder_zero_lr_keeps_error_constant(rng):
     acts = blob_acts(rng, n_per=15)
-    ae = fit_autoencoder(acts, n1=4, epochs=5, lr=0.0, seed=1)
+    [ae] = fit_autoencoder(acts, [4], epochs=5, lr=0.0, seed=1)
     assert len(set(ae.error_curve)) == 1
 
 
 def test_autoencoder_descends(rng):
     acts = blob_acts(rng, n_per=20)
-    ae = fit_autoencoder(acts, n1=8, epochs=200, lr=0.05, seed=2)
+    [ae] = fit_autoencoder(acts, [8], epochs=200, lr=0.05, seed=2)
     assert ae.final_mse < ae.error_curve[0]
     assert not ae.diverged
 
 
 def test_autoencoder_error_nonincreasing_within_transient(rng):
     acts = blob_acts(rng, n_per=25)
-    ae = fit_autoencoder(acts, n1=8, epochs=300, lr=0.05, seed=3)
+    [ae] = fit_autoencoder(acts, [8], epochs=300, lr=0.05, seed=3)
     curve = np.asarray(ae.error_curve)
     assert np.all(curve[1:] <= curve[:-1] * 1.05)
 
 
 def test_autoencoder_requires_n1_at_least_two(rng):
     with pytest.raises(ValueError):
-        fit_autoencoder(blob_acts(rng, n_per=5), n1=1)
+        fit_autoencoder(blob_acts(rng, n_per=5), [1])
 
 
 @pytest.mark.parametrize("epochs", [0, -3])
 def test_autoencoder_requires_at_least_one_epoch(rng, epochs):
     with pytest.raises(ValueError, match="epochs must be >= 1"):
-        fit_autoencoder(blob_acts(rng, n_per=5), n1=4, epochs=epochs)
+        fit_autoencoder(blob_acts(rng, n_per=5), [4], epochs=epochs)
+
+
+def test_autoencoder_rejects_an_empty_grid(rng):
+    with pytest.raises(ValueError, match="empty width grid"):
+        fit_autoencoder(blob_acts(rng, n_per=5), [])
+
+
+def oracle_ae_forward(params, Z):
+    h1 = np.tanh(Z @ params["enc1_W"] + params["enc1_b"])
+    code = h1 @ params["enc2_W"] + params["enc2_b"]
+    h2 = np.tanh(code @ params["dec1_W"] + params["dec1_b"])
+    return h1, code, h2, h2 @ params["dec2_W"] + params["dec2_b"]
+
+
+def oracle_fit_autoencoder(acts, n1, epochs, lr, seed):
+    """One width fitted on its own by the per-width loop that the lockstep
+    fit replaced, kept as the reference with its forward pass and its
+    clip-and-step written out."""
+    X = np.asarray(acts.values, dtype=float)
+    mean = X.mean(axis=0)
+    scale = float(np.sqrt(np.mean((X - mean) ** 2))) or 1.0
+    Z = (X - mean) / scale
+    D = X.shape[1]
+    rng = np.random.default_rng(seed)
+    uniform = seqnet.init_uniform
+    params = {
+        "enc1_W": uniform(rng, (D, n1), D), "enc1_b": np.zeros(n1),
+        "enc2_W": uniform(rng, (n1, 2), n1), "enc2_b": np.zeros(2),
+        "dec1_W": uniform(rng, (2, n1), 2), "dec1_b": np.zeros(n1),
+        "dec2_W": uniform(rng, (n1, D), n1), "dec2_b": np.zeros(D),
+    }
+    ae = latent.Autoencoder(params=params, input_mean=mean, input_scale=scale)
+    snapshot = {k: v.copy() for k, v in params.items()}
+    for _ in range(epochs):
+        h1, code, h2, recon = oracle_ae_forward(params, Z)
+        err = recon - Z
+        mse = float(np.mean(err * err))
+        if not np.isfinite(mse):
+            ae.params = snapshot
+            ae.diverged = True
+            break
+        snapshot = {k: v.copy() for k, v in params.items()}
+        ae.error_curve.append(mse * scale * scale)
+        dr = 2.0 * err / err.size
+        g = {}
+        g["dec2_W"] = h2.T @ dr
+        g["dec2_b"] = dr.sum(axis=0)
+        dh2 = (dr @ params["dec2_W"].T) * (1.0 - h2 * h2)
+        g["dec1_W"] = code.T @ dh2
+        g["dec1_b"] = dh2.sum(axis=0)
+        dcode = dh2 @ params["dec1_W"].T
+        g["enc2_W"] = h1.T @ dcode
+        g["enc2_b"] = dcode.sum(axis=0)
+        dh1 = (dcode @ params["enc2_W"].T) * (1.0 - h1 * h1)
+        g["enc1_W"] = Z.T @ dh1
+        g["enc1_b"] = dh1.sum(axis=0)
+        total = np.sqrt(sum(float(np.sum(v * v)) for v in g.values()))
+        for k, v in g.items():
+            if total > seqnet.CLIP_NORM:
+                v *= seqnet.CLIP_NORM / total
+            params[k] -= lr * v
+    _, _, _, recon = oracle_ae_forward(ae.params, Z)
+    ae.final_mse = float(np.mean((recon - Z) ** 2)) * scale * scale
+    return ae
+
+
+def assert_fits_match(fits, oracles, acts, rtol=0.0, atol=0.0):
+    """Parameters, curve, final error, flag and codes of each fit against its
+    oracle: equal bits when both tolerances are 0."""
+    assert len(fits) == len(oracles)
+    for fit, oracle in zip(fits, oracles):
+        assert fit.params.keys() == oracle.params.keys()
+        pairs = [(fit.params[k], oracle.params[k]) for k in oracle.params]
+        pairs += [(np.asarray(fit.error_curve), np.asarray(oracle.error_curve)),
+                  (np.asarray(fit.final_mse), np.asarray(oracle.final_mse)),
+                  (project(fit, acts), project(oracle, acts))]
+        assert fit.diverged == oracle.diverged
+        for got, want in pairs:
+            assert got.shape == want.shape
+            if rtol == atol == 0.0:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+
+
+def latent_like_acts(seed, cases=120, width=16):
+    """Bounded, correlated activations shaped like an LSTM summary."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 3, size=cases)
+    values = np.tanh(rng.normal(size=(3, width))[y] + 0.5 * rng.normal(size=(cases, width)))
+    return ActivationMatrix(values=values, true_labels=y, predicted_labels=y.copy(),
+                            label_names=["a", "b", "c"],
+                            case_ids=[f"p{i:03d}" for i in range(cases)])
+
+
+@pytest.mark.parametrize("n1", [2, 4, 8, 64])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_one_width_equals_the_per_width_oracle_bit_for_bit(n1, seed):
+    acts = latent_like_acts(seed)
+    fits = fit_autoencoder(acts, [n1], epochs=200, lr=0.05, seed=seed)
+    assert_fits_match(fits, [oracle_fit_autoencoder(acts, n1, 200, 0.05, seed)], acts)
+
+
+def test_a_clipped_width_equals_the_oracle_bit_for_bit(rng):
+    # lr 5 clips most steps, so the per-model norm must round as the dict's does
+    acts = blob_acts(rng, n_per=20, dim=6)
+    fits = fit_autoencoder(acts, [4], epochs=60, lr=5.0, seed=3)
+    assert_fits_match(fits, [oracle_fit_autoencoder(acts, 4, 60, 5.0, 3)], acts)
+
+
+#: how far a zero-padded width may move from its lone fit: 1e-9 relative,
+#: with an absolute floor for entries near 0; the padded sums move them by
+#: about 1e-15 after a few hundred steps
+PADDED_RTOL, PADDED_ATOL = 1e-9, 1e-12
+
+
+@pytest.mark.parametrize("grid", [[4, 8], [4, 4], [2, 64], [2, 4, 8, 16, 32], [8, 3, 5]],
+                         ids=lambda g: ",".join(map(str, g)))
+def test_grid_matches_the_per_width_oracle(grid):
+    acts = latent_like_acts(len(grid), cases=150)
+    fits = fit_autoencoder(acts, grid, epochs=300, lr=0.05, seed=11)
+    oracles = [oracle_fit_autoencoder(acts, n1, 300, 0.05, 11 + i) for i, n1 in enumerate(grid)]
+    assert_fits_match(fits, oracles, acts, rtol=PADDED_RTOL, atol=PADDED_ATOL)
+    for group in latent._width_groups(grid, 150, 16):
+        if len(group) == 1:  # a width alone in its group is not padded
+            assert_fits_match([fits[group[0]]], [oracles[group[0]]], acts)
+
+
+@pytest.mark.parametrize("grid, groups", [
+    ([4, 8], [[0, 1]]), ([8, 4], [[1, 0]]), ([4, 4], [[0, 1]]), ([2, 64], [[0], [1]]),
+    ([2, 4, 8, 16, 32], [[0, 1], [2, 3], [4]]), ([5, 3, 8, 6], [[1, 0, 3], [2]]),
+])
+def test_width_groups_pad_at_most_to_double(grid, groups):
+    assert latent._width_groups(grid, 300, 16) == groups
+
+
+def test_width_groups_fit_the_block_bytes():
+    per_width = latent.AE_BLOCK_BYTES // 3  # three buffers of (cases, 16) fit, four do not
+    cases = per_width // (16 * 8)
+    assert latent._width_groups([4] * 7, cases, 16) == [[0, 1, 2], [3, 4, 5], [6]]
+    # a width whose buffer alone exceeds the block still gets a group
+    assert latent._width_groups([4, 4], 10 * cases, 16) == [[0], [1]]
+
+
+# at lr 10**152.25 this data sends widths 8 and up to overflow in their third
+# epoch while narrower widths stay finite through 12 epochs
+DIVERGING_LR = 10 ** 152.25
+
+
+@pytest.mark.parametrize("grid", [[4, 8], [16, 6, 8], [2, 3, 12]],
+                         ids=lambda g: ",".join(map(str, g)))
+def test_a_diverging_width_is_flagged_as_the_oracle_flags_it(grid):
+    acts = ActivationMatrix(values=np.random.default_rng(0).normal(size=(40, 6)),
+                            true_labels=np.zeros(40, dtype=int),
+                            predicted_labels=np.zeros(40, dtype=int),
+                            label_names=["only"], case_ids=[str(i) for i in range(40)])
+    with np.errstate(all="ignore"):
+        fits = fit_autoencoder(acts, grid, epochs=12, lr=DIVERGING_LR, seed=0)
+        oracles = [oracle_fit_autoencoder(acts, n1, 12, DIVERGING_LR, i)
+                   for i, n1 in enumerate(grid)]
+        assert [f.diverged for f in fits] == [n1 >= 8 for n1 in grid]
+        assert_fits_match(fits, oracles, acts, rtol=PADDED_RTOL, atol=PADDED_ATOL)
+        first = next(n1 for n1, o in zip(grid, oracles) if o.diverged)
+        with pytest.raises(FloatingPointError,
+                           match=rf"^autoencoder of width {first} diverged; try a smaller --lr$"):
+            grid_search_ae(acts, grid, epochs=12, lr=DIVERGING_LR, seed=0, k=1)
+
+
+def test_autoencoder_grid_memory_is_bounded_by_its_block_bytes():
+    # eight widths of 4 over 2048 x 16 inputs: one stack of all eight would
+    # hold (8, 2048, 16) buffers of 2 MiB each, four times AE_BLOCK_BYTES
+    cases, grid = 2048, [4] * 8
+    assert len(grid) * cases * 16 * 8 >= 4 * latent.AE_BLOCK_BYTES
+    acts = latent_like_acts(0, cases=cases)
+    tracemalloc.start()
+    try:
+        fit_autoencoder(acts, grid, epochs=3, lr=0.05, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * latent.AE_BLOCK_BYTES
 
 
 # ----------------------------------------------------------------- project
 
 def test_project_shapes_and_purity_of_functional_output(rng):
     acts = blob_acts(rng, n_per=10)
-    ae = fit_autoencoder(acts, n1=4, epochs=50, lr=0.05, seed=4)
+    [ae] = fit_autoencoder(acts, [4], epochs=50, lr=0.05, seed=4)
     p1 = project(ae, acts)
     p2 = project(ae, acts)
     assert p1.shape == (30, 2)
@@ -135,21 +316,21 @@ def test_project_shapes_and_purity_of_functional_output(rng):
 def test_project_duplicate_rows_duplicate_coordinates(rng):
     acts = blob_acts(rng, n_per=10)
     acts.values[3] = acts.values[4]
-    ae = fit_autoencoder(acts, n1=4, epochs=50, lr=0.05, seed=5)
+    [ae] = fit_autoencoder(acts, [4], epochs=50, lr=0.05, seed=5)
     coords = project(ae, acts)
     assert np.array_equal(coords[3], coords[4])
 
 
 def test_project_rejects_width_mismatch(rng):
     acts = blob_acts(rng, n_per=10, dim=20)
-    ae = fit_autoencoder(acts, n1=4, epochs=10, lr=0.05, seed=6)
+    [ae] = fit_autoencoder(acts, [4], epochs=10, lr=0.05, seed=6)
     with pytest.raises(ValueError):
         project(ae, blob_acts(rng, n_per=5, dim=7))
 
 
 def test_project_separates_blobs_with_good_silhouette(rng):
     acts = blob_acts(rng, n_per=50, spread=4.0)
-    ae = fit_autoencoder(acts, n1=8, epochs=400, lr=0.05, seed=7)
+    [ae] = fit_autoencoder(acts, [8], epochs=400, lr=0.05, seed=7)
     coords = project(ae, acts)
     labels, _, _ = kmeans(coords, 3, seed=0)
     assert silhouette_score(coords, labels) > 0.5
@@ -381,7 +562,7 @@ def test_silhouette_well_separated_near_one():
 
 def test_analyze_pure_blobs_purity_one_no_suspects(rng):
     acts = blob_acts(rng, n_per=20, dim=2, spread=8.0)
-    coords = project(fit_autoencoder(acts, n1=4, epochs=300, lr=0.05, seed=8), acts)
+    coords = project(fit_autoencoder(acts, [4], epochs=300, lr=0.05, seed=8)[0], acts)
     _, report = analyze_misclassifications(acts, coords, k=3, seed=1)
     assert report.purity == 1.0
     assert all(len(v) == 0 for v in report.misclassified.values())
@@ -396,7 +577,7 @@ def test_analyze_planted_outlier_is_listed(rng):
                             predicted_labels=predicted,
                             label_names=["c0", "c1", "c2"],
                             case_ids=[f"p{i:03d}" for i in range(len(y))])
-    ae = fit_autoencoder(acts, n1=8, epochs=400, lr=0.05, seed=9)
+    [ae] = fit_autoencoder(acts, [8], epochs=400, lr=0.05, seed=9)
     _, report = analyze_misclassifications(acts, project(ae, acts), k=3, seed=2)
     assert any("p000" in ids for ids in report.misclassified.values())
 
@@ -404,7 +585,7 @@ def test_analyze_planted_outlier_is_listed(rng):
 def test_analyze_k1_purity_is_majority_fraction(rng):
     acts = blob_acts(rng, n_per=10, dim=2)
     acts.true_labels = np.asarray([0] * 18 + [1] * 12)
-    coords = project(fit_autoencoder(acts, n1=4, epochs=30, lr=0.05, seed=0), acts)
+    coords = project(fit_autoencoder(acts, [4], epochs=30, lr=0.05, seed=0)[0], acts)
     _, report = analyze_misclassifications(acts, coords, k=1, seed=0)
     assert report.purity == pytest.approx(18 / 30)
 
@@ -457,7 +638,7 @@ def test_cluster_report_equals_the_per_member_oracle(monkeypatch):
 
 def test_analyze_rejects_bad_k(rng):
     acts = blob_acts(rng, n_per=4, dim=2)
-    coords = project(fit_autoencoder(acts, n1=4, epochs=10, lr=0.05, seed=0), acts)
+    coords = project(fit_autoencoder(acts, [4], epochs=10, lr=0.05, seed=0)[0], acts)
     with pytest.raises(ValueError):
         analyze_misclassifications(acts, coords, k=0)
     with pytest.raises(ValueError):
@@ -522,7 +703,7 @@ def test_grid_search_ae_raises_naming_a_width_that_diverged(rng):
 
 def test_projection_csv_layout(rng):
     acts = blob_acts(rng, n_per=5, dim=2)
-    coords = project(fit_autoencoder(acts, n1=4, epochs=10, lr=0.05, seed=0), acts)
+    coords = project(fit_autoencoder(acts, [4], epochs=10, lr=0.05, seed=0)[0], acts)
     clusters, _ = analyze_misclassifications(acts, coords, k=2, seed=0)
     header, rows = latent.LatentProjection(acts, coords, clusters).table()
     assert header == ["id", "x", "y", "true", "predicted", "cluster"]
