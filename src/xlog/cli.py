@@ -24,7 +24,8 @@ from urllib.parse import quote
 
 import numpy as np
 
-from . import __version__, encode, eventlog, explain, forest, latent, seqnet, svgplot, synth
+from . import (__version__, container, encode, eventlog, explain, forest, latent, seqnet,
+               svgplot, synth)
 
 
 def parse_config_file(path) -> dict:
@@ -32,7 +33,7 @@ def parse_config_file(path) -> dict:
     Matching quotes around a value are dropped, and '#' starts a comment
     only outside them."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for raw in fh:
             if not raw.split("#", 1)[0].strip():
                 continue
@@ -140,6 +141,11 @@ class Run:
     def write_json(self, path, payload: dict) -> None:
         self.write_text(path, json.dumps({**payload, "meta": self.meta}, indent=2) + "\n")
 
+    def write_record(self, path, save) -> None:
+        """``container.files(path)``, registered, then written by ``save(path, meta=...)``."""
+        self.written += container.files(path)
+        save(path, meta=self.meta)
+
     def write_csv(self, path, header, rows) -> None:
         """The meta line as a comment, then ``header`` and one line per row. A
         float cell is written as ``repr(float(v))``, any other with ``str``; a
@@ -183,9 +189,8 @@ def cmd_ingest(run) -> int:
     seq = encode.encode_sequences(clean, vocab, cfg["window"], split)
     flat = encode.encode_flat(seq)
     out = cfg["out"]
-    for name, dataset in (("sequences.xlg", seq), ("flat.xlg", flat)):
-        run.written += [run.path(out, name), run.path(out, name + ".json")]
-        dataset.save(run.path(out, name), meta=run.meta)
+    run.write_record(run.path(out, "sequences.xlg"), seq.save)
+    run.write_record(run.path(out, "flat.xlg"), flat.save)
     run.write_json(run.path(out, "vocab.json"), vocab.to_dict())
     run.write_json(run.path(out, "cleaning_report.json"),
                    report.to_dict() | {"issues": clean.issues})
@@ -256,6 +261,15 @@ def _load_split(data_dir) -> encode.Split:
                         np.asarray(sp["test"], dtype=np.int64))
 
 
+def _write_train_table(run, model, rows, columns) -> None:
+    """``train_table.json`` of the grid ``rows``, and ``train_table.csv`` of
+    their ``columns`` and then ``best`` as 0 or 1."""
+    out = run.cfg["out"]
+    run.write_json(run.path(out, "train_table.json"), {"model": model, "rows": rows})
+    run.write_csv(run.path(out, "train_table.csv"), [*columns, "best"],
+                  [[r[c] for c in columns] + [int(r["best"])] for r in rows])
+
+
 def _train_forest(run):
     cfg = run.cfg
     space = _parse_forest_grid(cfg["grid"])
@@ -282,11 +296,7 @@ def _train_forest(run):
                               feature_names=flat.feature_names,
                               label_names=flat.label_names)
     best["test_accuracy"] = float(np.mean(forest.predict(model, te.X) == te.Y))
-    run.write_json(run.path(out, "train_table.json"), {"model": "forest", "rows": rows})
-    run.write_csv(run.path(out, "train_table.csv"),
-                  ["estimators", "max_features", "cv_accuracy", "best"],
-                  [(r["estimators"], r["max_features"], r["cv_accuracy"], int(r["best"]))
-                   for r in rows])
+    _write_train_table(run, "forest", rows, ["estimators", "max_features", "cv_accuracy"])
     run.write_text(run.path(out, "forest.json"), forest.to_json(model, meta=run.meta) + "\n")
     imp = forest.gini_importance(model)
     run.write_json(run.path(out, "importance.json"), imp.to_dict())
@@ -301,15 +311,11 @@ def _train_seqnet(run):
     rows, models = seqnet.grid_search(space, seq, _load_split(cfg["data"]),
                                       seed=run.seed, lr=cfg["lr"])
     out = cfg["out"]
-    run.write_json(run.path(out, "train_table.json"), {"model": "seqnet", "rows": rows})
-    run.write_csv(run.path(out, "train_table.csv"),
-                  ["architecture", "nodes", "epochs", "accuracy", "loss", "best"],
-                  [(r["architecture"], r["nodes"], r["epochs"], r["accuracy"], r["loss"],
-                    int(r["best"])) for r in rows])
-    best = models[0]
-    run.written += [run.path(out, "seqnet.xlg"), run.path(out, "seqnet.xlg.json")]
-    seqnet.save_checkpoint(run.path(out, "seqnet.xlg"), best, meta=run.meta)
-    curve = best.curve
+    _write_train_table(run, "seqnet", rows,
+                       ["architecture", "nodes", "epochs", "accuracy", "loss"])
+    run.write_record(run.path(out, "seqnet.xlg"),
+                     functools.partial(seqnet.save_checkpoint, model=models[0]))
+    curve = models[0].curve
     run.write_csv(run.path(out, "curve.csv"),
                   ["epoch", "train_loss", "train_acc", "val_loss", "val_acc", "grad_norm",
                    "clip_rate"], curve.rows())

@@ -80,20 +80,26 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     return out
 
 
-def save(path, arrays: dict[str, np.ndarray], manifest: dict) -> None:
+def files(path) -> list[str]:
+    """A ``save`` pair's two files: the arrays at ``path``, the manifest at ``path.json``."""
+    return [str(path), str(path) + ".json"]
+
+
+def save(path, arrays: dict[str, np.ndarray], manifest: dict, meta: dict | None = None) -> None:
     """Write ``arrays`` to ``path`` and ``manifest`` beside it as JSON in
-    ``path.json`` (``indent=2``, no trailing newline)."""
+    ``path.json`` (``indent=2``, no trailing newline), stamped with the run's
+    ``meta`` block under ``"meta"`` when one is given."""
     save_arrays(path, arrays)
-    with open(str(path) + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
+    with open(files(path)[1], "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest | {"meta": meta} if meta else manifest, fh, indent=2)
 
 
 def load(path) -> tuple[dict[str, np.ndarray], dict]:
     """The arrays and the manifest of a ``save`` pair. The manifest is read
     first: ``ValueError`` naming ``path`` when it has none."""
     try:
-        with open(str(path) + ".json", encoding="utf-8") as fh:
+        with open(files(path)[1], encoding="utf-8") as fh:
             manifest = json.load(fh)
     except FileNotFoundError:
-        raise ValueError(f"{path} has no manifest {path}.json") from None
+        raise ValueError(f"{path} has no manifest {files(path)[1]}") from None
     return load_arrays(path), manifest

@@ -9,7 +9,7 @@ padding/unknown tokens in every categorical vocabulary.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -91,8 +91,30 @@ def stratified_split(Y, test_fraction: float, seed: int) -> Split:
                  test_indices=np.flatnonzero(is_test))
 
 
+class _Record:
+    """A dataset's fields named in ``_arrays`` go to an XLG1 container; its
+    names, case ids and then ``_extra`` keys to the manifest beside it."""
+
+    def take(self, indices):
+        """The rows ``indices`` of every array field and of ``case_ids``."""
+        idx = np.asarray(indices)
+        return replace(self, **{name: getattr(self, name)[idx] for name in self._arrays},
+                       case_ids=[self.case_ids[i] for i in idx])
+
+    def save(self, path, meta: dict | None = None) -> None:
+        keys = ("label_names", "feature_names", "case_ids", *self._extra)
+        container.save(path, {name: getattr(self, name) for name in self._arrays},
+                       {key: getattr(self, key) for key in keys}, meta)
+
+    @classmethod
+    def load(cls, path):
+        arrays, manifest = container.load(path)
+        return cls(**{f.name: arrays[f.name] if f.name in cls._arrays else manifest[f.name]
+                      for f in fields(cls)})
+
+
 @dataclass
-class SequenceDataset:
+class SequenceDataset(_Record):
     X: np.ndarray            # (M, T, F) float64
     mask: np.ndarray         # (M, T) bool, true entries form a prefix
     Y: np.ndarray            # (M,) int64
@@ -100,61 +122,25 @@ class SequenceDataset:
     feature_names: list[str]
     cat_sizes: list[int]     # vocabulary size per feature, 0 for numeric
     case_ids: list[str]
+    _arrays = ("X", "mask", "Y")
+    _extra = ("cat_sizes", "T")
 
     @property
     def T(self) -> int:
         """The window length: events kept per case."""
         return self.X.shape[1]
 
-    def take(self, indices) -> "SequenceDataset":
-        idx = np.asarray(indices)
-        return replace(self, X=self.X[idx], mask=self.mask[idx], Y=self.Y[idx],
-                       case_ids=[self.case_ids[i] for i in idx])
-
-    def save(self, path, meta: dict | None = None) -> None:
-        container.save(path, {"X": self.X, "mask": self.mask, "Y": self.Y}, _manifest(
-            self, {"cat_sizes": self.cat_sizes, "T": self.T}, meta))
-
-    @classmethod
-    def load(cls, path) -> "SequenceDataset":
-        arrays, meta = container.load(path)
-        return cls(X=arrays["X"], mask=arrays["mask"], Y=arrays["Y"],
-                   label_names=meta["label_names"], feature_names=meta["feature_names"],
-                   cat_sizes=meta["cat_sizes"], case_ids=meta["case_ids"])
-
 
 @dataclass
-class FlatDataset:
+class FlatDataset(_Record):
     X: np.ndarray            # (M, F*L + statics) float64
     Y: np.ndarray
     feature_names: list[str]
     label_names: list[str]
     categorical: list[bool]  # per column
     case_ids: list[str]
-
-    def take(self, indices) -> "FlatDataset":
-        idx = np.asarray(indices)
-        return replace(self, X=self.X[idx], Y=self.Y[idx],
-                       case_ids=[self.case_ids[i] for i in idx])
-
-    def save(self, path, meta: dict | None = None) -> None:
-        container.save(path, {"X": self.X, "Y": self.Y},
-                       _manifest(self, {"categorical": self.categorical}, meta))
-
-    @classmethod
-    def load(cls, path) -> "FlatDataset":
-        arrays, meta = container.load(path)
-        return cls(X=arrays["X"], Y=arrays["Y"], feature_names=meta["feature_names"],
-                   label_names=meta["label_names"], categorical=meta["categorical"],
-                   case_ids=meta["case_ids"])
-
-
-def _manifest(ds, fields: dict, meta: dict | None) -> dict:
-    """A dataset's manifest: its names and case ids, its own ``fields``, and
-    the run's ``meta`` block when one is given."""
-    manifest = {"label_names": ds.label_names, "feature_names": ds.feature_names,
-                "case_ids": ds.case_ids, **fields}
-    return manifest | {"meta": meta} if meta else manifest
+    _arrays = ("X", "Y")
+    _extra = ("categorical",)
 
 
 def _label_space(t: EventTable) -> tuple[list[str], dict[str, int]]:

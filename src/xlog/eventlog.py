@@ -275,8 +275,10 @@ def parse_log(path, schema: dict) -> EventTable:
     ``diagnosis_code``, ``treatment_code``, ``combination_id`` optional) to CSV
     column names. A static field may map to a list of columns (spread
     attributes); the last non-empty value wins and the field is recorded as
-    collapsed. Events are sorted by timestamp within each case (ties keep file
-    order) and cases keep the order they are first seen in. Lines starting
+    collapsed. A per-event field given a list of other than one column, and
+    a key that names no field, raise ``SchemaError`` naming the key. Events
+    are sorted by timestamp within each case (ties keep file order) and
+    cases keep the order they are first seen in. Lines starting
     with ``#`` and blank rows are skipped, a UTF-8 byte-order mark is
     accepted, a header name given twice means its last column, and a row
     shorter than the header reads its missing fields as empty. Rows without
@@ -285,9 +287,18 @@ def parse_log(path, schema: dict) -> EventTable:
     ``num_executions`` that is not a finite number reads as 1, an ``age``
     as 0.
     """
+    per_event = ("case_id", "timestamp", *DYNAMIC_CATEGORICAL, *DYNAMIC_NUMERIC)
+    static_fields = ("age", "diagnosis_code", "treatment_code", "combination_id")
     for key in ("case_id", "activity", "timestamp"):
         if key not in schema:
             raise SchemaError(f"schema is missing mandatory field {key!r}")
+    for key, spec in schema.items():
+        if key not in per_event + static_fields:
+            raise SchemaError(f"schema key {key!r} names no field; the fields are "
+                              f"{', '.join(per_event + static_fields)}")
+        if key in per_event and len(_columns(spec)) != 1:
+            raise SchemaError(f"schema field {key!r} is per-event and takes one column, "
+                              f"got {spec!r}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
         header = next(reader, [])
@@ -342,7 +353,7 @@ def parse_log(path, schema: dict) -> EventTable:
         n_exec = np.array([float(_whole(tok, 1)) for tok in exec_tokens])[exec_codes[events]]
 
     statics, spread = {}, set()
-    for f in ("age", "diagnosis_code", "treatment_code", "combination_id"):
+    for f in static_fields:
         if f not in schema:
             statics[f] = [None] * n_cases
             continue

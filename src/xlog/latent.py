@@ -260,6 +260,16 @@ def project(ae: Autoencoder, acts: ActivationMatrix) -> np.ndarray:
 
 # ----------------------------------------------------------------- k-means
 
+def _squared_distances(centers, XT, out, term):
+    """``out`` filled with the squared distances of ``centers`` (..., dims) to
+    the columns of ``XT`` (dims, points), summed dimension by dimension in
+    order; ``term`` is scratch of ``out``'s shape."""
+    np.square(np.subtract(centers[..., 0, None], XT[0], out=out), out=out)
+    for j in range(1, len(XT)):
+        out += np.square(np.subtract(centers[..., j, None], XT[j], out=term), out=term)
+    return out
+
+
 def kmeans(X, k: int, seed: int, restarts: int = 20):
     """At most 100 Lloyd iterations from each of ``restarts`` seeded random
     initializations; returns (labels, centers, inertia) of the best restart,
@@ -301,10 +311,7 @@ def kmeans(X, k: int, seed: int, restarts: int = 20):
         active = np.arange(len(rs))
         for _ in range(100):
             A = len(active)
-            C, d2, term = centers[active], d2_buf[:A], term_buf[:A]
-            np.square(np.subtract(XT[0], C[:, :, 0, None], out=d2), out=d2)
-            for j in range(1, dims):
-                d2 += np.square(np.subtract(XT[j], C[:, :, j, None], out=term), out=term)
+            d2 = _squared_distances(centers[active], XT, d2_buf[:A], term_buf[:A])
             new = np.zeros((A, n), dtype=np.int64)   # first nearest center, as argmin
             nearest = d2[:, 0].copy()
             for c in range(1, k):
@@ -350,8 +357,8 @@ def _refill_empty(X, d2, labels, centers):
 def silhouette_score(X, labels) -> float:
     """Mean silhouette over all points; single-member clusters score 0.
     Distances are computed ``SILHOUETTE_BLOCK_ROWS`` rows at a time into one
-    (rows, points) buffer that adds the squared differences one column at a
-    time, as ``kmeans`` does; below 8 columns that is the order numpy's
+    (rows, points) buffer by ``_squared_distances``, which adds the squared
+    differences one column at a time; below 8 columns that is the order numpy's
     ``sum(axis=2)`` over a difference cube adds them in, so the distances
     match it bit for bit. Each block then sums its distances to one cluster
     at once, over a C-ordered copy of that cluster's columns so every row
@@ -367,10 +374,7 @@ def silhouette_score(X, labels) -> float:
     d_buf, term_buf = (np.empty((min(SILHOUETTE_BLOCK_ROWS, len(X)), len(X))) for _ in range(2))
     for start in range(0, len(X), SILHOUETTE_BLOCK_ROWS):
         block = X[start:start + SILHOUETTE_BLOCK_ROWS]
-        d, term = d_buf[:len(block)], term_buf[:len(block)]
-        np.square(np.subtract(block[:, 0, None], XT[0], out=d), out=d)
-        for j in range(1, X.shape[1]):
-            d += np.square(np.subtract(block[:, j, None], XT[j], out=term), out=term)
+        d = _squared_distances(block, XT, d_buf[:len(block)], term_buf[:len(block)])
         np.sqrt(d, out=d)
         sums = np.stack([np.ascontiguousarray(d[:, m]).sum(axis=1) for m in members],
                         axis=1)  # (rows, clusters)

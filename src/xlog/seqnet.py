@@ -605,8 +605,8 @@ def save_checkpoint(path, model: SeqNetModel, meta: dict | None = None) -> None:
     field, stamped with the run's ``meta`` block when one is given."""
     stored = {f.name: getattr(model, f.name) for f in fields(model)
               if f.name not in ("params", "curve")}
-    manifest = {"kind": "seqnet", **stored, "curve": asdict(model.curve)}
-    container.save(path, model.params, manifest | {"meta": meta} if meta else manifest)
+    container.save(path, model.params, {"kind": "seqnet", **stored, "curve": asdict(model.curve)},
+                   meta)
 
 
 def load_checkpoint(path) -> SeqNetModel:

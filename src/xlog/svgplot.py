@@ -87,25 +87,29 @@ def barh_chart(labels, values, title="", meta="", width=640) -> str:
     return "\n".join(out) + "\n"
 
 
+def _frame(xs, ys, margins, width, height, title, meta):
+    """A chart's lines up to its plot rectangle inside ``margins`` (top,
+    bottom, left, right), the spans (x_lo, x_hi, y_lo, y_hi) of ``xs`` and
+    ``ys``, and the map of a data point (x, y) to its pixel in the rectangle."""
+    top, bottom, left, right = margins
+    (x_lo, x_hi), (y_lo, y_hi) = _span(xs), _span(ys)
+    pw, ph = width - left - right, height - top - bottom
+
+    def pixel(x, y):
+        return (left + (x - x_lo) / (x_hi - x_lo) * pw,
+                top + (1 - (y - y_lo) / (y_hi - y_lo)) * ph)
+
+    rect = f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" fill="none" stroke="#999"/>'
+    return _header(width, height, title, meta) + [rect], (x_lo, x_hi, y_lo, y_hi), pixel
+
+
 def line_chart(x, series: dict[str, list], title="", meta="", width=640, height=360) -> str:
     """Line plot of one or more named series over shared x values."""
     top, bottom, left, right = 30, 40, 60, 20
     xs = list(x)
     all_y = [v for ys in series.values() for v in ys if math.isfinite(v)]
-    x_lo, x_hi = _span(xs)
-    y_lo, y_hi = _span(all_y)
-    pw, ph = width - left - right, height - top - bottom
-
-    def px(v):
-        return left + (v - x_lo) / (x_hi - x_lo) * pw
-
-    def py(v):
-        return top + (1 - (v - y_lo) / (y_hi - y_lo)) * ph
-
-    out = _header(width, height, title, meta)
-    out.append(
-        f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" fill="none" stroke="#999"/>'
-    )
+    out, (x_lo, x_hi, y_lo, y_hi), pixel = _frame(xs, all_y, (top, bottom, left, right),
+                                                  width, height, title, meta)
     out.append(
         f'<text x="{left}" y="{height - 8}" font-family="monospace" font-size="10">'
         f"x: {_fmt(x_lo)} .. {_fmt(x_hi)}   y: {_fmt(y_lo)} .. {_fmt(y_hi)}</text>"
@@ -113,7 +117,7 @@ def line_chart(x, series: dict[str, list], title="", meta="", width=640, height=
     for k, (name, ys) in enumerate(series.items()):
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(
-            f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(xs, ys) if math.isfinite(b)
+            ",".join(map(_fmt, pixel(a, b))) for a, b in zip(xs, ys) if math.isfinite(b)
         )
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         out.append(
@@ -128,17 +132,11 @@ def scatter_chart(x, y, color_labels, marker_labels=None, title="", meta="",
                   width=640, height=480) -> str:
     """Scatter plot; point color follows ``color_labels``, marker shape follows
     ``marker_labels`` (circle when it matches the color label, cross otherwise)."""
-    top, bottom, left, right = 30, 40, 50, 130
+    top, right = 30, 130
     xs, ys = list(x), list(y)
-    x_lo, x_hi = _span(xs)
-    y_lo, y_hi = _span(ys)
-    pw, ph = width - left - right, height - top - bottom
+    out, _, pixel = _frame(xs, ys, (top, 40, 50, right), width, height, title, meta)
     classes = sorted(set(color_labels), key=str)
     color_of = {c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(classes)}
-    out = _header(width, height, title, meta)
-    out.append(
-        f'<rect x="{left}" y="{top}" width="{pw}" height="{ph}" fill="none" stroke="#999"/>'
-    )
     for i, c in enumerate(classes):
         out.append(
             f'<circle cx="{width - right + 12}" cy="{top + 10 + 16 * i}" r="4" '
@@ -148,12 +146,9 @@ def scatter_chart(x, y, color_labels, marker_labels=None, title="", meta="",
             f'<text x="{width - right + 22}" y="{top + 14 + 16 * i}" font-family="monospace" '
             f'font-size="11">{_esc(c)}</text>'
         )
-    for i in range(len(xs)):
-        cx = left + (xs[i] - x_lo) / (x_hi - x_lo) * pw
-        cy = top + (1 - (ys[i] - y_lo) / (y_hi - y_lo)) * ph
+    for i, (cx, cy) in enumerate(map(pixel, xs, ys)):
         col = color_of[color_labels[i]]
-        mismatch = marker_labels is not None and marker_labels[i] != color_labels[i]
-        if mismatch:
+        if marker_labels is not None and marker_labels[i] != color_labels[i]:
             out.append(
                 f'<path d="M {_fmt(cx - 4)} {_fmt(cy - 4)} L {_fmt(cx + 4)} {_fmt(cy + 4)} '
                 f'M {_fmt(cx - 4)} {_fmt(cy + 4)} L {_fmt(cx + 4)} {_fmt(cy - 4)}" '

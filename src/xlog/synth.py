@@ -56,8 +56,27 @@ class SyntheticSpec:
         return cls(**d)
 
     def validate(self) -> None:
+        """``ValueError`` naming the key of the first value that cannot be
+        generated or written."""
+        if self.min_length > self.max_length:
+            raise ValueError(f"min_length {self.min_length} exceeds max_length "
+                             f"{self.max_length}")
+        if self.noise_vocab < 1:
+            raise ValueError(f"noise_vocab must be >= 1, got {self.noise_vocab}")
+        if not self.treatments:
+            raise ValueError("treatments must name at least one treatment")
+        # ages from age_low up to this are drawn for every class outside the age rule
+        age_high = self.age_rule.threshold if self.age_rule else 79
+        outside = [c for c in self.classes if not self.age_rule or c.label != self.age_rule.label]
+        if outside and self.age_low > age_high:
+            raise ValueError(f"age_low {self.age_low} leaves no age to draw for class "
+                             f"{outside[0].label!r}: the highest is {age_high}")
+        labels = [c.label for c in self.classes]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(f"classes: label {label!r} is given twice")
         # log_to_csv writes cells unquoted, so such a cell would shift its row
-        cells = [c.label for c in self.classes] + [tok for c in self.classes for tok in c.motif]
+        cells = labels + [tok for c in self.classes for tok in c.motif]
         for value in cells + list(self.treatments):
             if any(ch in value for ch in ',"\r\n'):
                 raise ValueError(f"{value!r}: a class label, motif token or treatment "

@@ -560,6 +560,37 @@ def test_config_string_value_keeps_its_text_as_the_flag_does(tmp_path, line, key
     assert configured.config_hash == flagged.config_hash
 
 
+def test_config_file_with_a_byte_order_mark_reads_its_first_key(tmp_path):
+    text = "seed = 5\nwindow = 12\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_config_file(marked) == parse_config_file(plain) == {"seed": "5", "window": "12"}
+    runs = [cli.Run(cli.build_parser().parse_args(["ingest", "--config", str(cfg)]))
+            for cfg in (plain, marked)]
+    assert runs[0].seed == runs[1].seed == 5
+    assert runs[0].config_hash == runs[1].config_hash
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"min_length": 8, "max_length": 5}, "min_length 8 exceeds max_length 5"),
+    ({"noise_vocab": 0}, "noise_vocab must be >= 1, got 0"),
+    ({"treatments": []}, "treatments must name at least one treatment"),
+    ({"classes": [SPEC["classes"][0], {**SPEC["classes"][1], "label": "cls_a"}],
+      "age_rule": None}, "classes: label 'cls_a' is given twice"),
+    ({"age_low": 71}, "age_low 71 leaves no age to draw for class 'cls_a': the highest is 70"),
+    ({"age_low": 80, "age_rule": None},
+     "age_low 80 leaves no age to draw for class 'cls_a': the highest is 79"),
+], ids=["lengths", "noise-vocab", "treatments", "duplicate-label", "age-low-rule",
+        "age-low-no-rule"])
+def test_synth_rejects_a_spec_it_cannot_generate_and_writes_nothing(tmp_path, change, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC | change), encoding="utf-8")
+    assert rejection("synth", "--spec", spec_path, "--out", tmp_path / "synth") == (
+        1, f"xlog: error: {message}\n")
+    assert not (tmp_path / "synth").exists()
+
+
 def test_config_file_flags_override(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC), encoding="utf-8")

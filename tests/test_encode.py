@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -315,6 +316,36 @@ def test_dataset_save_load_roundtrip(tmp_path):
     assert np.array_equal(flat.X, flat2.X) and np.array_equal(flat.Y, flat2.Y)
     assert flat2.feature_names == flat.feature_names
     assert flat2.categorical == flat.categorical
+
+
+@pytest.mark.parametrize("meta", [None, {"config_hash": "abc", "seed": 3, "version": "x"}])
+@pytest.mark.parametrize("flat", [False, True], ids=["sequences", "flat"])
+def test_dataset_save_load_save_writes_the_same_bytes(tmp_path, flat, meta):
+    seq = encode_sequences(small_log(), build_vocab(small_log(), CATS), T=3)
+    dataset = encode_flat(seq) if flat else seq
+    dataset.save(tmp_path / "a.xlg", meta=meta)
+    type(dataset).load(tmp_path / "a.xlg").save(tmp_path / "b.xlg", meta=meta)
+    for ext in ("", ".json"):
+        assert (tmp_path / f"a.xlg{ext}").read_bytes() == (tmp_path / f"b.xlg{ext}").read_bytes()
+    manifest = json.loads((tmp_path / "a.xlg.json").read_text(encoding="utf-8"))
+    assert ("meta" in manifest) == (meta is not None)
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["sequences", "flat"])
+def test_dataset_take_keeps_every_array_and_case_id_aligned(flat):
+    seq = encode_sequences(small_log(), build_vocab(small_log(), CATS), T=3)
+    dataset = encode_flat(seq) if flat else seq
+    rows = [3, 0, 3, 1]
+    part = dataset.take(np.asarray(rows))
+    arrays = [f.name for f in dataclasses.fields(dataset)
+              if isinstance(getattr(dataset, f.name), np.ndarray)]
+    assert arrays == (["X", "Y"] if flat else ["X", "mask", "Y"])
+    for name in arrays:
+        assert np.array_equal(getattr(part, name), getattr(dataset, name)[rows])
+    assert part.case_ids == [dataset.case_ids[i] for i in rows]
+    for f in dataclasses.fields(dataset):
+        if f.name not in arrays + ["case_ids"]:
+            assert getattr(part, f.name) == getattr(dataset, f.name)
 
 
 def test_dataset_json_fixture_roundtrip(tmp_path):

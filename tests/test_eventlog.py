@@ -69,6 +69,23 @@ def test_parse_missing_mandatory_column(tmp_path):
         parse_log(path, {"case_id": "case", "activity": "act"})
 
 
+def test_parse_rejects_a_schema_key_that_names_no_field(tmp_path):
+    path = write_csv(tmp_path, ["c1,a,2020-01-01 00:00:00,50,M11"])
+    with pytest.raises(SchemaError, match="schema key 'departement' names no field"):
+        parse_log(path, dict(SCHEMA, departement="age"))
+
+
+@pytest.mark.parametrize("key, column", [("case_id", "case"), ("activity", "act"),
+                                         ("timestamp", "ts"), ("department", "act"),
+                                         ("num_executions", "age")])
+def test_parse_rejects_a_column_list_on_a_per_event_field(tmp_path, key, column):
+    path = write_csv(tmp_path, ["c1,a,2020-01-01 00:00:00,50,M11"])
+    with pytest.raises(SchemaError, match=f"schema field '{key}' is per-event and takes "
+                                          "one column"):
+        parse_log(path, dict(SCHEMA, **{key: [column, "diag"]}))
+    assert parse_log(path, dict(SCHEMA, **{key: [column]})).n_events() == 1
+
+
 def test_parse_counts_bad_rows_instead_of_silence(tmp_path):
     path = write_csv(tmp_path, [
         "c1,a,2020-01-01 00:00:00,50,M11",

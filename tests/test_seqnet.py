@@ -429,6 +429,19 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert back.curve == model.curve
 
 
+@pytest.mark.parametrize("meta", [None, {"config_hash": "abc", "seed": 3, "version": "x"}])
+def test_checkpoint_save_load_save_writes_the_same_bytes(tmp_path, rng, meta):
+    X, mask, Y = random_batch(rng)
+    model = toy_model("lstm")
+    train(model, X, mask, Y, epochs=2, lr=0.1, seed=3, validation=(X, mask, Y))
+    seqnet.save_checkpoint(tmp_path / "a.xlg", model, meta=meta)
+    seqnet.save_checkpoint(tmp_path / "b.xlg", seqnet.load_checkpoint(tmp_path / "a.xlg"),
+                           meta=meta)
+    for ext in ("", ".json"):
+        assert (tmp_path / f"a.xlg{ext}").read_bytes() == (tmp_path / f"b.xlg{ext}").read_bytes()
+    assert ('"meta"' in (tmp_path / "a.xlg.json").read_text()) == (meta is not None)
+
+
 def test_checkpoint_without_gradient_columns_still_loads(tmp_path, rng):
     import json
     X, mask, Y = random_batch(rng)
