@@ -275,8 +275,9 @@ def parse_log(path, schema: dict) -> EventTable:
     ``diagnosis_code``, ``treatment_code``, ``combination_id`` optional) to CSV
     column names. A static field may map to a list of columns (spread
     attributes); the last non-empty value wins and the field is recorded as
-    collapsed. A per-event field given a list of other than one column, and
-    a key that names no field, raise ``SchemaError`` naming the key. Events
+    collapsed. A value that is neither a column name nor a non-empty list
+    of them, a per-event field given a list of other than one column, and a
+    key that names no field, raise ``SchemaError`` naming the key. Events
     are sorted by timestamp within each case (ties keep file order) and
     cases keep the order they are first seen in. Lines starting
     with ``#`` and blank rows are skipped, a UTF-8 byte-order mark is
@@ -296,6 +297,10 @@ def parse_log(path, schema: dict) -> EventTable:
         if key not in per_event + static_fields:
             raise SchemaError(f"schema key {key!r} names no field; the fields are "
                               f"{', '.join(per_event + static_fields)}")
+        if not (isinstance(spec, str) or (isinstance(spec, list) and spec
+                                          and all(isinstance(col, str) for col in spec))):
+            raise SchemaError(f"schema field {key!r} takes a column name or a non-empty "
+                              f"list of column names, got {spec!r}")
         if key in per_event and len(_columns(spec)) != 1:
             raise SchemaError(f"schema field {key!r} is per-event and takes one column, "
                               f"got {spec!r}")

@@ -11,10 +11,18 @@ sequence. One routine embeds each direction's source steps and projects
 them: training calls it once for the whole batch and keeps per-step caches
 for BPTT; inference calls it on blocks of steps and keeps only the running
 state, so its memory does not grow with the number of timesteps.
+
+Each ``train`` call makes one ``Workspace`` and passes it to every batch's
+``loss_and_grads``. The batch's large BPTT arrays (embedded inputs and
+their gradient, the gate cache, the scan state and the backward
+coefficients) are cut from its buffers, so batches reuse the pages of the
+batches before them instead of allocating megabytes afresh. The workspace
+dies with the call; inference allocates each block's arrays afresh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -62,6 +70,28 @@ def _lstm_step(z, Wh, h_prev, c_prev, c, tc, h, scratch):
     c += ig
     np.tanh(c, out=tc)
     np.multiply(z[..., :H], tc, out=h)
+
+
+class Workspace:
+    """Flat float64 buffers that the batches of one ``train`` call share,
+    one per named region. ``take`` returns a C-ordered prefix of a region,
+    shaped and laid out as a fresh array would be, so every GEMM sees the
+    same operands. A view is valid until its region is taken again. A
+    region too small for a request is freed, then allocated at the
+    requested size."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, region, shape, zero=False):
+        size = math.prod(shape)
+        if region not in self._flat or self._flat[region].size < size:
+            self._flat[region] = None  # free the old buffer before allocating
+            self._flat[region] = np.empty(size)
+        view = self._flat[region][:size].reshape(shape)
+        if zero:
+            view.fill(0.0)
+        return view
 
 
 @dataclass
@@ -161,10 +191,12 @@ def build_model(arch: str, nodes: int, feature_names, cat_sizes, label_names,
 def _indices(model: SeqNetModel, X):
     """Row of every categorical cell of raw (..., F) features in the stacked
     embedding table: the value clipped to its column's vocabulary, plus the
-    first row of that column's table. Shape (..., C), int64."""
+    first row of that column's table. Shape (..., C), int64, C-ordered, so
+    that ``np.take`` reads a block of its rows without copying them."""
     sizes = np.asarray([model.cat_sizes[c] for c in model.cat_columns], dtype=np.int64)
     first = np.cumsum(sizes + 1) - (sizes + 1)
-    return np.clip(X[..., model.cat_columns].astype(np.int64), 0, sizes) + first
+    return np.add(np.clip(X[..., model.cat_columns].astype(np.int64), 0, sizes), first,
+                  order="C")
 
 
 def _table(model: SeqNetModel):
@@ -173,12 +205,18 @@ def _table(model: SeqNetModel):
     return np.concatenate(tables) if tables else np.zeros((0, model.embed_dim))
 
 
-def _embed(table, idx, X_num):
+def _embed(table, idx, X_num, ws=None):
     """C-ordered input vectors (..., D): the ``table`` rows of ``idx``, column
-    by column, then the numeric features ``X_num``, built in one buffer."""
+    by column, then the numeric features ``X_num``, built in the ``inputs``
+    region of the workspace ``ws`` (a throwaway one if None). The gathered
+    rows pass through its ``gather`` region, which the caller may take
+    again once this returns."""
+    ws = ws or Workspace()
     CE = idx.shape[-1] * table.shape[1]
-    out = np.empty(idx.shape[:-1] + (CE + X_num.shape[-1],))
-    out[..., :CE].reshape(idx.shape + table.shape[1:])[...] = table[idx]  # a view
+    out = ws.take("inputs", idx.shape[:-1] + (CE + X_num.shape[-1],))
+    rows = ws.take("gather", idx.shape + table.shape[1:])
+    np.take(table, idx, axis=0, out=rows, mode="clip")  # idx is in range already
+    out[..., :CE].reshape(rows.shape)[...] = rows  # a view
     out[..., CE:] = X_num
     return out
 
@@ -207,7 +245,7 @@ def _embedding_grads(model: SeqNetModel, idx, dX, grads):
         grads[f"emb_{k}"] = part
 
 
-def _lstm_scan(Wh, blocks, running, keep):
+def _lstm_scan(Wh, blocks, running, ws):
     """Run K stacked cells over the rows of a batch sorted longest first,
     stepping at step t only the first ``running[t]`` rows, those still
     inside their sequence; a row that has ended keeps its state.
@@ -217,13 +255,16 @@ def _lstm_scan(Wh, blocks, running, keep):
     rows running at t0. The cell leaves its gates in ``G``. Returns the
     buffers ``C`` and ``Hs`` of cell and hidden states, where slot ``s``
     holds the state after step ``s - 1`` (slot 0 is the zero start), and
-    ``TC`` = tanh(C) by step. With ``keep`` (training) they hold every
-    step for BPTT; without it, two slots in turn, and a row's final state
-    stays in slot ``length % 2`` because no later step touches the row."""
+    ``TC`` = tanh(C) by step. In training, with the workspace ``ws``,
+    they hold every step for BPTT and are cut from ``ws``; in inference
+    (``ws`` None), two slots in turn, and a row's final state stays in slot
+    ``length % 2`` because no later step touches the row."""
     K, H, T, M = Wh.shape[0], Wh.shape[1], len(running) - 1, running[0]
+    keep = ws is not None
     S = T + 1 if keep else 2
-    C, Hs = np.zeros((K, S, M, H)), np.zeros((K, S, M, H))
-    TC = np.zeros((K, T if keep else 1, M, H))
+    ws = ws or Workspace()
+    C, Hs = ws.take("C", (K, S, M, H), zero=True), ws.take("Hs", (K, S, M, H), zero=True)
+    TC = ws.take("TC", (K, T if keep else 1, M, H), zero=True)
     scratch = np.empty((K, M, 4 * H))
     for t0, G in blocks:
         for j in range(G.shape[1]):
@@ -236,8 +277,8 @@ def _lstm_scan(Wh, blocks, running, keep):
     return C, TC, Hs
 
 
-def _lstm_backward(Wh, G, C, TC, running, dh):
-    """Exact BPTT through a scan with ``keep``, given its buffers and the
+def _lstm_backward(Wh, G, C, TC, running, dh, ws):
+    """Exact BPTT through a training scan, given its buffers and the
     loss gradient ``dh`` (K, M, H) on each sorted row's final hidden state.
     ``Wh`` holds the recurrent weights in the scan's gate order, not
     halved. Returns the gradient on every step's gate pre-activations,
@@ -245,14 +286,15 @@ def _lstm_backward(Wh, G, C, TC, running, dh):
     not running. Overwrites ``C``, ``TC`` and ``dh``.
 
     Every per-step coefficient is computed for all steps at once before the
-    loop, in place in the gate cache, so each step only chains ``dc`` and
-    ``dh`` through the running rows."""
+    loop, in place in the gate cache and two scratch arrays from the
+    workspace ``ws``, so each step only chains ``dc`` and ``dh`` through the
+    running rows."""
     K, T, M, H = G.shape[0], G.shape[1], G.shape[2], Wh.shape[1]
     o, i, f, g = (G[..., k * H:(k + 1) * H] for k in range(4))
     F = C[:, :T]  # c_{t-1} of step t, then f
-    u = np.subtract(1.0, o)
+    u = np.subtract(1.0, o, out=ws.take("u", o.shape))
     u *= o
-    v = np.multiply(TC, TC)
+    v = np.multiply(TC, TC, out=ws.take("v", TC.shape))
     np.subtract(1.0, v, out=v)
     v *= o
     np.multiply(u, TC, out=o)  # do/dh:  tanh(c) o (1 - o)
@@ -336,7 +378,7 @@ POOL_BYTES = 4 * 2**20
 SCAN_BYTES = 256 * 2**10
 
 
-def _forward(model: SeqNetModel, X, mask, keep):
+def _forward(model: SeqNetModel, X, mask, ws):
     """Summary, dense activations, logits, probabilities and a cache.
 
     Dense pooling sums each row's true prefix in time order, so extra
@@ -346,13 +388,15 @@ def _forward(model: SeqNetModel, X, mask, keep):
     ``x @ W[:D] + b`` outside the time loop, in one matmul call that runs
     one small GEMM per (direction, step): one GEMM over all T*M rows is
     split across BLAS threads, whose buffers then stay resident (1.5 MB
-    more peak RSS over 15 seqnet_latent passes). With ``keep`` (training)
-    it projects every step of the batch at once, and the cache holds
-    everything ``loss_and_grads`` reads. Without it (inference) it
-    projects blocks of steps of ``SCAN_BYTES``, and dense inputs are pooled
-    in blocks of rows of ``POOL_BYTES``, so memory is O(M * (D + H))
-    beyond input-sized temporaries, never O(M * T * H)."""
+    more peak RSS over 15 seqnet_latent passes). In training, with the
+    workspace ``ws``, it projects every step of the batch at once into
+    ``ws``, and the cache holds everything ``loss_and_grads`` reads. In
+    inference (``ws`` None) it projects blocks of steps of ``SCAN_BYTES``,
+    each into fresh arrays, and dense inputs are pooled in blocks of rows
+    of ``POOL_BYTES``, so memory is O(M * (D + H)) beyond input-sized
+    temporaries, never O(M * T * H)."""
     X, mask, lengths = _prepare(model, X, mask)
+    keep = ws is not None
     p, dirs, table = model.params, _directions(model.arch), _table(model)
     M, T, D = X.shape[0], X.shape[1], model.input_dim
     idx, X_num = _indices(model, X), X[..., model.num_columns]
@@ -380,11 +424,13 @@ def _forward(model: SeqNetModel, X, mask, keep):
         def project(t0, t1):
             """Each direction's stacked-table rows, input vectors and input
             projections, (K, t1 - t0, n, .), at steps t0 .. t1 - 1 of the
-            n rows running at t0."""
+            n rows running at t0. Training cuts the projections from the
+            region of the gathered rows, which ``_embed`` is done with."""
             rows, at = order[:running[t0]], pos[:, t0:t1, :running[t0]]
             ix = idx[rows, at]
-            inputs = _embed(table, ix, X_num[rows, at])
-            G = np.matmul(inputs, W[:, None, :D])
+            inputs = _embed(table, ix, X_num[rows, at], ws)
+            G = np.matmul(inputs, W[:, None, :D], out=None if ws is None else
+                          ws.take("gather", inputs.shape[:-1] + (4 * H,)))
             G += b[:, None, None]
             return ix, inputs, G
 
@@ -396,7 +442,7 @@ def _forward(model: SeqNetModel, X, mask, keep):
         else:
             steps = max(1, SCAN_BYTES // (8 * K * max(M, 1) * (D + 4 * H)))
             blocks = ((t0, project(t0, min(T, t0 + steps))[2]) for t0 in range(0, T, steps))
-        C, TC, Hs = _lstm_scan(W[:, D:], blocks, running, keep)
+        C, TC, Hs = _lstm_scan(W[:, D:], blocks, running, ws)
         if keep:
             cache.update(C=C, TC=TC, Hs=Hs)
         inv = np.empty_like(order)
@@ -408,12 +454,12 @@ def _forward(model: SeqNetModel, X, mask, keep):
 
 def forward(model: SeqNetModel, X, mask) -> np.ndarray:
     """Class probabilities, one row per sequence; padded steps have no effect."""
-    return _forward(model, X, mask, False)[3]
+    return _forward(model, X, mask, None)[3]
 
 
 def hidden_summary(model: SeqNetModel, X, mask) -> np.ndarray:
     """The recurrent (or pooled) summary vector of each sequence."""
-    return _forward(model, X, mask, False)[0]
+    return _forward(model, X, mask, None)[0]
 
 
 def _row_losses(logits, Y):
@@ -423,12 +469,16 @@ def _row_losses(logits, Y):
     return lse - shift[np.arange(len(Y)), Y]
 
 
-def loss_and_grads(model: SeqNetModel, X, mask, Y):
+def loss_and_grads(model: SeqNetModel, X, mask, Y, ws=None):
     """Mean cross-entropy, exact gradients for every parameter, and the
     per-row ``(losses, hits)`` behind the mean: each row's cross-entropy and
-    whether its most probable class is ``Y``."""
+    whether its most probable class is ``Y``.
+
+    The BPTT arrays are cut from the ``Workspace`` ``ws``, a throwaway one
+    when none is given; nothing returned shares its buffers."""
     Y = np.asarray(Y, dtype=np.int64)
-    summary, act, logits, probs, cache = _forward(model, X, mask, True)
+    ws = ws or Workspace()
+    summary, act, logits, probs, cache = _forward(model, X, mask, ws)
     p, M = model.params, len(Y)
     rows = _row_losses(logits, Y)
     loss = float(np.mean(rows))
@@ -455,16 +505,17 @@ def loss_and_grads(model: SeqNetModel, X, mask, Y):
         cols = _gate_columns(H)
         W = np.stack([p[w] for w, _, _ in dirs])[..., cols]
         dh = np.ascontiguousarray(dsummary.reshape(M, K, H)[cache["order"]].transpose(1, 0, 2))
-        # release each cache once read, so that dInputs does not add to the peak
-        dZ = _lstm_backward(W[:, D:], cache.pop("G"), cache.pop("C"), cache.pop("TC"),
-                            cache["running"], dh)
+        dZ = _lstm_backward(W[:, D:], cache["G"], cache["C"], cache["TC"],
+                            cache["running"], dh, ws)
         T = dZ.shape[1]
         dW = np.empty_like(W)
-        _sum_step_products(cache.pop("Hs")[:, :T], dZ, dW[:, D:])
-        _sum_step_products(cache.pop("inputs"), dZ, dW[:, :D])
+        _sum_step_products(cache["Hs"][:, :T], dZ, dW[:, D:])
+        _sum_step_products(cache["inputs"], dZ, dW[:, :D])
         db = dZ.sum(axis=(1, 2))
-        # C-ordered weights: the per-step GEMMs ran slower on the transposed view
-        dInputs = np.matmul(dZ, np.ascontiguousarray(W[:, None, :E].swapaxes(-1, -2)))
+        # C-ordered weights: the per-step GEMMs ran slower on the transposed view;
+        # the inputs, read for the last time above, leave their region to dInputs
+        dInputs = np.matmul(dZ, np.ascontiguousarray(W[:, None, :E].swapaxes(-1, -2)),
+                            out=ws.take("inputs", dZ.shape[:-1] + (E,)))
         back = np.argsort(cols)
         for k, (w, b, _) in enumerate(dirs):
             grads[w], grads[b] = dW[k][:, back], db[k][back]
@@ -523,7 +574,7 @@ def train(model: SeqNetModel, X, mask, Y, epochs: int, lr: float, seed: int,
     rng = np.random.default_rng(seed)
     model.hyper.update({"epochs": epochs, "lr": lr, "train_seed": seed,
                         "batch_size": BATCH_SIZE})
-    n, curve = len(Y), model.curve
+    n, curve, ws = len(Y), model.curve, Workspace()
     row_loss, row_hit = np.empty(n), np.empty(n, dtype=bool)
     snapshot = {k: v.copy() for k, v in model.params.items()}
     for epoch in range(1, epochs + 1):
@@ -532,7 +583,7 @@ def train(model: SeqNetModel, X, mask, Y, epochs: int, lr: float, seed: int,
         for start in range(0, n, BATCH_SIZE):
             idx = order[start:start + BATCH_SIZE]
             _, grads, (row_loss[idx], row_hit[idx]) = loss_and_grads(
-                model, X[idx], mask[idx], Y[idx])
+                model, X[idx], mask[idx], Y[idx], ws)
             norms.append(descend(model.params, grads, lr))
         loss = float(np.mean(row_loss))
         held = evaluate(model, *validation)
@@ -560,7 +611,7 @@ class EvalReport:
 
 def evaluate(model: SeqNetModel, X, mask, Y) -> EvalReport:
     Y = np.asarray(Y, dtype=np.int64)
-    _, _, logits, probs, _ = _forward(model, X, mask, False)
+    _, _, logits, probs, _ = _forward(model, X, mask, None)
     return EvalReport(accuracy=float(np.mean(np.argmax(probs, axis=1) == Y)),
                       loss=float(np.mean(_row_losses(logits, Y))))
 

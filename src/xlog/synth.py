@@ -87,6 +87,9 @@ class SyntheticSpec:
         for c in self.classes:
             if c.cases < 4:
                 raise ValueError(f"class {c.label}: need >= 4 cases")
+            if c.motif_position < 0:
+                raise ValueError(f"class {c.label}: motif_position must be >= 0, "
+                                 f"got {c.motif_position}")
             if c.motif_position + len(c.motif) > self.min_length:
                 raise ValueError(
                     f"class {c.label}: motif does not fit inside the shortest window")

@@ -581,8 +581,10 @@ def test_config_file_with_a_byte_order_mark_reads_its_first_key(tmp_path):
     ({"age_low": 71}, "age_low 71 leaves no age to draw for class 'cls_a': the highest is 70"),
     ({"age_low": 80, "age_rule": None},
      "age_low 80 leaves no age to draw for class 'cls_a': the highest is 79"),
+    ({"classes": [{**SPEC["classes"][0], "motif_position": -3}, SPEC["classes"][1]]},
+     "class cls_a: motif_position must be >= 0, got -3"),
 ], ids=["lengths", "noise-vocab", "treatments", "duplicate-label", "age-low-rule",
-        "age-low-no-rule"])
+        "age-low-no-rule", "negative-motif-position"])
 def test_synth_rejects_a_spec_it_cannot_generate_and_writes_nothing(tmp_path, change, message):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC | change), encoding="utf-8")

@@ -86,6 +86,16 @@ def test_parse_rejects_a_column_list_on_a_per_event_field(tmp_path, key, column)
     assert parse_log(path, dict(SCHEMA, **{key: [column]})).n_events() == 1
 
 
+@pytest.mark.parametrize("key, spec", [("age", 5), ("diagnosis_code", []),
+                                       ("age", ["age", 3]), ("case_id", None)])
+def test_parse_rejects_a_schema_value_that_names_no_columns(tmp_path, key, spec):
+    # an empty list used to read every case as unlabelled, a number to crash
+    path = write_csv(tmp_path, ["c1,a,2020-01-01 00:00:00,50,M11"])
+    with pytest.raises(SchemaError, match=f"schema field '{key}' takes a column name or a "
+                                          "non-empty list of column names"):
+        parse_log(path, dict(SCHEMA, **{key: spec}))
+
+
 def test_parse_counts_bad_rows_instead_of_silence(tmp_path):
     path = write_csv(tmp_path, [
         "c1,a,2020-01-01 00:00:00,50,M11",

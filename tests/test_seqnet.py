@@ -230,6 +230,41 @@ def test_train_curve_is_the_row_mean_of_each_batch_before_its_step():
     assert curve.val_loss == [evaluate(model, X, mask, Y).loss]
 
 
+@pytest.mark.parametrize("arch", ["lstm", "bilstm"])
+def test_train_workspace_gives_the_bytes_of_fresh_buffers_every_batch(arch):
+    # 70 rows are batches of 32, 32 and 6; the first epoch's first batch is
+    # shorter than its second, so the workspace's regions grow mid-call
+    import copy
+    from dataclasses import asdict
+    rng = np.random.default_rng(12)
+    X, mask, Y = random_batch(rng, M=70, T=20)
+    order = np.random.default_rng(6).permutation(70)
+    short = np.zeros(70, dtype=bool)
+    short[order[:32]] = True
+    mask[short, 8:] = False
+    X[~mask] = 0.0
+    assert mask[order[:32]].sum(axis=1).max() < mask[order[32:64]].sum(axis=1).max()
+    model = toy_model(arch)
+    replay = copy.deepcopy(model)
+    train(model, X, mask, Y, epochs=2, lr=0.3, seed=6, validation=(X[:9], mask[:9], Y[:9]))
+    draw, curve = np.random.default_rng(6), seqnet.TrainingCurve()
+    for epoch in (1, 2):
+        order = draw.permutation(70)
+        loss, hit, norms = np.empty(70), np.empty(70, dtype=bool), []
+        for idx in (order[:32], order[32:64], order[64:]):
+            _, grads, (loss[idx], hit[idx]) = loss_and_grads(replay, X[idx], mask[idx], Y[idx])
+            norms.append(seqnet.descend(replay.params, grads, 0.3))
+        held = evaluate(replay, X[:9], mask[:9], Y[:9])
+        for name, value in (("epochs", epoch), ("train_loss", float(np.mean(loss))),
+                            ("train_acc", float(np.mean(hit))), ("val_loss", held.loss),
+                            ("val_acc", held.accuracy), ("grad_norm", float(np.mean(norms))),
+                            ("clip_rate", float(np.mean(np.asarray(norms) > seqnet.CLIP_NORM)))):
+            getattr(curve, name).append(value)
+    assert {k: v.tobytes() for k, v in model.params.items()} == \
+        {k: v.tobytes() for k, v in replay.params.items()}
+    assert asdict(model.curve) == asdict(curve)
+
+
 def test_train_records_pre_clip_gradient_norm_and_clip_rate(monkeypatch):
     # a batch of 32 rows with gradient norm 10, clipped to 5, then one of
     # 8 rows with norm 3, kept; only out_b has a gradient
@@ -238,7 +273,7 @@ def test_train_records_pre_clip_gradient_norm_and_clip_rate(monkeypatch):
     model = toy_model("dense", n_classes=2)
     out_b = model.params["out_b"].copy()
 
-    def stub(m, X_, mask_, Y_):
+    def stub(m, X_, mask_, Y_, ws):
         g = np.array([6.0, 8.0]) if len(Y_) == 32 else np.array([0.0, 3.0])
         return 0.5, {"out_b": g}, (np.full(len(Y_), 0.5), np.ones(len(Y_), dtype=bool))
 
@@ -792,6 +827,27 @@ def test_bilstm_training_memory_stays_under_the_caching_code():
     finally:
         tracemalloc.stop()
     assert peak < 6.83 * 2**20, peak / 2**20
+
+
+def test_bilstm_train_call_memory_stays_near_fresh_buffers_per_batch():
+    # one BiLSTM train call at the benchmark's shape: 240 rows, T = 60,
+    # H = 12, seven categorical and three numeric columns, 2 epochs. With
+    # fresh buffers for every batch its peak was 5.70 MB; the workspace kept
+    # across batches may hold at most 10% more
+    import tracemalloc
+    rng = np.random.default_rng(41)
+    cat = (70, 12, 70, 40, 9, 6, 10)
+    X, mask, Y = random_batch(rng, M=300, T=60, cat_sizes=cat, n_num=3)
+    assert mask[:240].sum(axis=1).max() == 60
+    model = toy_model("bilstm", nodes=12, cat_sizes=cat, n_num=3)
+    tracemalloc.start()
+    try:
+        train(model, X[:240], mask[:240], Y[:240], epochs=2, lr=0.1, seed=5,
+              validation=(X[240:], mask[240:], Y[240:]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.70 * 1.10 * 2**20, peak / 2**20
 
 
 def test_inference_memory_stays_off_the_time_axis():
