@@ -169,8 +169,15 @@ def _require(cfg, *keys):
 def cmd_ingest(run) -> int:
     cfg = run.cfg
     _require(cfg, "csv", "schema", "out")
+    rule = "a schema is a JSON object that maps field names to columns"
     with open(cfg["schema"], encoding="utf-8") as fh:
-        schema = {k: v for k, v in json.load(fh).items() if k != "meta"}
+        try:
+            schema = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise eventlog.SchemaError(f"{cfg['schema']}: {exc}; {rule}") from None
+    if not isinstance(schema, dict):
+        raise eventlog.SchemaError(f"{cfg['schema']}: {rule}, got a {type(schema).__name__}")
+    schema.pop("meta", None)
     log = eventlog.parse_log(cfg["csv"], schema)
     clean, report = eventlog.clean_log(log, min_class_count=cfg["min_class"])
     if not report.kept_classes:

@@ -5,7 +5,13 @@ ordered sequence of timestamped activity events plus static attributes. Input
 is a flat CSV with one event per row and static attributes repeated per row.
 
 ``parse_log`` reads the CSV into an ``EventTable``: per-event columns in case
-order plus per-case attributes. Every stage takes such a table.
+order plus per-case attributes. Every stage takes such a table. The file's
+bytes are read once and split into columns, each an int64 code per row into
+its distinct tokens in first-seen order. A file without quotes, CRs and NUL
+bytes is split by numpy scans for its commas and newlines; any other file,
+and one with a field longer than ``csv.field_size_limit()`` bytes, by
+``csv.reader``. Both give the same columns, and everything after the split is
+one path, so both give the same table.
 
 ``EventLog``/``Case``/``Event`` are an object form that no stage reads. It
 stays for the benchmark: ``synth.generate_synthetic`` returns an
@@ -17,16 +23,18 @@ labelled cases of ``clean_log``'s input through it.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SECONDS_PER_YEAR = 365.25 * 24 * 3600
 
@@ -235,11 +243,13 @@ def _whole(raw: str | None, low: int) -> int:
     return max(low, int(value)) if math.isfinite(value) else low
 
 
-def _stripped_codes(values) -> tuple[np.ndarray, list[str]]:
-    """``_codes`` of the stripped values; each distinct value is stripped once."""
-    raw_codes, raw_tokens = _codes(values)
-    remap, tokens = _codes([tok.strip() for tok in raw_tokens])
-    return remap[raw_codes], tokens
+def _stripped(columns) -> tuple[list[np.ndarray], list[str]]:
+    """Codes of the stripped values of ``columns``, each a (codes, tokens)
+    pair, into one token list in first-seen order reading the columns one
+    after another; each distinct token is stripped once."""
+    remap, tokens = _codes([tok.strip() for _, col_tokens in columns for tok in col_tokens])
+    bounds = np.cumsum([0] + [len(col_tokens) for _, col_tokens in columns]).tolist()
+    return [remap[lo:hi][codes] for (codes, _), lo, hi in zip(columns, bounds, bounds[1:])], tokens
 
 
 def _filled(codes: np.ndarray, tokens: list[str]) -> np.ndarray:
@@ -266,6 +276,92 @@ def _columns(spec) -> list[str]:
     return [spec] if isinstance(spec, str) else list(spec)
 
 
+def _csv_columns(text: str):
+    """The header, the number of data rows and a reader of column ``j``'s
+    ``_codes``, by ``csv.reader``: the reader of quoted fields, CR line ends
+    and NUL bytes. Lines starting with ``#`` are dropped before parsing, the
+    header is the first row left, and empty rows are skipped."""
+    reader = csv.reader(ln for ln in io.StringIO(text, newline="") if not ln.startswith("#"))
+    header = next(reader, [])
+    rows = [row for row in reader if row]
+    if min(map(len, rows), default=len(header)) < len(header):
+        rows = [row + [""] * (len(header) - len(row)) for row in rows]
+
+    def column(j):
+        return _codes(list(map(itemgetter(j), rows)))
+    return header, len(rows), column
+
+
+def _byte_columns(buf: np.ndarray):
+    """``_csv_columns`` of the UTF-8 bytes ``buf`` of a CSV that holds no
+    quote, CR or NUL, where every field runs from one comma or line end to
+    the next. A column is cut from the buffer as fixed-width byte strings,
+    numbered by first appearance, and each distinct one is decoded once.
+    None when a field or comment holds more bytes than
+    ``csv.field_size_limit()`` characters, a limit only ``csv.reader`` checks
+    exactly."""
+    marks = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    newline = buf[marks] == ord("\n")
+    if len(buf) and buf[-1] != ord("\n"):  # the last line ends with the buffer
+        marks, newline = np.append(marks, len(buf)), np.append(newline, True)
+    # field ends after a -1 sentinel, so a field starts one past the end before it
+    sep = np.concatenate(([-1], marks))
+    widest = int(np.diff(sep).max(initial=1)) - 1
+    if widest > csv.field_size_limit():
+        return None
+    # line r's fields end at sep[bounds[r] + 1 : bounds[r + 1] + 1]
+    bounds = np.concatenate(([0], np.flatnonzero(newline) + 1))
+    starts = sep[bounds[:-1]] + 1
+    lengths = sep[bounds[1:]] - starts
+    kept = np.flatnonzero(buf[starts] != ord("#"))  # an empty line starts at its newline
+    rows = kept[1:][lengths[kept[1:]] > 0]
+    header = []
+    if len(kept) and lengths[kept[0]]:
+        ends = sep[bounds[kept[0]]:bounds[kept[0] + 1] + 1].tolist()
+        header = [buf[a + 1:b].tobytes().decode() for a, b in zip(ends, ends[1:])]
+    first, last = bounds[rows] + 1, bounds[rows + 1]
+    padded = np.concatenate((buf, np.zeros(max(widest, 1), np.uint8)))
+
+    def column(j):
+        at = first + j
+        present = at <= last
+        at = np.where(present, at, first)
+        start = sep[at - 1] + 1
+        width = np.where(present, sep[at] - start, 0)
+        w = max(int(width.max(initial=0)), 1)
+        cells = sliding_window_view(padded, w)[start]
+        cells[np.arange(w) >= width[:, None]] = 0
+        distinct, seen, inverse = np.unique(cells.view(f"S{w}")[:, 0], return_index=True,
+                                            return_inverse=True)
+        order = np.argsort(seen)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return rank[inverse], [tok.decode() for tok in distinct[order].tolist()]
+    return header, len(rows), column
+
+
+def _tokenize(path):
+    """The header, data row count and column reader of the CSV at ``path``
+    (see ``_csv_columns``), after a leading byte-order mark. A file without
+    quotes, CRs and NULs is split by ``_byte_columns``, any other by
+    ``csv.reader``; both give the same columns. A byte that is not UTF-8
+    raises ``ValueError`` naming the file, its line and its offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        text = str(memoryview(data)[bom:], "utf-8")
+    except UnicodeDecodeError as exc:
+        at = bom + exc.start
+        before = data[:at]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise ValueError(f"{path}: line {line} is not UTF-8: byte 0x{data[at]:02x} at file "
+                         f"offset {at} ({exc.reason})") from None
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return _csv_columns(text)
+    return _byte_columns(np.frombuffer(data, np.uint8, offset=bom)) or _csv_columns(text)
+
+
 def parse_log(path, schema: dict) -> EventTable:
     """Parse a one-event-per-row CSV into an EventTable.
 
@@ -280,9 +376,11 @@ def parse_log(path, schema: dict) -> EventTable:
     key that names no field, raise ``SchemaError`` naming the key. Events
     are sorted by timestamp within each case (ties keep file order) and
     cases keep the order they are first seen in. Lines starting
-    with ``#`` and blank rows are skipped, a UTF-8 byte-order mark is
-    accepted, a header name given twice means its last column, and a row
-    shorter than the header reads its missing fields as empty. Rows without
+    with ``#`` and blank rows are skipped, the header is the first line
+    left, a UTF-8 byte-order mark is accepted, a header name given twice
+    means its last column, and a row shorter than the header reads its
+    missing fields as empty. A byte that is not UTF-8 raises ``ValueError``
+    naming the file, its line and its offset in the file. Rows without
     a case id or activity, and rows whose timestamp does not parse, are
     counted in ``log.issues`` rather than silently lost. A
     ``num_executions`` that is not a finite number reads as 1, an ``age``
@@ -304,30 +402,26 @@ def parse_log(path, schema: dict) -> EventTable:
         if key in per_event and len(_columns(spec)) != 1:
             raise SchemaError(f"schema field {key!r} is per-event and takes one column, "
                               f"got {spec!r}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
-        header = next(reader, [])
-        rows = [row for row in reader if row]
+    header, n_rows, column = _tokenize(path)
+    column = functools.cache(column)  # one CSV column may back several fields
     index = {name: i for i, name in enumerate(header)}
     for key, spec in schema.items():
         for col in _columns(spec):
             if col not in index:
                 raise SchemaError(f"column {col!r} (field {key!r}) not in CSV header")
-    width = 1 + max(index[col] for spec in schema.values() for col in _columns(spec))
-    if min(map(len, rows), default=width) < width:
-        rows = [row + [""] * (width - len(row)) for row in rows]
 
-    def raw(col):
-        return list(map(itemgetter(index[col]), rows))
+    def stripped(key):
+        return _stripped([column(index[col]) for col in _columns(schema[key])])
 
-    def column(key):
-        return _stripped_codes(raw(_columns(schema[key])[0]))
-
-    case_codes, case_tokens = column("case_id")
-    act_codes, act_tokens = column("activity")
+    (case_codes,), case_tokens = stripped("case_id")
+    (act_codes,), act_tokens = stripped("activity")
     candidates = np.flatnonzero(_filled(case_codes, case_tokens) & _filled(act_codes, act_tokens))
-    ts_raw = raw(_columns(schema["timestamp"])[0])
-    ts = _timestamps([ts_raw[i] for i in candidates.tolist()])
+    ts_codes, ts_tokens = column(index[_columns(schema["timestamp"])[0]])
+    ts_codes = ts_codes[candidates]
+    used = np.unique(ts_codes)
+    seconds = np.empty(len(ts_tokens))
+    seconds[used] = _timestamps([ts_tokens[c] for c in used.tolist()])
+    ts = seconds[ts_codes]
     parsed = ~np.isnan(ts)
     keep, ts = candidates[parsed], ts[parsed]
     if not len(keep):
@@ -347,14 +441,14 @@ def parse_log(path, schema: dict) -> EventTable:
     codes, tokens = {"activity": act_codes[events]}, {"activity": act_tokens}
     for f in DYNAMIC_CATEGORICAL[1:]:
         if f in schema:
-            col_codes, tokens[f] = column(f)
+            (col_codes,), tokens[f] = stripped(f)
             codes[f] = col_codes[events]
         else:
             codes[f], tokens[f] = np.zeros(len(events), dtype=np.int64), [""]
     n_exec = np.ones(len(events))
     if "num_executions" in schema:
         # float() ignores the whitespace that stripping removes
-        exec_codes, exec_tokens = column("num_executions")
+        (exec_codes,), exec_tokens = stripped("num_executions")
         n_exec = np.array([float(_whole(tok, 1)) for tok in exec_tokens])[exec_codes[events]]
 
     statics, spread = {}, set()
@@ -362,17 +456,15 @@ def parse_log(path, schema: dict) -> EventTable:
         if f not in schema:
             statics[f] = [None] * n_cases
             continue
-        cols = _columns(schema[f])
-        static_codes, static_tokens = _stripped_codes(
-            list(chain.from_iterable(raw(col) for col in cols)))
-        static_codes = static_codes.reshape(len(cols), len(rows)).T[keep]
-        statics[f], mixed = _collapse(static_codes, static_tokens, owner, n_cases)
-        if mixed or len(cols) > 1:
+        static_codes, static_tokens = stripped(f)
+        statics[f], mixed = _collapse(np.stack([c[keep] for c in static_codes], axis=1),
+                                      static_tokens, owner, n_cases)
+        if mixed or len(static_codes) > 1:
             spread.add(f)
 
     issues = {}
-    if len(rows) - len(candidates):
-        issues["unparseable_rows"] = len(rows) - len(candidates)
+    if n_rows - len(candidates):
+        issues["unparseable_rows"] = n_rows - len(candidates)
     if len(candidates) - len(keep):
         issues["unparseable_timestamps"] = len(candidates) - len(keep)
     return EventTable(

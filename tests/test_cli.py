@@ -873,6 +873,36 @@ def test_ingest_min_class_that_keeps_no_class_names_the_option(bench, tmp_path):
     assert files_under(tmp_path / "o") == []
 
 
+def test_ingest_names_the_line_and_file_offset_of_a_byte_that_is_not_utf8(tmp_path):
+    rows = [f"p{i // 5:02d},act_{i % 7},2020-01-01 10:{i % 60:02d}:00,M{i % 2}"
+            for i in range(299)]
+    head = "case,act,ts,diag\n" + "\n".join(rows) + "\np60,act_"
+    # a banner comment of the width that puts the bad byte at file offset 14241
+    banner = "#" + "-" * (14241 - len(head) - 2) + "\n"
+    data = (banner + head).encode() + b"\xff,2020-01-02 10:00:00,M1\n"
+    assert data.index(b"\xff") == 14241 and data[:14241].count(b"\n") + 1 == 302
+    (tmp_path / "e.csv").write_bytes(data)
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"case_id": "case", "activity": "act", "timestamp": "ts", "diagnosis_code": "diag"}))
+    code, err = rejection("ingest", "--csv", tmp_path / "e.csv", "--schema", tmp_path / "s.json",
+                          "--min-class", 1, "--out", tmp_path / "o")
+    assert code == 1
+    assert "e.csv" in err and "line 302" in err and "14241" in err and "0xff" in err, err
+    assert files_under(tmp_path / "o") == []
+
+
+@pytest.mark.parametrize("text, got", [('["case_id"]', "got a list"),
+                                       ("case_id: case", "Expecting value")])
+def test_ingest_rejects_a_schema_file_that_is_not_a_json_object(bench, tmp_path, text, got):
+    (tmp_path / "bad.json").write_text(text, encoding="utf-8")
+    code, err = rejection("ingest", "--csv", bench / "synth" / "events.csv",
+                          "--schema", tmp_path / "bad.json", "--out", tmp_path / "o")
+    assert code == 1
+    assert "bad.json" in err and got in err, err
+    assert "a JSON object that maps field names to columns" in err, err
+    assert files_under(tmp_path / "o") == []
+
+
 def no_load(*args, **kwargs):
     raise RuntimeError("loaded an input before rejecting an option")
 

@@ -1,6 +1,7 @@
 """The columnar ingest against the object-walking reference in
 ``ingest_oracle``, on seeded random messy CSVs."""
 
+import codecs
 from collections import Counter
 
 import numpy as np
@@ -38,15 +39,30 @@ def messy_csv(rng, path):
     """A small CSV with comments, blank lines, padding, interleaved cases,
     duplicate timestamps, spread and blanked labels, short and long rows and
     unparseable values; its timestamps are all canonical in half the files,
-    and in a few files no row parses."""
+    and in a few files no row parses. Some files quote cells (their case ids
+    and one activity hold a comma and a doubled quote), end lines with CRLF
+    or a bare CR, hold a NUL byte, start with a byte-order mark or carry
+    non-ASCII tokens; only files without quotes, CRs and NULs reach the
+    byte reader."""
     canonical_only = rng.random() < 0.5
     broken = rng.random() < 0.03  # no row parses
+    quoted, nul, bom, wide = (rng.random(4) < [0.2, 0.05, 0.1, 0.25]).tolist()
+    eol = str(rng.choice(["\n", "\r\n", "\r"], p=[0.7, 0.15, 0.15]))
     n_cases = int(rng.integers(2, 9))
     labels = ["M10", "M2", "106"][: int(rng.integers(1, 4))]
-    case_label = {f"p{i}": str(rng.choice(labels)) for i in range(n_cases)}
+    names = [f'p,"{i}"' if quoted else f"p{i}" for i in range(n_cases)]
+    case_label = {name: str(rng.choice(labels)) for name in names}
+    activities = ["a", "b", "c", "treatment"] + ['x,"y'] * quoted + ["ä", "名"] * wide
+    departments = ["d1", "d2", ""] + ["d\0x"] * nul + ["é"] * wide
+
+    def cell(text):
+        if quoted and ("," in text or '"' in text or rng.random() < 0.2):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
     lines = ["# exported " + str(rng.integers(1000)), ",".join(HEADER)]
     for _ in range(int(rng.integers(4, 40))):
-        cid = f"p{int(rng.integers(n_cases))}"
+        cid = names[int(rng.integers(n_cases))]
         day = int(rng.integers(1, 6))  # few days, so timestamps repeat within a case
         forms = CANONICAL if canonical_only or rng.random() < 0.6 else OTHER
         ts = str(rng.choice(forms)).format(d=day)
@@ -56,8 +72,8 @@ def messy_csv(rng, path):
         diag2 = ""
         if rng.random() < 0.15:
             diag, diag2 = "", str(rng.choice(labels))
-        row = [pad(rng, cid), pad(rng, str(rng.choice(["a", "b", "c", "treatment"]))), ts,
-               str(rng.choice(["d1", "d2", ""])),
+        row = [pad(rng, cid), pad(rng, str(rng.choice(activities))), ts,
+               str(rng.choice(departments)),
                str(rng.choice(["1", "2", " 3 ", "x", "inf", "", "2.5", "1e3"])),
                str(rng.choice(["ac1", "ac2"])), str(rng.choice(["pr", ""])),
                str(rng.choice(["s1", "s2"])), pad(rng, str(rng.choice(["D", "E", ""]))),
@@ -73,20 +89,31 @@ def messy_csv(rng, path):
             row = row[: int(rng.integers(1, 10))]  # short row
         elif u < 0.14:
             row = row + ["extra", "fields"]
-        lines.append(",".join(row))
+        lines.append(",".join(map(cell, row)))
         if rng.random() < 0.1:
             lines.append(str(rng.choice(["", "# note", ","])))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(("\ufeff" * bom + eol.join(lines) + eol).encode("utf-8"))
     schema = {"case_id": "case", "activity": "act", "timestamp": "ts",
               "diagnosis_code": ["diag", "diag2"] if rng.random() < 0.7 else "diag"}
     schema |= {f: col for f, col in OPTIONAL.items() if rng.random() < 0.8}
     return schema, canonical_only
 
 
+def count_readers(monkeypatch, seen):
+    """Count in ``seen`` the files each tokenizer splits."""
+    for name in ("_csv_columns", "_byte_columns"):
+        def counted(*args, name=name, tokenizer=getattr(eventlog, name)):
+            split = tokenizer(*args)
+            seen[name] += split is not None
+            return split
+        monkeypatch.setattr(eventlog, name, counted)
+
+
 def test_columnar_ingest_matches_object_oracle_on_messy_csvs(tmp_path, monkeypatch):
     monkeypatch.setattr(eventlog, "IMPUTE_BLOCK", 2)  # several blocks per log
     rng = np.random.default_rng(20261018)
     seen = Counter()
+    count_readers(monkeypatch, seen)
     for k in range(300):
         path = tmp_path / f"log{k}.csv"
         schema, canonical_only = messy_csv(rng, path)
@@ -148,9 +175,41 @@ def test_columnar_ingest_matches_object_oracle_on_messy_csvs(tmp_path, monkeypat
         seen["encoded"] += 1
     # the generator reaches every path it is meant to exercise
     for key in ("empty", "canonical", "unparseable_rows", "unparseable_timestamps", "spread",
-                "imputed", "dropped", "unknown", "encoded"):
+                "imputed", "dropped", "unknown", "encoded", "_csv_columns", "_byte_columns"):
         assert seen[key] > 0, (key, seen)
     assert seen["equal"] + seen["unequal"] > 0, seen
+
+
+#: quote-free texts at the edges of the line and field rules: no line, an
+#: empty first line as the header, comments holding commas, no final newline,
+#: empty, short and long rows, and a row of one space
+EDGE_TEXTS = ["", "\n", "# only\n", "a,b", "\n\na,b\n1,2\n", "#c\nx\n\n", "h\n \n",
+              "a,b\n1\n,\n\n1,2,3", "a,b\n#,x\n1,2", "a,,b\n,,\n\n#\n,x,\n"]
+
+
+def test_both_tokenizers_split_quote_free_csvs_alike(tmp_path):
+    rng = np.random.default_rng(20261021)
+    datas = [text.encode() for text in EDGE_TEXTS]
+    for k in range(120):
+        messy_csv(rng, tmp_path / "log.csv")
+        datas.append((tmp_path / "log.csv").read_bytes())
+    seen = Counter()
+    for k, data in enumerate(datas):
+        if b'"' in data or b"\r" in data or b"\0" in data:
+            continue
+        body = data.removeprefix(codecs.BOM_UTF8)
+        header, n_rows, column = eventlog._byte_columns(np.frombuffer(body, np.uint8))
+        want_header, want_rows, want_column = eventlog._csv_columns(body.decode())
+        assert (header, n_rows) == (want_header, want_rows), k
+        for j in range(len(header)):
+            codes, tokens = column(j)
+            want_codes, want_tokens = want_column(j)
+            assert codes.dtype == want_codes.dtype == np.int64, (k, j)
+            assert np.array_equal(codes, want_codes) and tokens == want_tokens, (k, j)
+        seen["split"] += 1
+        seen["bom"] += body is not data
+        seen["non_ascii"] += not body.isascii()
+    assert min(seen["split"] - len(EDGE_TEXTS), seen["bom"], seen["non_ascii"]) > 0, seen
 
 
 def test_canonical_timestamps_parse_like_fromisoformat():

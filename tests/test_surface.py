@@ -75,6 +75,7 @@ def commands(tmp):
         if row[col["case_id"]] == rows[0][col["case_id"]]:
             row[col["diagnosis_code"]] = ""
     rows[1][col["timestamp"]] = rows[1][col["timestamp"]].replace(" ", "T") + "Z"
+    rows[2][col["activity"]] = 'say "hi", then go'  # quoted, so csv.reader splits the file
     with open(tmp / "events.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
     run("ingest", "--csv", tmp / "events.csv", "--schema", bench / "synth" / "schema.json",
