@@ -4,18 +4,32 @@ Each class carries an ordered activity motif at a fixed position inside noise
 activities, optionally plus a static age rule (one class's membership is
 equivalent to age exceeding a threshold). The generator returns the log and a
 manifest of the planted truth so downstream checks can assert against it.
+
+Both halves work by column. ``generate_synthetic`` draws a case's noise
+tokens with one ``rng.integers`` call and its timestamps as one array
+expression, in the stream order and arithmetic of one draw per token, so a
+seed's log does not depend on how it is drawn. ``log_to_csv`` gathers the
+per-event fields into columns, formats every timestamp in one numpy pass
+(rounding as ``datetime.fromtimestamp`` does) and writes each case's static
+cells once per case. ``SyntheticSpec.validate`` rejects a value of the wrong
+type or range by key before anything is generated, including a spec whose
+events could fall after 9999-12-31, the last date the writer prints.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain, repeat
 
 import numpy as np
 
 from .eventlog import Case, Event, EventLog
 
 BASE_TS = 1577836800.0  # 2020-01-01T00:00:00Z
+# 1000-01-01 00:00:00 and 9999-12-31 23:59:59 UTC, the span of four-digit years
+_FIRST_SECOND, _LAST_SECOND = -30610224000, 253402300799
 
 
 @dataclass
@@ -46,18 +60,20 @@ class SyntheticSpec:
     @classmethod
     def from_json(cls, text: str) -> "SyntheticSpec":
         """A spec from its JSON object; an omitted key takes the field's
-        default, and an unknown key is rejected by name."""
-        d = json.loads(text)
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown spec key(s): {', '.join(map(repr, unknown))}")
-        d["classes"] = [ClassSpec(**c) for c in d["classes"]]
-        d["age_rule"] = AgeRule(**d["age_rule"]) if d.get("age_rule") else None
+        default, and an unknown or missing key is rejected by name."""
+        d = _keywords(json.loads(text), cls, "spec")
+        if isinstance(d["classes"], list):
+            d["classes"] = [ClassSpec(**_keywords(c, ClassSpec, "class")) for c in d["classes"]]
+        if d.get("age_rule") is not None:
+            d["age_rule"] = AgeRule(**_keywords(d["age_rule"], AgeRule, "age_rule"))
         return cls(**d)
 
     def validate(self) -> None:
         """``ValueError`` naming the key of the first value that cannot be
         generated or written."""
+        self._validate_types()
+        if self.min_length < 1:
+            raise ValueError(f"min_length must be >= 1, got {self.min_length}")
         if self.min_length > self.max_length:
             raise ValueError(f"min_length {self.min_length} exceeds max_length "
                              f"{self.max_length}")
@@ -95,26 +111,83 @@ class SyntheticSpec:
                     f"class {c.label}: motif does not fit inside the shortest window")
         if self.age_rule and self.age_rule.label not in {c.label for c in self.classes}:
             raise ValueError(f"age rule names unknown class {self.age_rule.label!r}")
+        # case k starts k days after BASE_TS and its events are under 30 days apart
+        cases = sum(c.cases for c in self.classes)
+        if int(BASE_TS) + (cases + 30 * (self.max_length - 1)) * 86400 > _LAST_SECOND:
+            raise ValueError(f"max_length {self.max_length} and {cases} cases could put an "
+                             "event after 9999-12-31")
+
+    def _validate_types(self) -> None:
+        """``ValueError`` naming the key of the first value of the wrong type,
+        or of a ``motif_probability`` outside [0, 1]."""
+        if not isinstance(self.classes, (list, tuple)) or not self.classes:
+            raise ValueError(f"classes must list at least one class, got {self.classes!r}")
+        if self.age_rule is not None and not isinstance(self.age_rule.label, str):
+            raise ValueError(f"age_rule: label must be a string, got {self.age_rule.label!r}")
+        integers = [("noise_vocab", self.noise_vocab), ("min_length", self.min_length),
+                    ("max_length", self.max_length), ("age_low", self.age_low)]
+        if self.age_rule is not None:
+            integers.append(("age_rule: threshold", self.age_rule.threshold))
+        for c in self.classes:
+            if not isinstance(c.label, str):
+                raise ValueError(f"class label must be a string, got {c.label!r}")
+            if not _strings(c.motif):
+                raise ValueError(f"class {c.label}: motif must be a list of strings, "
+                                 f"got {c.motif!r}")
+            p = c.motif_probability
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+                raise ValueError(f"class {c.label}: motif_probability must be a number "
+                                 f"from 0 to 1, got {p!r}")
+            integers += [(f"class {c.label}: cases", c.cases),
+                         (f"class {c.label}: motif_position", c.motif_position)]
+        for key, value in integers:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if not _strings(self.treatments):
+            raise ValueError(f"treatments must be a list of strings, got {self.treatments!r}")
+
+
+def _keywords(d, cls, where: str) -> dict:
+    """``d`` as the keyword arguments of the dataclass ``cls``; ``ValueError``
+    naming ``where`` and the keys unless ``d`` is a JSON object with every
+    required field of ``cls`` and no other key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {where} key(s): {', '.join(map(repr, missing))}")
+    return d
+
+
+def _strings(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[EventLog, dict]:
     """Build an EventLog where class identity is recoverable from the planted
-    motif (and the age rule when configured)."""
+    motif (and the age rule when configured). A seed gives the log that one
+    scalar draw per token gives (``tests/synth_oracle.py``)."""
     spec.validate()
     rng = np.random.default_rng(seed)
     noise_tokens = [f"noise_{i:02d}" for i in range(spec.noise_vocab)]
+    activity_code = {tok: f"ac_{tok}" for tok in noise_tokens}
+    activity_code.update((tok, f"ac_{tok}") for c in spec.classes for tok in c.motif)
     cases = []
     counter = 0
     for cls in spec.classes:
+        motif_end = cls.motif_position + len(cls.motif)
         for _ in range(cls.cases):
             counter += 1
             case_id = f"case_{counter:04d}"
             length = int(rng.integers(spec.min_length, spec.max_length + 1))
-            tokens = [noise_tokens[int(rng.integers(spec.noise_vocab))]
-                      for _ in range(length)]
+            draws = rng.integers(spec.noise_vocab, size=length).tolist()
+            tokens = [noise_tokens[i] for i in draws]
             if rng.random() < cls.motif_probability:
-                for off, tok in enumerate(cls.motif):
-                    tokens[cls.motif_position + off] = tok
+                tokens[cls.motif_position:motif_end] = cls.motif
             if spec.age_rule is not None:
                 if cls.label == spec.age_rule.label:
                     age = int(rng.integers(spec.age_rule.threshold + 1,
@@ -124,13 +197,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[EventLog, dict]:
             else:
                 age = int(rng.integers(spec.age_low, 80))
             gap_days = float(rng.uniform(1.0, 30.0))
-            events = [
-                Event(activity=tok, timestamp=BASE_TS + counter * 86400.0 + k * gap_days * 86400.0,
-                      department="clinic", num_executions=1,
-                      activity_code=f"ac_{tok}", producer_code="prod",
-                      section="sec")
-                for k, tok in enumerate(tokens)
-            ]
+            start = BASE_TS + counter * 86400.0
+            stamps = (start + np.arange(length) * gap_days * 86400.0).tolist()
+            events = list(map(Event, tokens, stamps, repeat("clinic"), repeat(1),
+                              map(activity_code.__getitem__, tokens), repeat("prod"),
+                              repeat("sec")))
             cases.append(Case(case_id=case_id, events=events, age=age,
                               diagnosis_code=cls.label,
                               treatment_code=spec.treatments[int(rng.integers(len(spec.treatments)))],
@@ -149,25 +220,50 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[EventLog, dict]:
     return EventLog(cases=cases), manifest
 
 
+def _utc_stamps(timestamps: np.ndarray) -> list[str]:
+    """``YYYY-MM-DD HH:MM:SS`` of each UTC epoch time, as
+    ``datetime.fromtimestamp(t, timezone.utc).strftime`` prints it: the
+    fraction rounds half to even at the microsecond, carrying into the next
+    second, and is then dropped. ``ValueError`` for a time that is not
+    finite or falls outside the four-digit years."""
+    fraction, whole = np.modf(timestamps)
+    micro = np.rint(fraction * 1e6)
+    seconds = whole + (micro >= 1e6) - (micro < 0)
+    outside = ~((seconds >= _FIRST_SECOND) & (seconds <= _LAST_SECOND))
+    if outside.any():
+        raise ValueError(f"timestamp {timestamps[outside][0]!r} is not a time in "
+                         "the years 1000 to 9999")
+    text = np.datetime_as_string(seconds.astype(np.int64).astype("datetime64[s]")).astype("U19")
+    text.view(np.uint32).reshape(-1, 19)[:, 10] = ord(" ")
+    return text.tolist()
+
+
 def log_to_csv(log: EventLog) -> str:
     """Flat one-event-per-row CSV with statics repeated, matching the default
-    ingest schema."""
+    ingest schema.
+
+    The per-event fields are gathered into columns and the timestamps are
+    formatted in one numpy pass; each case's id and static cells are
+    formatted once and repeated over its rows."""
     header = ("case_id,activity,department,timestamp,num_executions,"
               "activity_code,producer_code,section,age,diagnosis_code,"
               "treatment_code,combination_id")
-    lines = [header]
-    from datetime import datetime, timezone
-    for case in log.cases:
-        for ev in case.events:
-            ts = datetime.fromtimestamp(ev.timestamp, tz=timezone.utc)
-            stamp = ts.strftime("%Y-%m-%d %H:%M:%S")
-            diag = case.diagnosis_code if case.diagnosis_code is not None else ""
-            lines.append(
-                f"{case.case_id},{ev.activity},{ev.department},{stamp},"
-                f"{ev.num_executions},{ev.activity_code},{ev.producer_code},"
-                f"{ev.section},{case.age},{diag},{case.treatment_code},"
-                f"{case.combination_id}")
-    return "\n".join(lines) + "\n"
+    cases = log.cases
+    events = [ev for case in cases for ev in case.events]
+    counts = [len(case.events) for case in cases]
+    stamps = _utc_stamps(np.array([ev.timestamp for ev in events], dtype=np.float64))
+    statics = [f"{c.age},{'' if c.diagnosis_code is None else c.diagnosis_code},"
+               f"{c.treatment_code},{c.combination_id}" for c in cases]
+
+    def per_row(per_case):
+        return chain.from_iterable(map(repeat, per_case, counts))
+
+    rows = map(",".join, zip(
+        per_row([c.case_id for c in cases]), [ev.activity for ev in events],
+        [ev.department for ev in events], stamps, [str(ev.num_executions) for ev in events],
+        [ev.activity_code for ev in events], [ev.producer_code for ev in events],
+        [ev.section for ev in events], per_row(statics)))
+    return "\n".join([header, *rows]) + "\n"
 
 
 DEFAULT_SCHEMA = {

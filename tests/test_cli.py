@@ -593,6 +593,49 @@ def test_synth_rejects_a_spec_it_cannot_generate_and_writes_nothing(tmp_path, ch
     assert not (tmp_path / "synth").exists()
 
 
+CLS_A, CLS_B = SPEC["classes"]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({k: v for k, v in SPEC.items() if k != "classes"}, "missing spec key(s): 'classes'"),
+    (SPEC | {"classes": [], "age_rule": None}, "classes must list at least one class, got []"),
+    (SPEC | {"classes": [CLS_A, "cls_b"]}, "class must be a JSON object, got 'cls_b'"),
+    (SPEC | {"classes": [CLS_A | {"weight": 2}, CLS_B]}, "unknown class key(s): 'weight'"),
+    *[(SPEC | {"classes": [CLS_A | {"motif_probability": p}, CLS_B]},
+       f"class cls_a: motif_probability must be a number from 0 to 1, got {p!r}")
+      for p in (1.5, -1, float("nan"), True)],
+    (SPEC | {"classes": [CLS_A | {"motif": "xy"}, CLS_B]},
+     "class cls_a: motif must be a list of strings, got 'xy'"),
+    (SPEC | {"treatments": "T1"}, "treatments must be a list of strings, got 'T1'"),
+    (SPEC | {"classes": [CLS_A | {"cases": 5.5}, CLS_B]},
+     "class cls_a: cases must be an integer, got 5.5"),
+    (SPEC | {"classes": [CLS_A | {"cases": True}, CLS_B]},
+     "class cls_a: cases must be an integer, got True"),
+    (SPEC | {"noise_vocab": 4.0}, "noise_vocab must be an integer, got 4.0"),
+    (SPEC | {"max_length": "5"}, "max_length must be an integer, got '5'"),
+    (SPEC | {"age_rule": {"label": "cls_b", "threshold": "70"}},
+     "age_rule: threshold must be an integer, got '70'"),
+    (SPEC | {"age_rule": {"threshold": 70}}, "missing age_rule key(s): 'label'"),
+    (SPEC | {"classes": [CLS_A | {"label": 5}, CLS_B], "age_rule": None},
+     "class label must be a string, got 5"),
+    # a case with no events writes no row
+    (SPEC | {"classes": [CLS_A | {"motif": []}], "age_rule": None, "min_length": 0},
+     "min_length must be >= 1, got 0"),
+    (SPEC | {"max_length": 100_000},
+     "max_length 100000 and 32 cases could put an event after 9999-12-31"),
+], ids=["no-classes", "no-class", "class-not-object", "unknown-class-key",
+        "probability-above-1", "probability-below-0", "probability-nan", "probability-bool",
+        "motif-string", "treatments-string", "cases-float", "cases-bool", "noise-vocab-float",
+        "max-length-string", "threshold-string", "age-rule-without-label", "label-int",
+        "min-length-0", "past-year-9999"])
+def test_synth_rejects_a_mistyped_or_out_of_range_spec_value_by_key(tmp_path, spec, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert rejection("synth", "--spec", spec_path, "--out", tmp_path / "synth") == (
+        1, f"xlog: error: {message}\n")
+    assert not (tmp_path / "synth").exists()
+
+
 def test_config_file_flags_override(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
